@@ -24,10 +24,6 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _load_bundle(path) -> datagen.DatasetBundle:
-    return datagen.read_bundle(path)
-
-
 def _solver_config(args) -> SolverConfig:
     return SolverConfig(tol_fixed_point=args.tol, max_iter=args.max_iter)
 
@@ -50,7 +46,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_label(args) -> int:
-    bundle = _load_bundle(args.bundle)
+    bundle = datagen.read_bundle(args.bundle)
     bundle, excluded = datagen.label_bundle(bundle, tol_label=args.label_tol)
     for i, status in excluded:
         print(f"warning: instance {i} excluded from labels ({status})",
@@ -61,7 +57,7 @@ def cmd_label(args) -> int:
 
 
 def cmd_split(args) -> int:
-    bundle = _load_bundle(args.bundle)
+    bundle = datagen.read_bundle(args.bundle)
     bundle = datagen.split_bundle(bundle, tuple(args.sizes), seed=args.seed)
     datagen.write_bundle(bundle, args.bundle)
     print(f"split: {[len(v) for v in bundle.split.values()]}")
@@ -69,7 +65,7 @@ def cmd_split(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    bundle = _load_bundle(args.bundle)
+    bundle = datagen.read_bundle(args.bundle)
     datas = report.prepare_data(bundle)
     rep = report.run_compare(datas, tol=args.tol, steps_list=args.steps,
                              max_iter=args.max_iter)
@@ -89,7 +85,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_train(args) -> int:
-    bundle = _load_bundle(args.bundle)
+    bundle = datagen.read_bundle(args.bundle)
     if bundle.labels is None:
         print("error: bundle has no labels; run `drqp label` first", file=sys.stderr)
         return EXIT_RUNTIME
@@ -116,7 +112,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    bundle = _load_bundle(args.bundle)
+    bundle = datagen.read_bundle(args.bundle)
     params = net.load_checkpoint(args.checkpoint)
     idx = bundle.split["test"] if bundle.split else list(range(len(bundle)))
     datas = report.prepare_data(bundle, idx)
@@ -136,15 +132,16 @@ def cmd_eval(args) -> int:
     if args.history:
         report.emit_report(report.residual_history_csv(rep),
                            out / "residual_history.csv")
-    print(f"iteration ratio: {rep.iteration_ratio:.3f}  "
-          f"time ratio: {rep.time_ratio:.3f}")
+    time_ratio = rep.time_ratio
+    print(f"iteration ratio: {rep.iteration_ratio:.3f}  time ratio: "
+          + ("unknown" if time_ratio is None else f"{time_ratio:.3f}"))
     if any(r.failed for r in rep.rows):
         return EXIT_RUNTIME
     return EXIT_OK
 
 
 def cmd_ablate(args) -> int:
-    bundle = _load_bundle(args.bundle)
+    bundle = datagen.read_bundle(args.bundle)
     if bundle.labels is None or bundle.split is None:
         print("error: ablation needs a labeled, split bundle", file=sys.stderr)
         return EXIT_RUNTIME
@@ -166,8 +163,8 @@ def cmd_ablate(args) -> int:
         print(f"L={L}: val loss {result.best_val_loss:.6g}, "
               f"iteration ratio {rep.iteration_ratio:.3f}")
     out = _out_dir(args)
-    text = report._table(["layers", "best_val_loss", "iteration_ratio"], rows,
-                         args.format)
+    text = report.table(["layers", "best_val_loss", "iteration_ratio"], rows,
+                        args.format)
     ext = "md" if args.format == "markdown" else "csv"
     report.emit_report(text, out / f"ablation.{ext}")
     return EXIT_OK
@@ -278,7 +275,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, net.NonFiniteActivationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

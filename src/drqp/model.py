@@ -5,12 +5,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from .sparse import DimensionError, SparseMatrix, estimate_sigma_max
+from .sparse import (DimensionError, Factorization, SparseMatrix, estimate_sigma_max,
+                     factorize)
 
 INF = float("inf")
 
@@ -193,6 +195,10 @@ def to_conic(qp: StandardQP, equalities_as_inequalities: bool = False):
     return ConicQP(P=qp.P, c=qp.c, A=A, b=b, cone=cone), provenance
 
 
+# Largest operator order whose channel products use a dense copy of I+M.
+_DENSE_LIMIT = 2048
+
+
 @dataclass(frozen=True, eq=False)
 class MonotoneData:
     """Assembled monotone-inclusion data for a conic QP.
@@ -214,6 +220,23 @@ class MonotoneData:
     def size(self) -> int:
         return self.n + self.m
 
+    @cached_property
+    def factorization(self) -> Factorization:
+        """Factorization of I+M, computed on first use and reused by every solve."""
+        return factorize(self.I_plus_M)
+
+    @cached_property
+    def channel_operator(self):
+        """(K, K') for products of I+M with (n+m) x d channel arrays.
+
+        Dense up to _DENSE_LIMIT, where BLAS beats sparse dispatch overhead on
+        desk-scale problems; the cached CSR pair above it.
+        """
+        if self.size <= _DENSE_LIMIT:
+            K = self.I_plus_M.to_dense()
+            return K, K.T
+        return self.I_plus_M._csr, self.I_plus_M._csr_t
+
 
 def assemble_inclusion(cqp: ConicQP) -> MonotoneData:
     """Build M, q, I+M and the cached spectral estimate for a conic QP."""
@@ -228,25 +251,14 @@ def assemble_inclusion(cqp: ConicQP) -> MonotoneData:
                         sigma_max=est.sigma_max, cqp=cqp)
 
 
-def _nonneg_start(total: int, spec: ConeSpec) -> int:
-    # u = (x; y): x block and zero-cone duals are free, nonneg-cone duals clip
-    return total - spec.m_nonneg
-
-
 def project_cone_dual(v: np.ndarray, spec: ConeSpec) -> np.ndarray:
     """Project u = (x; y) onto R^n x dual-cone: identity on free coordinates,
-    max(0, .) on coordinates dual to the nonnegative block."""
-    v = np.asarray(v, dtype=np.float64)
-    out = v.copy()
-    k = _nonneg_start(v.shape[0], spec)
-    np.maximum(out[k:], 0.0, out=out[k:])
-    return out
+    max(0, .) on coordinates dual to the nonnegative block.
 
-
-def project_cone_dual_rows(V: np.ndarray, n: int, spec: ConeSpec) -> np.ndarray:
-    """Row-wise projection of an (n+m) x d channel array."""
-    out = np.array(V, dtype=np.float64)
-    k = _nonneg_start(n + spec.m, spec)
+    v is a vector or an (n+m) x d channel array, projected row-wise.
+    """
+    out = np.array(v, dtype=np.float64)
+    k = out.shape[0] - spec.m_nonneg
     np.maximum(out[k:], 0.0, out=out[k:])
     return out
 

@@ -9,8 +9,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import MonotoneData, project_cone_dual_rows
-from .sparse import spmm, spmm_t
+from .model import MonotoneData, project_cone_dual
 from .solvers import step_size_cap
 
 CHECKPOINT_VERSION = "drqp-net-1"
@@ -151,22 +150,6 @@ def emulation_params(data: MonotoneData, eta: float, L: int) -> NetParams:
                      eta=np.full(L, 2.0 * eta))
 
 
-# Below this operator size the channel matmuls run against a cached dense
-# copy of I+M; BLAS beats sparse dispatch overhead on desk-scale problems.
-_DENSE_LIMIT = 2048
-
-
-def _dense_op(data: MonotoneData) -> Optional[np.ndarray]:
-    Kd = getattr(data, "_dense_I_plus_M", None)
-    if Kd is None and data.size <= _DENSE_LIMIT:
-        Kd = data.I_plus_M.to_dense()
-        try:
-            object.__setattr__(data, "_dense_I_plus_M", Kd)
-        except AttributeError:
-            pass
-    return Kd
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     pos = z >= 0
@@ -211,12 +194,11 @@ def forward(data: MonotoneData, params: NetParams,
     S = params.unroll_steps if unroll_steps is None else int(unroll_steps)
     if S < 1:
         raise ValueError("unroll_steps must be >= 1")
-    K = data.I_plus_M
-    Kd = _dense_op(data)
+    K, Kt = data.channel_operator
     N, d = data.size, params.d
     Q = np.broadcast_to(data.q[:, None], (N, d)).copy()
     ut = np.zeros((N, d))
-    u = project_cone_dual_rows(-Q, data.n, data.cone)
+    u = project_cone_dual(-Q, data.cone)
     w = Q + u
     caches = []
     for li, lp in enumerate(params.layers):
@@ -227,15 +209,12 @@ def forward(data: MonotoneData, params: NetParams,
         ut_cur = ut
         for _ in range(S):
             vt = ut_cur @ lp.U_ut
-            if Kd is not None:
-                g = Kd.T @ (Kd @ vt - wprime)
-            else:
-                g = spmm_t(K, spmm(K, vt) - wprime)
+            g = Kt @ (K @ vt - wprime)
             inner.append((ut_cur, vt, g))
             ut_cur = vt - params.eta[li] * gate * g
         ut_out = ut_cur
         p_pre = 2.0 * (ut_out @ lp.V_ut) - w @ lp.V_w
-        u_out = project_cone_dual_rows(p_pre, data.n, data.cone)
+        u_out = project_cone_dual(p_pre, data.cone)
         w_out = w @ lp.W_w + (u_out @ lp.W_u - ut_out @ lp.W_ut)
         if not np.all(np.isfinite(w_out)) or not np.all(np.isfinite(ut_out)):
             raise NonFiniteActivationError(li)
@@ -276,8 +255,7 @@ def backward(data: MonotoneData, params: NetParams, cache: ForwardCache,
                              np.asarray(ys, dtype=np.float64)])
     if target.shape != cache.out.shape:
         raise ValueError("label dimension mismatch")
-    K = data.I_plus_M
-    Kd = _dense_op(data)
+    K, Kt = data.channel_operator
     free = data.n + data.cone.m_zero
     grads = _zero_grads(params)
 
@@ -317,13 +295,9 @@ def backward(data: MonotoneData, params: NetParams, cache: ForwardCache,
             g_bar = -eta * lc.gate * cur
             gate_bar += -eta * g * cur
             # g = K'(K vt - wprime)
-            if Kd is not None:
-                Kg = Kd @ g_bar
-                vt_bar += Kd.T @ Kg
-                wprime_bar -= Kg
-            else:
-                vt_bar += spmm_t(K, spmm(K, g_bar))
-                wprime_bar += -spmm(K, g_bar)
+            Kg = K @ g_bar
+            vt_bar += Kt @ Kg
+            wprime_bar -= Kg
             # vt = ut_cur U_ut
             grads[pre + "U_ut"] += ut_cur.T @ vt_bar
             cur = vt_bar @ lp.U_ut.T
@@ -515,15 +489,21 @@ def train(datas: list, labels: list, train_idx, val_idx, cfg: TrainConfig,
 def write_training_log(path, log: list) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_loss", "best_flag"])
+        writer.writerow(["epoch", "train_loss", "val_loss", "best_flag",
+                         "learning_rate"])
         for row in log:
             writer.writerow([row.epoch, repr(row.train_loss), repr(row.val_loss),
-                             int(row.best)])
+                             int(row.best), repr(row.learning_rate)])
 
 
 # -- checkpoints ------------------------------------------------------------
 
 def save_checkpoint(params: NetParams, path) -> None:
+    """Write params as strict JSON.
+
+    Non-finite values raise ValueError before the file is opened, so no
+    partial checkpoint is left behind.
+    """
     doc = {
         "version": CHECKPOINT_VERSION,
         "L": params.L,
@@ -538,9 +518,9 @@ def save_checkpoint(params: NetParams, path) -> None:
             for lp in params.layers
         ],
     }
+    text = json.dumps(doc, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_checkpoint(path, expect_d: Optional[int] = None) -> NetParams:
@@ -557,6 +537,9 @@ def load_checkpoint(path, expect_d: Optional[int] = None) -> NetParams:
                        p_out=np.asarray(doc["p_out"], dtype=np.float64),
                        eta=np.asarray(doc["eta"], dtype=np.float64),
                        unroll_steps=doc["unroll_steps"])
+    arrays = [arr for _, arr in params.named_parameters()] + [params.eta]
+    if not all(np.all(np.isfinite(arr)) for arr in arrays):
+        raise ValueError(f"{path}: checkpoint holds non-finite values")
     if expect_d is not None and params.d != expect_d:
         raise ValueError(f"checkpoint embedding size {params.d} != expected {expect_d}")
     return params

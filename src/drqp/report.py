@@ -94,7 +94,7 @@ class WarmStartRow:
     instance: int
     cold_iterations: int
     warm_iterations: int
-    cold_time: float
+    cold_time: Optional[float]  # None when the cold solve came from a cache
     warm_time: float
     inference_time: float
     objective: float
@@ -133,8 +133,11 @@ class WarmStartReport:
                               for r in ok]))
 
     @property
-    def time_ratio(self) -> float:
+    def time_ratio(self) -> Optional[float]:
+        """1 - mean(warm + inference) / mean(cold); None if a cold time is unknown."""
         ok = [r for r in self.rows if not r.failed]
+        if any(r.cold_time is None for r in ok):
+            return None
         cold = np.mean([r.cold_time for r in ok])
         warm = np.mean([r.warm_time + r.inference_time for r in ok])
         return float(1.0 - warm / cold)
@@ -170,7 +173,8 @@ def run_eval(datas: list, labels: list, params: NetParams,
     The prediction's dual part is cone-projected and its equality multipliers
     are least-squares-completed before warm-start injection. Cold and warm
     runs share an identical SolverConfig; only the initial state differs.
-    cold_cache, when given, reuses precomputed cold SolveReports.
+    cold_cache, when given, reuses precomputed cold SolveReports; their
+    cold_time is then None.
     """
     rows = []
     histories = {} if record_history else None
@@ -179,7 +183,7 @@ def run_eval(datas: list, labels: list, params: NetParams,
     for i, data in enumerate(datas):
         if cold_cache is not None:
             cold = cold_cache[i]
-            cold_time = 0.0
+            cold_time = None
         else:
             t0 = time.perf_counter()
             cold = dr_solve(data, cfg)
@@ -219,7 +223,8 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _table(header: list, rows: list, fmt: str) -> str:
+def table(header: list, rows: list, fmt: str) -> str:
+    """Render rows under header as CSV or as a Markdown table."""
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -254,13 +259,13 @@ def comparison_table(report: ComparisonReport, fmt: str = "csv") -> str:
              r.dr_iterations, r.dr_status, r.drgd_objective, r.drgd_max_eq,
              r.drgd_max_ineq, r.drgd_iterations, r.drgd_status, r.ratio]
             for r in report.rows]
-    return _table(COMPARISON_HEADER, rows, fmt)
+    return table(COMPARISON_HEADER, rows, fmt)
 
 
 def multistep_table(report: ComparisonReport, fmt: str = "csv") -> str:
     header = ["steps_per_iter", "mean_iterations"]
     rows = [[s, report.mean_iterations(s)] for s in sorted(report.multistep)]
-    return _table(header, rows, fmt)
+    return table(header, rows, fmt)
 
 
 def warmstart_table(report: WarmStartReport, fmt: str = "csv") -> str:
@@ -268,14 +273,14 @@ def warmstart_table(report: WarmStartReport, fmt: str = "csv") -> str:
              r.warm_time, r.inference_time, r.objective, r.max_viol,
              r.l2_to_reference, r.cold_status, r.warm_status]
             for r in report.rows]
-    return _table(WARMSTART_HEADER, rows, fmt)
+    return table(WARMSTART_HEADER, rows, fmt)
 
 
 def warmstart_summary(report: WarmStartReport, fmt: str = "csv") -> str:
     header = ["iteration_ratio", "iteration_ratio_per_instance", "time_ratio"]
     rows = [[report.iteration_ratio, report.iteration_ratio_per_instance,
              report.time_ratio]]
-    return _table(header, rows, fmt)
+    return table(header, rows, fmt)
 
 
 def residual_history_csv(report: WarmStartReport) -> str:

@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .model import MonotoneData, QualityMetrics, project_cone_dual, quality
-from .sparse import factorize, spmv, spmv_t
+from .sparse import spmv, spmv_t
 
 EXACT_LINE_SEARCH = "exact-line-search"
 FIXED_STEP = "fixed"
@@ -25,15 +25,11 @@ class SolverConfig:
     fixed_eta: Optional[float] = None
     steps_per_iter: int = 1
     safeguard_rho: float = 0.99
-    wolfe_c1: float = 1e-4
-    wolfe_c2: float = 0.9
     record_history: bool = False
 
     def __post_init__(self):
         if self.tol_fixed_point <= 0:
             raise ValueError("tol_fixed_point must be positive")
-        if not (0 < self.wolfe_c1 < 0.5 < self.wolfe_c2 < 1):
-            raise ValueError("require 0 < c1 < 1/2 < c2 < 1")
         if not (0 < self.safeguard_rho < 1):
             raise ValueError("safeguard_rho must lie in (0, 1)")
         if self.steps_per_iter < 1:
@@ -105,6 +101,8 @@ def wolfe_check(data: MonotoneData, w: np.ndarray, u_tilde: np.ndarray,
                 u_tilde_next: np.ndarray, eta: float,
                 c1: float = 1e-4, c2: float = 0.9) -> WolfeResult:
     """Evaluate both Wolfe conditions for f(v) = 0.5||(I+M)v - (w-q)||^2."""
+    if not (0 < c1 < 0.5 < c2 < 1):
+        raise ValueError("require 0 < c1 < 1/2 < c2 < 1")
     K = data.I_plus_M
     r = w - data.q
 
@@ -166,41 +164,44 @@ def _init_state(data: MonotoneData, warm: Optional[IterateState]) -> IterateStat
     return IterateState(z.copy(), z.copy(), z.copy())
 
 
-def _report(data, status, iters, state, history, steps, message=""):
-    x = state.u[:data.n]
-    y = state.u[data.n:]
-    return SolveReport(
-        status=status, iterations=iters, state=state, x=x, y=y,
-        metrics=quality(data.cqp, x, y),
-        residual_history=history, step_sizes=steps, message=message,
-    )
+def _iterate(data: MonotoneData, cfg: SolverConfig, warm: Optional[IterateState],
+             resolvent) -> SolveReport:
+    """The DR iteration shared by both solvers.
 
-
-def dr_solve(data: MonotoneData, cfg: SolverConfig = SolverConfig(),
-             warm: Optional[IterateState] = None) -> SolveReport:
-    """Douglas-Rachford splitting with a single reusable factorization of I+M."""
-    F = getattr(data, "_factorization", None)
-    if F is None:
-        F = factorize(data.I_plus_M)
-        try:
-            object.__setattr__(data, "_factorization", F)  # reuse across solves
-        except AttributeError:
-            pass
+    resolvent(r, u_tilde) returns the next u_tilde, an exact or approximate
+    solution of (I+M) u_tilde = r started from the current one; projection,
+    w-update, residual and stopping rules are common.
+    """
     st = _init_state(data, warm)
     history = [] if cfg.record_history else None
+    status, iters, message = "max_iter", cfg.max_iter, ""
     for k in range(1, cfg.max_iter + 1):
-        st.u_tilde = F.solve(st.w - data.q)
+        st.u_tilde = resolvent(st.w - data.q, st.u_tilde)
         st.u = project_cone_dual(2.0 * st.u_tilde - st.w, data.cone)
         dw = st.u - st.u_tilde
         st.w = st.w + dw
         resid = math.sqrt(dw @ dw)
         if history is not None:
             history.append(resid)
-        if not np.isfinite(resid) or np.abs(st.w).max() > _DIVERGENCE_LIMIT:
-            return _report(data, "error", k, st, history, None, "divergent iterate")
+        # one reduction: the negated comparison is also true for NaN and inf
+        if not math.isfinite(resid) or not (np.abs(st.w).max() <= _DIVERGENCE_LIMIT):
+            status, iters, message = "error", k, "divergent iterate"
+            break
         if resid <= cfg.tol_fixed_point:
-            return _report(data, "converged", k, st, history, None)
-    return _report(data, "max_iter", cfg.max_iter, st, history, None)
+            status, iters = "converged", k
+            break
+    x = st.u[:data.n]
+    y = st.u[data.n:]
+    return SolveReport(status=status, iterations=iters, state=st, x=x, y=y,
+                       metrics=quality(data.cqp, x, y), residual_history=history,
+                       message=message)
+
+
+def dr_solve(data: MonotoneData, cfg: SolverConfig = SolverConfig(),
+             warm: Optional[IterateState] = None) -> SolveReport:
+    """Douglas-Rachford splitting with a single reusable factorization of I+M."""
+    F = data.factorization
+    return _iterate(data, cfg, warm, lambda r, ut: F.solve(r))
 
 
 def drgd_solve(data: MonotoneData, cfg: SolverConfig = SolverConfig(),
@@ -214,12 +215,9 @@ def drgd_solve(data: MonotoneData, cfg: SolverConfig = SolverConfig(),
     """
     K = data.I_plus_M
     cap = step_size_cap(data, cfg.safeguard_rho)
-    st = _init_state(data, warm)
-    history = [] if cfg.record_history else None
     steps = [] if cfg.record_history else None
-    for k in range(1, cfg.max_iter + 1):
-        r = st.w - data.q
-        ut = st.u_tilde
+
+    def gradient_steps(r, ut):
         for _ in range(cfg.steps_per_iter):
             t = spmv_t(K, spmv(K, ut) - r)
             if not float(t @ t) > 0.0:
@@ -231,16 +229,8 @@ def drgd_solve(data: MonotoneData, cfg: SolverConfig = SolverConfig(),
             ut = ut - eta * t
             if steps is not None:
                 steps.append(eta)
-        st.u_tilde = ut
-        st.u = project_cone_dual(2.0 * st.u_tilde - st.w, data.cone)
-        dw = st.u - st.u_tilde
-        st.w = st.w + dw
-        resid = float(np.linalg.norm(dw))
-        if history is not None:
-            history.append(resid)
-        if not np.isfinite(resid) or not np.all(np.isfinite(st.w)) \
-                or np.abs(st.w).max() > _DIVERGENCE_LIMIT:
-            return _report(data, "error", k, st, history, steps, "divergent iterate")
-        if resid <= cfg.tol_fixed_point:
-            return _report(data, "converged", k, st, history, steps)
-    return _report(data, "max_iter", cfg.max_iter, st, history, steps)
+        return ut
+
+    report = _iterate(data, cfg, warm, gradient_steps)
+    report.step_sizes = steps
+    return report

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from drqp import net
 from drqp.cli import main
 
 
@@ -93,6 +94,20 @@ class TestTrainEval:
     def test_eval_missing_checkpoint_fails(self, bundle_dir, tmp_path):
         rc = run(["eval", str(bundle_dir), "--checkpoint",
                   str(tmp_path / "absent.json")])
+        assert rc == 2
+
+    @pytest.mark.parametrize("weight", [float("inf"), 1e200])
+    def test_eval_non_finite_checkpoint_fails(self, bundle_dir, tmp_path,
+                                              weight):
+        # inf is rejected on load; 1e200 loads but overflows in the forward pass
+        ckpt = tmp_path / "bad.json"
+        net.save_checkpoint(net.init_params(2, 4, seed=0), ckpt)
+        doc = json.loads(ckpt.read_text())
+        for ld in doc["layers"]:
+            ld["W_w"] = [[weight] * 4] * 4
+        ckpt.write_text(json.dumps(doc))
+        rc = run(["eval", str(bundle_dir), "--checkpoint", str(ckpt),
+                  "--out", str(tmp_path / "out")])
         assert rc == 2
 
 

@@ -3,8 +3,8 @@ import pytest
 
 from conftest import build_standard, inclusion_of, one_var_qp
 from drqp.model import (ConeSpec, StandardQP, assemble_inclusion,
-                        project_cone_dual, project_cone_dual_rows, quality,
-                        read_instance, to_conic, write_instance)
+                        project_cone_dual, quality, read_instance, to_conic,
+                        write_instance)
 from drqp.sparse import SparseMatrix
 
 
@@ -185,7 +185,7 @@ class TestProjectConeDual:
         rng = np.random.default_rng(6)
         spec = ConeSpec(m_zero=2, m_nonneg=3)
         V = rng.standard_normal((8, 4))
-        out = project_cone_dual_rows(V, 3, spec)
+        out = project_cone_dual(V, spec)
         for j in range(4):
             np.testing.assert_array_equal(out[:, j],
                                           project_cone_dual(V[:, j], spec))

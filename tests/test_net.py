@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import build_standard, inclusion_of
-from drqp import net
+from drqp import model, net
 from drqp.model import project_cone_dual
 from drqp.solvers import (IterateState, SolverConfig, drgd_solve,
                           step_size_cap)
@@ -182,6 +185,26 @@ class TestBackward:
                  rng.standard_normal(tiny_data.m))
         assert self._fd_check(tiny_data, params, label) <= 1e-4
 
+    def test_sparse_operator_matches_dense(self, tiny_data, monkeypatch):
+        # above the dense limit the same products run on the CSR pair of I+M
+        rng = np.random.default_rng(6)
+        params = net.init_params(2, 4, seed=6, scheme="random", unroll_steps=2)
+        label = (rng.standard_normal(tiny_data.n),
+                 rng.standard_normal(tiny_data.m))
+        runs = []
+        for limit in (tiny_data.size, 0):
+            monkeypatch.setattr(model, "_DENSE_LIMIT", limit)
+            data = dataclasses.replace(tiny_data)  # fresh operator cache
+            xh, yh, cache = net.forward(data, params)
+            runs.append((data, cache.out, net.backward(data, params, cache, label)))
+        (dense, out_d, grads_d), (sparse, out_s, grads_s) = runs
+        assert not sp.issparse(dense.channel_operator[0])
+        assert sp.issparse(sparse.channel_operator[0])
+        np.testing.assert_allclose(out_s, out_d, rtol=1e-12, atol=1e-14)
+        for name in grads_d:
+            np.testing.assert_allclose(grads_s[name], grads_d[name],
+                                       rtol=1e-12, atol=1e-14)
+
     def test_zero_gradient_at_exact_prediction(self, tiny_data):
         params = net.init_params(2, 4, seed=5)
         xh, yh, cache = net.forward(tiny_data, params)
@@ -348,6 +371,25 @@ class TestCheckpoints:
         with pytest.raises(ValueError):
             net.load_checkpoint(path, expect_d=8)
 
+    def test_non_finite_rejected(self, tmp_path):
+        import json
+        params = net.init_params(1, 2, seed=0)
+        path = tmp_path / "model.json"
+        net.save_checkpoint(params, path)
+        doc = json.loads(path.read_text())
+        doc["p_out"][0] = float("nan")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError):
+            net.load_checkpoint(path)
+
+    def test_save_non_finite_raises(self, tmp_path):
+        params = net.init_params(1, 2, seed=0)
+        params.layers[0].U_w[0, 0] = np.inf
+        path = tmp_path / "model.json"
+        with pytest.raises(ValueError):
+            net.save_checkpoint(params, path)
+        assert not path.exists()
+
     def test_version_mismatch_rejected(self, tmp_path):
         import json
         params = net.init_params(1, 2, seed=0)
@@ -367,6 +409,7 @@ class TestTrainingLog:
         path = tmp_path / "log.csv"
         net.write_training_log(path, log)
         lines = path.read_text().strip().splitlines()
-        assert lines[0].split(",")[:4] == ["epoch", "train_loss", "val_loss",
-                                           "best_flag"]
+        assert lines[0].split(",")[:5] == ["epoch", "train_loss", "val_loss",
+                                           "best_flag", "learning_rate"]
         assert lines[1].startswith("1,")
+        assert float(lines[1].split(",")[4]) == 1e-5

@@ -1,5 +1,6 @@
 import csv
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from drqp.report import (WarmStartReport, WarmStartRow, comparison_table,
                          emit_report, multistep_table, prepare_data,
                          residual_history_csv, run_compare, run_eval,
                          warmstart_summary, warmstart_table)
-from drqp.solvers import SolverConfig, step_size_cap
+from drqp.solvers import SolverConfig, dr_solve, step_size_cap
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +63,18 @@ class TestRunEval:
         rep = run_eval(datas, labeled_bundle.labels, params, SolverConfig())
         assert rep.iteration_ratio <= 1.0
         assert rep.iteration_ratio_per_instance <= 1.0
+
+    def test_cached_cold_solves_leave_time_ratio_unknown(self, labeled_bundle):
+        datas = prepare_data(labeled_bundle, [0, 1])
+        params = net.init_params(1, 2, seed=0)
+        cold = [dr_solve(d, SolverConfig()) for d in datas]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = run_eval(datas, None, params, SolverConfig(), cold_cache=cold)
+            assert rep.time_ratio is None
+        assert all(r.cold_time is None for r in rep.rows)
+        summary = list(csv.reader(io.StringIO(warmstart_summary(rep, "csv"))))
+        assert summary[1][2] == ""
 
     def test_histories_recorded(self, labeled_bundle):
         datas = prepare_data(labeled_bundle, [0])

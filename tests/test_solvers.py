@@ -15,11 +15,12 @@ def fixed_cfg(data, frac=0.5, **kw):
 
 
 class TestSolverConfig:
-    def test_wolfe_constant_order_enforced(self):
+    def test_wolfe_constant_order_enforced(self, tiny_data):
+        ut = np.zeros(tiny_data.size)
         with pytest.raises(ValueError):
-            SolverConfig(wolfe_c1=0.6)
+            wolfe_check(tiny_data, tiny_data.q, ut, ut, 0.0, c1=0.6)
         with pytest.raises(ValueError):
-            SolverConfig(wolfe_c2=0.4)
+            wolfe_check(tiny_data, tiny_data.q, ut, ut, 0.0, c2=0.4)
 
     def test_positive_tol(self):
         with pytest.raises(ValueError):
@@ -109,6 +110,18 @@ class TestDrgdSolve:
         rep = drgd_solve(tiny_data, cfg, warm=warm)
         np.testing.assert_array_equal(
             rep.state.w, w0 + (rep.state.u - rep.state.u_tilde))
+
+
+@pytest.mark.parametrize("solve", [dr_solve, drgd_solve])
+@pytest.mark.parametrize("bad", [np.nan, 1e13])
+def test_divergence_guard(tiny_data, solve, bad):
+    z = np.zeros(tiny_data.size)
+    w = z.copy()
+    w[0] = bad
+    rep = solve(tiny_data, SolverConfig(), warm=IterateState(z, z.copy(), w))
+    assert rep.status == "error"
+    assert rep.message == "divergent iterate"
+    assert rep.iterations == 1
 
 
 class TestExactLinesearch:
