@@ -132,9 +132,8 @@ def cmd_eval(args) -> int:
     if args.history:
         report.emit_report(report.residual_history_csv(rep),
                            out / "residual_history.csv")
-    time_ratio = rep.time_ratio
-    print(f"iteration ratio: {rep.iteration_ratio:.3f}  time ratio: "
-          + ("unknown" if time_ratio is None else f"{time_ratio:.3f}"))
+    print(f"iteration ratio: {_ratio(rep.iteration_ratio)}  "
+          f"time ratio: {_ratio(rep.time_ratio)}")
     if any(r.failed for r in rep.rows):
         return EXIT_RUNTIME
     return EXIT_OK
@@ -161,13 +160,17 @@ def cmd_ablate(args) -> int:
                               _solver_config(args))
         rows.append([L, result.best_val_loss, rep.iteration_ratio])
         print(f"L={L}: val loss {result.best_val_loss:.6g}, "
-              f"iteration ratio {rep.iteration_ratio:.3f}")
+              f"iteration ratio {_ratio(rep.iteration_ratio)}")
     out = _out_dir(args)
     text = report.table(["layers", "best_val_loss", "iteration_ratio"], rows,
                         args.format)
     ext = "md" if args.format == "markdown" else "csv"
     report.emit_report(text, out / f"ablation.{ext}")
     return EXIT_OK
+
+
+def _ratio(value) -> str:
+    return "unknown" if value is None else f"{value:.3f}"
 
 
 def _eta_prior(value: str):

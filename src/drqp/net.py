@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import functools
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -13,6 +15,7 @@ from .model import MonotoneData, project_cone_dual
 from .solvers import step_size_cap
 
 CHECKPOINT_VERSION = "drqp-net-1"
+_CHECKPOINT_KEYS = {"version", "L", "d", "eta", "unroll_steps", "p_out", "layers"}
 
 ALGORITHM_CONSISTENT = "algorithm-consistent"
 RANDOM = "random"
@@ -22,6 +25,36 @@ class NonFiniteActivationError(RuntimeError):
     def __init__(self, layer: int):
         super().__init__(f"non-finite activation in layer {layer}")
         self.layer = layer
+
+
+LAYER_FIELDS = ("U_ut", "U_w", "U_eta", "b_eta", "V_ut", "V_w", "W_w", "W_u", "W_ut")
+
+
+@functools.lru_cache(maxsize=None)
+def layout(L: int, d: int) -> tuple:
+    """(name, slice, shape) of every trainable parameter in the flat vector.
+
+    The only place that knows the parameter order: layer by layer in
+    LAYER_FIELDS order, then p_out. The names are those of named_parameters()
+    and, per layer, the checkpoint keys.
+    """
+    shapes = [(f"layers.{i}.{f}", (d,) if f == "b_eta" else (d, d))
+              for i in range(L) for f in LAYER_FIELDS] + [("p_out", (d,))]
+    entries, start = [], 0
+    for name, shape in shapes:
+        entries.append((name, slice(start, start + math.prod(shape)), shape))
+        start += math.prod(shape)
+    return tuple(entries)
+
+
+class NamedViews(dict):
+    """Reshaped views into one flat vector laid out by layout(L, d), keyed by
+    parameter name; holds parameters or their gradients."""
+
+    def __init__(self, vector: np.ndarray, L: int, d: int):
+        super().__init__((name, vector[s].reshape(shape))
+                         for name, s, shape in layout(L, d))
+        self.vector = vector
 
 
 @dataclass
@@ -39,60 +72,48 @@ class LayerParams:
 
 @dataclass
 class NetParams:
-    """Learnable parameters plus fixed per-layer step priors eta."""
+    """Learnable parameters in one flat vector plus fixed per-layer step priors eta.
+
+    The attributes layers (one LayerParams per layer) and p_out (the final
+    readout, (d,)) hold reshaped views into vector, laid out by layout(L, d):
+    writing through a view writes the vector.
+    """
 
     L: int
     d: int
-    layers: list
-    p_out: np.ndarray  # final readout, (d,)
-    eta: np.ndarray    # fixed step priors, (L,)
+    eta: np.ndarray     # fixed step priors, (L,); not trained
     unroll_steps: int = 1
+    vector: Optional[np.ndarray] = None  # trainable scalars in layout order; zeros if None
 
     def __post_init__(self):
         if self.L < 1 or self.d < 1:
             raise ValueError("L and d must be >= 1")
-        if len(self.layers) != self.L:
-            raise ValueError("layer count mismatch")
+        if not isinstance(self.unroll_steps, (int, np.integer)) or self.unroll_steps < 1:
+            raise ValueError("unroll_steps must be an integer >= 1")
         self.eta = np.asarray(self.eta, dtype=np.float64)
-        self.p_out = np.asarray(self.p_out, dtype=np.float64)
         if self.eta.shape != (self.L,) or np.any(self.eta <= 0):
             raise ValueError("eta priors must be positive, one per layer")
-        if self.p_out.shape != (self.d,):
-            raise ValueError("p_out must have shape (d,)")
-        for lp in self.layers:
-            for name in ("U_ut", "U_w", "U_eta", "V_ut", "V_w", "W_w", "W_u", "W_ut"):
-                if getattr(lp, name).shape != (self.d, self.d):
-                    raise ValueError(f"{name} must be d x d")
-            if lp.b_eta.shape != (self.d,):
-                raise ValueError("b_eta must have shape (d,)")
+        size = layout(self.L, self.d)[-1][1].stop
+        self.vector = (np.zeros(size) if self.vector is None
+                       else np.asarray(self.vector, dtype=np.float64))
+        if self.vector.shape != (size,):
+            raise ValueError(f"parameter vector must have shape ({size},)")
+        self._views = NamedViews(self.vector, self.L, self.d)
+        self.layers = [LayerParams(**{f: self._views[f"layers.{i}.{f}"]
+                                      for f in LAYER_FIELDS})
+                       for i in range(self.L)]
+        self.p_out = self._views["p_out"]
 
     def named_parameters(self):
-        """(name, array) pairs for every trainable tensor; eta is a fixed prior."""
-        for i, lp in enumerate(self.layers):
-            for name in ("U_ut", "U_w", "U_eta", "b_eta", "V_ut", "V_w",
-                         "W_w", "W_u", "W_ut"):
-                yield f"layers.{i}.{name}", getattr(lp, name)
-        yield "p_out", self.p_out
+        """(name, view) pairs for every trainable tensor; eta is a fixed prior."""
+        return self._views.items()
 
     def copy(self) -> "NetParams":
-        layers = [LayerParams(**{k: np.array(getattr(lp, k)) for k in
-                                 ("U_ut", "U_w", "U_eta", "b_eta", "V_ut", "V_w",
-                                  "W_w", "W_u", "W_ut")}) for lp in self.layers]
-        return NetParams(self.L, self.d, layers, np.array(self.p_out),
-                         np.array(self.eta), self.unroll_steps)
+        return NetParams(self.L, self.d, self.eta.copy(), self.unroll_steps,
+                         self.vector.copy())
 
     def get(self, name: str) -> np.ndarray:
-        obj = self
-        for part in name.split("."):
-            obj = obj[int(part)] if part.isdigit() else getattr(obj, part)
-        return obj
-
-    def set_(self, name: str, value: np.ndarray) -> None:
-        parts = name.split(".")
-        obj = self
-        for part in parts[:-1]:
-            obj = obj[int(part)] if part.isdigit() else getattr(obj, part)
-        setattr(obj, parts[-1], value)
+        return self._views[name]
 
 
 def init_params(L: int, d: int, seed: int = 0, scheme: str = ALGORITHM_CONSISTENT,
@@ -106,8 +127,8 @@ def init_params(L: int, d: int, seed: int = 0, scheme: str = ALGORITHM_CONSISTEN
     a spread of step sizes. random: zero-mean Gaussians with variance 2/d.
     """
     rng = np.random.default_rng(seed)
-    layers = []
-    for _ in range(L):
+    params = NetParams(L, d, eta=np.full(L, float(eta_prior)), unroll_steps=unroll_steps)
+    for lp in params.layers:
         if scheme == ALGORITHM_CONSISTENT:
             def mat():
                 return np.eye(d) + noise_std * rng.standard_normal((d, d))
@@ -121,33 +142,28 @@ def init_params(L: int, d: int, seed: int = 0, scheme: str = ALGORITHM_CONSISTEN
             b_eta = np.sqrt(2.0 / d) * rng.standard_normal(d)
         else:
             raise ValueError(f"unknown init scheme {scheme!r}")
-        layers.append(LayerParams(U_ut=mat(), U_w=mat(), U_eta=mat(), b_eta=b_eta,
-                                  V_ut=mat(), V_w=mat(), W_w=mat(), W_u=mat(),
-                                  W_ut=mat()))
-    if scheme == ALGORITHM_CONSISTENT:
-        p_out = np.full(d, 1.0 / d)
-    else:
-        p_out = np.sqrt(2.0 / d) * rng.standard_normal(d)
-    return NetParams(L=L, d=d, layers=layers, p_out=p_out,
-                     eta=np.full(L, float(eta_prior)), unroll_steps=unroll_steps)
+        for f in LAYER_FIELDS:
+            getattr(lp, f)[:] = b_eta if f == "b_eta" else mat()
+    params.p_out[:] = (1.0 / d if scheme == ALGORITHM_CONSISTENT
+                       else np.sqrt(2.0 / d) * rng.standard_normal(d))
+    return params
 
 
 def emulation_params(data: MonotoneData, eta: float, L: int) -> NetParams:
     """Parameters under which the net reproduces fixed-step DR-GD iterations.
 
-    d = 1, all mixing scalars 1, zero gate weights so sigma(0) = 1/2, and a
-    layer prior of 2*eta giving an effective step of exactly eta.
+    d = 1, all mixing scalars 1 (the noiseless algorithm-consistent init),
+    zero gate weights so sigma(0) = 1/2, and a layer prior of 2*eta giving an
+    effective step of exactly eta.
     """
     cap = step_size_cap(data)
     if not (0.0 < eta <= cap):
         raise ValueError(f"emulation eta must lie in (0, {cap:.3e}]")
-    one = np.ones((1, 1))
-    layers = [LayerParams(U_ut=one.copy(), U_w=one.copy(), U_eta=np.zeros((1, 1)),
-                          b_eta=np.zeros(1), V_ut=one.copy(), V_w=one.copy(),
-                          W_w=one.copy(), W_u=one.copy(), W_ut=one.copy())
-              for _ in range(L)]
-    return NetParams(L=L, d=1, layers=layers, p_out=np.ones(1),
-                     eta=np.full(L, 2.0 * eta))
+    params = init_params(L, 1, noise_std=0.0, eta_prior=2.0 * eta)
+    for lp in params.layers:
+        lp.U_eta[...] = 0.0
+        lp.b_eta[...] = 0.0
+    return params
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -161,29 +177,22 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LayerCache:
-    ut_in: np.ndarray
     w_in: np.ndarray
     wprime: np.ndarray
-    z_gate: np.ndarray
     gate: np.ndarray
-    inner: list          # per gradient step: (ut_cur, vt, g)
+    inner: list          # per gradient step: (u-tilde before it, g)
     p_pre: np.ndarray    # projection pre-activation
     u_out: np.ndarray
     ut_out: np.ndarray
-    w_out: np.ndarray
 
 
 @dataclass
 class ForwardCache:
-    unroll_steps: int
-    q_mat: np.ndarray
     layers: list
-    u_final: np.ndarray
     out: np.ndarray
 
 
-def forward(data: MonotoneData, params: NetParams,
-            unroll_steps: Optional[int] = None):
+def forward(data: MonotoneData, params: NetParams):
     """Run the unrolled network; returns (x_hat, y_hat, cache).
 
     States are (n+m) x d channel arrays. The initialization broadcasts q and
@@ -191,41 +200,31 @@ def forward(data: MonotoneData, params: NetParams,
     unroll_steps gated gradient steps on the least-squares target, projects,
     and updates w.
     """
-    S = params.unroll_steps if unroll_steps is None else int(unroll_steps)
-    if S < 1:
-        raise ValueError("unroll_steps must be >= 1")
     K, Kt = data.channel_operator
-    N, d = data.size, params.d
-    Q = np.broadcast_to(data.q[:, None], (N, d)).copy()
-    ut = np.zeros((N, d))
-    u = project_cone_dual(-Q, data.cone)
-    w = Q + u
+    Q = np.repeat(data.q[:, None], params.d, axis=1)
+    ut = np.zeros_like(Q)
+    w = Q + project_cone_dual(-Q, data.cone)
     caches = []
     for li, lp in enumerate(params.layers):
         wprime = w @ lp.U_w - Q
-        z_gate = w @ lp.U_eta + lp.b_eta
-        gate = _sigmoid(z_gate)
+        gate = _sigmoid(w @ lp.U_eta + lp.b_eta)
         inner = []
-        ut_cur = ut
-        for _ in range(S):
-            vt = ut_cur @ lp.U_ut
+        ut_out = ut
+        for _ in range(params.unroll_steps):
+            vt = ut_out @ lp.U_ut
             g = Kt @ (K @ vt - wprime)
-            inner.append((ut_cur, vt, g))
-            ut_cur = vt - params.eta[li] * gate * g
-        ut_out = ut_cur
+            inner.append((ut_out, g))
+            ut_out = vt - params.eta[li] * gate * g
         p_pre = 2.0 * (ut_out @ lp.V_ut) - w @ lp.V_w
         u_out = project_cone_dual(p_pre, data.cone)
         w_out = w @ lp.W_w + (u_out @ lp.W_u - ut_out @ lp.W_ut)
         if not np.all(np.isfinite(w_out)) or not np.all(np.isfinite(ut_out)):
             raise NonFiniteActivationError(li)
-        caches.append(LayerCache(ut_in=ut, w_in=w, wprime=wprime, z_gate=z_gate,
-                                 gate=gate, inner=inner, p_pre=p_pre, u_out=u_out,
-                                 ut_out=ut_out, w_out=w_out))
+        caches.append(LayerCache(w_in=w, wprime=wprime, gate=gate, inner=inner,
+                                 p_pre=p_pre, u_out=u_out, ut_out=ut_out))
         ut, w = ut_out, w_out
     out = caches[-1].u_out @ params.p_out
-    cache = ForwardCache(unroll_steps=S, q_mat=Q, layers=caches,
-                         u_final=caches[-1].u_out, out=out)
-    return out[:data.n], out[data.n:], cache
+    return out[:data.n], out[data.n:], ForwardCache(layers=caches, out=out)
 
 
 def loss(preds: list, labels: list) -> float:
@@ -238,15 +237,11 @@ def loss(preds: list, labels: list) -> float:
     return 0.5 * total / len(preds)
 
 
-def _zero_grads(params: NetParams) -> dict:
-    return {name: np.zeros_like(arr) for name, arr in params.named_parameters()}
-
-
 def backward(data: MonotoneData, params: NetParams, cache: ForwardCache,
-             label: tuple[np.ndarray, np.ndarray]) -> dict:
+             label: tuple[np.ndarray, np.ndarray]) -> NamedViews:
     """Exact reverse-mode gradients of 0.5 ||out - label||^2 for one sample.
 
-    Returns a dict keyed like NetParams.named_parameters(). The projection
+    Returns NamedViews keyed like NetParams.named_parameters(). The projection
     adjoint is the active-set 0/1 mask on the nonnegative-dual rows, with
     subgradient 0 at exactly 0.
     """
@@ -257,10 +252,10 @@ def backward(data: MonotoneData, params: NetParams, cache: ForwardCache,
         raise ValueError("label dimension mismatch")
     K, Kt = data.channel_operator
     free = data.n + data.cone.m_zero
-    grads = _zero_grads(params)
+    grads = NamedViews(np.zeros_like(params.vector), params.L, params.d)
 
     r = cache.out - target
-    grads["p_out"] += cache.u_final.T @ r
+    grads["p_out"] += cache.layers[-1].u_out.T @ r
     u_bar = np.outer(r, params.p_out)        # d(loss)/d(u_out of last layer)
     ut_bar = np.zeros_like(u_bar)
     w_bar = np.zeros_like(u_bar)
@@ -289,7 +284,7 @@ def backward(data: MonotoneData, params: NetParams, cache: ForwardCache,
         gate_bar = np.zeros_like(lc.gate)
         wprime_bar = np.zeros_like(lc.wprime)
         cur = ut_out_bar
-        for (ut_cur, vt, g) in reversed(lc.inner):
+        for ut_cur, g in reversed(lc.inner):
             # ut_next = vt - eta * gate * g
             vt_bar = cur.copy()
             g_bar = -eta * lc.gate * cur
@@ -301,7 +296,6 @@ def backward(data: MonotoneData, params: NetParams, cache: ForwardCache,
             # vt = ut_cur U_ut
             grads[pre + "U_ut"] += ut_cur.T @ vt_bar
             cur = vt_bar @ lp.U_ut.T
-        ut_in_bar = cur
         # gate = sigmoid(z_gate); z_gate = w_in U_eta + b_eta
         z_bar = gate_bar * lc.gate * (1.0 - lc.gate)
         grads[pre + "U_eta"] += lc.w_in.T @ z_bar
@@ -311,7 +305,7 @@ def backward(data: MonotoneData, params: NetParams, cache: ForwardCache,
         grads[pre + "U_w"] += lc.w_in.T @ wprime_bar
         w_in_bar = w_in_bar + wprime_bar @ lp.U_w.T
         # hand states to the previous layer
-        ut_bar = ut_in_bar
+        ut_bar = cur
         w_bar = w_in_bar
         u_bar = np.zeros_like(u_bar)
     return grads
@@ -321,12 +315,12 @@ def backward(data: MonotoneData, params: NetParams, cache: ForwardCache,
 
 @dataclass
 class AdamMoments:
-    m: dict
-    v: dict
+    m: np.ndarray  # first and second moments, laid out like NetParams.vector
+    v: np.ndarray
 
     @classmethod
     def zeros(cls, params: NetParams) -> "AdamMoments":
-        return cls(m=_zero_grads(params), v=_zero_grads(params))
+        return cls(m=np.zeros_like(params.vector), v=np.zeros_like(params.vector))
 
 
 @dataclass
@@ -360,23 +354,23 @@ class TrainConfig:
             raise ValueError("patience must be >= 1")
 
 
-def adam_step(params: NetParams, grads: dict, moments: AdamMoments, t: int,
+def adam_step(params: NetParams, grads: np.ndarray, moments: AdamMoments, t: int,
               cfg: TrainConfig, lr: Optional[float] = None) -> None:
-    """In-place bias-corrected Adam update; deterministic."""
+    """In-place bias-corrected Adam update of params.vector; deterministic.
+
+    grads is a flat gradient vector laid out like params.vector.
+    """
     if t < 1:
         raise ValueError("step index t must be >= 1")
     lr = cfg.learning_rate if lr is None else lr
     bc1 = 1.0 - cfg.beta1 ** t
     bc2 = 1.0 - cfg.beta2 ** t
-    for name, arr in params.named_parameters():
-        g = grads[name]
-        m = moments.m[name]
-        v = moments.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        arr -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+    m, v = moments.m, moments.v
+    m *= cfg.beta1
+    m += (1.0 - cfg.beta1) * grads
+    v *= cfg.beta2
+    v += (1.0 - cfg.beta2) * grads * grads
+    params.vector -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
 
 
 # -- training loop ----------------------------------------------------------
@@ -396,14 +390,6 @@ class TrainResult:
     log: list
     best_epoch: int
     best_val_loss: float
-
-
-def _mean_loss(datas, labels, idx, params) -> float:
-    preds = []
-    for i in idx:
-        xh, yh, _ = forward(datas[i], params)
-        preds.append((xh, yh))
-    return loss(preds, [labels[i] for i in idx])
 
 
 def default_eta_prior(datas, rho: float = 0.9) -> float:
@@ -450,19 +436,18 @@ def train(datas: list, labels: list, train_idx, val_idx, cfg: TrainConfig,
         epoch_losses = []
         for start in range(0, order.size, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            grads = _zero_grads(params)
+            grads = np.zeros_like(params.vector)
             preds = []
             for i in batch:
                 xh, yh, cache = forward(datas[i], params)
                 preds.append((xh, yh))
-                for name, g in backward(datas[i], params, cache, labels[i]).items():
-                    grads[name] += g
-            for name in grads:
-                grads[name] /= batch.size
+                grads += backward(datas[i], params, cache, labels[i]).vector
+            grads /= batch.size
             epoch_losses.append(loss(preds, [labels[i] for i in batch]))
             step += 1
             adam_step(params, grads, moments, step, cfg, lr=lr)
-        val_loss = _mean_loss(datas, labels, val_idx, params)
+        val_loss = loss([forward(datas[i], params)[:2] for i in val_idx],
+                        [labels[i] for i in val_idx])
         improved = val_loss < best_val
         meaningful = val_loss < best_val * (1.0 - cfg.escalation_min_delta)
         if improved:
@@ -511,12 +496,8 @@ def save_checkpoint(params: NetParams, path) -> None:
         "eta": params.eta.tolist(),
         "unroll_steps": params.unroll_steps,
         "p_out": params.p_out.tolist(),
-        "layers": [
-            {name: getattr(lp, name).tolist()
-             for name in ("U_ut", "U_w", "U_eta", "b_eta", "V_ut", "V_w",
-                          "W_w", "W_u", "W_ut")}
-            for lp in params.layers
-        ],
+        "layers": [{f: getattr(lp, f).tolist() for f in LAYER_FIELDS}
+                   for lp in params.layers],
     }
     text = json.dumps(doc, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
@@ -524,21 +505,37 @@ def save_checkpoint(params: NetParams, path) -> None:
 
 
 def load_checkpoint(path, expect_d: Optional[int] = None) -> NetParams:
+    """Read a checkpoint; anything malformed raises ValueError naming path."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: corrupt checkpoint: {exc.msg}") from exc
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"checkpoint version mismatch: {doc.get('version')!r}")
-    layers = [LayerParams(**{k: np.asarray(v, dtype=np.float64)
-                             for k, v in ld.items()}) for ld in doc["layers"]]
-    params = NetParams(L=doc["L"], d=doc["d"], layers=layers,
-                       p_out=np.asarray(doc["p_out"], dtype=np.float64),
-                       eta=np.asarray(doc["eta"], dtype=np.float64),
-                       unroll_steps=doc["unroll_steps"])
-    arrays = [arr for _, arr in params.named_parameters()] + [params.eta]
-    if not all(np.all(np.isfinite(arr)) for arr in arrays):
+    if not isinstance(doc, dict) or set(doc) != _CHECKPOINT_KEYS:
+        raise ValueError(f"{path}: checkpoint must be a JSON object with keys "
+                         f"{sorted(_CHECKPOINT_KEYS)}")
+    if doc["version"] != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: checkpoint version mismatch: {doc['version']!r}")
+    try:
+        L, d, layers = doc["L"], doc["d"], doc["layers"]
+        if len(layers) != L:
+            raise ValueError(f"{len(layers)} layers for L = {L}")
+        arrays = {f"layers.{i}.{f}": v for i, ld in enumerate(layers)
+                  for f, v in dict(ld).items()}
+        arrays["p_out"] = doc["p_out"]
+        entries = layout(L, d)
+        names = {name for name, _, _ in entries}
+        if set(arrays) != names:
+            raise ValueError(f"missing or unknown parameters {sorted(set(arrays) ^ names)}")
+        parts = [np.asarray(arrays[name], dtype=np.float64) for name, _, _ in entries]
+        for part, (name, _, shape) in zip(parts, entries):
+            if part.shape != shape:
+                raise ValueError(f"{name} has shape {part.shape}, expected {shape}")
+        params = NetParams(L, d, doc["eta"], doc["unroll_steps"],
+                           np.concatenate([part.ravel() for part in parts]))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed checkpoint: {exc}") from exc
+    if not (np.all(np.isfinite(params.vector)) and np.all(np.isfinite(params.eta))):
         raise ValueError(f"{path}: checkpoint holds non-finite values")
     if expect_d is not None and params.d != expect_d:
         raise ValueError(f"checkpoint embedding size {params.d} != expected {expect_d}")

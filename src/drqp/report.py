@@ -113,34 +113,33 @@ class WarmStartReport:
     rows: list
     residual_histories: Optional[dict] = None  # instance -> (cold, warm) lists
 
-    def _means(self):
-        ok = [r for r in self.rows if not r.failed]
-        cold = np.mean([r.cold_iterations for r in ok])
-        warm = np.mean([r.warm_iterations for r in ok])
-        return cold, warm, ok
+    def _ok(self) -> list:
+        """The rows every ratio averages over; the ratios are None when empty."""
+        return [r for r in self.rows if not r.failed]
 
     @property
-    def iteration_ratio(self) -> float:
+    def iteration_ratio(self) -> Optional[float]:
         """Headline ratio-of-means: 1 - mean(warm) / mean(cold)."""
-        cold, warm, _ = self._means()
-        return float(1.0 - warm / cold)
+        ok = self._ok()
+        if not ok:
+            return None
+        return float(1.0 - np.mean([r.warm_iterations for r in ok])
+                     / np.mean([r.cold_iterations for r in ok]))
 
     @property
-    def iteration_ratio_per_instance(self) -> float:
+    def iteration_ratio_per_instance(self) -> Optional[float]:
         """Mean of per-instance reduction ratios (secondary column)."""
-        _, _, ok = self._means()
-        return float(np.mean([1.0 - r.warm_iterations / r.cold_iterations
-                              for r in ok]))
+        ratios = [1.0 - r.warm_iterations / r.cold_iterations for r in self._ok()]
+        return float(np.mean(ratios)) if ratios else None
 
     @property
     def time_ratio(self) -> Optional[float]:
         """1 - mean(warm + inference) / mean(cold); None if a cold time is unknown."""
-        ok = [r for r in self.rows if not r.failed]
-        if any(r.cold_time is None for r in ok):
+        ok = self._ok()
+        if not ok or any(r.cold_time is None for r in ok):
             return None
-        cold = np.mean([r.cold_time for r in ok])
-        warm = np.mean([r.warm_time + r.inference_time for r in ok])
-        return float(1.0 - warm / cold)
+        return float(1.0 - np.mean([r.warm_time + r.inference_time for r in ok])
+                     / np.mean([r.cold_time for r in ok]))
 
 
 def complete_zero_cone_dual(data: MonotoneData, u: np.ndarray) -> np.ndarray:

@@ -111,6 +111,18 @@ class TestTrainEval:
         assert rc == 2
 
 
+    def test_eval_malformed_checkpoint_fails(self, bundle_dir, tmp_path, capsys):
+        ckpt = tmp_path / "bad.json"
+        net.save_checkpoint(net.init_params(2, 4, seed=0), ckpt)
+        doc = json.loads(ckpt.read_text())
+        del doc["layers"][0]["U_w"]
+        ckpt.write_text(json.dumps(doc))
+        rc = run(["eval", str(bundle_dir), "--checkpoint", str(ckpt),
+                  "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert str(ckpt) in capsys.readouterr().err
+
+
 class TestAblate:
     def test_one_row_per_layer_count(self, bundle_dir, tmp_path):
         out = tmp_path / "abl"

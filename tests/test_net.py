@@ -1,4 +1,7 @@
 import dataclasses
+import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,8 +252,7 @@ class TestAdam:
         params = net.init_params(1, 2, seed=0)
         before = params.copy()
         moments = net.AdamMoments.zeros(params)
-        grads = {name: np.zeros_like(val)
-                 for name, val in params.named_parameters()}
+        grads = np.zeros_like(params.vector)
         net.adam_step(params, grads, moments, 1, net.TrainConfig())
         for name, val in params.named_parameters():
             np.testing.assert_array_equal(val, before.get(name))
@@ -260,8 +262,7 @@ class TestAdam:
         before = params.copy()
         moments = net.AdamMoments.zeros(params)
         cfg = net.TrainConfig(learning_rate=1e-3)
-        grads = {name: np.full_like(val, 2.0)
-                 for name, val in params.named_parameters()}
+        grads = np.full_like(params.vector, 2.0)
         net.adam_step(params, grads, moments, 1, cfg)
         delta = params.get("p_out") - before.get("p_out")
         np.testing.assert_allclose(delta, -cfg.learning_rate, rtol=1e-6)
@@ -275,11 +276,35 @@ class TestAdam:
         for t in range(1, 101):
             p = params.get("p_out")[0]
             values.append((p - 3.0) ** 2)
-            grads = {name: np.zeros_like(val)
-                     for name, val in params.named_parameters()}
-            grads["p_out"] = np.array([2 * (p - 3.0)])
-            net.adam_step(params, grads, moments, t, cfg)
+            grads = net.NamedViews(np.zeros_like(params.vector), 1, 1)
+            grads["p_out"][:] = np.array([2 * (p - 3.0)])
+            net.adam_step(params, grads.vector, moments, t, cfg)
         assert values[-1] < values[10] < values[0]
+
+    def test_matches_per_tensor_reference(self):
+        # the flat update is the per-tensor update, element for element
+        params = net.init_params(2, 3, seed=1, scheme="random")
+        ref = {name: np.array(val) for name, val in params.named_parameters()}
+        ref_m = {name: np.zeros_like(val) for name, val in ref.items()}
+        ref_v = {name: np.zeros_like(val) for name, val in ref.items()}
+        moments = net.AdamMoments.zeros(params)
+        cfg = net.TrainConfig(learning_rate=1e-3)
+        rng = np.random.default_rng(2)
+        for t in range(1, 51):
+            grads = net.NamedViews(
+                10.0 ** rng.uniform(-8, 2, params.vector.size)
+                * rng.choice([-1.0, 1.0], params.vector.size), params.L, params.d)
+            net.adam_step(params, grads.vector, moments, t, cfg)
+            bc1, bc2 = 1.0 - cfg.beta1 ** t, 1.0 - cfg.beta2 ** t
+            for name, arr in ref.items():
+                g, m, v = grads[name], ref_m[name], ref_v[name]
+                m *= cfg.beta1
+                m += (1.0 - cfg.beta1) * g
+                v *= cfg.beta2
+                v += (1.0 - cfg.beta2) * g * g
+                arr -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        for name, val in params.named_parameters():
+            np.testing.assert_array_equal(val, ref[name])
 
 
 class TestTrain:
@@ -356,6 +381,49 @@ class TestCheckpoints:
             np.testing.assert_array_equal(back.get(name), val)
         np.testing.assert_array_equal(back.eta, params.eta)
 
+    def test_golden_file_round_trip(self, tmp_path):
+        # net_v1.json pins the drqp-net-1 bytes and the mapping from
+        # parameter names to the flat layout
+        golden = Path(__file__).parent / "data" / "net_v1.json"
+        back = net.load_checkpoint(golden)
+        path = tmp_path / "model.json"
+        net.save_checkpoint(back, path)
+        assert path.read_bytes() == golden.read_bytes()
+        fresh = net.init_params(2, 3, seed=7, scheme="random", unroll_steps=2)
+        for name, val in back.named_parameters():
+            np.testing.assert_array_equal(val, fresh.get(name))
+
+    @pytest.mark.parametrize("case", [
+        "not-object", "missing-layer-key", "extra-layer-key", "missing-key",
+        "extra-key", "wrong-shape", "layer-count", "layer-not-object",
+        "bad-unroll-steps"])
+    def test_malformed_rejected(self, tmp_path, case):
+        path = tmp_path / "model.json"
+        net.save_checkpoint(net.init_params(2, 2, seed=0), path)
+        doc = json.loads(path.read_text())
+        layers = doc["layers"]
+        if case == "not-object":
+            doc = [doc]
+        elif case == "missing-layer-key":
+            del layers[0]["U_w"]
+        elif case == "extra-layer-key":
+            layers[0]["U_x"] = layers[0]["U_w"]
+        elif case == "missing-key":
+            del doc["p_out"]
+        elif case == "extra-key":
+            doc["extra"] = 1
+        elif case == "wrong-shape":
+            layers[1]["b_eta"] = [0.0]
+        elif case == "layer-count":
+            layers.pop()
+        elif case == "layer-not-object":
+            layers[0] = 5
+        elif case == "bad-unroll-steps":
+            doc["unroll_steps"] = "2"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            net.load_checkpoint(path)
+
     def test_truncated_file_rejected(self, tmp_path):
         params = net.init_params(1, 2, seed=0)
         path = tmp_path / "model.json"
@@ -372,7 +440,6 @@ class TestCheckpoints:
             net.load_checkpoint(path, expect_d=8)
 
     def test_non_finite_rejected(self, tmp_path):
-        import json
         params = net.init_params(1, 2, seed=0)
         path = tmp_path / "model.json"
         net.save_checkpoint(params, path)
@@ -391,7 +458,6 @@ class TestCheckpoints:
         assert not path.exists()
 
     def test_version_mismatch_rejected(self, tmp_path):
-        import json
         params = net.init_params(1, 2, seed=0)
         path = tmp_path / "model.json"
         net.save_checkpoint(params, path)

@@ -116,6 +116,18 @@ class TestTables:
         assert rows[0] == ["instance_id", "start", "iter", "residual"]
         assert len(rows) == 4  # 2 cold + 1 warm + header
 
+    def test_ratios_unknown_when_every_row_failed(self):
+        rep = self._fake_warmstart()
+        rep.rows = rep.rows[:1]
+        rep.rows[0].warm_status = "error"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rep.iteration_ratio is None
+            assert rep.iteration_ratio_per_instance is None
+            assert rep.time_ratio is None
+            summary = list(csv.reader(io.StringIO(warmstart_summary(rep, "csv"))))
+        assert summary[1] == ["", "", ""]
+
     def test_empty_report_header_only(self):
         rep = WarmStartReport(rows=[])
         text = warmstart_table(rep, "csv")
