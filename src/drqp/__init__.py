@@ -3,8 +3,8 @@
 from .sparse import (DimensionError, Factorization, SingularMatrixError,
                      SparseMatrix, SpectralEstimate, estimate_sigma_max,
                      factorize, spmm, spmm_t, spmv, spmv_t)
-from .model import (ConeSpec, ConicQP, MonotoneData, QualityMetrics, StandardQP,
-                    assemble_inclusion, project_cone_dual, quality, read_instance,
+from .model import (ConeSpec, ConicQP, MonotoneData, Operator, QualityMetrics,
+                    StandardQP, assemble_inclusion, project_cone_dual, quality, read_instance,
                     to_conic, write_instance)
 from .solvers import (IterateState, SolveReport, SolverConfig, dr_operator_apply,
                       dr_solve, drgd_solve, exact_linesearch_step, step_size_cap,

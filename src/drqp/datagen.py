@@ -217,14 +217,16 @@ def label_bundle(bundle: DatasetBundle, tol_label: float = 1e-9,
 
     Returns (labeled bundle, exclusions), exclusions listing (index, status)
     for instances the reference solver failed to converge on. Failed
-    instances keep a None label.
+    instances keep a None label. Instances with the same (P, A) share one
+    Operator, so each distinct operator is factorized once.
     """
     cfg = SolverConfig(tol_fixed_point=tol_label, max_iter=max_iter)
     labels = []
     exclusions = []
+    operators = {}
     for i, qp in enumerate(bundle.instances):
         cqp, _ = to_conic(qp)
-        report = dr_solve(assemble_inclusion(cqp), cfg)
+        report = dr_solve(assemble_inclusion(cqp, operators), cfg)
         if report.status == "converged":
             labels.append((report.x, report.y))
         else:

@@ -9,32 +9,13 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from .sparse import (DimensionError, Factorization, SparseMatrix, estimate_sigma_max,
                      factorize)
 
 INF = float("inf")
-
-_PSD_PROBES = 20
-_PSD_TOL = 1e-10
-
-
-def _check_psd_probes(P: SparseMatrix, seed: int = 0) -> None:
-    rng = np.random.default_rng(seed)
-    for _ in range(_PSD_PROBES):
-        x = rng.standard_normal(P.ncols)
-        if x @ (P._csr @ x) < -_PSD_TOL * (x @ x):
-            raise ValueError("P failed the PSD probe check")
-
-
-def _check_symmetric(P: SparseMatrix) -> None:
-    # exact structural + value comparison against the transpose
-    Pt = P.transpose()
-    if not (np.array_equal(P.indptr, Pt.indptr)
-            and np.array_equal(P.indices, Pt.indices)
-            and np.array_equal(P.values, Pt.values)):
-        raise ValueError("P must be exactly symmetric")
 
 
 @dataclass(frozen=True)
@@ -86,8 +67,7 @@ class StandardQP:
             raise DimensionError("bounds must have length n")
         if np.any(self.l > self.u):
             raise ValueError("l <= u must hold elementwise")
-        _check_symmetric(self.P)
-        _check_psd_probes(self.P)
+        self.P.psd_checked  # raises unless P is symmetric PSD; cached on P
 
     @property
     def n(self) -> int:
@@ -117,8 +97,7 @@ class ConicQP:
             raise DimensionError("A/b dimensions inconsistent")
         if self.cone.m != self.A.nrows:
             raise DimensionError("cone size must equal row count of A")
-        _check_symmetric(self.P)
-        _check_psd_probes(self.P)
+        self.P.psd_checked  # raises unless P is symmetric PSD; cached on P
 
     @property
     def n(self) -> int:
@@ -195,30 +174,33 @@ def to_conic(qp: StandardQP, equalities_as_inequalities: bool = False):
     return ConicQP(P=qp.P, c=qp.c, A=A, b=b, cone=cone), provenance
 
 
-# Largest operator order whose channel products use a dense copy of I+M.
+# Largest operator order for which the network's channel products use a
+# dense copy of I+M and sigma_max is the exact dense 2-norm.
 _DENSE_LIMIT = 2048
 
 
 @dataclass(frozen=True, eq=False)
-class MonotoneData:
-    """Assembled monotone-inclusion data for a conic QP.
+class Operator:
+    """K = I+M for one (P, A), with M = [[P, A'], [-A, 0]].
 
-    M has block structure [[P, A'], [-A, 0]], q = (c; b). sigma_max caches a
-    spectral estimate for I+M used by step-size safeguards.
+    Everything derived from K is computed on first use and cached, so
+    problems that share an Operator share its factorization, channel
+    products and sigma_max.
     """
 
     M: SparseMatrix
     I_plus_M: SparseMatrix
-    q: np.ndarray
-    cone: ConeSpec
-    n: int
-    m: int
-    sigma_max: float
-    cqp: ConicQP
+
+    @classmethod
+    def assemble(cls, P: SparseMatrix, A: SparseMatrix) -> "Operator":
+        A = A._csr
+        M_sp = sp.bmat([[P._csr, A.T], [-A, None]], format="csr")
+        M = SparseMatrix.from_scipy(M_sp)
+        return cls(M, SparseMatrix.from_scipy(sp.identity(M.nrows, format="csr") + M_sp))
 
     @property
     def size(self) -> int:
-        return self.n + self.m
+        return self.I_plus_M.nrows
 
     @cached_property
     def factorization(self) -> Factorization:
@@ -237,18 +219,81 @@ class MonotoneData:
             return K, K.T
         return self.I_plus_M._csr, self.I_plus_M._csr_t
 
+    @cached_property
+    def sigma_max(self) -> float:
+        """An upper bound on the largest singular value of I+M, or its
+        converged estimate, for the step-size caps rho / sigma_max^2.
 
-def assemble_inclusion(cqp: ConicQP) -> MonotoneData:
-    """Build M, q, I+M and the cached spectral estimate for a conic QP."""
-    n, m = cqp.n, cqp.m
-    A = cqp.A._csr
-    M_sp = sp.bmat([[cqp.P._csr, A.T], [-A, None]], format="csr")
-    M = SparseMatrix.from_scipy(M_sp)
-    I_plus_M = SparseMatrix.from_scipy(sp.identity(n + m, format="csr") + M_sp)
-    q = np.concatenate([cqp.c, cqp.b])
-    est = estimate_sigma_max(I_plus_M)
-    return MonotoneData(M=M, I_plus_M=I_plus_M, q=q, cone=cqp.cone, n=n, m=m,
-                        sigma_max=est.sigma_max, cqp=cqp)
+        The exact dense 2-norm up to _DENSE_LIMIT. Above it the power
+        iteration estimate when it converged, else the bound
+        sqrt(||K||_1 ||K||_inf), which is never below the true value, unlike
+        an unconverged power iterate.
+        """
+        if self.size <= _DENSE_LIMIT:
+            return float(np.linalg.norm(self.I_plus_M.to_dense(), 2))
+        est = estimate_sigma_max(self.I_plus_M)
+        if est.converged:
+            return est.sigma_max
+        absK = abs(self.I_plus_M._csr)
+        return float(math.sqrt(absK.sum(axis=0).max() * absK.sum(axis=1).max()))
+
+
+@dataclass(frozen=True, eq=False)
+class MonotoneData:
+    """Assembled monotone-inclusion data for a conic QP: the operator
+    K = I+M, q = (c; b) and the cone.
+
+    M, I_plus_M, sigma_max, factorization and channel_operator are read from
+    the operator, which problems with the same (P, A) may share.
+    """
+
+    operator: Operator
+    q: np.ndarray
+    cone: ConeSpec
+    n: int
+    m: int
+    cqp: ConicQP
+
+    @property
+    def size(self) -> int:
+        return self.n + self.m
+
+    @property
+    def M(self) -> SparseMatrix:
+        return self.operator.M
+
+    @property
+    def I_plus_M(self) -> SparseMatrix:
+        return self.operator.I_plus_M
+
+    @property
+    def sigma_max(self) -> float:
+        return self.operator.sigma_max
+
+    @property
+    def factorization(self) -> Factorization:
+        return self.operator.factorization
+
+    @property
+    def channel_operator(self):
+        return self.operator.channel_operator
+
+
+def assemble_inclusion(cqp: ConicQP, operators: Optional[dict] = None) -> MonotoneData:
+    """Build the monotone-inclusion data of a conic QP.
+
+    operators, when given, holds the operators already built by the caller
+    for other problems; a problem with the same (P, A) as one of them shares
+    its Operator, and a new one is added to it.
+    """
+    operators = {} if operators is None else operators
+    # equal exactly when (P, A) are equal by shape and bytes
+    key = tuple((mat.shape, mat.indptr.tobytes(), mat.indices.tobytes(),
+                 mat.values.tobytes()) for mat in (cqp.P, cqp.A))
+    if key not in operators:
+        operators[key] = Operator.assemble(cqp.P, cqp.A)
+    return MonotoneData(operator=operators[key], q=np.concatenate([cqp.c, cqp.b]),
+                        cone=cqp.cone, n=cqp.n, m=cqp.m, cqp=cqp)
 
 
 def project_cone_dual(v: np.ndarray, spec: ConeSpec) -> np.ndarray:
@@ -277,6 +322,16 @@ class QualityMetrics:
         return max(self.max_eq_viol, self.max_ineq_viol)
 
 
+def l2_distance(x: np.ndarray, y: np.ndarray,
+                reference: tuple[np.ndarray, np.ndarray]) -> float:
+    """Euclidean distance from (x, y) to the reference (x*, y*).
+
+    The scaled BLAS norm cannot overflow while the distance itself is finite.
+    """
+    xs, ys = reference
+    return float(scipy.linalg.norm(np.concatenate([x - xs, y - ys]), check_finite=False))
+
+
 def quality(cqp: ConicQP, x: np.ndarray, y: np.ndarray,
             reference: Optional[tuple[np.ndarray, np.ndarray]] = None) -> QualityMetrics:
     """KKT-based solution quality of a primal-dual pair (x, y)."""
@@ -291,10 +346,7 @@ def quality(cqp: ConicQP, x: np.ndarray, y: np.ndarray,
     max_in = float(np.abs(np.minimum(s_in, 0.0)).max()) if s_in.size else 0.0
     dual = cqp.P._csr @ x + cqp.A._csr.T @ y + cqp.c
     comp = float(abs(s_in @ y[mz:])) if s_in.size else 0.0
-    l2 = None
-    if reference is not None:
-        xs, ys = reference
-        l2 = float(math.sqrt(np.sum((x - xs) ** 2) + np.sum((y - ys) ** 2)))
+    l2 = None if reference is None else l2_distance(x, y, reference)
     return QualityMetrics(
         objective=cqp.objective(x),
         max_eq_viol=max_eq,

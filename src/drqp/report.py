@@ -11,16 +11,21 @@ from typing import Optional
 import numpy as np
 
 from .datagen import DatasetBundle
-from .model import MonotoneData, assemble_inclusion, project_cone_dual, to_conic
+from .model import (MonotoneData, assemble_inclusion, l2_distance, project_cone_dual,
+                    to_conic)
 from .net import NetParams, forward
 from .solvers import SolverConfig, dr_solve, drgd_solve, warm_start_from_solution
 from .sparse import spmv
 
 
 def prepare_data(bundle: DatasetBundle, indices=None) -> list:
-    """Assemble MonotoneData for the selected instances (all by default)."""
+    """Assemble MonotoneData for the selected instances (all by default).
+
+    Instances with the same (P, A) share one Operator.
+    """
     idx = range(len(bundle)) if indices is None else indices
-    return [assemble_inclusion(to_conic(bundle.instances[i])[0]) for i in idx]
+    operators = {}
+    return [assemble_inclusion(to_conic(bundle.instances[i])[0], operators) for i in idx]
 
 
 # -- Algorithm 1 vs Algorithm 2 comparison -----------------------------------
@@ -197,9 +202,7 @@ def run_eval(datas: list, labels: list, params: NetParams,
         warm = dr_solve(data, cfg, warm=warm_state)
         warm_time = time.perf_counter() - t0
         ref = labels[i] if labels is not None else None
-        l2 = None
-        if ref is not None:
-            l2 = float(np.sqrt(np.sum((xh - ref[0]) ** 2) + np.sum((yh - ref[1]) ** 2)))
+        l2 = None if ref is None else l2_distance(xh, yh, ref)
         rows.append(WarmStartRow(
             instance=i, cold_iterations=cold.iterations,
             warm_iterations=warm.iterations, cold_time=cold_time,

@@ -212,6 +212,8 @@ def drgd_solve(data: MonotoneData, cfg: SolverConfig = SolverConfig(),
     least-squares subproblem, the step size coming from exact line search or
     a fixed value and clipped at the safeguard cap, then applies the same
     projection and w updates as dr_solve. No factorization is performed.
+    The exact line-search step is never below the cap, so that mode steps
+    at the cap.
     """
     K = data.I_plus_M
     cap = step_size_cap(data, cfg.safeguard_rho)
@@ -225,7 +227,8 @@ def drgd_solve(data: MonotoneData, cfg: SolverConfig = SolverConfig(),
             if cfg.step_mode == FIXED_STEP:
                 eta = min(cfg.fixed_eta, cap)
             else:
-                eta = min(exact_linesearch_step(t, data), cap)
+                # exact step ||t||^2/||Kt||^2 >= 1/sigma^2 >= rho/sigma_max^2 = cap
+                eta = cap
             ut = ut - eta * t
             if steps is not None:
                 steps.append(eta)

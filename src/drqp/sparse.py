@@ -10,6 +10,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 
+_PSD_PROBES = 20
+_PSD_TOL = 1e-10
+
+
 class DimensionError(ValueError):
     """Operand shapes do not conform."""
 
@@ -50,13 +54,18 @@ class SparseMatrix:
             raise ValueError("index/value count must equal last row offset")
         if indices.size and (indices.min() < 0 or indices.max() >= self.ncols):
             raise ValueError("column index out of range")
-        for i in range(self.nrows):
-            row = indices[indptr[i]:indptr[i + 1]]
-            if row.size > 1 and np.any(np.diff(row) <= 0):
-                raise ValueError(
-                    f"row {i}: column indices must be strictly increasing "
-                    "(duplicates are rejected)"
-                )
+        # a step from entry k to entry k+1 must increase unless entry k+1
+        # starts a row; row starts of empty rows at 0 or nnz bound no step
+        step_ok = np.diff(indices) > 0
+        starts = indptr[1:-1]
+        step_ok[starts[(starts > 0) & (starts < indices.size)] - 1] = True
+        bad = np.flatnonzero(~step_ok)
+        if bad.size:
+            i = int(np.searchsorted(indptr, bad[0] + 1, side="right")) - 1
+            raise ValueError(
+                f"row {i}: column indices must be strictly increasing "
+                "(duplicates are rejected)"
+            )
         indptr.setflags(write=False)
         indices.setflags(write=False)
         values.setflags(write=False)
@@ -98,6 +107,29 @@ class SparseMatrix:
     @cached_property
     def _csr_t(self) -> sp.csr_matrix:
         return self._csr.T.tocsr()
+
+    # -- problem checks ----------------------------------------------------
+
+    @cached_property
+    def psd_checked(self) -> bool:
+        """Exact symmetry and _PSD_PROBES seeded PSD probes, as a quadratic
+        term must pass; True, or ValueError.
+
+        Only a pass is cached: a matrix shared by many problems is checked
+        once, and a failing one raises on every access.
+        """
+        # exact structural + value comparison against the transpose
+        Pt = self.transpose()
+        if not (np.array_equal(self.indptr, Pt.indptr)
+                and np.array_equal(self.indices, Pt.indices)
+                and np.array_equal(self.values, Pt.values)):
+            raise ValueError("P must be exactly symmetric")
+        rng = np.random.default_rng(0)
+        for _ in range(_PSD_PROBES):
+            x = rng.standard_normal(self.ncols)
+            if x @ (self._csr @ x) < -_PSD_TOL * (x @ x):
+                raise ValueError("P failed the PSD probe check")
+        return True
 
     # -- queries -----------------------------------------------------------
 

@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import build_standard, inclusion_of, one_var_qp
-from drqp.model import (ConeSpec, StandardQP, assemble_inclusion,
-                        project_cone_dual, quality, read_instance, to_conic,
-                        write_instance)
-from drqp.sparse import SparseMatrix
+from drqp import model
+from drqp.datagen import GenSpec, generate, label_bundle
+from drqp.model import (ConeSpec, ConicQP, StandardQP, assemble_inclusion,
+                        l2_distance, project_cone_dual, quality, read_instance,
+                        to_conic, write_instance)
+from drqp.report import prepare_data
+from drqp.sparse import SparseMatrix, SpectralEstimate
 
 
 def _unbounded(n):
@@ -26,6 +31,26 @@ class TestStandardQP:
             build_standard(P=[[-1.0, 0.0], [0.0, 1.0]], c=[0.0, 0.0],
                            A=np.zeros((0, 2)), b=[], G=np.zeros((0, 2)), h=[],
                            l=l, u=u)
+
+    def test_asymmetric_p_rejected_by_conic_qp(self):
+        # a ConicQP built from a P that no StandardQP checked checks it itself,
+        # and a failing P raises every time
+        P = SparseMatrix.from_dense([[1.0, 1.0], [0.0, 1.0]])
+        A = SparseMatrix.from_dense(np.zeros((0, 2)))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="symmetric"):
+                ConicQP(P=P, c=np.zeros(2), A=A, b=np.zeros(0),
+                        cone=ConeSpec(m_zero=0, m_nonneg=0))
+
+    def test_p_checked_once(self, monkeypatch):
+        qp = one_var_qp()
+        calls = []
+        transpose = SparseMatrix.transpose
+        monkeypatch.setattr(SparseMatrix, "transpose",
+                            lambda mat: calls.append(mat) or transpose(mat))
+        cqp, _ = to_conic(qp)
+        assert cqp.P is qp.P
+        assert calls == []
 
     def test_bounds_order_checked(self):
         with pytest.raises(ValueError):
@@ -147,6 +172,67 @@ class TestAssembleInclusion:
         assert data.sigma_max >= 1.0  # sym(I+M) >= I
 
 
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestOperator:
+    def test_shared_within_a_call(self):
+        rhs = generate(GenSpec(family="qp_rhs", count=5, seed=1, n=10))
+        datas = prepare_data(rhs)
+        assert len({id(d.operator) for d in datas}) == 1
+        assert len({d.q.tobytes() for d in datas}) == 5
+        # each call builds its own operators
+        assert prepare_data(rhs, [0])[0].operator is not datas[0].operator
+        portfolio = generate(GenSpec(family="portfolio", count=3, seed=1, k=2))
+        assert len({id(d.operator) for d in prepare_data(portfolio)}) == 3
+
+    def test_no_power_iteration_and_one_factorization(self, monkeypatch):
+        estimates = _count_calls(monkeypatch, model, "estimate_sigma_max")
+        factorizations = _count_calls(monkeypatch, model, "factorize")
+        for spec, distinct in ((GenSpec(family="qp_rhs", count=4, seed=2, n=10), 1),
+                               (GenSpec(family="portfolio", count=3, seed=2, k=2), 3)):
+            bundle = generate(spec)
+            prepare_data(bundle)
+            assert factorizations == []
+            labeled, excluded = label_bundle(bundle)
+            assert excluded == []
+            assert len(factorizations) == distinct
+            factorizations.clear()
+        assert estimates == []
+
+    def test_sigma_max_not_below_svd(self, desk_datas, tiny_data):
+        portfolio = prepare_data(generate(GenSpec(family="portfolio", count=2,
+                                                  seed=3, k=2)))
+        for data in [tiny_data, *desk_datas[:3], *portfolio]:
+            truth = np.linalg.svd(data.I_plus_M.to_dense(), compute_uv=False)[0]
+            assert data.sigma_max >= truth * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("converged", [True, False])
+    def test_sigma_max_above_dense_limit(self, tiny_data, monkeypatch, converged):
+        # above the dense limit a converged estimate is used as is, and an
+        # unconverged one is replaced by sqrt(||K||_1 ||K||_inf)
+        monkeypatch.setattr(model, "_DENSE_LIMIT", 0)
+        monkeypatch.setattr(model, "estimate_sigma_max",
+                            lambda K: SpectralEstimate(0.5, 5000, converged))
+        data = assemble_inclusion(tiny_data.cqp)
+        K = np.abs(data.I_plus_M.to_dense())
+        bound = math.sqrt(K.sum(axis=0).max() * K.sum(axis=1).max())
+        truth = np.linalg.svd(data.I_plus_M.to_dense(), compute_uv=False)[0]
+        if converged:
+            assert data.sigma_max == 0.5
+        else:
+            assert data.sigma_max == pytest.approx(bound, rel=1e-15)
+            assert data.sigma_max >= truth
+
+
 class TestProjectConeDual:
     def test_all_free_unchanged(self):
         v = np.array([-1.0, 2.0, -3.0])
@@ -230,6 +316,19 @@ class TestQuality:
         m = quality(cqp, np.array([2.0]), np.array([1.0]),
                     reference=(np.array([1.0]), np.array([1.0])))
         assert m.l2_to_reference == pytest.approx(1.0)
+
+
+    def test_reference_distance_does_not_overflow(self):
+        # ||(1e200, ..., 1e200)|| is finite although its square is not
+        x = np.full(10, 1e200)
+        with np.errstate(over="raise"):
+            l2 = l2_distance(x, np.zeros(0), (np.zeros(10), np.zeros(0)))
+        assert l2 == pytest.approx(math.sqrt(10) * 1e200, rel=1e-14)
+        cqp, _ = to_conic(one_var_qp())
+        with np.errstate(over="ignore"):  # the objective, ~1e399, is out of range
+            m = quality(cqp, np.array([1e200]), np.array([1.0]),
+                        reference=(np.array([0.0]), np.array([1.0])))
+        assert m.l2_to_reference == pytest.approx(1e200, rel=1e-14)
 
 
 class TestInstanceFiles:

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import re
 from pathlib import Path
@@ -197,7 +196,7 @@ class TestBackward:
         runs = []
         for limit in (tiny_data.size, 0):
             monkeypatch.setattr(model, "_DENSE_LIMIT", limit)
-            data = dataclasses.replace(tiny_data)  # fresh operator cache
+            data = model.assemble_inclusion(tiny_data.cqp)  # fresh operator cache
             xh, yh, cache = net.forward(data, params)
             runs.append((data, cache.out, net.backward(data, params, cache, label)))
         (dense, out_d, grads_d), (sparse, out_s, grads_s) = runs

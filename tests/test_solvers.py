@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import build_standard, inclusion_of
+from drqp.datagen import GenSpec, generate
 from drqp.model import project_cone_dual
+from drqp.report import prepare_data
 from drqp.solvers import (IterateState, SolverConfig, dr_operator_apply,
                           dr_solve, drgd_solve, exact_linesearch_step,
                           step_size_cap, warm_start_from_solution, wolfe_check)
@@ -160,6 +162,21 @@ class TestExactLinesearch:
             best = f(ut - star * t, rhs)
             for eta in rng.uniform(0.0, 3.0 * star, 50):
                 assert best <= f(ut - eta * t, rhs) + 1e-12
+
+
+    @pytest.mark.parametrize("spec", [
+        GenSpec(family="qp_rhs", count=3, seed=4, n=12),
+        GenSpec(family="qp_perturbed", count=3, seed=4, n=12),
+        GenSpec(family="portfolio", count=3, seed=4, k=2),
+    ], ids=lambda spec: spec.family)
+    def test_never_below_cap(self, spec):
+        # why DR-GD's exact line-search mode steps at the cap
+        rng = np.random.default_rng(5)
+        for data in prepare_data(generate(spec)):
+            cap = step_size_cap(data)
+            for _ in range(50):
+                t = rng.standard_normal(data.size)
+                assert exact_linesearch_step(t, data) >= cap
 
 
 class TestWolfeCheck:

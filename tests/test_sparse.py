@@ -39,6 +39,40 @@ class TestConstruction:
             SparseMatrix(nrows=1, ncols=2, indptr=np.array([0, 2]),
                          indices=np.array([0, 0]), values=np.array([1.0, 2.0]))
 
+    def test_duplicate_after_empty_row_rejected(self):
+        # row 0 is empty, so the first row start is 0; row 1 repeats column 1
+        with pytest.raises(ValueError, match="row 1:"):
+            SparseMatrix(nrows=3, ncols=2, indptr=np.array([0, 0, 2, 3]),
+                         indices=np.array([1, 1, 0]), values=np.ones(3))
+
+    def test_decrease_across_row_boundary_accepted(self):
+        # rows may start at a lower column than the previous row ended
+        for indptr in ([0, 2, 2, 3, 3], [0, 0, 2, 3, 3], [0, 2, 3, 3, 3]):
+            mat = SparseMatrix(nrows=4, ncols=3, indptr=np.array(indptr),
+                               indices=np.array([0, 2, 1]), values=np.ones(3))
+            assert mat.nnz == 3
+
+    def test_row_order_matches_loop_reference(self):
+        # the per-row loop the vectorized check replaced, as the oracle
+        def first_bad_row(indptr, indices):
+            for i in range(len(indptr) - 1):
+                if np.any(np.diff(indices[indptr[i]:indptr[i + 1]]) <= 0):
+                    return i
+            return None
+
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            nrows = int(rng.integers(1, 6))
+            lengths = rng.integers(0, 4, nrows)
+            indptr = np.concatenate([[0], np.cumsum(lengths)])
+            indices = rng.integers(0, 4, indptr[-1])
+            bad = first_bad_row(indptr, indices)
+            if bad is None:
+                SparseMatrix(nrows, 4, indptr, indices, np.ones(indptr[-1]))
+            else:
+                with pytest.raises(ValueError, match=f"row {bad}:"):
+                    SparseMatrix(nrows, 4, indptr, indices, np.ones(indptr[-1]))
+
     def test_column_index_out_of_range(self):
         with pytest.raises(ValueError):
             SparseMatrix(nrows=1, ncols=2, indptr=np.array([0, 1]),
