@@ -7,8 +7,9 @@ from .model import (ConeSpec, ConicQP, MonotoneData, Operator, QualityMetrics,
                     StandardQP, assemble_inclusion, project_cone_dual, quality, read_instance,
                     to_conic, write_instance)
 from .solvers import (IterateState, SolveReport, SolverConfig, dr_operator_apply,
-                      dr_solve, drgd_solve, exact_linesearch_step, step_size_cap,
-                      warm_start_from_solution, wolfe_check)
+                      dr_solve, dr_solve_batch, drgd_solve, drgd_solve_batch,
+                      exact_linesearch_step, step_size_cap, warm_start_from_solution,
+                      wolfe_check)
 from .net import (NetParams, TrainConfig, adam_step, backward, emulation_params,
                   forward, init_params, load_checkpoint, loss, save_checkpoint,
                   train)

@@ -12,7 +12,7 @@ import scipy.sparse as sp
 
 from .model import (INF, StandardQP, SparseMatrix, assemble_inclusion, quality,
                     read_instance, to_conic, write_instance)
-from .solvers import SolverConfig, dr_solve
+from .solvers import SolverConfig, dr_solve_batch
 
 QP_RHS = "qp_rhs"
 QP_PERTURBED = "qp_perturbed"
@@ -136,10 +136,13 @@ def gen_qp_rhs(spec: GenSpec) -> DatasetBundle:
     """
     rng = np.random.default_rng(spec.seed)
     P, c, A, G, h, l, u = _qp_base(spec, rng)
+    # one matrix object each, so P's symmetry and PSD checks run once
+    Ps, As, Gs = (SparseMatrix.from_dense(mat) for mat in (P, A, G))
     instances = []
     for _ in range(spec.count):
         x0 = rng.uniform(-_RHS_HALFWIDTH, _RHS_HALFWIDTH, spec.n)
-        instances.append(_build_qp(P, c, A, A @ x0, G, h, l, u))
+        instances.append(StandardQP(P=Ps, c=c, A_eq=As, b_eq=A @ x0, G=Gs,
+                                    h=h, l=l, u=u))
     return DatasetBundle(family=QP_RHS, instances=instances, labels=None,
                          split=None, seed=spec.seed, spec=spec)
 
@@ -218,15 +221,15 @@ def label_bundle(bundle: DatasetBundle, tol_label: float = 1e-9,
     Returns (labeled bundle, exclusions), exclusions listing (index, status)
     for instances the reference solver failed to converge on. Failed
     instances keep a None label. Instances with the same (P, A) share one
-    Operator, so each distinct operator is factorized once.
+    Operator, so each distinct operator is factorized once, and are solved
+    together as the rows of one block.
     """
     cfg = SolverConfig(tol_fixed_point=tol_label, max_iter=max_iter)
+    operators = {}
+    datas = [assemble_inclusion(to_conic(qp)[0], operators) for qp in bundle.instances]
     labels = []
     exclusions = []
-    operators = {}
-    for i, qp in enumerate(bundle.instances):
-        cqp, _ = to_conic(qp)
-        report = dr_solve(assemble_inclusion(cqp, operators), cfg)
+    for i, report in enumerate(dr_solve_batch(datas, cfg)):
         if report.status == "converged":
             labels.append((report.x, report.y))
         else:

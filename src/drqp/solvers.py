@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -32,6 +32,8 @@ class SolverConfig:
             raise ValueError("tol_fixed_point must be positive")
         if not (0 < self.safeguard_rho < 1):
             raise ValueError("safeguard_rho must lie in (0, 1)")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
         if self.steps_per_iter < 1:
             raise ValueError("steps_per_iter must be >= 1")
         if self.step_mode not in (EXACT_LINE_SEARCH, FIXED_STEP):
@@ -157,51 +159,161 @@ def warm_start_from_solution(data: MonotoneData, x: np.ndarray,
                         w=w0)
 
 
-def _init_state(data: MonotoneData, warm: Optional[IterateState]) -> IterateState:
-    if warm is not None:
-        return IterateState(warm.u_tilde.copy(), warm.u.copy(), warm.w.copy())
-    z = np.zeros(data.size)
-    return IterateState(z.copy(), z.copy(), z.copy())
-
-
-def _iterate(data: MonotoneData, cfg: SolverConfig, warm: Optional[IterateState],
-             resolvent) -> SolveReport:
-    """The DR iteration shared by both solvers.
-
-    resolvent(r, u_tilde) returns the next u_tilde, an exact or approximate
-    solution of (I+M) u_tilde = r started from the current one; projection,
-    w-update, residual and stopping rules are common.
-    """
-    st = _init_state(data, warm)
-    history = [] if cfg.record_history else None
-    status, iters, message = "max_iter", cfg.max_iter, ""
-    for k in range(1, cfg.max_iter + 1):
-        st.u_tilde = resolvent(st.w - data.q, st.u_tilde)
-        st.u = project_cone_dual(2.0 * st.u_tilde - st.w, data.cone)
-        dw = st.u - st.u_tilde
-        st.w = st.w + dw
-        resid = math.sqrt(dw @ dw)
-        if history is not None:
-            history.append(resid)
-        # one reduction: the negated comparison is also true for NaN and inf
-        if not math.isfinite(resid) or not (np.abs(st.w).max() <= _DIVERGENCE_LIMIT):
-            status, iters, message = "error", k, "divergent iterate"
-            break
-        if resid <= cfg.tol_fixed_point:
-            status, iters = "converged", k
-            break
-    x = st.u[:data.n]
-    y = st.u[data.n:]
-    return SolveReport(status=status, iterations=iters, state=st, x=x, y=y,
+def _freeze(data: MonotoneData, ut, u, w, status: str, iterations: int,
+            history, message: str = "") -> SolveReport:
+    """The report of one row of the block, with copies of its iterates."""
+    u = u.copy()
+    x, y = u[:data.n], u[data.n:]
+    return SolveReport(status=status, iterations=iterations,
+                       state=IterateState(ut.copy(), u, w.copy()), x=x, y=y,
                        metrics=quality(data.cqp, x, y), residual_history=history,
                        message=message)
+
+
+def _iterate(datas: list, cfg: SolverConfig, warms: list, resolvent) -> list:
+    """The DR iteration shared by both solvers, on a block of instances.
+
+    Row i of the B x N state arrays is instance datas[i]; all rows share one
+    operator and one cone. resolvent(R, UT, rows) returns the next u_tilde
+    block, per row an exact or approximate solution of (I+M) u_tilde = r
+    started from the current one; rows are the positions in datas of the
+    rows still iterating. Projection, w-update, residual and stopping rules
+    are common. A row that converges, diverges or reaches max_iter is frozen
+    into its own SolveReport and dropped from the block; reports come back
+    in the order of datas.
+    """
+    cone, tol = datas[0].cone, cfg.tol_fixed_point
+    rows = np.arange(len(datas))
+    Q = np.stack([d.q for d in datas])
+    zero = np.zeros(Q.shape[1])
+    UT = np.stack([zero if s is None else s.u_tilde for s in warms])
+    W = np.stack([zero if s is None else s.w for s in warms])
+    histories = [[] for _ in datas] if cfg.record_history else None
+    active_histories = histories
+    reports = [None] * len(datas)
+    # an upper bound on max|W| over the rows; inf forces the full check
+    w_bound = math.inf
+    for k in range(1, cfg.max_iter + 1):
+        UT = resolvent(W - Q, UT, rows)
+        U = project_cone_dual((2.0 * UT - W).T, cone).T
+        dW = U - UT
+        W += dW
+        # per-row residuals as floats: cheaper than array reductions at small B
+        resid = [math.sqrt(r2) for r2 in np.vecdot(dW, dW).tolist()]
+        if histories is not None:
+            for h, r in zip(active_histories, resid):
+                h.append(r)
+        # Each |W| entry grows by at most its row's residual, so while the
+        # bound stays below half the limit no row can diverge; a NaN or inf
+        # residual makes the sum, and so the bound, fail the test.
+        w_bound += sum(resid)
+        if min(resid) > tol and w_bound <= 0.5 * _DIVERGENCE_LIMIT:
+            continue
+        resid = np.array(resid)
+        w_max = np.abs(W).max(axis=1)
+        # the negated comparisons are also true for NaN and inf
+        error = ~np.isfinite(resid) | ~(w_max <= _DIVERGENCE_LIMIT)
+        done = error | (resid <= tol)
+        keep = ~done
+        w_bound = float(w_max.max(initial=0.0, where=keep))
+        if not done.any():
+            continue
+        for j in np.flatnonzero(done):
+            i = rows[j]
+            reports[i] = _freeze(datas[i], UT[j], U[j], W[j],
+                                 "error" if error[j] else "converged", k,
+                                 None if histories is None else histories[i],
+                                 "divergent iterate" if error[j] else "")
+        rows, UT, U, W, Q = rows[keep], UT[keep], U[keep], W[keep], Q[keep]
+        if histories is not None:
+            active_histories = [histories[i] for i in rows]
+        if not rows.size:
+            break
+    for j, i in enumerate(rows):
+        reports[i] = _freeze(datas[i], UT[j], U[j], W[j], "max_iter", cfg.max_iter,
+                             None if histories is None else histories[i])
+    return reports
+
+
+def _by_operator(datas: list, cfg: SolverConfig, warms, gradient: bool) -> list:
+    """Solve each group of instances that share an operator and a cone as
+    one block; reports in input order."""
+    warms = [None] * len(datas) if warms is None else warms
+    if len(warms) != len(datas):
+        raise ValueError("warms must hold one entry per instance")
+    groups = {}
+    for i, data in enumerate(datas):
+        groups.setdefault((data.operator, data.cone), []).append(i)
+    reports = [None] * len(datas)
+    for idx in groups.values():
+        group = [datas[i] for i in idx]
+        steps = [[] for _ in idx] if gradient and cfg.record_history else None
+        if gradient:
+            resolvent = _gradient_steps(group[0], cfg, steps)
+        else:
+            solve = group[0].factorization.solve
+            resolvent = lambda R, UT, rows: solve(R)
+        for j, rep in enumerate(_iterate(group, cfg, [warms[i] for i in idx], resolvent)):
+            if steps is not None:
+                rep.step_sizes = steps[j]
+            reports[idx[j]] = rep
+    return reports
+
+
+def _gradient_steps(data: MonotoneData, cfg: SolverConfig, steps):
+    """cfg.steps_per_iter gradient steps on 0.5||(I+M)v - r||^2 per row, on
+    the operator's channel pair; steps, when given, records each row's step
+    sizes."""
+    K, Kt = data.channel_operator
+    cap = step_size_cap(data, cfg.safeguard_rho)
+    # exact step ||t||^2/||Kt||^2 >= 1/sigma^2 >= rho/sigma_max^2 = cap
+    eta = min(cfg.fixed_eta, cap) if cfg.step_mode == FIXED_STEP else cap
+
+    def gradient_steps(R, UT, rows):
+        for _ in range(cfg.steps_per_iter):
+            T = (UT @ Kt - R) @ K
+            tt = np.vecdot(T, T).tolist()
+            # the sum is NaN when any entry is
+            if min(tt) > 0.0 and sum(tt) >= 0.0:
+                UT = UT - eta * T
+                stepped = rows
+            else:
+                # a row whose gradient vanished (its subproblem is solved
+                # exactly) or is not finite keeps its iterate
+                ok = np.array(tt) > 0.0
+                UT = np.where(ok[:, None], UT - eta * T, UT)
+                stepped = rows[ok]
+            if steps is not None:
+                for i in stepped:
+                    steps[i].append(eta)
+        return UT
+
+    return gradient_steps
+
+
+def dr_solve_batch(datas: list, cfg: SolverConfig = SolverConfig(),
+                   warms: Optional[list] = None) -> list:
+    """dr_solve for many instances, one report each in input order.
+
+    Instances that share an operator and a cone iterate as the rows of one
+    block, so each iteration is one multi-right-hand-side solve; every row
+    stops on its own, with the status and iteration count its dr_solve
+    gives and iterates equal up to rounding.
+    """
+    return _by_operator(datas, cfg, warms, gradient=False)
+
+
+def drgd_solve_batch(datas: list, cfg: SolverConfig = SolverConfig(),
+                     warms: Optional[list] = None) -> list:
+    """drgd_solve for many instances, blocked by shared operator and cone as
+    in dr_solve_batch."""
+    return _by_operator(datas, cfg, warms, gradient=True)
 
 
 def dr_solve(data: MonotoneData, cfg: SolverConfig = SolverConfig(),
              warm: Optional[IterateState] = None) -> SolveReport:
     """Douglas-Rachford splitting with a single reusable factorization of I+M."""
-    F = data.factorization
-    return _iterate(data, cfg, warm, lambda r, ut: F.solve(r))
+    return dr_solve_batch([data], cfg, [warm])[0]
 
 
 def drgd_solve(data: MonotoneData, cfg: SolverConfig = SolverConfig(),
@@ -211,29 +323,9 @@ def drgd_solve(data: MonotoneData, cfg: SolverConfig = SolverConfig(),
     Each outer iteration takes cfg.steps_per_iter gradient steps on the
     least-squares subproblem, the step size coming from exact line search or
     a fixed value and clipped at the safeguard cap, then applies the same
-    projection and w updates as dr_solve. No factorization is performed.
-    The exact line-search step is never below the cap, so that mode steps
-    at the cap.
+    projection and w updates as dr_solve. No factorization is performed; the
+    steps use the operator's channel pair (dense I+M up to
+    model._DENSE_LIMIT). The exact line-search step is never below the cap,
+    so that mode steps at the cap.
     """
-    K = data.I_plus_M
-    cap = step_size_cap(data, cfg.safeguard_rho)
-    steps = [] if cfg.record_history else None
-
-    def gradient_steps(r, ut):
-        for _ in range(cfg.steps_per_iter):
-            t = spmv_t(K, spmv(K, ut) - r)
-            if not float(t @ t) > 0.0:
-                break  # gradient vanished; the subproblem is solved exactly
-            if cfg.step_mode == FIXED_STEP:
-                eta = min(cfg.fixed_eta, cap)
-            else:
-                # exact step ||t||^2/||Kt||^2 >= 1/sigma^2 >= rho/sigma_max^2 = cap
-                eta = cap
-            ut = ut - eta * t
-            if steps is not None:
-                steps.append(eta)
-        return ut
-
-    report = _iterate(data, cfg, warm, gradient_steps)
-    report.step_sizes = steps
-    return report
+    return drgd_solve_batch([data], cfg, [warm])[0]

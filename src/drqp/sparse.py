@@ -208,12 +208,14 @@ class Factorization:
             self._inv = np.linalg.inv(A.to_dense())
 
     def solve(self, b: np.ndarray) -> np.ndarray:
+        """x with A x = b for a vector b, or for each row of a B x n block."""
         b = np.asarray(b, dtype=np.float64)
-        if b.shape != (self.shape[0],):
-            raise DimensionError(f"solve: b has shape {b.shape}, expected ({self.shape[0]},)")
+        n = self.shape[0]
+        if b.ndim not in (1, 2) or b.shape[-1] != n:
+            raise DimensionError(f"solve: b has shape {b.shape}, expected ({n},) or (B, {n})")
         if self._inv is not None:
-            return self._inv @ b
-        return self._lu.solve(b)
+            return b @ self._inv.T
+        return self._lu.solve(b.T).T
 
 
 def factorize(A: SparseMatrix) -> Factorization:

@@ -56,6 +56,12 @@ class TestCompare:
         assert (out / "comparison.csv").exists()
         assert (out / "multistep.csv").exists()
 
+    def test_max_iter_zero_is_runtime_error(self, bundle_dir, tmp_path, capsys):
+        rc = run(["compare", str(bundle_dir), "--max-iter", "0",
+                  "--out", str(tmp_path / "cmp0")])
+        assert rc == 2
+        assert "error: max_iter must be >= 1" in capsys.readouterr().err
+
     def test_markdown_format(self, bundle_dir, tmp_path):
         out = tmp_path / "cmpmd"
         rc = run(["compare", str(bundle_dir), "--format", "markdown",

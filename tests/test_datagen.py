@@ -5,9 +5,11 @@ from drqp.datagen import (DatasetBundle, GenSpec, check_labels, gen_portfolio,
                           gen_qp_perturbed, gen_qp_rhs, generate, label_bundle,
                           read_bundle, replace_labels, split_bundle,
                           write_bundle)
+from drqp import datagen
 from drqp.model import quality, to_conic
 from drqp.report import prepare_data
 from drqp.solvers import SolverConfig, dr_solve
+from drqp.sparse import SparseMatrix
 
 
 def small_spec(family="qp_rhs", count=4, seed=0, **kw):
@@ -52,6 +54,30 @@ class TestQpRhs:
         for x, y in zip(a.instances, b.instances):
             np.testing.assert_array_equal(x.b_eq, y.b_eq)
             np.testing.assert_array_equal(x.P.values, y.P.values)
+
+    def test_matrices_shared_and_checked_once(self, monkeypatch):
+        # P's symmetry check transposes it once per matrix object
+        checks = []
+        transpose = SparseMatrix.transpose
+        monkeypatch.setattr(SparseMatrix, "transpose",
+                            lambda mat: checks.append(mat) or transpose(mat))
+        spec = small_spec(count=5, seed=4)
+        bundle = gen_qp_rhs(spec)
+        assert len(checks) == 1
+        for name in ("P", "A_eq", "G"):
+            assert len({id(getattr(inst, name)) for inst in bundle.instances}) == 1
+        # the data equal one freshly built StandardQP per instance, byte for byte
+        rng = np.random.default_rng(spec.seed)
+        P, c, A, G, h, l, u = datagen._qp_base(spec, rng)
+        for inst in bundle.instances:
+            x0 = rng.uniform(-datagen._RHS_HALFWIDTH, datagen._RHS_HALFWIDTH, spec.n)
+            ref = datagen._build_qp(P, c, A, A @ x0, G, h, l, u)
+            for name in ("P", "A_eq", "G"):
+                for part in ("indptr", "indices", "values"):
+                    assert (getattr(getattr(inst, name), part).tobytes()
+                            == getattr(getattr(ref, name), part).tobytes())
+            for name in ("c", "b_eq", "h", "l", "u"):
+                assert getattr(inst, name).tobytes() == getattr(ref, name).tobytes()
 
     def test_sizes(self):
         bundle = gen_qp_rhs(small_spec(n=10))
@@ -200,6 +226,16 @@ class TestLabeling:
             scale = max(1.0, np.linalg.norm(cqp.b, np.inf))
             assert m.max_viol <= 10 * 1e-9 * scale
             assert m.dual_residual_inf <= 1e-6
+
+    def test_labels_match_one_row_solves(self):
+        # labeling solves instances that share an operator as one block
+        bundle = generate(small_spec(count=5, seed=6))
+        labeled, _ = label_bundle(bundle, tol_label=1e-9)
+        cfg = SolverConfig(tol_fixed_point=1e-9, max_iter=500_000)
+        for data, (x, y) in zip(prepare_data(bundle), labeled.labels):
+            rep = dr_solve(data, cfg)
+            np.testing.assert_allclose(x, rep.x, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(y, rep.y, rtol=0, atol=1e-12)
 
     def test_one_var_label_closed_form(self):
         from conftest import one_var_qp

@@ -5,9 +5,11 @@ from conftest import build_standard, inclusion_of
 from drqp.datagen import GenSpec, generate
 from drqp.model import project_cone_dual
 from drqp.report import prepare_data
+from drqp import model
 from drqp.solvers import (IterateState, SolverConfig, dr_operator_apply,
-                          dr_solve, drgd_solve, exact_linesearch_step,
-                          step_size_cap, warm_start_from_solution, wolfe_check)
+                          dr_solve, dr_solve_batch, drgd_solve, drgd_solve_batch,
+                          exact_linesearch_step, step_size_cap,
+                          warm_start_from_solution, wolfe_check)
 from drqp.sparse import spmv, spmv_t
 
 
@@ -31,6 +33,11 @@ class TestSolverConfig:
     def test_steps_per_iter_positive(self):
         with pytest.raises(ValueError):
             SolverConfig(steps_per_iter=0)
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_positive(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            SolverConfig(max_iter=max_iter)
 
 
 class TestDrSolve:
@@ -302,3 +309,205 @@ class TestWarmStart:
         warm = warm_start_from_solution(data, label.x, label.y)
         rep = dr_solve(data, SolverConfig(), warm=warm)
         assert rep.iterations < cold.iterations
+
+
+# -- batched solves ------------------------------------------------------------
+
+BATCH_SOLVERS = {"dr": (dr_solve, dr_solve_batch), "drgd": (drgd_solve, drgd_solve_batch)}
+
+
+def assert_same_report(batched, single, atol=1e-12):
+    assert batched.status == single.status
+    assert batched.iterations == single.iterations
+    assert batched.message == single.message
+    for name in ("u_tilde", "u", "w"):
+        np.testing.assert_allclose(getattr(batched.state, name),
+                                   getattr(single.state, name), rtol=0, atol=atol)
+    np.testing.assert_allclose(batched.x, single.x, rtol=0, atol=atol)
+    assert (batched.residual_history is None) == (single.residual_history is None)
+    if single.residual_history is not None:
+        np.testing.assert_allclose(batched.residual_history, single.residual_history,
+                                   rtol=0, atol=atol)
+    assert (batched.step_sizes is None) == (single.step_sizes is None)
+    if single.step_sizes is not None:
+        assert len(batched.step_sizes) == len(single.step_sizes)
+        np.testing.assert_allclose(batched.step_sizes, single.step_sizes, rtol=0,
+                                   atol=atol)
+
+
+@pytest.fixture(scope="module")
+def rhs_datas():
+    return prepare_data(generate(GenSpec(family="qp_rhs", count=6, seed=11, n=16)))
+
+
+def short_warms(datas):
+    """Warm states from three DR iterations; every other row starts cold."""
+    return [dr_solve(d, SolverConfig(max_iter=3)).state if i % 2 else None
+            for i, d in enumerate(datas)]
+
+
+def vector_loop(data, cfg, warm=None, gradient=False):
+    """The one-instance DR loop the block driver replaced, as the reference:
+    (status, iterations, u_tilde, u, w, residual history, step sizes)."""
+    K = data.I_plus_M
+    cap = step_size_cap(data, cfg.safeguard_rho)
+    eta = min(cfg.fixed_eta, cap) if cfg.step_mode == "fixed" else cap
+    z = np.zeros(data.size)
+    ut, u, w = (z.copy(), z.copy(), z.copy()) if warm is None else (
+        warm.u_tilde.copy(), warm.u.copy(), warm.w.copy())
+    history, steps = [], []
+    status, iters = "max_iter", cfg.max_iter
+    for k in range(1, cfg.max_iter + 1):
+        r = w - data.q
+        if gradient:
+            for _ in range(cfg.steps_per_iter):
+                t = spmv_t(K, spmv(K, ut) - r)
+                if not float(t @ t) > 0.0:
+                    break
+                ut = ut - eta * t
+                steps.append(eta)
+        else:
+            ut = data.factorization.solve(r)
+        u = project_cone_dual(2.0 * ut - w, data.cone)
+        dw = u - ut
+        w = w + dw
+        resid = float(np.sqrt(dw @ dw))
+        history.append(resid)
+        if not np.isfinite(resid) or not (np.abs(w).max() <= 1e12):
+            status, iters = "error", k
+            break
+        if resid <= cfg.tol_fixed_point:
+            status, iters = "converged", k
+            break
+    return status, iters, ut, u, w, history, steps
+
+
+class TestBatch:
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_one_row_dr_equals_vector_loop(self, rhs_datas, warm):
+        # same arithmetic as the replaced loop, so bit for bit
+        cfg = SolverConfig(record_history=True)
+        warms = short_warms(rhs_datas) if warm else [None] * len(rhs_datas)
+        for data, w in zip(rhs_datas, warms):
+            rep = dr_solve(data, cfg, warm=w)
+            status, iters, ut, u, wv, history, _ = vector_loop(data, cfg, w)
+            assert (rep.status, rep.iterations) == (status, iters)
+            for got, ref in zip((rep.state.u_tilde, rep.state.u, rep.state.w),
+                                (ut, u, wv)):
+                assert got.tobytes() == ref.tobytes()
+            assert rep.residual_history == history
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_one_row_drgd_near_vector_loop(self, rhs_datas, steps):
+        # dense products in place of spmv change only the rounding
+        cfg = SolverConfig(steps_per_iter=steps, record_history=True)
+        for data in rhs_datas:
+            rep = drgd_solve(data, cfg)
+            status, iters, ut, u, w, history, step_sizes = vector_loop(
+                data, cfg, gradient=True)
+            assert (rep.status, rep.iterations) == (status, iters)
+            assert rep.step_sizes == step_sizes
+            np.testing.assert_allclose(rep.state.w, w, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(rep.residual_history, history, rtol=0,
+                                       atol=1e-12)
+
+    @pytest.mark.parametrize("solver", BATCH_SOLVERS)
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("steps", [1, 3])
+    @pytest.mark.parametrize("mode", ["exact", "fixed", "capped"])
+    def test_rows_match_one_row_solves(self, rhs_datas, solver, warm, steps, mode):
+        single, batch = BATCH_SOLVERS[solver]
+        cap = step_size_cap(rhs_datas[0])
+        fixed = {"exact": {}, "fixed": dict(step_mode="fixed", fixed_eta=0.5 * cap),
+                 "capped": dict(step_mode="fixed", fixed_eta=4.0 * cap)}[mode]
+        cfg = SolverConfig(steps_per_iter=steps, record_history=True, **fixed)
+        warms = short_warms(rhs_datas) if warm else [None] * len(rhs_datas)
+        reports = batch(rhs_datas, cfg, warms)
+        assert len(reports) == len(rhs_datas)
+        for data, w, rep in zip(rhs_datas, warms, reports):
+            assert rep.status == "converged"
+            assert_same_report(rep, single(data, cfg, warm=w))
+
+    def test_mixed_families_in_input_order(self, monkeypatch):
+        calls = []
+        factorize = model.factorize
+        monkeypatch.setattr(model, "factorize",
+                            lambda K: calls.append(K) or factorize(K))
+        rhs = prepare_data(generate(GenSpec(family="qp_rhs", count=4, seed=2, n=10)))
+        pf = prepare_data(generate(GenSpec(family="portfolio", count=2, seed=2, k=1)))
+        datas = [rhs[0], pf[0], rhs[1], rhs[2], pf[1], rhs[3]]
+        reports = dr_solve_batch(datas, SolverConfig(record_history=True))
+        assert len(calls) == 3  # one qp_rhs operator, two portfolio operators
+        for data, rep in zip(datas, reports):
+            assert_same_report(rep, dr_solve(data, SolverConfig(record_history=True)))
+
+    @pytest.mark.parametrize("solver", BATCH_SOLVERS)
+    def test_nan_row_fails_alone(self, rhs_datas, solver):
+        single, batch = BATCH_SOLVERS[solver]
+        z = np.zeros(rhs_datas[0].size)
+        w = z.copy()
+        w[3] = np.nan
+        warms = [None] * len(rhs_datas)
+        warms[2] = IterateState(z, z.copy(), w)
+        cfg = SolverConfig(record_history=True)
+        reports = batch(rhs_datas, cfg, warms)
+        assert reports[2].status == "error"
+        assert reports[2].iterations == 1
+        assert reports[2].message == "divergent iterate"
+        # DR-GD takes no step along a non-finite gradient
+        _, _, ut, _, _, _, step_sizes = vector_loop(rhs_datas[2], cfg, warms[2],
+                                                    gradient=solver == "drgd")
+        np.testing.assert_array_equal(reports[2].state.u_tilde, ut)
+        if solver == "drgd":
+            assert reports[2].step_sizes == step_sizes == []
+        for i, (data, rep) in enumerate(zip(rhs_datas, reports)):
+            if i != 2:
+                assert_same_report(rep, single(data, cfg))
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_vanished_gradient_row_takes_no_step(self, rhs_datas, steps):
+        # u_tilde = 0 and w = q make the first subproblem solved exactly
+        z = np.zeros(rhs_datas[0].size)
+        warms = [None] * len(rhs_datas)
+        warms[1] = IterateState(z, z.copy(), rhs_datas[1].q.copy())
+        cfg = SolverConfig(steps_per_iter=steps, record_history=True)
+        reports = drgd_solve_batch(rhs_datas, cfg, warms)
+        one = drgd_solve(rhs_datas[1], cfg, warm=warms[1])
+        assert len(one.step_sizes) == steps * (one.iterations - 1)
+        for data, w, rep in zip(rhs_datas, warms, reports):
+            assert_same_report(rep, drgd_solve(data, cfg, warm=w))
+
+    @pytest.mark.parametrize("solver", BATCH_SOLVERS)
+    def test_rows_reaching_max_iter(self, rhs_datas, solver):
+        single, batch = BATCH_SOLVERS[solver]
+        counts = sorted(single(d, SolverConfig()).iterations for d in rhs_datas)
+        cfg = SolverConfig(max_iter=counts[len(counts) // 2], record_history=True)
+        reports = batch(rhs_datas, cfg)
+        assert {r.status for r in reports} == {"converged", "max_iter"}
+        for data, rep in zip(rhs_datas, reports):
+            one = single(data, cfg)
+            if one.status == "max_iter":
+                assert rep.status == "max_iter"
+                assert rep.iterations == cfg.max_iter
+            assert_same_report(rep, one)
+
+    def test_warms_length_checked(self, rhs_datas):
+        with pytest.raises(ValueError):
+            dr_solve_batch(rhs_datas, SolverConfig(), [None])
+
+
+def test_drgd_sparse_channel_pair_matches_dense(monkeypatch):
+    # above model._DENSE_LIMIT DR-GD steps on the CSR pair instead of dense I+M;
+    # a fixed step below both caps keeps the comparison free of sigma_max
+    spec = GenSpec(family="qp_rhs", count=3, seed=5, n=12)
+    dense = prepare_data(generate(spec))  # one shared operator
+    assert isinstance(dense[0].channel_operator[0], np.ndarray)
+    cfg = SolverConfig(step_mode="fixed", fixed_eta=0.5 * step_size_cap(dense[0]),
+                       steps_per_iter=2, record_history=True)
+    monkeypatch.setattr(model, "_DENSE_LIMIT", 0)
+    sparse = prepare_data(generate(spec))
+    assert not isinstance(sparse[0].channel_operator[0], np.ndarray)
+    for d, s in zip(dense, sparse):
+        assert_same_report(drgd_solve(s, cfg), drgd_solve(d, cfg))
+    for d, s in zip(drgd_solve_batch(dense, cfg), drgd_solve_batch(sparse, cfg)):
+        assert_same_report(s, d)

@@ -172,6 +172,24 @@ class TestFactorize:
         np.testing.assert_allclose(fac.solve(np.array([1.0, 3.0])), [1.0, 1.0])
         np.testing.assert_allclose(fac.solve(np.array([2.0, 9.0])), [2.0, 3.0])
 
+    @pytest.mark.parametrize("dense_limit", [1024, 0], ids=["inverse", "superlu"])
+    def test_block_solve_matches_vectors(self, monkeypatch, dense_limit):
+        from drqp.sparse import Factorization
+        monkeypatch.setattr(Factorization, "_DENSE_LIMIT", dense_limit)
+        rng = np.random.default_rng(12)
+        mat, dense = random_sparse(rng, 30, 30)
+        fac = factorize(SparseMatrix.from_dense(dense + 10 * np.eye(30)))
+        assert (fac._inv is None) == (dense_limit == 0)
+        B = rng.standard_normal((5, 30))
+        X = fac.solve(B)
+        assert X.shape == (5, 30)
+        for b, x in zip(B, X):
+            np.testing.assert_allclose(x, fac.solve(b), rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(fac.solve(B[:1])[0], fac.solve(B[0]))
+        for bad in (np.ones((5, 29)), np.ones(29), np.ones((2, 5, 30))):
+            with pytest.raises(DimensionError):
+                fac.solve(bad)
+
     def test_singular_matrix_raises(self):
         with pytest.raises(SingularMatrixError):
             factorize(SparseMatrix.from_dense(np.array([[1.0, 1.0],
