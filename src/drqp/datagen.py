@@ -239,9 +239,7 @@ def label_bundle(bundle: DatasetBundle, tol_label: float = 1e-9,
 
 
 def replace_labels(bundle: DatasetBundle, labels: list) -> DatasetBundle:
-    return DatasetBundle(family=bundle.family, instances=bundle.instances,
-                         labels=labels, split=bundle.split, seed=bundle.seed,
-                         spec=bundle.spec)
+    return replace(bundle, labels=labels)
 
 
 def split_bundle(bundle: DatasetBundle, sizes: tuple[int, int, int],
@@ -257,9 +255,7 @@ def split_bundle(bundle: DatasetBundle, sizes: tuple[int, int, int],
         "val": np.sort(perm[n_train:n_train + n_val]).tolist(),
         "test": np.sort(perm[n_train + n_val:total]).tolist(),
     }
-    return DatasetBundle(family=bundle.family, instances=bundle.instances,
-                         labels=bundle.labels, split=split, seed=bundle.seed,
-                         spec=bundle.spec)
+    return replace(bundle, split=split)
 
 
 def _instance_name(i: int) -> str:
@@ -313,8 +309,9 @@ def read_bundle(path) -> DatasetBundle:
         raise ValueError("unsupported manifest version")
     instances = []
     labels = []
+    matrices = {}  # equal matrices are read into one object
     for entry in manifest["instances"]:
-        qp, lab = read_instance(path / entry["file"])
+        qp, lab = read_instance(path / entry["file"], matrices)
         instances.append(qp)
         labels.append(lab)
     spec = None

@@ -185,18 +185,22 @@ class Operator:
 
     Everything derived from K is computed on first use and cached, so
     problems that share an Operator share its factorization, channel
-    products and sigma_max.
+    products, sigma_max and equality-block pseudo-inverses.
     """
 
     M: SparseMatrix
     I_plus_M: SparseMatrix
+    n: int  # order of P: u = (x; y) has x = u[:n]
+    # zero-cone size -> pseudo-inverse of the equality block, see equality_pinv
+    _equality_pinvs: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def assemble(cls, P: SparseMatrix, A: SparseMatrix) -> "Operator":
         A = A._csr
         M_sp = sp.bmat([[P._csr, A.T], [-A, None]], format="csr")
         M = SparseMatrix.from_scipy(M_sp)
-        return cls(M, SparseMatrix.from_scipy(sp.identity(M.nrows, format="csr") + M_sp))
+        return cls(M, SparseMatrix.from_scipy(sp.identity(M.nrows, format="csr") + M_sp),
+                   P.nrows)
 
     @property
     def size(self) -> int:
@@ -236,6 +240,21 @@ class Operator:
             return est.sigma_max
         absK = abs(self.I_plus_M._csr)
         return float(math.sqrt(absK.sum(axis=0).max() * absK.sum(axis=1).max()))
+
+    def equality_pinv(self, m_zero: int) -> np.ndarray:
+        """Pseudo-inverse of the equality block A_eq' of M (rows :n, columns
+        n:n+m_zero), the least-squares operator of the zero-cone dual
+        completion; computed on first use for each zero-cone size.
+
+        Singular values up to eps * max(shape) times the largest count as
+        zero, the cutoff of np.linalg.lstsq with rcond=None.
+        """
+        pinv = self._equality_pinvs.get(m_zero)
+        if pinv is None:
+            At = self.M._csr[:self.n, self.n:self.n + m_zero].toarray()
+            pinv = np.linalg.pinv(At, rtol=np.finfo(np.float64).eps * max(At.shape))
+            self._equality_pinvs[m_zero] = pinv
+        return pinv
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,15 +315,17 @@ def assemble_inclusion(cqp: ConicQP, operators: Optional[dict] = None) -> Monoto
                         cone=cqp.cone, n=cqp.n, m=cqp.m, cqp=cqp)
 
 
-def project_cone_dual(v: np.ndarray, spec: ConeSpec) -> np.ndarray:
+def project_cone_dual(v: np.ndarray, spec: ConeSpec, in_place: bool = False) -> np.ndarray:
     """Project u = (x; y) onto R^n x dual-cone: identity on free coordinates,
     max(0, .) on coordinates dual to the nonnegative block.
 
-    v is a vector or an (n+m) x d channel array, projected row-wise.
+    v is a vector or an (n+m) x d channel array, projected row-wise. With
+    in_place, v itself, a float64 array, is projected and returned; a
+    transposed view projects each row of a B x (n+m) block.
     """
-    out = np.array(v, dtype=np.float64)
-    k = out.shape[0] - spec.m_nonneg
-    np.maximum(out[k:], 0.0, out=out[k:])
+    out = v if in_place else np.array(v, dtype=np.float64)
+    dual = out[out.shape[0] - spec.m_nonneg:]
+    np.maximum(dual, 0.0, out=dual)
     return out
 
 
@@ -377,9 +398,15 @@ def _matrix_to_doc(A: SparseMatrix) -> dict:
     }
 
 
-def _matrix_from_doc(doc: dict) -> SparseMatrix:
-    return SparseMatrix(doc["nrows"], doc["ncols"], np.asarray(doc["offsets"]),
-                        np.asarray(doc["indices"]), np.asarray(doc["values"]))
+def _matrix_from_doc(doc: dict, matrices: dict) -> SparseMatrix:
+    parts = (np.asarray(doc["offsets"], dtype=np.int64),
+             np.asarray(doc["indices"], dtype=np.int64),
+             np.asarray(doc["values"], dtype=np.float64))
+    # equal exactly when shape and bytes are equal
+    key = (doc["nrows"], doc["ncols"]) + tuple(a.tobytes() for a in parts)
+    if key not in matrices:
+        matrices[key] = SparseMatrix(doc["nrows"], doc["ncols"], *parts)
+    return matrices[key]
 
 
 def _bounds_to_doc(v: np.ndarray) -> list:
@@ -414,15 +441,23 @@ def instance_to_doc(qp: StandardQP,
     return doc
 
 
-def instance_from_doc(doc: dict):
+def instance_from_doc(doc: dict, matrices: Optional[dict] = None):
+    """(StandardQP, labels or None) of an instance document.
+
+    matrices, when given, holds the matrices already read by the caller; a
+    matrix equal to one of them, by shape and bytes, is that object, so
+    instances read into one dict share it (and P's checks run once), and a
+    new one is added to it.
+    """
     if doc.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported instance format version: {doc.get('format_version')!r}")
+    matrices = {} if matrices is None else matrices
     qp = StandardQP(
-        P=_matrix_from_doc(doc["P"]),
+        P=_matrix_from_doc(doc["P"], matrices),
         c=np.asarray(doc["c"], dtype=np.float64),
-        A_eq=_matrix_from_doc(doc["A_eq"]),
+        A_eq=_matrix_from_doc(doc["A_eq"], matrices),
         b_eq=np.asarray(doc["b_eq"], dtype=np.float64),
-        G=_matrix_from_doc(doc["G"]),
+        G=_matrix_from_doc(doc["G"], matrices),
         h=np.asarray(doc["h"], dtype=np.float64),
         l=_bounds_from_doc(doc["l"]),
         u=_bounds_from_doc(doc["u"]),
@@ -435,16 +470,18 @@ def instance_from_doc(doc: dict):
 
 
 def write_instance(path, qp: StandardQP, labels=None) -> None:
+    # dumps takes json's C encoder, dump its pure-Python one; same text
+    text = json.dumps(instance_to_doc(qp, labels), sort_keys=True)
     with open(path, "w") as fh:
-        json.dump(instance_to_doc(qp, labels), fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
-def read_instance(path):
+def read_instance(path, matrices: Optional[dict] = None):
+    """instance_from_doc of the file at path; matrices as there."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: malformed instance file at line {exc.lineno}, "
                              f"column {exc.colno}: {exc.msg}") from exc
-    return instance_from_doc(doc)
+    return instance_from_doc(doc, matrices)

@@ -167,12 +167,11 @@ def emulation_params(data: MonotoneData, eta: float, L: int) -> NetParams:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, neither of which
+    overflows, without masks: e = e^-|z| is the exponential of both branches.
+    NaN stays NaN."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass
@@ -218,7 +217,7 @@ def forward(data: MonotoneData, params: NetParams):
         p_pre = 2.0 * (ut_out @ lp.V_ut) - w @ lp.V_w
         u_out = project_cone_dual(p_pre, data.cone)
         w_out = w @ lp.W_w + (u_out @ lp.W_u - ut_out @ lp.W_ut)
-        if not np.all(np.isfinite(w_out)) or not np.all(np.isfinite(ut_out)):
+        if not np.isfinite(w_out).all() or not np.isfinite(ut_out).all():
             raise NonFiniteActivationError(li)
         caches.append(LayerCache(w_in=w, wprime=wprime, gate=gate, inner=inner,
                                  p_pre=p_pre, u_out=u_out, ut_out=ut_out))
@@ -245,6 +244,13 @@ def backward(data: MonotoneData, params: NetParams, cache: ForwardCache,
     adjoint is the active-set 0/1 mask on the nonnegative-dual rows, with
     subgradient 0 at exactly 0.
     """
+    return NamedViews(_gradient(data, params, cache, label), params.L, params.d)
+
+
+def _gradient(data: MonotoneData, params: NetParams, cache: ForwardCache,
+              label: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """backward() as one flat vector laid out like params.vector, the form
+    training sums; written through slices, with no named views built."""
     xs, ys = label
     target = np.concatenate([np.asarray(xs, dtype=np.float64),
                              np.asarray(ys, dtype=np.float64)])
@@ -252,10 +258,14 @@ def backward(data: MonotoneData, params: NetParams, cache: ForwardCache,
         raise ValueError("label dimension mismatch")
     K, Kt = data.channel_operator
     free = data.n + data.cone.m_zero
-    grads = NamedViews(np.zeros_like(params.vector), params.L, params.d)
+    grad = np.zeros_like(params.vector)
+    at = {name: s for name, s, _ in layout(params.L, params.d)}
+
+    def add(name, g):
+        grad[at[name]] += g.ravel()
 
     r = cache.out - target
-    grads["p_out"] += cache.layers[-1].u_out.T @ r
+    add("p_out", cache.layers[-1].u_out.T @ r)
     u_bar = np.outer(r, params.p_out)        # d(loss)/d(u_out of last layer)
     ut_bar = np.zeros_like(u_bar)
     w_bar = np.zeros_like(u_bar)
@@ -265,9 +275,9 @@ def backward(data: MonotoneData, params: NetParams, cache: ForwardCache,
         lc = cache.layers[li]
         pre = f"layers.{li}."
         # w_out = w_in W_w + u_out W_u - ut_out W_ut
-        grads[pre + "W_w"] += lc.w_in.T @ w_bar
-        grads[pre + "W_u"] += lc.u_out.T @ w_bar
-        grads[pre + "W_ut"] += -lc.ut_out.T @ w_bar
+        add(pre + "W_w", lc.w_in.T @ w_bar)
+        add(pre + "W_u", lc.u_out.T @ w_bar)
+        add(pre + "W_ut", -lc.ut_out.T @ w_bar)
         w_in_bar = w_bar @ lp.W_w.T
         u_bar = u_bar + w_bar @ lp.W_u.T
         ut_out_bar = ut_bar - w_bar @ lp.W_ut.T
@@ -275,8 +285,8 @@ def backward(data: MonotoneData, params: NetParams, cache: ForwardCache,
         p_bar = u_bar.copy()
         p_bar[free:] *= lc.p_pre[free:] > 0
         # p_pre = 2 ut_out V_ut - w_in V_w
-        grads[pre + "V_ut"] += 2.0 * lc.ut_out.T @ p_bar
-        grads[pre + "V_w"] += -lc.w_in.T @ p_bar
+        add(pre + "V_ut", 2.0 * lc.ut_out.T @ p_bar)
+        add(pre + "V_w", -lc.w_in.T @ p_bar)
         ut_out_bar = ut_out_bar + 2.0 * p_bar @ lp.V_ut.T
         w_in_bar = w_in_bar - p_bar @ lp.V_w.T
         # inner gradient steps, reversed
@@ -294,21 +304,21 @@ def backward(data: MonotoneData, params: NetParams, cache: ForwardCache,
             vt_bar += Kt @ Kg
             wprime_bar -= Kg
             # vt = ut_cur U_ut
-            grads[pre + "U_ut"] += ut_cur.T @ vt_bar
+            add(pre + "U_ut", ut_cur.T @ vt_bar)
             cur = vt_bar @ lp.U_ut.T
         # gate = sigmoid(z_gate); z_gate = w_in U_eta + b_eta
         z_bar = gate_bar * lc.gate * (1.0 - lc.gate)
-        grads[pre + "U_eta"] += lc.w_in.T @ z_bar
-        grads[pre + "b_eta"] += z_bar.sum(axis=0)
+        add(pre + "U_eta", lc.w_in.T @ z_bar)
+        add(pre + "b_eta", z_bar.sum(axis=0))
         w_in_bar = w_in_bar + z_bar @ lp.U_eta.T
         # wprime = w_in U_w - Q
-        grads[pre + "U_w"] += lc.w_in.T @ wprime_bar
+        add(pre + "U_w", lc.w_in.T @ wprime_bar)
         w_in_bar = w_in_bar + wprime_bar @ lp.U_w.T
         # hand states to the previous layer
         ut_bar = cur
         w_bar = w_in_bar
         u_bar = np.zeros_like(u_bar)
-    return grads
+    return grad
 
 
 # -- Adam -------------------------------------------------------------------
@@ -441,7 +451,7 @@ def train(datas: list, labels: list, train_idx, val_idx, cfg: TrainConfig,
             for i in batch:
                 xh, yh, cache = forward(datas[i], params)
                 preds.append((xh, yh))
-                grads += backward(datas[i], params, cache, labels[i]).vector
+                grads += _gradient(datas[i], params, cache, labels[i])
             grads /= batch.size
             epoch_losses.append(loss(preds, [labels[i] for i in batch]))
             step += 1

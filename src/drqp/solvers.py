@@ -195,7 +195,11 @@ def _iterate(datas: list, cfg: SolverConfig, warms: list, resolvent) -> list:
     w_bound = math.inf
     for k in range(1, cfg.max_iter + 1):
         UT = resolvent(W - Q, UT, rows)
-        U = project_cone_dual((2.0 * UT - W).T, cone).T
+        # the reflection 2 UT - W, formed in a fresh array (UT + UT is 2 UT
+        # exactly, without a scalar operand) and projected in place
+        U = UT + UT
+        U -= W
+        project_cone_dual(U.T, cone, in_place=True)
         dW = U - UT
         W += dW
         # per-row residuals as floats: cheaper than array reductions at small B
@@ -275,16 +279,17 @@ def _gradient_steps(data: MonotoneData, cfg: SolverConfig, steps):
         for _ in range(cfg.steps_per_iter):
             T = (UT @ Kt - R) @ K
             tt = np.vecdot(T, T).tolist()
+            T *= eta
             # the sum is NaN when any entry is; the unmasked step saves about
             # 14 % of a DR-GD iteration over the masked one
             if min(tt) > 0.0 and sum(tt) >= 0.0:
-                UT = UT - eta * T
+                UT = UT - T
                 stepped = rows
             else:
                 # a row whose gradient vanished (its subproblem is solved
                 # exactly) or is not finite keeps its iterate
                 ok = np.array(tt) > 0.0
-                UT = np.where(ok[:, None], UT - eta * T, UT)
+                UT = np.where(ok[:, None], UT - T, UT)
                 stepped = rows[ok]
             if steps is not None:
                 for i in stepped:

@@ -1,3 +1,6 @@
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,7 @@ from drqp.datagen import (DatasetBundle, GenSpec, check_labels, gen_portfolio,
                           read_bundle, replace_labels, split_bundle,
                           write_bundle)
 from drqp import datagen
-from drqp.model import quality, to_conic
+from drqp.model import instance_to_doc, quality, to_conic
 from drqp.report import prepare_data
 from drqp.solvers import SolverConfig, dr_solve
 from drqp.sparse import SparseMatrix
@@ -321,3 +324,28 @@ class TestBundleFiles:
         write_bundle(read_bundle(tmp_path / "a"), tmp_path / "b")
         for f in sorted((tmp_path / "a").iterdir()):
             assert (tmp_path / "b" / f.name).read_bytes() == f.read_bytes()
+
+    def test_files_match_streaming_encoder(self, tmp_path):
+        # the one-shot dumps gives the bytes json.dump streamed before
+        bundle = split_bundle(label_bundle(gen_portfolio(small_spec(
+            family="portfolio", count=3, n=None, k=2)))[0], (1, 1, 1), seed=0)
+        write_bundle(bundle, tmp_path / "b")
+        for i, qp in enumerate(bundle.instances):
+            buf = io.StringIO()
+            json.dump(instance_to_doc(qp, bundle.labels[i]), buf, sort_keys=True)
+            buf.write("\n")
+            assert (tmp_path / "b" / f"instance_{i:04d}.json").read_bytes() \
+                == buf.getvalue().encode()
+
+    @pytest.mark.parametrize("family, distinct", [("qp_rhs", 1), ("qp_perturbed", 4)])
+    def test_read_shares_matrices(self, tmp_path, monkeypatch, family, distinct):
+        write_bundle(generate(small_spec(family=family)), tmp_path / "b")
+        # P's symmetry check transposes it once per matrix object
+        checks = []
+        transpose = SparseMatrix.transpose
+        monkeypatch.setattr(SparseMatrix, "transpose",
+                            lambda mat: checks.append(mat) or transpose(mat))
+        back = read_bundle(tmp_path / "b")
+        assert len(checks) == distinct
+        for name in ("P", "A_eq", "G"):
+            assert len({id(getattr(qp, name)) for qp in back.instances}) == distinct

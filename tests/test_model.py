@@ -9,7 +9,7 @@ from drqp.datagen import GenSpec, generate, label_bundle
 from drqp.model import (ConeSpec, ConicQP, StandardQP, assemble_inclusion,
                         l2_distance, project_cone_dual, quality, read_instance,
                         to_conic, write_instance)
-from drqp.report import prepare_data
+from drqp.report import complete_zero_cone_dual, prepare_data
 from drqp.sparse import SparseMatrix, SpectralEstimate
 
 
@@ -207,6 +207,32 @@ class TestOperator:
             assert len(factorizations) == distinct
             factorizations.clear()
         assert estimates == []
+
+    def test_equality_pinv_once_per_zero_cone_size(self, monkeypatch):
+        pinvs = _count_calls(monkeypatch, np.linalg, "pinv")
+        datas = prepare_data(generate(GenSpec(family="qp_rhs", count=4, seed=2, n=10)))
+        rng = np.random.default_rng(0)
+        for data in datas + datas:
+            complete_zero_cone_dual(data, rng.standard_normal(data.size))
+        assert len(pinvs) == 1
+        # the same (P, A) with another zero-cone split shares the operator
+        # but gets its own pseudo-inverse
+        cqp, n = datas[0].cqp, datas[0].n
+        m0 = cqp.cone.m_zero
+        split = ConicQP(P=cqp.P, c=cqp.c, A=cqp.A, b=cqp.b,
+                        cone=ConeSpec(m_zero=m0 - 1, m_nonneg=cqp.cone.m_nonneg + 1))
+        operators = {}
+        a, b = assemble_inclusion(cqp, operators), assemble_inclusion(split, operators)
+        assert a.operator is b.operator
+        for data in (a, b, a, b):
+            complete_zero_cone_dual(data, rng.standard_normal(data.size))
+        assert len(pinvs) == 3
+        At = a.M.to_dense()[:n, n:n + m0]
+        np.testing.assert_allclose(a.operator.equality_pinv(m0), np.linalg.pinv(At),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b.operator.equality_pinv(m0 - 1),
+                                   np.linalg.pinv(At[:, :m0 - 1]), rtol=0, atol=1e-12)
+        assert len(pinvs) == 5  # the two references above
 
     def test_sigma_max_not_below_svd(self, desk_datas, tiny_data):
         portfolio = prepare_data(generate(GenSpec(family="portfolio", count=2,

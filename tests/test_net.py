@@ -25,6 +25,36 @@ def drgd_trace(data, eta, iters, steps_per_iter=1):
     return drgd_solve(data, cfg, warm=emulation_start(data))
 
 
+def masked_sigmoid(z):
+    """The boolean-mask form net._sigmoid replaced, as the reference."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestSigmoid:
+    def test_bit_identical_to_masked_form(self):
+        tiny = np.finfo(np.float64).tiny
+        edges = [0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 745.2, -745.2,
+                 709.8, -709.8, 36.8, -36.8, 5e-324, -5e-324, tiny, -tiny,
+                 1e308, -1e308]
+        rng = np.random.default_rng(0)
+        z = np.concatenate([edges, np.linspace(-800.0, 800.0, 200_001),
+                            rng.standard_normal(200_000)
+                            * np.exp(rng.uniform(-50.0, 7.0, 200_000))])
+        with np.errstate(over="ignore"):
+            assert net._sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
+            Z = z[:200_000].reshape(-1, 8)  # gates are (n+m) x d
+            assert net._sigmoid(Z).tobytes() == masked_sigmoid(Z).tobytes()
+
+    def test_nan_stays_nan(self):
+        out = net._sigmoid(np.array([np.nan, -np.nan, 0.0]))
+        assert np.isnan(out[:2]).all() and out[2] == 0.5
+
+
 class TestInitParams:
     def test_zero_noise_is_identity(self):
         params = net.init_params(2, 4, seed=0, noise_std=0.0)

@@ -1,13 +1,16 @@
 import csv
 import io
+import time
 import warnings
 
 import numpy as np
 import pytest
 
-from drqp import net
+from conftest import build_standard, inclusion_of
+from drqp import net, report
 from drqp.datagen import GenSpec, generate, label_bundle
 from drqp.report import (WarmStartReport, WarmStartRow, comparison_table,
+                         complete_zero_cone_dual,
                          emit_report, multistep_table, prepare_data,
                          residual_history_csv, run_compare, run_eval,
                          warmstart_summary, warmstart_table)
@@ -83,6 +86,75 @@ class TestRunEval:
                        record_history=True)
         cold, warm = rep.residual_histories[0]
         assert len(cold) > 0 and len(warm) > 0
+
+
+    @pytest.mark.parametrize("step", ["forward", "project_cone_dual",
+                                      "complete_zero_cone_dual",
+                                      "warm_start_from_solution"])
+    def test_inference_time_covers_warm_path(self, labeled_bundle, monkeypatch, step):
+        # every step before the warm solve is charged to inference_time
+        delay = 0.02
+        fn = getattr(report, step)
+
+        def slowed(*args):
+            time.sleep(delay)
+            return fn(*args)
+        monkeypatch.setattr(report, step, slowed)
+        datas = prepare_data(labeled_bundle, [0, 1])
+        rep = run_eval(datas, None, net.init_params(1, 2, seed=0), SolverConfig())
+        assert all(r.inference_time >= delay for r in rep.rows)
+
+
+def lstsq_completion(data, u):
+    """The completion by np.linalg.lstsq on the dense equality block."""
+    n, m0 = data.n, data.cone.m_zero
+    M = data.M.to_dense()
+    delta = np.linalg.lstsq(M[:n, n:n + m0], -(M[:n] @ u + data.q[:n]), rcond=None)[0]
+    out = u.copy()
+    out[n:n + m0] += delta
+    return out
+
+
+def rank_deficient_data():
+    """Three equality rows of rank two: the first two are equal."""
+    rng = np.random.default_rng(5)
+    A = np.array([[1.0, 2.0, 0.0, 1.0], [1.0, 2.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0]])
+    x0 = rng.uniform(-0.5, 0.5, 4)
+    G = rng.standard_normal((2, 4))
+    return inclusion_of(build_standard(P=np.diag(rng.uniform(0.5, 2.0, 4)),
+                                       c=rng.standard_normal(4), A=A, b=A @ x0,
+                                       G=G, h=G @ x0 + 1.0, l=np.full(4, -np.inf),
+                                       u=np.full(4, np.inf)))
+
+
+class TestCompletion:
+    @pytest.mark.parametrize("spec", [
+        GenSpec(family="qp_rhs", count=3, seed=2, n=12),
+        GenSpec(family="qp_perturbed", count=3, seed=2, n=12),
+        GenSpec(family="portfolio", count=3, seed=2, k=2),
+    ], ids=lambda spec: spec.family)
+    def test_matches_lstsq(self, spec):
+        rng = np.random.default_rng(0)
+        for data in prepare_data(generate(spec)):
+            u = rng.standard_normal(data.size)
+            out = complete_zero_cone_dual(data, u)
+            np.testing.assert_allclose(out, lstsq_completion(data, u), rtol=0, atol=1e-12)
+            # only the equality multipliers move
+            keep = np.r_[:data.n, data.n + data.cone.m_zero:data.size]
+            assert out[keep].tobytes() == u[keep].tobytes()
+
+    def test_rank_deficient_equalities(self):
+        data = rank_deficient_data()
+        assert np.linalg.matrix_rank(data.M.to_dense()[:4, 4:7]) == 2
+        rng = np.random.default_rng(1)
+        for _ in range(5):
+            u = rng.standard_normal(data.size)
+            np.testing.assert_allclose(complete_zero_cone_dual(data, u),
+                                       lstsq_completion(data, u), rtol=0, atol=1e-12)
+
+    def test_no_equalities_is_identity(self, one_var_data):
+        u = np.array([0.5, 2.0])
+        assert complete_zero_cone_dual(one_var_data, u) is u
 
 
 class TestTables:

@@ -491,6 +491,42 @@ class TestBatch:
                 assert rep.iterations == cfg.max_iter
             assert_same_report(rep, one)
 
+    @pytest.mark.parametrize("solver", BATCH_SOLVERS)
+    def test_row_frozen_early_keeps_state(self, rhs_datas, solver):
+        # row 1 starts at its solution and stops first; the iterations the
+        # other rows take after it must leave its report as it was frozen
+        single, batch = BATCH_SOLVERS[solver]
+        cfg = SolverConfig(record_history=True)
+        warms = [None] * len(rhs_datas)
+        warms[1] = single(rhs_datas[1], cfg).state
+        reports = batch(rhs_datas, cfg, warms)
+        others = [r.iterations for i, r in enumerate(reports) if i != 1]
+        assert reports[1].iterations < min(others)
+        for data, w, rep in zip(rhs_datas, warms, reports):
+            assert_same_report(rep, single(data, cfg, warm=w))
+        arrays = [a for r in reports for a in (r.state.u_tilde, r.state.u, r.state.w)]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays)
+                       for b in arrays[i + 1:])
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_superlu_resolvent_matches_inverse(self, monkeypatch, warm):
+        # above Factorization._DENSE_LIMIT the DR loop solves through SuperLU;
+        # one-row and batched solves there must match the dense-inverse run
+        from drqp.sparse import Factorization
+        bundle = generate(GenSpec(family="qp_rhs", count=4, seed=11, n=16))
+        dense = prepare_data(bundle)
+        assert dense[0].factorization._inv is not None  # factorized here, lazily
+        monkeypatch.setattr(Factorization, "_DENSE_LIMIT", 0)
+        lu = prepare_data(bundle)
+        assert lu[0].factorization._inv is None
+        cfg = SolverConfig(record_history=True)
+        warms = short_warms(dense) if warm else [None] * len(dense)
+        batched = dr_solve_batch(lu, cfg, warms)
+        for d, l, w, rep in zip(dense, lu, warms, batched):
+            ref = dr_solve(d, cfg, warm=w)
+            assert_same_report(dr_solve(l, cfg, warm=w), ref)
+            assert_same_report(rep, ref)
+
     def test_warms_length_checked(self, rhs_datas):
         with pytest.raises(ValueError):
             dr_solve_batch(rhs_datas, SolverConfig(), [None])
