@@ -196,11 +196,16 @@ class Operator:
 
     @classmethod
     def assemble(cls, P: SparseMatrix, A: SparseMatrix) -> "Operator":
-        A = A._csr
-        M_sp = sp.bmat([[P._csr, A.T], [-A, None]], format="csr")
-        M = SparseMatrix.from_scipy(M_sp)
-        return cls(M, SparseMatrix.from_scipy(sp.identity(M.nrows, format="csr") + M_sp),
-                   P.nrows)
+        n, N = P.nrows, P.nrows + A.nrows
+        # triplets of P, A' and -A; I+M adds the identity's, drops zeros as a sparse sum does
+        rows_A = np.repeat(np.arange(n, N), np.diff(A.indptr))
+        rows = np.concatenate([np.repeat(np.arange(n), np.diff(P.indptr)), A.indices, rows_A])
+        cols = np.concatenate([P.indices, rows_A, A.indices])
+        vals = np.concatenate([P.values, A.values, -A.values])
+        eye = np.arange(N)
+        K = SparseMatrix.from_triplets(N, N, np.r_[rows, eye], np.r_[cols, eye],
+                                       np.r_[vals, np.ones(N)], drop_zeros=True)
+        return cls(SparseMatrix.from_triplets(N, N, rows, cols, vals), K, n)
 
     @property
     def size(self) -> int:

@@ -8,6 +8,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 
 _PSD_PROBES = 20
@@ -86,6 +87,20 @@ class SparseMatrix:
         if arr.ndim != 2:
             raise DimensionError("dense input must be 2-D")
         return cls.from_scipy(sp.csr_matrix(arr))
+
+    @classmethod
+    def from_triplets(cls, nrows: int, ncols: int, rows, cols, vals,
+                      drop_zeros: bool = False) -> "SparseMatrix":
+        """CSR from int64 row and column arrays and a float64 value array, duplicates
+        summed; drop_zeros leaves out entries that are or sum to zero, as scipy does."""
+        key = rows * ncols + cols
+        order = np.argsort(key, kind="stable")  # runs of sorted keys merge fast
+        first = np.flatnonzero(np.diff(key[order], prepend=-1))
+        key, vals = key[order][first], np.add.reduceat(vals[order], first)
+        if drop_zeros:
+            key, vals = key[vals != 0], vals[vals != 0]
+        indptr = np.bincount(key // ncols + 1, minlength=nrows + 1).cumsum()
+        return cls(nrows, ncols, indptr, key % ncols, vals)
 
     @classmethod
     def identity(cls, n: int) -> "SparseMatrix":
@@ -181,31 +196,45 @@ def spmm_t(A: SparseMatrix, X: np.ndarray) -> np.ndarray:
 
 
 class Factorization:
-    """Reusable sparse LU factorization of a square nonsingular matrix.
+    """Reusable LU factorization of a square nonsingular matrix: a dense LAPACK
+    LU and the explicit inverse built from it, so solve() is one BLAS product,
+    up to _DENSE_LIMIT and above a pivot ratio of 1e-10; SuperLU otherwise.
 
     solve() is re-entrant for distinct right-hand sides and satisfies
     ||Ax - b|| / max(1, ||b||) <= 1e-10 for well-conditioned A.
     """
 
-    # below this order, a dense explicit inverse makes solve() a single BLAS
-    # matvec, which beats the SuperLU call overhead on desk-scale systems
+    # below this order, the inverse beats the SuperLU call overhead on
+    # desk-scale systems
     _DENSE_LIMIT = 1024
 
     def __init__(self, A: SparseMatrix):
         if A.nrows != A.ncols:
             raise DimensionError("factorize: matrix must be square")
+        if not np.all(np.isfinite(A.values)):
+            raise SingularMatrixError("matrix has non-finite entries")
+        self.shape, self._inv, self._lu = A.shape, None, None
+        if 0 < A.nrows <= self._DENSE_LIMIT:
+            lu, piv, _ = lapack.dgetrf(A._csr.toarray(order="F"), overwrite_a=True)
+            if _inverse_safe(np.diagonal(lu)):
+                # getrs against I, C-ordered: how np.linalg.inv builds its inverse
+                inv = lapack.dgetrs(lu, piv, np.eye(A.nrows, order="F"), overwrite_b=True)[0]
+                self._inv = np.ascontiguousarray(inv)
+                return
+        self._A = A
         try:
             self._lu = spla.splu(A._csr.tocsc())
         except RuntimeError as exc:  # SuperLU signals exact singularity this way
             raise SingularMatrixError(str(exc)) from exc
-        du = np.abs(self._lu.U.diagonal())
-        if du.size and (not np.all(np.isfinite(du)) or du.min() <= du.max() * 1e-14):
-            raise SingularMatrixError("numerically singular matrix")
-        self.shape = A.shape
-        self._inv = None
-        if A.nrows <= self._DENSE_LIMIT and du.size \
-                and du.min() > du.max() * 1e-10:
-            self._inv = np.linalg.inv(A.to_dense())
+        _inverse_safe(self._lu.U.diagonal())
+
+    @property
+    def kind(self) -> str:
+        """How solve() works: "dense-inverse" or "superlu"."""
+        return "dense-inverse" if self._inv is not None else "superlu"
+
+    def __reduce__(self):  # SuperLU does not pickle: such a copy factorizes A again
+        return (Factorization, (self._A,)) if self._lu is not None else super().__reduce__()
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x with A x = b for a vector b, or for each row of a B x n block."""
@@ -216,6 +245,14 @@ class Factorization:
         if self._inv is not None:
             return b @ self._inv.T
         return self._lu.solve(b.T).T
+
+
+def _inverse_safe(u_diag: np.ndarray) -> bool:
+    """True when an LU's pivot ratio allows an inverse (> 1e-10); raises at <= 1e-14."""
+    du = np.abs(u_diag)
+    if du.size and du.min() <= du.max() * 1e-14:
+        raise SingularMatrixError("numerically singular matrix")
+    return bool(du.size) and du.min() > du.max() * 1e-10
 
 
 def factorize(A: SparseMatrix) -> Factorization:

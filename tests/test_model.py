@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import build_standard, inclusion_of, one_var_qp
 from drqp import model
 from drqp.datagen import GenSpec, generate, label_bundle
-from drqp.model import (ConeSpec, ConicQP, StandardQP, assemble_inclusion,
+from drqp.model import (ConeSpec, ConicQP, Operator, StandardQP, assemble_inclusion,
                         l2_distance, project_cone_dual, quality, read_instance,
                         to_conic, write_instance)
 from drqp.report import complete_zero_cone_dual, prepare_data
@@ -170,6 +171,53 @@ class TestAssembleInclusion:
         truth = np.linalg.svd(data.I_plus_M.to_dense(), compute_uv=False)[0]
         assert data.sigma_max == pytest.approx(truth, abs=1e-6)
         assert data.sigma_max >= 1.0  # sym(I+M) >= I
+
+
+class TestOperatorAssembly:
+    @staticmethod
+    def assemble_matches_bmat(P, A):
+        """Operator.assemble(P, A), checked byte for byte against M and I+M
+        built by scipy's block and sum kernels."""
+        op = Operator.assemble(P, A)
+        M = sp.bmat([[P._csr, A._csr.T], [-A._csr, None]], format="csr")
+        refs = (SparseMatrix.from_scipy(M),
+                SparseMatrix.from_scipy(sp.identity(M.shape[0], format="csr") + M))
+        assert op.n == P.nrows
+        for got, ref in zip((op.M, op.I_plus_M), refs):
+            assert got.shape == ref.shape
+            for name in ("indptr", "indices", "values"):
+                a, b = getattr(got, name), getattr(ref, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        return op
+
+    @pytest.mark.parametrize("family, kw", [
+        ("qp_rhs", dict(n=12)), ("qp_perturbed", dict(n=12)), ("portfolio", dict(k=3)),
+    ])
+    def test_families(self, family, kw):
+        bundle = generate(GenSpec(family=family, count=3, seed=5, **kw))
+        if family == "portfolio":
+            assert all(qp.G.nrows == 0 for qp in bundle.instances)
+        for qp in bundle.instances:
+            cqp = to_conic(qp)[0]
+            self.assemble_matches_bmat(cqp.P, cqp.A)
+
+    def test_no_constraint_rows(self):
+        l, u = _unbounded(3)
+        qp = build_standard(P=[[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 0.0]],
+                            c=[1.0, -1.0, 0.0], A=np.zeros((0, 3)), b=[],
+                            G=np.zeros((0, 3)), h=[], l=l, u=u)
+        cqp = to_conic(qp)[0]
+        assert cqp.m == 0
+        self.assemble_matches_bmat(cqp.P, cqp.A)
+
+    def test_stored_zeros(self):
+        # stored zeros (-0.0 once A is negated) and a P diagonal of -1 that
+        # I+M cancels: the entries a sparse sum leaves out of I+M
+        P = SparseMatrix(3, 3, [0, 2, 3, 5], [0, 2, 1, 0, 2], [0.0, 1.0, -1.0, 1.0, 4.0])
+        A = SparseMatrix(2, 3, [0, 2, 3], [0, 1, 2], [0.0, 2.0, -3.0])
+        op = self.assemble_matches_bmat(P, A)
+        assert op.M.nnz == 11 and op.I_plus_M.nnz == 10
+        assert (op.M.values == 0).sum() == 3 and (op.I_plus_M.values != 0).all()
 
 
 def _count_calls(monkeypatch, module, name):

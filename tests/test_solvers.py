@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,7 @@ from drqp.solvers import (IterateState, SolverConfig, dr_operator_apply,
                           dr_solve, dr_solve_batch, drgd_solve, drgd_solve_batch,
                           exact_linesearch_step, step_size_cap,
                           warm_start_from_solution, wolfe_check)
-from drqp.sparse import spmv, spmv_t
+from drqp.sparse import Factorization, spmv, spmv_t
 
 
 def fixed_cfg(data, frac=0.5, **kw):
@@ -530,6 +533,23 @@ class TestBatch:
     def test_warms_length_checked(self, rhs_datas):
         with pytest.raises(ValueError):
             dr_solve_batch(rhs_datas, SolverConfig(), [None])
+
+
+@pytest.mark.parametrize("dense_limit", [1024, 0], ids=["inverse", "superlu"])
+def test_solved_instance_copies(monkeypatch, dense_limit):
+    # a solved instance holds its operator's factorization; a deep copy and a
+    # pickle round trip of it solve exactly as the original does
+    monkeypatch.setattr(Factorization, "_DENSE_LIMIT", dense_limit)
+    data = prepare_data(generate(GenSpec(family="qp_rhs", count=1, seed=4, n=10)))[0]
+    cfg = SolverConfig(record_history=True)
+    ref = dr_solve(data, cfg)
+    assert data.factorization.kind == ("dense-inverse" if dense_limit else "superlu")
+    B = np.random.default_rng(0).standard_normal((3, data.size))
+    for other in (copy.deepcopy(data), pickle.loads(pickle.dumps(data))):
+        assert other.factorization is not data.factorization
+        assert other.factorization.kind == data.factorization.kind
+        np.testing.assert_array_equal(other.factorization.solve(B), data.factorization.solve(B))
+        assert_same_report(dr_solve(other, cfg), ref, atol=0)
 
 
 def test_drgd_sparse_channel_pair_matches_dense(monkeypatch):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from drqp.sparse import (DimensionError, SingularMatrixError, SparseMatrix,
-                         estimate_sigma_max, factorize, spmm, spmm_t, spmv,
-                         spmv_t)
+from drqp.sparse import (DimensionError, Factorization, SingularMatrixError,
+                         SparseMatrix, estimate_sigma_max, factorize, spmm, spmm_t,
+                         spmv, spmv_t)
 
 
 def random_sparse(rng, nrows, ncols, density=0.5):
@@ -198,6 +199,54 @@ class TestFactorize:
     def test_non_square_raises(self):
         with pytest.raises(DimensionError):
             factorize(SparseMatrix.from_dense(np.ones((2, 3))))
+
+    @pytest.mark.parametrize("dense", [
+        [[0.0, 0.0], [0.0, 0.0]],
+        [[1.0, 1.0], [1.0, 1.0 + 1e-15]],  # pivot ratio 1.1e-15
+        [[1.0, 0.0], [0.0, 1e-14]],  # pivot ratio exactly 1e-14
+        [[2.0, 1.0, 0.0], [1.0, 0.5, 0.0], [0.0, 0.0, 1.0]],
+    ], ids=["zero", "ratio-1e-15", "ratio-1e-14", "exact-3x3"])
+    def test_numerically_singular_raises_on_dense_path(self, dense):
+        mat = SparseMatrix.from_dense(dense)
+        assert mat.nrows <= Factorization._DENSE_LIMIT
+        with pytest.raises(SingularMatrixError):
+            factorize(mat)
+
+    @pytest.mark.parametrize("dense_limit", [1024, 0], ids=["inverse", "superlu"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_raise(self, monkeypatch, dense_limit, bad):
+        monkeypatch.setattr(Factorization, "_DENSE_LIMIT", dense_limit)
+        dense = np.eye(3) + 0.1
+        dense[1, 2] = bad
+        with pytest.raises(SingularMatrixError, match="non-finite"):
+            factorize(SparseMatrix.from_dense(dense))
+
+    def test_ill_conditioned_band_takes_superlu(self):
+        # a pivot ratio in (1e-14, 1e-10] is not singular, but too small for an
+        # explicit inverse: the dense path hands the matrix to SuperLU
+        rng = np.random.default_rng(6)
+        dense = np.zeros((9, 9))
+        dense[:8, :8] = rng.standard_normal((8, 8)) + 8 * np.eye(8)
+        dense[8, 8] = 1e-12
+        mat = SparseMatrix.from_dense(dense)
+        u = np.abs(np.diag(scipy.linalg.lu_factor(dense)[0]))
+        assert 1e-14 < u.min() / u.max() <= 1e-10
+        fac = factorize(mat)
+        assert fac.kind == "superlu"
+        for _ in range(5):
+            b = rng.standard_normal(9)
+            x = fac.solve(b)
+            assert np.linalg.norm(dense @ x - b) / max(1.0, np.linalg.norm(b)) <= 1e-10
+        X = fac.solve(rng.standard_normal((3, 9)))
+        assert X.shape == (3, 9)
+
+    @pytest.mark.parametrize("dense_limit", [1024, 0], ids=["inverse", "superlu"])
+    def test_kind(self, monkeypatch, dense_limit):
+        monkeypatch.setattr(Factorization, "_DENSE_LIMIT", dense_limit)
+        fac = factorize(SparseMatrix.diagonal([1.0, 3.0]))
+        assert fac.kind == ("dense-inverse" if dense_limit else "superlu")
+        with pytest.raises(AttributeError):
+            fac.kind = "superlu"
 
 
 class TestSigmaMax:
