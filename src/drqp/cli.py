@@ -28,6 +28,15 @@ def _solver_config(args) -> SolverConfig:
     return SolverConfig(tol_fixed_point=args.tol, max_iter=args.max_iter)
 
 
+def _train_config(args, layers: int, **train_only) -> net.TrainConfig:
+    """The TrainConfig of train and ablate from their shared flags, plus the
+    fields only train has flags for."""
+    return net.TrainConfig(
+        learning_rate=args.lr, batch_size=args.batch, max_epochs=args.epochs,
+        patience=args.patience, seed=args.seed, eta_prior=args.eta_prior,
+        layers=layers, embed=args.embed, **train_only)
+
+
 def cmd_generate(args) -> int:
     spec = datagen.GenSpec(family=args.family, count=args.count, seed=args.seed,
                            n=args.n, k=args.k)
@@ -93,13 +102,10 @@ def cmd_train(args) -> int:
         print("error: bundle has no split; run `drqp split` first", file=sys.stderr)
         return EXIT_RUNTIME
     datas = report.prepare_data(bundle)
-    cfg = net.TrainConfig(
-        learning_rate=args.lr, batch_size=args.batch, max_epochs=args.epochs,
-        patience=args.patience, seed=args.seed, eta_prior=args.eta_prior,
-        layers=args.layers, embed=args.embed, unroll_steps=args.unroll_steps,
+    cfg = _train_config(
+        args, args.layers, unroll_steps=args.unroll_steps,
         escalated_lr=args.escalate_lr, escalation_patience=args.escalate_patience,
-        escalation_min_delta=args.escalate_min_delta,
-    )
+        escalation_min_delta=args.escalate_min_delta)
     result = net.train(datas, bundle.labels, bundle.split["train"],
                        bundle.split["val"], cfg)
     out = _out_dir(args)
@@ -150,12 +156,8 @@ def cmd_ablate(args) -> int:
     test_labels = [bundle.labels[i] for i in test_idx]
     rows = []
     for L in args.layers:
-        cfg = net.TrainConfig(learning_rate=args.lr, batch_size=args.batch,
-                              max_epochs=args.epochs, patience=args.patience,
-                              seed=args.seed, eta_prior=args.eta_prior,
-                              layers=L, embed=args.embed)
         result = net.train(datas, bundle.labels, bundle.split["train"],
-                           bundle.split["val"], cfg)
+                           bundle.split["val"], _train_config(args, L))
         rep = report.run_eval(test_datas, test_labels, result.params,
                               _solver_config(args))
         rows.append([L, result.best_val_loss, rep.iteration_ratio])

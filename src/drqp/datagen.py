@@ -221,8 +221,9 @@ def label_bundle(bundle: DatasetBundle, tol_label: float = 1e-9,
     Returns (labeled bundle, exclusions), exclusions listing (index, status)
     for instances the reference solver failed to converge on. Failed
     instances keep a None label. Instances with the same (P, A) share one
-    Operator, so each distinct operator is factorized once, and are solved
-    together as the rows of one block.
+    Operator, so each distinct operator is factorized once. dr_solve_batch
+    solves them in blocks of one size and cone: one operator, or one
+    distinct dense operator per row.
     """
     cfg = SolverConfig(tol_fixed_point=tol_label, max_iter=max_iter)
     operators = {}

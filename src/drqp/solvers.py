@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .model import MonotoneData, QualityMetrics, project_cone_dual, quality
-from .sparse import spmv, spmv_t
+from .sparse import Factorization, spmv, spmv_t
 
 EXACT_LINE_SEARCH = "exact-line-search"
 FIXED_STEP = "fixed"
@@ -173,14 +173,15 @@ def _freeze(data: MonotoneData, ut, u, w, status: str, iterations: int,
 def _iterate(datas: list, cfg: SolverConfig, warms: list, resolvent) -> list:
     """The DR iteration shared by both solvers, on a block of instances.
 
-    Row i of the B x N state arrays is instance datas[i]; all rows share one
-    operator and one cone. resolvent(R, UT, rows) returns the next u_tilde
-    block, per row an exact or approximate solution of (I+M) u_tilde = r
-    started from the current one; rows are the positions in datas of the
-    rows still iterating. Projection, w-update, residual and stopping rules
-    are common. A row that converges, diverges or reaches max_iter is frozen
-    into its own SolveReport and dropped from the block; reports come back
-    in the order of datas.
+    Row i of the B x N state arrays is instance datas[i]; all rows have one
+    size and one cone, and one operator or one distinct dense operator per
+    row. resolvent(R, UT, rows) returns the next u_tilde block, per row an
+    exact or approximate solution of (I+M) u_tilde = r started from the
+    current one; rows are the positions in datas of the rows still
+    iterating. Projection, w-update, residual and stopping rules are common.
+    A row that converges, diverges or reaches max_iter is frozen into its
+    own SolveReport and dropped from the block; reports come back in the
+    order of datas.
     """
     cone, tol = datas[0].cone, cfg.tol_fixed_point
     rows = np.arange(len(datas))
@@ -241,21 +242,47 @@ def _iterate(datas: list, cfg: SolverConfig, warms: list, resolvent) -> list:
     return reports
 
 
+# bytes of operators one stacked block may hold as its (B, N, N) stack; a
+# larger group is split into several stacked blocks
+_STACK_BYTES = 64 << 20
+
+
 def _by_operator(datas: list, cfg: SolverConfig, warms, gradient: bool) -> list:
-    """Solve each group of instances that share an operator and a cone as
-    one block; reports in input order."""
+    """Solve datas in blocks of one size and cone; reports in input order.
+
+    Instances that share an operator iterate as one 2-D block. Instances
+    whose operator is theirs alone and on the dense path (a dense inverse
+    for DR, a dense channel pair for DR-GD) are stacked by size and cone, at
+    most _STACK_BYTES of operators to a block; a SuperLU or sparse operator
+    of one instance runs alone.
+    """
     warms = [None] * len(datas) if warms is None else warms
     if len(warms) != len(datas):
         raise ValueError("warms must hold one entry per instance")
-    groups = {}
+    groups, stacks = {}, {}
     for i, data in enumerate(datas):
         groups.setdefault((data.operator, data.cone), []).append(i)
+    for key, idx in list(groups.items()):
+        data = datas[idx[0]]
+        dense = (isinstance(data.channel_operator[0], np.ndarray) if gradient
+                 else data.factorization.kind == "dense-inverse")
+        if len(idx) == 1 and dense:
+            stacks.setdefault((data.size, data.cone), []).extend(groups.pop(key))
+    blocks = [(idx, False) for idx in groups.values()]
+    for idx in stacks.values():
+        per = max(1, _STACK_BYTES // (8 * datas[idx[0]].size ** 2))
+        chunks = [idx[s:s + per] for s in range(0, len(idx), per)]
+        blocks += [(chunk, len(chunk) > 1) for chunk in chunks]
     reports = [None] * len(datas)
-    for idx in groups.values():
+    for idx, stacked in blocks:
         group = [datas[i] for i in idx]
         steps = [[] for _ in idx] if gradient and cfg.record_history else None
         if gradient:
-            resolvent = _gradient_steps(group[0], cfg, steps)
+            resolvent = _gradient_steps(group, cfg, steps, stacked)
+        elif stacked:
+            inverses = _Stack(Factorization.stack([d.factorization for d in group]))
+            resolvent = lambda R, UT, rows: Factorization.solve_stacked(
+                inverses.at(rows)[0], R)
         else:
             solve = group[0].factorization.solve
             resolvent = lambda R, UT, rows: solve(R)
@@ -266,18 +293,46 @@ def _by_operator(datas: list, cfg: SolverConfig, warms, gradient: bool) -> list:
     return reports
 
 
-def _gradient_steps(data: MonotoneData, cfg: SolverConfig, steps):
+class _Stack:
+    """The per-row arrays of a stacked block (operators, step sizes), which
+    shrink to the rows still iterating when rows drop, and only then."""
+
+    def __init__(self, *arrays):
+        self.rows, self.arrays = np.arange(len(arrays[0])), arrays
+
+    def at(self, rows: np.ndarray) -> tuple:
+        if len(rows) != len(self.rows):
+            keep = np.isin(self.rows, rows)
+            self.rows, self.arrays = rows, tuple(a[keep] for a in self.arrays)
+        return self.arrays
+
+
+def _gradient_steps(group: list, cfg: SolverConfig, steps, stacked: bool):
     """cfg.steps_per_iter gradient steps on 0.5||(I+M)v - r||^2 per row, on
-    the operator's channel pair; steps, when given, records each row's step
+    the channel pair of the row's operator: the shared pair of a 2-D block,
+    or on a stacked block a (B, N, N) stack of dense K, with each row's own
+    step size as a (B, 1) column; steps, when given, records each row's step
     sizes."""
-    K, Kt = data.channel_operator
-    cap = step_size_cap(data, cfg.safeguard_rho)
     # exact step ||t||^2/||Kt||^2 >= 1/sigma^2 >= rho/sigma_max^2 = cap
-    eta = min(cfg.fixed_eta, cap) if cfg.step_mode == FIXED_STEP else cap
+    etas = [min(cfg.fixed_eta, cap) if cfg.step_mode == FIXED_STEP else cap
+            for cap in (step_size_cap(d, cfg.safeguard_rho) for d in group)]
+    if stacked:
+        stack = _Stack(np.stack([d.channel_operator[0] for d in group]),
+                       np.array(etas)[:, None])
+    else:
+        K, Kt = group[0].channel_operator
 
     def gradient_steps(R, UT, rows):
+        if stacked:  # each row's own K and step size
+            Ks, eta = stack.at(rows)
+            Kts = Ks.transpose(0, 2, 1)
+        else:
+            eta = etas[0]
         for _ in range(cfg.steps_per_iter):
-            T = (UT @ Kt - R) @ K
+            if stacked:  # row i times Kt[i], then K[i]: batched vector-matrix products
+                T = np.matmul(np.matmul(UT[:, None], Kts) - R[:, None], Ks)[:, 0]
+            else:
+                T = (UT @ Kt - R) @ K
             tt = np.vecdot(T, T).tolist()
             T *= eta
             # the sum is NaN when any entry is; the unmasked step saves about
@@ -293,7 +348,7 @@ def _gradient_steps(data: MonotoneData, cfg: SolverConfig, steps):
                 stepped = rows[ok]
             if steps is not None:
                 for i in stepped:
-                    steps[i].append(eta)
+                    steps[i].append(etas[i])
         return UT
 
     return gradient_steps
@@ -303,18 +358,22 @@ def dr_solve_batch(datas: list, cfg: SolverConfig = SolverConfig(),
                    warms: Optional[list] = None) -> list:
     """dr_solve for many instances, one report each in input order.
 
-    Instances that share an operator and a cone iterate as the rows of one
-    block, so each iteration is one multi-right-hand-side solve; every row
-    stops on its own, with the status and iteration count its dr_solve
-    gives and iterates equal up to rounding.
+    Each block has one size and cone, and one operator or one distinct
+    dense operator per row. Rows that share an operator make each iteration
+    one multi-right-hand-side solve, and their iterates equal dr_solve's up
+    to rounding; rows with a dense inverse of their own are stacked, one
+    batched product per iteration, and equal dr_solve's bit for bit. Every
+    row stops on its own, with the status and iteration count its dr_solve
+    gives.
     """
     return _by_operator(datas, cfg, warms, gradient=False)
 
 
 def drgd_solve_batch(datas: list, cfg: SolverConfig = SolverConfig(),
                      warms: Optional[list] = None) -> list:
-    """drgd_solve for many instances, blocked by shared operator and cone as
-    in dr_solve_batch.
+    """drgd_solve for many instances, in the blocks of dr_solve_batch; a
+    stacked block holds each row's dense channel pair and steps each row with
+    its own step size.
 
     No pipeline stage calls it yet: compare and eval solve one instance at a
     time.

@@ -111,6 +111,16 @@ class SparseMatrix:
         # keeps explicit zeros out of the pattern
         return cls.from_dense(np.diag(np.asarray(diag, dtype=np.float64)))
 
+    # -- copies: the matrix is immutable, so a deep copy is the matrix itself;
+    # a pickle or shallow copy rebuilds it through the validating constructor
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):
+        return (SparseMatrix, (self.nrows, self.ncols, self.indptr, self.indices,
+                               self.values))
+
     # -- cached backends ---------------------------------------------------
 
     @cached_property
@@ -245,6 +255,19 @@ class Factorization:
         if self._inv is not None:
             return b @ self._inv.T
         return self._lu.solve(b.T).T
+
+    @staticmethod
+    def stack(factorizations: list) -> np.ndarray:
+        """The inverses of "dense-inverse" factorizations of one order as one
+        (B, n, n) stack for solve_stacked; a subset of it is a selection
+        along the first axis."""
+        return np.stack([f._inv for f in factorizations])
+
+    @staticmethod
+    def solve_stacked(inverses: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Row i of the B x n block b solved against inverses[i] of a stack:
+        one batched product, each row bit for bit as solve() gives it alone."""
+        return np.matmul(b[:, None, :], inverses.transpose(0, 2, 1))[:, 0]
 
 
 def _inverse_safe(u_diag: np.ndarray) -> bool:

@@ -197,6 +197,7 @@ def trained_runs():
     return runs, time.perf_counter() - start
 
 
+@pytest.mark.slow
 def test_criterion_08_warm_start_gain(trained_runs):
     runs, elapsed = trained_runs
     assert elapsed < 900.0
@@ -204,6 +205,7 @@ def test_criterion_08_warm_start_gain(trained_runs):
     assert passing >= 2, f"ratios: {[round(r, 3) for r, _ in runs]}"
 
 
+@pytest.mark.slow
 def test_criterion_09_loss_ratio_comovement(trained_runs):
     runs, _ = trained_runs
     for _, samples in runs:

@@ -139,6 +139,20 @@ class TestAblate:
         assert len(lines) == 3
 
 
+def test_train_config_from_flags(monkeypatch, bundle_dir, tmp_path):
+    # train sets every field it has a flag for; ablate's layer counts come
+    # from its loop, and the fields it has no flag for keep their defaults
+    cfgs = []
+    monkeypatch.setattr(net, "train", lambda *a: cfgs.append(a[4]) or 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        run(["train", str(bundle_dir), "--layers", "3", "--escalate-lr", "1e-4",
+             "--unroll-steps", "2", "--out", str(tmp_path)])
+    with pytest.raises(ZeroDivisionError):
+        run(["ablate", str(bundle_dir), "--layers", "5", "--out", str(tmp_path)])
+    assert cfgs == [net.TrainConfig(layers=3, escalated_lr=1e-4, unroll_steps=2),
+                    net.TrainConfig(layers=5, embed=8, max_epochs=50, eta_prior=None)]
+
+
 class TestUsageErrors:
     def test_unknown_command(self):
         assert run(["frobnicate"]) == 1

@@ -8,7 +8,7 @@ from conftest import build_standard, inclusion_of
 from drqp.datagen import GenSpec, generate
 from drqp.model import project_cone_dual
 from drqp.report import prepare_data
-from drqp import model
+from drqp import model, solvers
 from drqp.solvers import (IterateState, SolverConfig, dr_operator_apply,
                           dr_solve, dr_solve_batch, drgd_solve, drgd_solve_batch,
                           exact_linesearch_step, step_size_cap,
@@ -338,6 +338,28 @@ def assert_same_report(batched, single, atol=1e-12):
                                    atol=atol)
 
 
+def assert_identical(batched, single):
+    """Byte for byte: status, iterations, iterates, residual history, steps."""
+    assert (batched.status, batched.iterations, batched.message) == (
+        single.status, single.iterations, single.message)
+    for name in ("u_tilde", "u", "w"):
+        assert getattr(batched.state, name).tobytes() == getattr(single.state, name).tobytes()
+    for name in ("residual_history", "step_sizes"):
+        got, ref = getattr(batched, name), getattr(single, name)
+        assert (got is None) == (ref is None)
+        if ref is not None:
+            assert np.array(got).tobytes() == np.array(ref).tobytes()
+
+
+@pytest.fixture(scope="module")
+def distinct_datas():
+    """Instances with one operator each: portfolio (N=23) and qp_perturbed
+    (N=24) rows, interleaved."""
+    pf = prepare_data(generate(GenSpec(family="portfolio", count=3, seed=3, k=1)))
+    pt = prepare_data(generate(GenSpec(family="qp_perturbed", count=3, seed=3, n=12)))
+    return [pf[0], pt[0], pf[1], pt[1], pf[2], pt[2]]
+
+
 @pytest.fixture(scope="module")
 def rhs_datas():
     return prepare_data(generate(GenSpec(family="qp_rhs", count=6, seed=11, n=16)))
@@ -533,6 +555,111 @@ class TestBatch:
     def test_warms_length_checked(self, rhs_datas):
         with pytest.raises(ValueError):
             dr_solve_batch(rhs_datas, SolverConfig(), [None])
+
+    @pytest.mark.parametrize("solver", BATCH_SOLVERS)
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("steps", [1, 3])
+    @pytest.mark.parametrize("mode", ["exact", "fixed", "capped", "mixed"])
+    def test_stacked_rows_identical_to_one_row_solves(self, distinct_datas, solver,
+                                                      warm, steps, mode):
+        # every row has its own dense operator: portfolio rows form one
+        # stacked block and qp_perturbed rows another, each row bit for bit
+        # its one-row solve; "mixed" caps some rows' fixed step and not others
+        single, batch = BATCH_SOLVERS[solver]
+        caps = sorted(step_size_cap(d) for d in distinct_datas)
+        fixed = {"exact": {}, "fixed": dict(step_mode="fixed", fixed_eta=0.5 * caps[0]),
+                 "capped": dict(step_mode="fixed", fixed_eta=4.0 * caps[-1]),
+                 "mixed": dict(step_mode="fixed", fixed_eta=caps[len(caps) // 2])}[mode]
+        cfg = SolverConfig(steps_per_iter=steps, record_history=True, **fixed)
+        warms = short_warms(distinct_datas) if warm else [None] * len(distinct_datas)
+        reports = batch(distinct_datas, cfg, warms)
+        assert len(reports) == len(distinct_datas)
+        for data, w, rep in zip(distinct_datas, warms, reports):
+            assert rep.status == "converged"
+            assert_identical(rep, single(data, cfg, warm=w))
+
+    @pytest.mark.parametrize("solver", BATCH_SOLVERS)
+    def test_stacked_nan_row_fails_alone(self, distinct_datas, solver):
+        single, batch = BATCH_SOLVERS[solver]
+        z = np.zeros(distinct_datas[2].size)
+        w = z.copy()
+        w[3] = np.nan
+        warms = [None] * len(distinct_datas)
+        warms[2] = IterateState(z, z.copy(), w)
+        cfg = SolverConfig(record_history=True)
+        reports = batch(distinct_datas, cfg, warms)
+        assert (reports[2].status, reports[2].iterations) == ("error", 1)
+        if solver == "drgd":
+            assert reports[2].step_sizes == []
+        for data, w, rep in zip(distinct_datas, warms, reports):
+            assert_identical(rep, single(data, cfg, warm=w))
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_stacked_vanished_gradient_row(self, distinct_datas, steps):
+        z = np.zeros(distinct_datas[0].size)
+        warms = [None] * len(distinct_datas)
+        warms[2] = IterateState(z, z.copy(), distinct_datas[2].q.copy())
+        cfg = SolverConfig(steps_per_iter=steps, record_history=True)
+        reports = drgd_solve_batch(distinct_datas, cfg, warms)
+        assert len(reports[2].step_sizes) == steps * (reports[2].iterations - 1)
+        for data, w, rep in zip(distinct_datas, warms, reports):
+            assert_identical(rep, drgd_solve(data, cfg, warm=w))
+
+    @pytest.mark.parametrize("solver", BATCH_SOLVERS)
+    def test_stacked_rows_reaching_max_iter(self, distinct_datas, solver):
+        # rows leave the stacks as they converge, the rest at max_iter
+        single, batch = BATCH_SOLVERS[solver]
+        counts = sorted(single(d, SolverConfig()).iterations for d in distinct_datas)
+        cfg = SolverConfig(max_iter=counts[len(counts) // 2], record_history=True)
+        reports = batch(distinct_datas, cfg)
+        assert {r.status for r in reports} == {"converged", "max_iter"}
+        for data, rep in zip(distinct_datas, reports):
+            assert_identical(rep, single(data, cfg))
+
+    @pytest.mark.parametrize("solver", BATCH_SOLVERS)
+    def test_mixed_blocks_in_input_order(self, monkeypatch, solver):
+        # shared-operator rows, stacked singleton rows, a SuperLU (and sparse
+        # channel pair) singleton and a row of another size and cone
+        single, batch = BATCH_SOLVERS[solver]
+        calls = []
+        factorize = model.factorize
+        monkeypatch.setattr(model, "factorize",
+                            lambda K: calls.append(K) or factorize(K))
+        rhs = prepare_data(generate(GenSpec(family="qp_rhs", count=3, seed=2, n=10)))
+        pf = prepare_data(generate(GenSpec(family="portfolio", count=4, seed=2, k=1)))
+        other = prepare_data(generate(GenSpec(family="qp_perturbed", count=1, seed=2, n=8)))
+        with monkeypatch.context() as m:
+            m.setattr(Factorization, "_DENSE_LIMIT", 0)
+            m.setattr(model, "_DENSE_LIMIT", 0)
+            assert pf[3].factorization.kind == "superlu"
+            assert not isinstance(pf[3].channel_operator[0], np.ndarray)
+        datas = [pf[0], rhs[0], pf[3], other[0], pf[1], rhs[1], pf[2], rhs[2]]
+        cfg = SolverConfig(record_history=True)
+        reports = batch(datas, cfg)
+        if solver == "dr":
+            assert len(calls) == 6  # one per distinct operator
+        for data, rep in zip(datas, reports):
+            if data in rhs:
+                assert_same_report(rep, single(data, cfg))
+            else:
+                assert_identical(rep, single(data, cfg))
+
+    @pytest.mark.parametrize("solver", BATCH_SOLVERS)
+    def test_stack_byte_budget_splits_blocks(self, monkeypatch, distinct_datas, solver):
+        single, batch = BATCH_SOLVERS[solver]
+        cfg = SolverConfig(record_history=True, max_iter=300)
+        whole = batch(distinct_datas, cfg)
+        sizes = []
+        init = solvers._Stack.__init__
+        monkeypatch.setattr(solvers._Stack, "__init__",
+                            lambda self, *a: sizes.append(len(a[0])) or init(self, *a))
+        # room for two operators of the larger size: blocks of 2 and 1 per family
+        N = max(d.size for d in distinct_datas)
+        monkeypatch.setattr(solvers, "_STACK_BYTES", 2 * 8 * N * N)
+        split = batch(distinct_datas, cfg)
+        assert set(sizes) == {2}
+        for a, b in zip(split, whole):
+            assert_identical(a, b)
 
 
 @pytest.mark.parametrize("dense_limit", [1024, 0], ids=["inverse", "superlu"])

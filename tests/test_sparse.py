@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -83,6 +86,18 @@ class TestConstruction:
         rng = np.random.default_rng(0)
         mat, dense = random_sparse(rng, 5, 3)
         np.testing.assert_array_equal(mat.transpose().to_dense(), dense.T)
+
+    def test_copies_stay_immutable_and_consistent(self):
+        # copies of a matrix whose CSR backend is cached: read-only arrays, and
+        # products and dense views that agree with them
+        mat = SparseMatrix.identity(3)
+        spmv(mat, np.ones(3))
+        for c in (copy.copy(mat), copy.deepcopy(mat), pickle.loads(pickle.dumps(mat))):
+            assert not any(a.flags.writeable for a in (c.indptr, c.indices, c.values))
+            with pytest.raises(ValueError):
+                c.values[0] = 5.0
+            np.testing.assert_array_equal(spmv(c, np.ones(3)), np.ones(3))
+            np.testing.assert_array_equal(c.to_dense(), np.eye(3))
 
 
 class TestSpmv:
