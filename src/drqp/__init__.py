@@ -1,8 +1,8 @@
 """Douglas-Rachford splitting QP toolkit with an unrolled warm-start network."""
 
 from .sparse import (DimensionError, Factorization, SingularMatrixError,
-                     SparseMatrix, SpectralEstimate, estimate_sigma_max,
-                     factorize, spmm, spmm_t, spmv, spmv_t)
+                     SparseMatrix, SpectralEstimate, estimate_sigma_max, spmv,
+                     spmv_t)
 from .model import (ConeSpec, ConicQP, MonotoneData, Operator, QualityMetrics,
                     StandardQP, assemble_inclusion, project_cone_dual, quality, read_instance,
                     to_conic, write_instance)

@@ -80,10 +80,8 @@ def cmd_compare(args) -> int:
                              max_iter=args.max_iter)
     out = _out_dir(args)
     ext = "md" if args.format == "markdown" else "csv"
-    report.emit_report(report.comparison_table(rep, args.format),
-                       out / f"comparison.{ext}")
-    report.emit_report(report.multistep_table(rep, args.format),
-                       out / f"multistep.{ext}")
+    (out / f"comparison.{ext}").write_text(report.comparison_table(rep, args.format))
+    (out / f"multistep.{ext}").write_text(report.multistep_table(rep, args.format))
     print(f"iteration ratio (drgd/dr): {rep.iteration_ratio:.3f}")
     failures = [r for r in rep.rows
                 if r.dr_status != "converged" or r.drgd_status != "converged"]
@@ -131,13 +129,10 @@ def cmd_eval(args) -> int:
     ext = "md" if args.format == "markdown" else "csv"
     header = ("# warm-started target is the internal DR solver; "
               "ratios are internally consistent, not comparable to external solvers\n")
-    report.emit_report(header + report.warmstart_table(rep, args.format),
-                       out / f"warmstart.{ext}")
-    report.emit_report(report.warmstart_summary(rep, args.format),
-                       out / f"warmstart_summary.{ext}")
+    (out / f"warmstart.{ext}").write_text(header + report.warmstart_table(rep, args.format))
+    (out / f"warmstart_summary.{ext}").write_text(report.warmstart_summary(rep, args.format))
     if args.history:
-        report.emit_report(report.residual_history_csv(rep),
-                           out / "residual_history.csv")
+        (out / "residual_history.csv").write_text(report.residual_history_csv(rep))
     print(f"iteration ratio: {_ratio(rep.iteration_ratio)}  "
           f"time ratio: {_ratio(rep.time_ratio)}")
     if any(r.failed for r in rep.rows):
@@ -167,7 +162,7 @@ def cmd_ablate(args) -> int:
     text = report.table(["layers", "best_val_loss", "iteration_ratio"], rows,
                         args.format)
     ext = "md" if args.format == "markdown" else "csv"
-    report.emit_report(text, out / f"ablation.{ext}")
+    (out / f"ablation.{ext}").write_text(text)
     return EXIT_OK
 
 

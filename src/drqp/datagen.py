@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from .model import (INF, StandardQP, SparseMatrix, assemble_inclusion, quality,
-                    read_instance, to_conic, write_instance)
+from .model import (INF, StandardQP, SparseMatrix, assemble_inclusion, read_instance,
+                    to_conic, write_instance)
 from .solvers import SolverConfig, dr_solve_batch
 
 QP_RHS = "qp_rhs"
@@ -227,7 +227,7 @@ def label_bundle(bundle: DatasetBundle, tol_label: float = 1e-9,
     """
     cfg = SolverConfig(tol_fixed_point=tol_label, max_iter=max_iter)
     operators = {}
-    datas = [assemble_inclusion(to_conic(qp)[0], operators) for qp in bundle.instances]
+    datas = [assemble_inclusion(to_conic(qp), operators) for qp in bundle.instances]
     labels = []
     exclusions = []
     for i, report in enumerate(dr_solve_batch(datas, cfg)):
@@ -236,11 +236,7 @@ def label_bundle(bundle: DatasetBundle, tol_label: float = 1e-9,
         else:
             labels.append(None)
             exclusions.append((i, report.status))
-    return replace_labels(bundle, labels), exclusions
-
-
-def replace_labels(bundle: DatasetBundle, labels: list) -> DatasetBundle:
-    return replace(bundle, labels=labels)
+    return replace(bundle, labels=labels), exclusions
 
 
 def split_bundle(bundle: DatasetBundle, sizes: tuple[int, int, int],
@@ -275,11 +271,7 @@ def write_bundle(bundle: DatasetBundle, path) -> None:
         "family": bundle.family,
         "seed": bundle.seed,
         "count": len(bundle),
-        "spec": None if bundle.spec is None else {
-            "family": bundle.spec.family, "count": bundle.spec.count,
-            "seed": bundle.spec.seed, "n": bundle.spec.n, "k": bundle.spec.k,
-            "perturbation": bundle.spec.perturbation, "margin": bundle.spec.margin,
-        },
+        "spec": None if bundle.spec is None else asdict(bundle.spec),
         "split": bundle.split,
         "instances": [
             {"file": _instance_name(i),
@@ -303,35 +295,32 @@ def _membership(split: Optional[dict], i: int) -> Optional[str]:
 
 
 def read_bundle(path) -> DatasetBundle:
+    """The bundle write_bundle wrote at path; a malformed manifest or
+    instance file raises ValueError naming that file."""
     path = Path(path)
-    with open(path / "manifest.json") as fh:
-        manifest = json.load(fh)
-    if manifest.get("format_version") != 1:
-        raise ValueError("unsupported manifest version")
+    manifest_path = path / "manifest.json"
+    try:
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        if manifest.get("format_version") != 1:
+            raise ValueError("unsupported manifest version")
+        files = [entry["file"] for entry in manifest["instances"]]
+        spec = None
+        if manifest.get("spec") is not None:
+            spec = GenSpec(**manifest["spec"])
+        family, seed, split = manifest["family"], manifest["seed"], manifest.get("split")
+    except KeyError as exc:
+        raise ValueError(f"{manifest_path}: malformed manifest: missing key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"{manifest_path}: malformed manifest: {exc}") from exc
     instances = []
     labels = []
     matrices = {}  # equal matrices are read into one object
-    for entry in manifest["instances"]:
-        qp, lab = read_instance(path / entry["file"], matrices)
+    for name in files:
+        qp, lab = read_instance(path / name, matrices)
         instances.append(qp)
         labels.append(lab)
-    spec = None
-    if manifest.get("spec") is not None:
-        spec = GenSpec(**manifest["spec"])
     any_labels = any(lab is not None for lab in labels)
-    return DatasetBundle(family=manifest["family"], instances=instances,
+    return DatasetBundle(family=family, instances=instances,
                          labels=labels if any_labels else None,
-                         split=manifest.get("split"), seed=manifest["seed"],
-                         spec=spec)
-
-
-def check_labels(bundle: DatasetBundle, tol: float) -> list:
-    """KKT residuals of the stored labels; returns QualityMetrics per instance."""
-    out = []
-    for qp, lab in zip(bundle.instances, bundle.labels):
-        if lab is None:
-            out.append(None)
-            continue
-        cqp, _ = to_conic(qp)
-        out.append(quality(cqp, lab[0], lab[1]))
-    return out
+                         split=split, seed=seed, spec=spec)

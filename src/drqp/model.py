@@ -12,8 +12,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .sparse import (DimensionError, Factorization, SparseMatrix, estimate_sigma_max,
-                     factorize)
+from .sparse import DimensionError, Factorization, SparseMatrix, estimate_sigma_max
 
 INF = float("inf")
 
@@ -111,56 +110,37 @@ class ConicQP:
         return float(0.5 * x @ (self.P._csr @ x) + self.c @ x)
 
 
-def to_conic(qp: StandardQP, equalities_as_inequalities: bool = False):
+def to_conic(qp: StandardQP) -> ConicQP:
     """Transform a StandardQP into conic form.
 
-    Equality rows map to the zero-cone block; inequality rows and finite
-    bounds map to the nonnegative block (rows with infinite bounds are
-    dropped). Returns (ConicQP, provenance) where provenance records each
-    conic row's origin as ("eq"|"ineq"|"lb"|"ub", source_index).
-
-    With equalities_as_inequalities=True each equality is encoded as a pair
-    of opposing inequalities instead of a zero-cone row (strict-fidelity
-    mode; provenance tags "eq+"/"eq-").
+    The rows of A are, in order: the equalities (the zero-cone block), then
+    the inequalities, the finite lower bounds as -x_i <= -l_i and the finite
+    upper bounds as x_i <= u_i (the nonnegative block). Rows with infinite
+    bounds are dropped.
     """
     n = qp.n
     eye = sp.identity(n, format="csr")
     blocks = []
     rhs = []
-    provenance = []
 
-    if equalities_as_inequalities:
-        m_zero = 0
-        if qp.A_eq.nrows:
-            blocks.append(qp.A_eq._csr)
-            rhs.append(qp.b_eq)
-            provenance.extend(("eq+", i) for i in range(qp.A_eq.nrows))
-            blocks.append(-qp.A_eq._csr)
-            rhs.append(-qp.b_eq)
-            provenance.extend(("eq-", i) for i in range(qp.A_eq.nrows))
-    else:
-        m_zero = qp.A_eq.nrows
-        if m_zero:
-            blocks.append(qp.A_eq._csr)
-            rhs.append(qp.b_eq)
-            provenance.extend(("eq", i) for i in range(m_zero))
+    m_zero = qp.A_eq.nrows
+    if m_zero:
+        blocks.append(qp.A_eq._csr)
+        rhs.append(qp.b_eq)
 
     if qp.G.nrows:
         blocks.append(qp.G._csr)
         rhs.append(qp.h)
-        provenance.extend(("ineq", i) for i in range(qp.G.nrows))
 
     lb_rows = np.flatnonzero(np.isfinite(qp.l))
     if lb_rows.size:
         blocks.append(-eye[lb_rows])
         rhs.append(-qp.l[lb_rows])
-        provenance.extend(("lb", int(i)) for i in lb_rows)
 
     ub_rows = np.flatnonzero(np.isfinite(qp.u))
     if ub_rows.size:
         blocks.append(eye[ub_rows])
         rhs.append(qp.u[ub_rows])
-        provenance.extend(("ub", int(i)) for i in ub_rows)
 
     if blocks:
         A = SparseMatrix.from_scipy(sp.vstack(blocks, format="csr"))
@@ -171,7 +151,7 @@ def to_conic(qp: StandardQP, equalities_as_inequalities: bool = False):
         b = np.zeros(0)
 
     cone = ConeSpec(m_zero=m_zero, m_nonneg=A.nrows - m_zero)
-    return ConicQP(P=qp.P, c=qp.c, A=A, b=b, cone=cone), provenance
+    return ConicQP(P=qp.P, c=qp.c, A=A, b=b, cone=cone)
 
 
 # Largest operator order for which the network's channel products use a
@@ -214,7 +194,7 @@ class Operator:
     @cached_property
     def factorization(self) -> Factorization:
         """Factorization of I+M, computed on first use and reused by every solve."""
-        return factorize(self.I_plus_M)
+        return Factorization(self.I_plus_M)
 
     @cached_property
     def channel_operator(self):
@@ -267,8 +247,8 @@ class MonotoneData:
     """Assembled monotone-inclusion data for a conic QP: the operator
     K = I+M, q = (c; b) and the cone.
 
-    M, I_plus_M, sigma_max, factorization and channel_operator are read from
-    the operator, which problems with the same (P, A) may share.
+    Everything else derived from K is read from the operator, which problems
+    with the same (P, A) may share; I_plus_M and sigma_max are forwarded.
     """
 
     operator: Operator
@@ -283,24 +263,12 @@ class MonotoneData:
         return self.n + self.m
 
     @property
-    def M(self) -> SparseMatrix:
-        return self.operator.M
-
-    @property
     def I_plus_M(self) -> SparseMatrix:
         return self.operator.I_plus_M
 
     @property
     def sigma_max(self) -> float:
         return self.operator.sigma_max
-
-    @property
-    def factorization(self) -> Factorization:
-        return self.operator.factorization
-
-    @property
-    def channel_operator(self):
-        return self.operator.channel_operator
 
 
 def assemble_inclusion(cqp: ConicQP, operators: Optional[dict] = None) -> MonotoneData:
@@ -482,11 +450,17 @@ def write_instance(path, qp: StandardQP, labels=None) -> None:
 
 
 def read_instance(path, matrices: Optional[dict] = None):
-    """instance_from_doc of the file at path; matrices as there."""
+    """instance_from_doc of the file at path; matrices as there. A malformed
+    file raises ValueError naming path."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: malformed instance file at line {exc.lineno}, "
                              f"column {exc.colno}: {exc.msg}") from exc
-    return instance_from_doc(doc, matrices)
+    try:
+        return instance_from_doc(doc, matrices)
+    except KeyError as exc:
+        raise ValueError(f"{path}: malformed instance file: missing key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed instance file: {exc}") from exc

@@ -199,7 +199,7 @@ def forward(data: MonotoneData, params: NetParams):
     unroll_steps gated gradient steps on the least-squares target, projects,
     and updates w.
     """
-    K, Kt = data.channel_operator
+    K, Kt = data.operator.channel_operator
     Q = np.repeat(data.q[:, None], params.d, axis=1)
     ut = np.zeros_like(Q)
     w = Q + project_cone_dual(-Q, data.cone)
@@ -256,7 +256,7 @@ def _gradient(data: MonotoneData, params: NetParams, cache: ForwardCache,
                              np.asarray(ys, dtype=np.float64)])
     if target.shape != cache.out.shape:
         raise ValueError("label dimension mismatch")
-    K, Kt = data.channel_operator
+    K, Kt = data.operator.channel_operator
     free = data.n + data.cone.m_zero
     grad = np.zeros_like(params.vector)
     at = {name: s for name, s, _ in layout(params.L, params.d)}
@@ -362,6 +362,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
+        if self.batch_size < 1 or self.max_epochs < 1:
+            raise ValueError("batch_size and max_epochs must be >= 1")
 
 
 def adam_step(params: NetParams, grads: np.ndarray, moments: AdamMoments, t: int,

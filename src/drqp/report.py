@@ -25,7 +25,7 @@ def prepare_data(bundle: DatasetBundle, indices=None) -> list:
     """
     idx = range(len(bundle)) if indices is None else indices
     operators = {}
-    return [assemble_inclusion(to_conic(bundle.instances[i])[0], operators) for i in idx]
+    return [assemble_inclusion(to_conic(bundle.instances[i]), operators) for i in idx]
 
 
 # -- Algorithm 1 vs Algorithm 2 comparison -----------------------------------
@@ -165,7 +165,7 @@ def complete_zero_cone_dual(data: MonotoneData, u: np.ndarray) -> np.ndarray:
     n, m0 = data.n, data.cone.m_zero
     if m0 == 0:
         return u
-    r = spmv(data.M, u)[:n] + data.q[:n]      # P x + A' y + c
+    r = spmv(data.operator.M, u)[:n] + data.q[:n]      # P x + A' y + c
     out = u.copy()
     out[n:n + m0] -= data.operator.equality_pinv(m0) @ r
     return out
@@ -262,10 +262,7 @@ WARMSTART_HEADER = [
 
 
 def comparison_table(report: ComparisonReport, fmt: str = "csv") -> str:
-    rows = [[r.instance, r.dr_objective, r.dr_max_eq, r.dr_max_ineq,
-             r.dr_iterations, r.dr_status, r.drgd_objective, r.drgd_max_eq,
-             r.drgd_max_ineq, r.drgd_iterations, r.drgd_status, r.ratio]
-            for r in report.rows]
+    rows = [[getattr(r, name) for name in COMPARISON_HEADER] for r in report.rows]
     return table(COMPARISON_HEADER, rows, fmt)
 
 
@@ -276,10 +273,7 @@ def multistep_table(report: ComparisonReport, fmt: str = "csv") -> str:
 
 
 def warmstart_table(report: WarmStartReport, fmt: str = "csv") -> str:
-    rows = [[r.instance, r.cold_iterations, r.warm_iterations, r.cold_time,
-             r.warm_time, r.inference_time, r.objective, r.max_viol,
-             r.l2_to_reference, r.cold_status, r.warm_status]
-            for r in report.rows]
+    rows = [[getattr(r, name) for name in WARMSTART_HEADER] for r in report.rows]
     return table(WARMSTART_HEADER, rows, fmt)
 
 
@@ -303,8 +297,3 @@ def residual_history_csv(report: WarmStartReport) -> str:
             for k, r in enumerate(warm or []):
                 writer.writerow([i, "warm", k, repr(r)])
     return buf.getvalue()
-
-
-def emit_report(text: str, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(text)

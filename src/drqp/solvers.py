@@ -11,9 +11,6 @@ import numpy as np
 from .model import MonotoneData, QualityMetrics, project_cone_dual, quality
 from .sparse import Factorization, spmv, spmv_t
 
-EXACT_LINE_SEARCH = "exact-line-search"
-FIXED_STEP = "fixed"
-
 _DIVERGENCE_LIMIT = 1e12
 
 
@@ -21,8 +18,7 @@ _DIVERGENCE_LIMIT = 1e12
 class SolverConfig:
     tol_fixed_point: float = 1e-6
     max_iter: int = 200_000
-    step_mode: str = EXACT_LINE_SEARCH
-    fixed_eta: Optional[float] = None
+    fixed_eta: Optional[float] = None  # None steps at the cap; else min(fixed_eta, cap)
     steps_per_iter: int = 1
     safeguard_rho: float = 0.99
     record_history: bool = False
@@ -36,10 +32,8 @@ class SolverConfig:
             raise ValueError("max_iter must be >= 1")
         if self.steps_per_iter < 1:
             raise ValueError("steps_per_iter must be >= 1")
-        if self.step_mode not in (EXACT_LINE_SEARCH, FIXED_STEP):
-            raise ValueError(f"unknown step_mode {self.step_mode!r}")
-        if self.step_mode == FIXED_STEP and self.fixed_eta is None:
-            raise ValueError("fixed step mode requires fixed_eta")
+        if self.fixed_eta is not None and not (0 < self.fixed_eta < math.inf):
+            raise ValueError("fixed_eta must be positive and finite")
 
 
 @dataclass
@@ -264,8 +258,8 @@ def _by_operator(datas: list, cfg: SolverConfig, warms, gradient: bool) -> list:
         groups.setdefault((data.operator, data.cone), []).append(i)
     for key, idx in list(groups.items()):
         data = datas[idx[0]]
-        dense = (isinstance(data.channel_operator[0], np.ndarray) if gradient
-                 else data.factorization.kind == "dense-inverse")
+        dense = (isinstance(data.operator.channel_operator[0], np.ndarray) if gradient
+                 else data.operator.factorization.kind == "dense-inverse")
         if len(idx) == 1 and dense:
             stacks.setdefault((data.size, data.cone), []).extend(groups.pop(key))
     blocks = [(idx, False) for idx in groups.values()]
@@ -280,11 +274,11 @@ def _by_operator(datas: list, cfg: SolverConfig, warms, gradient: bool) -> list:
         if gradient:
             resolvent = _gradient_steps(group, cfg, steps, stacked)
         elif stacked:
-            inverses = _Stack(Factorization.stack([d.factorization for d in group]))
+            inverses = _Stack(Factorization.stack([d.operator.factorization for d in group]))
             resolvent = lambda R, UT, rows: Factorization.solve_stacked(
                 inverses.at(rows)[0], R)
         else:
-            solve = group[0].factorization.solve
+            solve = group[0].operator.factorization.solve
             resolvent = lambda R, UT, rows: solve(R)
         for j, rep in enumerate(_iterate(group, cfg, [warms[i] for i in idx], resolvent)):
             if steps is not None:
@@ -313,14 +307,13 @@ def _gradient_steps(group: list, cfg: SolverConfig, steps, stacked: bool):
     or on a stacked block a (B, N, N) stack of dense K, with each row's own
     step size as a (B, 1) column; steps, when given, records each row's step
     sizes."""
-    # exact step ||t||^2/||Kt||^2 >= 1/sigma^2 >= rho/sigma_max^2 = cap
-    etas = [min(cfg.fixed_eta, cap) if cfg.step_mode == FIXED_STEP else cap
+    etas = [cap if cfg.fixed_eta is None else min(cfg.fixed_eta, cap)
             for cap in (step_size_cap(d, cfg.safeguard_rho) for d in group)]
     if stacked:
-        stack = _Stack(np.stack([d.channel_operator[0] for d in group]),
+        stack = _Stack(np.stack([d.operator.channel_operator[0] for d in group]),
                        np.array(etas)[:, None])
     else:
-        K, Kt = group[0].channel_operator
+        K, Kt = group[0].operator.channel_operator
 
     def gradient_steps(R, UT, rows):
         if stacked:  # each row's own K and step size
@@ -392,11 +385,11 @@ def drgd_solve(data: MonotoneData, cfg: SolverConfig = SolverConfig(),
     """DR splitting with the linear solve replaced by gradient steps.
 
     Each outer iteration takes cfg.steps_per_iter gradient steps on the
-    least-squares subproblem, the step size coming from exact line search or
-    a fixed value and clipped at the safeguard cap, then applies the same
-    projection and w updates as dr_solve. No factorization is performed; the
-    steps use the operator's channel pair (dense I+M up to
-    model._DENSE_LIMIT). The exact line-search step is never below the cap,
-    so that mode steps at the cap.
+    least-squares subproblem at the safeguard cap, or at cfg.fixed_eta when
+    that is smaller, then applies the same projection and w updates as
+    dr_solve. No factorization is performed; the steps use the operator's
+    channel pair (dense I+M up to model._DENSE_LIMIT). An exact line search
+    clipped at the cap would step at the cap too: its step
+    ||t||^2/||Kt||^2 >= 1/sigma_max^2 is never below it.
     """
     return drgd_solve_batch([data], cfg, [warm])[0]

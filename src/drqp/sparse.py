@@ -189,22 +189,6 @@ def spmv_t(A: SparseMatrix, x: np.ndarray) -> np.ndarray:
     return A._csr_t @ x
 
 
-def spmm(A: SparseMatrix, X: np.ndarray) -> np.ndarray:
-    """A @ X for a dense matrix X, one column per channel."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] != A.ncols:
-        raise DimensionError(f"spmm: X has shape {X.shape}, expected ({A.ncols}, d)")
-    return A._csr @ X
-
-
-def spmm_t(A: SparseMatrix, X: np.ndarray) -> np.ndarray:
-    """A.T @ X for a dense matrix X."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] != A.nrows:
-        raise DimensionError(f"spmm_t: X has shape {X.shape}, expected ({A.nrows}, d)")
-    return A._csr_t @ X
-
-
 class Factorization:
     """Reusable LU factorization of a square nonsingular matrix: a dense LAPACK
     LU and the explicit inverse built from it, so solve() is one BLAS product,
@@ -276,11 +260,6 @@ def _inverse_safe(u_diag: np.ndarray) -> bool:
     if du.size and du.min() <= du.max() * 1e-14:
         raise SingularMatrixError("numerically singular matrix")
     return bool(du.size) and du.min() > du.max() * 1e-10
-
-
-def factorize(A: SparseMatrix) -> Factorization:
-    """LU-factorize a square matrix for repeated solves."""
-    return Factorization(A)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ def one_var_qp() -> StandardQP:
 
 
 def inclusion_of(qp: StandardQP):
-    cqp, _ = to_conic(qp)
+    cqp = to_conic(qp)
     return assemble_inclusion(cqp)
 
 

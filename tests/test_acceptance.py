@@ -44,7 +44,7 @@ def test_criterion_01_operator_oracle_equivalence():
     rng = np.random.default_rng(0)
     for data in datas:
         eta = 0.5 * step_size_cap(data)
-        cfg = SolverConfig(step_mode="fixed", fixed_eta=eta, max_iter=1,
+        cfg = SolverConfig(fixed_eta=eta, max_iter=1,
                            tol_fixed_point=1e-300)
         for _ in range(100):
             w = rng.standard_normal(data.size)
@@ -119,7 +119,7 @@ def test_criterion_06_emulation():
         u0 = project_cone_dual(-data.q, data.cone)
         start_state = IterateState(u_tilde=np.zeros(data.size), u=u0,
                                    w=data.q + u0)
-        cfg = SolverConfig(step_mode="fixed", fixed_eta=eta, max_iter=4,
+        cfg = SolverConfig(fixed_eta=eta, max_iter=4,
                            tol_fixed_point=1e-300)
         rep = drgd_solve(data, cfg, warm=start_state)
         assert np.max(np.abs(np.concatenate([xh, yh]) - rep.state.u)) <= 1e-12
@@ -267,7 +267,7 @@ class TestCriterion11InvariantSuite:
         data = desk_instances(1, seed=7, n=10)[0]
         rng = np.random.default_rng(2)
         eta = 0.5 * step_size_cap(data)
-        cfg = SolverConfig(step_mode="fixed", fixed_eta=eta, max_iter=1,
+        cfg = SolverConfig(fixed_eta=eta, max_iter=1,
                            tol_fixed_point=1e-300)
         for _ in range(20):
             w = rng.standard_normal(data.size)

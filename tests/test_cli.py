@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -97,12 +98,24 @@ class TestTrainEval:
              "--seed", "1", "--out", str(out)])
         assert run(["train", str(out), "--epochs", "1"]) == 2
 
+    @pytest.mark.parametrize("flags", [["--batch", "-1"], ["--epochs", "0"]])
+    def test_train_needs_a_batch_and_an_epoch(self, bundle_dir, tmp_path, capsys, flags):
+        # --batch -1 used to train nothing and write the untrained checkpoint
+        out = tmp_path / "bad"
+        assert run(["train", str(bundle_dir), *flags, "--out", str(out)]) == 2
+        assert "batch_size and max_epochs must be >= 1" in capsys.readouterr().err
+        assert not (out / "model.json").exists()
+
     def test_eval_missing_checkpoint_fails(self, bundle_dir, tmp_path):
         rc = run(["eval", str(bundle_dir), "--checkpoint",
                   str(tmp_path / "absent.json")])
         assert rc == 2
 
-    @pytest.mark.parametrize("weight", [float("inf"), 1e200])
+    @pytest.mark.parametrize("weight", [
+        float("inf"),
+        # the overflow is the point
+        pytest.param(1e200, marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+    ])
     def test_eval_non_finite_checkpoint_fails(self, bundle_dir, tmp_path,
                                               weight):
         # inf is rejected on load; 1e200 loads but overflows in the forward pass
@@ -153,12 +166,31 @@ def test_train_config_from_flags(monkeypatch, bundle_dir, tmp_path):
                     net.TrainConfig(layers=5, embed=8, max_epochs=50, eta_prior=None)]
 
 
+@pytest.mark.parametrize("corrupt, culprit, problem", [
+    (lambda manifest, instance: manifest.pop("instances"), "manifest.json",
+     "missing key 'instances'"),
+    (lambda manifest, instance: instance.pop("P"), "instance_0000.json", "missing key 'P'"),
+    (lambda manifest, instance: manifest["spec"].update(colour="red"), "manifest.json",
+     "colour"),
+], ids=["no-instances", "no-P", "unknown-spec-key"])
+def test_malformed_bundle_fails(bundle_dir, tmp_path, capsys, corrupt, culprit, problem):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(bundle_dir, bundle)
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    instance = json.loads((bundle / "instance_0000.json").read_text())
+    corrupt(manifest, instance)
+    (bundle / "manifest.json").write_text(json.dumps(manifest))
+    (bundle / "instance_0000.json").write_text(json.dumps(instance))
+    assert run(["compare", str(bundle), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert str(bundle / culprit) in err and problem in err
+
+
 class TestUsageErrors:
     def test_unknown_command(self):
         assert run(["frobnicate"]) == 1
 
     def test_split_oversubscription(self, bundle_dir, tmp_path):
-        import shutil
         copy = tmp_path / "copy"
         shutil.copytree(bundle_dir, copy)
         assert run(["split", str(copy), "--sizes", "90", "5", "5"]) == 2

@@ -4,10 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from drqp.datagen import (DatasetBundle, GenSpec, check_labels, gen_portfolio,
-                          gen_qp_perturbed, gen_qp_rhs, generate, label_bundle,
-                          read_bundle, replace_labels, split_bundle,
-                          write_bundle)
+from drqp.datagen import (DatasetBundle, GenSpec, gen_portfolio, gen_qp_perturbed,
+                          gen_qp_rhs, generate, label_bundle, read_bundle,
+                          split_bundle, write_bundle)
 from drqp import datagen
 from drqp.model import instance_to_doc, quality, to_conic
 from drqp.report import prepare_data
@@ -139,7 +138,7 @@ class TestPortfolio:
         inst = bundle.instances[0]
         assert inst.n == 11 * 2
         assert inst.A_eq.shape == (3, 22)  # y = F'x rows plus budget row
-        cqp, _ = to_conic(inst)
+        cqp = to_conic(inst)
         assert cqp.cone.m_zero == 3
         assert cqp.cone.m_nonneg == 20  # x >= 0 only; y free
 
@@ -182,7 +181,7 @@ class TestPortfolio:
 
 def prepare_data_single(inst):
     from drqp.model import assemble_inclusion
-    cqp, _ = to_conic(inst)
+    cqp = to_conic(inst)
     return assemble_inclusion(cqp)
 
 
@@ -224,7 +223,7 @@ class TestLabeling:
         bundle, excluded = label_bundle(bundle)
         assert excluded == []
         for inst, (x, y) in zip(bundle.instances, bundle.labels):
-            cqp, _ = to_conic(inst)
+            cqp = to_conic(inst)
             m = quality(cqp, x, y)
             scale = max(1.0, np.linalg.norm(cqp.b, np.inf))
             assert m.max_viol <= 10 * 1e-9 * scale
@@ -255,15 +254,6 @@ class TestLabeling:
         b, _ = label_bundle(a)
         for (xa, ya), (xb, yb) in zip(a.labels, b.labels):
             np.testing.assert_allclose(xa, xb, atol=1e-9)
-
-    def test_check_labels(self):
-        bundle = gen_qp_rhs(small_spec(count=2))
-        bundle, _ = label_bundle(bundle)
-        for m in check_labels(bundle, 1e-6):
-            assert m.max_viol <= 1e-6 and m.dual_residual_inf <= 1e-6
-        bad = replace_labels(bundle, [(np.ones_like(x) * 100, y)
-                                      for x, y in bundle.labels])
-        assert any(m.dual_residual_inf > 1e-3 for m in check_labels(bad, 1e-6))
 
 
 class TestSplit:

@@ -49,7 +49,7 @@ class TestStandardQP:
         transpose = SparseMatrix.transpose
         monkeypatch.setattr(SparseMatrix, "transpose",
                             lambda mat: calls.append(mat) or transpose(mat))
-        cqp, _ = to_conic(qp)
+        cqp = to_conic(qp)
         assert cqp.P is qp.P
         assert calls == []
 
@@ -69,16 +69,17 @@ class TestToConic:
         qp = build_standard(P=np.eye(2), c=[0.0, 0.0],
                             A=[[1.0, 1.0]], b=[1.0],
                             G=np.zeros((0, 2)), h=[], l=l, u=u)
-        cqp, prov = to_conic(qp)
+        cqp = to_conic(qp)
         assert cqp.cone == ConeSpec(m_zero=1, m_nonneg=0)
-        assert prov == [("eq", 0)]
+        np.testing.assert_array_equal(cqp.A.to_dense(), [[1.0, 1.0]])
+        np.testing.assert_array_equal(cqp.b, [1.0])
 
     def test_bound_rows_counted(self):
         # l=[0,-inf], u=[1,inf]: finite bounds give rows -x1<=0 and x1<=1
         qp = build_standard(P=np.eye(2), c=[0.0, 0.0],
                             A=np.zeros((0, 2)), b=[], G=np.zeros((0, 2)), h=[],
                             l=[0.0, -np.inf], u=[1.0, np.inf])
-        cqp, _ = to_conic(qp)
+        cqp = to_conic(qp)
         assert cqp.cone.m_nonneg == 2
         assert cqp.cone.m_zero == 0
 
@@ -90,22 +91,22 @@ class TestToConic:
                             A=rng.standard_normal((2, 4)), b=np.zeros(2),
                             G=rng.standard_normal((2, 4)), h=np.ones(2),
                             l=-np.ones(4), u=np.ones(4))
-        cqp, prov = to_conic(qp)
+        cqp = to_conic(qp)
         assert cqp.cone == ConeSpec(m_zero=2, m_nonneg=10)
-        kinds = [k for k, _ in prov]
-        assert kinds.count("eq") == 2 and kinds.count("ineq") == 2
-        assert kinds.count("lb") == 4 and kinds.count("ub") == 4
+        # blocks in order: equalities, inequalities, lower bounds, upper bounds
+        np.testing.assert_array_equal(cqp.A.to_dense(), np.vstack(
+            [qp.A_eq.to_dense(), qp.G.to_dense(), -np.eye(4), np.eye(4)]))
+        np.testing.assert_array_equal(cqp.b, np.concatenate(
+            [qp.b_eq, qp.h, np.ones(4), np.ones(4)]))
 
     def test_bound_row_signs(self):
         # -x <= -l rows and x <= u rows, checked entrywise
         qp = build_standard(P=[[1.0]], c=[0.0], A=np.zeros((0, 1)), b=[],
                             G=np.zeros((0, 1)), h=[], l=[-2.0], u=[3.0])
-        cqp, prov = to_conic(qp)
-        A = cqp.A.to_dense()
-        b = cqp.b
-        row = {kind: i for i, (kind, _) in enumerate(prov)}
-        assert A[row["lb"], 0] == -1.0 and b[row["lb"]] == 2.0
-        assert A[row["ub"], 0] == 1.0 and b[row["ub"]] == 3.0
+        cqp = to_conic(qp)
+        # the lower-bound row, then the upper-bound row
+        np.testing.assert_array_equal(cqp.A.to_dense(), [[-1.0], [1.0]])
+        np.testing.assert_array_equal(cqp.b, [2.0, 3.0])
 
     def test_objective_preserved(self):
         rng = np.random.default_rng(1)
@@ -114,19 +115,10 @@ class TestToConic:
                             A=rng.standard_normal((1, 3)), b=[0.5],
                             G=rng.standard_normal((2, 3)), h=np.ones(2),
                             l=-np.ones(3), u=np.ones(3))
-        cqp, _ = to_conic(qp)
+        cqp = to_conic(qp)
         for _ in range(5):
             x = rng.standard_normal(3)
             assert cqp.objective(x) == pytest.approx(qp.objective(x), rel=1e-13)
-
-    def test_equalities_as_inequalities(self):
-        l, u = _unbounded(2)
-        qp = build_standard(P=np.eye(2), c=[0.0, 0.0],
-                            A=[[1.0, 1.0]], b=[1.0],
-                            G=np.zeros((0, 2)), h=[], l=l, u=u)
-        cqp, _ = to_conic(qp, equalities_as_inequalities=True)
-        assert cqp.cone.m_zero == 0
-        assert cqp.cone.m_nonneg == 2  # paired rows Ax <= b and -Ax <= -b
 
 
 class TestAssembleInclusion:
@@ -138,7 +130,7 @@ class TestAssembleInclusion:
         data = inclusion_of(qp)
         expected = np.block([[np.zeros((2, 2)), np.eye(2)],
                              [-np.eye(2), np.zeros((2, 2))]])
-        np.testing.assert_array_equal(data.M.to_dense(), expected)
+        np.testing.assert_array_equal(data.operator.M.to_dense(), expected)
         np.testing.assert_array_equal(data.I_plus_M.to_dense(),
                                       np.eye(4) + expected)
 
@@ -159,7 +151,7 @@ class TestAssembleInclusion:
                             G=np.zeros((0, 3)), h=[], l=l, u=u)
         data = inclusion_of(qp)
         oracle = np.block([[P, A.T], [-A, np.zeros((2, 2))]])
-        np.testing.assert_allclose(data.M.to_dense(), oracle, rtol=1e-14)
+        np.testing.assert_allclose(data.operator.M.to_dense(), oracle, rtol=1e-14)
 
     def test_sigma_max_cached(self):
         rng = np.random.default_rng(3)
@@ -198,7 +190,7 @@ class TestOperatorAssembly:
         if family == "portfolio":
             assert all(qp.G.nrows == 0 for qp in bundle.instances)
         for qp in bundle.instances:
-            cqp = to_conic(qp)[0]
+            cqp = to_conic(qp)
             self.assemble_matches_bmat(cqp.P, cqp.A)
 
     def test_no_constraint_rows(self):
@@ -206,7 +198,7 @@ class TestOperatorAssembly:
         qp = build_standard(P=[[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 0.0]],
                             c=[1.0, -1.0, 0.0], A=np.zeros((0, 3)), b=[],
                             G=np.zeros((0, 3)), h=[], l=l, u=u)
-        cqp = to_conic(qp)[0]
+        cqp = to_conic(qp)
         assert cqp.m == 0
         self.assemble_matches_bmat(cqp.P, cqp.A)
 
@@ -244,7 +236,7 @@ class TestOperator:
 
     def test_no_power_iteration_and_one_factorization(self, monkeypatch):
         estimates = _count_calls(monkeypatch, model, "estimate_sigma_max")
-        factorizations = _count_calls(monkeypatch, model, "factorize")
+        factorizations = _count_calls(monkeypatch, model, "Factorization")
         for spec, distinct in ((GenSpec(family="qp_rhs", count=4, seed=2, n=10), 1),
                                (GenSpec(family="portfolio", count=3, seed=2, k=2), 3)):
             bundle = generate(spec)
@@ -275,7 +267,7 @@ class TestOperator:
         for data in (a, b, a, b):
             complete_zero_cone_dual(data, rng.standard_normal(data.size))
         assert len(pinvs) == 3
-        At = a.M.to_dense()[:n, n:n + m0]
+        At = a.operator.M.to_dense()[:n, n:n + m0]
         np.testing.assert_allclose(a.operator.equality_pinv(m0), np.linalg.pinv(At),
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(b.operator.equality_pinv(m0 - 1),
@@ -354,7 +346,7 @@ class TestProjectConeDual:
 class TestQuality:
     def test_optimum_has_tiny_residuals(self):
         # min 1/2 x^2 s.t. x >= 1: x*=1, dual y*=1 on the row -x <= -1
-        cqp, _ = to_conic(one_var_qp())
+        cqp = to_conic(one_var_qp())
         m = quality(cqp, np.array([1.0]), np.array([1.0]))
         assert m.max_viol <= 1e-12
         assert m.dual_residual_inf <= 1e-12
@@ -365,7 +357,7 @@ class TestQuality:
         l, u = _unbounded(2)
         qp = build_standard(P=np.eye(2), c=[0.0, 0.0], A=np.zeros((0, 2)),
                             b=[], G=np.zeros((0, 2)), h=[], l=l, u=u)
-        cqp, _ = to_conic(qp)
+        cqp = to_conic(qp)
         m = quality(cqp, np.zeros(2), np.zeros(0))
         assert m.objective == 0.0
         assert m.dual_residual_inf == 0.0
@@ -376,7 +368,7 @@ class TestQuality:
                             A=[[1.0, 0.0]], b=[1.0],
                             G=[[0.0, 1.0]], h=[0.0],
                             l=np.full(2, -np.inf), u=np.full(2, np.inf))
-        cqp, _ = to_conic(qp)
+        cqp = to_conic(qp)
         # x = (1, -1): equality exact, inequality slack = 1 >= 0 -> in-cone
         m = quality(cqp, np.array([1.0, -1.0]), np.zeros(2))
         assert m.max_eq_viol <= 1e-12 and m.max_ineq_viol <= 1e-12
@@ -386,7 +378,7 @@ class TestQuality:
         assert m.max_ineq_viol == pytest.approx(1.0)
 
     def test_reference_distance(self):
-        cqp, _ = to_conic(one_var_qp())
+        cqp = to_conic(one_var_qp())
         m = quality(cqp, np.array([2.0]), np.array([1.0]),
                     reference=(np.array([1.0]), np.array([1.0])))
         assert m.l2_to_reference == pytest.approx(1.0)
@@ -398,7 +390,7 @@ class TestQuality:
         with np.errstate(over="raise"):
             l2 = l2_distance(x, np.zeros(0), (np.zeros(10), np.zeros(0)))
         assert l2 == pytest.approx(math.sqrt(10) * 1e200, rel=1e-14)
-        cqp, _ = to_conic(one_var_qp())
+        cqp = to_conic(one_var_qp())
         with np.errstate(over="ignore"):  # the objective, ~1e399, is out of range
             m = quality(cqp, np.array([1e200]), np.array([1.0]),
                         reference=(np.array([0.0]), np.array([1.0])))

@@ -20,7 +20,7 @@ def emulation_start(data):
 
 
 def drgd_trace(data, eta, iters, steps_per_iter=1):
-    cfg = SolverConfig(step_mode="fixed", fixed_eta=eta, max_iter=iters,
+    cfg = SolverConfig(fixed_eta=eta, max_iter=iters,
                        tol_fixed_point=1e-300, steps_per_iter=steps_per_iter)
     return drgd_solve(data, cfg, warm=emulation_start(data))
 
@@ -99,6 +99,7 @@ class TestForward:
         for layer in cache.layers:
             assert np.all(layer.u_out[tail:, :] >= 0.0)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the inf is the point
     def test_non_finite_raises_with_layer(self, tiny_data):
         params = net.init_params(2, 4, seed=2)
         params.layers[1].U_ut[0, 0] = np.inf
@@ -230,8 +231,8 @@ class TestBackward:
             xh, yh, cache = net.forward(data, params)
             runs.append((data, cache.out, net.backward(data, params, cache, label)))
         (dense, out_d, grads_d), (sparse, out_s, grads_s) = runs
-        assert not sp.issparse(dense.channel_operator[0])
-        assert sp.issparse(sparse.channel_operator[0])
+        assert not sp.issparse(dense.operator.channel_operator[0])
+        assert sp.issparse(sparse.operator.channel_operator[0])
         np.testing.assert_allclose(out_s, out_d, rtol=1e-12, atol=1e-14)
         for name in grads_d:
             np.testing.assert_allclose(grads_s[name], grads_d[name],

@@ -10,8 +10,7 @@ from conftest import build_standard, inclusion_of
 from drqp import net, report
 from drqp.datagen import GenSpec, generate, label_bundle
 from drqp.report import (WarmStartReport, WarmStartRow, comparison_table,
-                         complete_zero_cone_dual,
-                         emit_report, multistep_table, prepare_data,
+                         complete_zero_cone_dual, multistep_table, prepare_data,
                          residual_history_csv, run_compare, run_eval,
                          warmstart_summary, warmstart_table)
 from drqp.solvers import SolverConfig, dr_solve, step_size_cap
@@ -108,7 +107,7 @@ class TestRunEval:
 def lstsq_completion(data, u):
     """The completion by np.linalg.lstsq on the dense equality block."""
     n, m0 = data.n, data.cone.m_zero
-    M = data.M.to_dense()
+    M = data.operator.M.to_dense()
     delta = np.linalg.lstsq(M[:n, n:n + m0], -(M[:n] @ u + data.q[:n]), rcond=None)[0]
     out = u.copy()
     out[n:n + m0] += delta
@@ -145,7 +144,7 @@ class TestCompletion:
 
     def test_rank_deficient_equalities(self):
         data = rank_deficient_data()
-        assert np.linalg.matrix_rank(data.M.to_dense()[:4, 4:7]) == 2
+        assert np.linalg.matrix_rank(data.operator.M.to_dense()[:4, 4:7]) == 2
         rng = np.random.default_rng(1)
         for _ in range(5):
             u = rng.standard_normal(data.size)
@@ -209,7 +208,3 @@ class TestTables:
         rep = run_compare(prepare_data(labeled_bundle), steps_list=(1, 2, 5))
         lines = multistep_table(rep, "csv").strip().splitlines()
         assert len(lines) == 4
-
-    def test_emit_report_writes_file(self, tmp_path):
-        emit_report("a,b\n1,2\n", tmp_path / "out.csv")
-        assert (tmp_path / "out.csv").read_text() == "a,b\n1,2\n"

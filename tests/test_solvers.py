@@ -18,7 +18,7 @@ from drqp.sparse import Factorization, spmv, spmv_t
 
 def fixed_cfg(data, frac=0.5, **kw):
     eta = frac * step_size_cap(data)
-    return SolverConfig(step_mode="fixed", fixed_eta=eta, **kw), eta
+    return SolverConfig(fixed_eta=eta, **kw), eta
 
 
 class TestSolverConfig:
@@ -41,6 +41,12 @@ class TestSolverConfig:
     def test_max_iter_positive(self, max_iter):
         with pytest.raises(ValueError, match="max_iter must be >= 1"):
             SolverConfig(max_iter=max_iter)
+
+    @pytest.mark.parametrize("eta", [0.0, -0.1, float("nan"), float("inf")])
+    def test_fixed_eta_positive_and_finite(self, eta):
+        # a zero step stops at once with "converged"; a negative one diverges
+        with pytest.raises(ValueError, match="fixed_eta must be positive and finite"):
+            SolverConfig(fixed_eta=eta)
 
 
 class TestDrSolve:
@@ -296,12 +302,11 @@ class TestWarmStart:
         np.testing.assert_allclose(warm.w, tiny_data.q, atol=1e-15)
 
     def test_first_solve_reproduces_injection(self, tiny_data):
-        from drqp.sparse import factorize
         rng = np.random.default_rng(9)
         u_hat = rng.standard_normal(tiny_data.size)
         warm = warm_start_from_solution(tiny_data, u_hat[:tiny_data.n],
                                         u_hat[tiny_data.n:])
-        fac = factorize(tiny_data.I_plus_M)
+        fac = Factorization(tiny_data.I_plus_M)
         np.testing.assert_allclose(fac.solve(warm.w - tiny_data.q), u_hat,
                                    atol=1e-10)
 
@@ -376,7 +381,7 @@ def vector_loop(data, cfg, warm=None, gradient=False):
     (status, iterations, u_tilde, u, w, residual history, step sizes)."""
     K = data.I_plus_M
     cap = step_size_cap(data, cfg.safeguard_rho)
-    eta = min(cfg.fixed_eta, cap) if cfg.step_mode == "fixed" else cap
+    eta = cap if cfg.fixed_eta is None else min(cfg.fixed_eta, cap)
     z = np.zeros(data.size)
     ut, u, w = (z.copy(), z.copy(), z.copy()) if warm is None else (
         warm.u_tilde.copy(), warm.u.copy(), warm.w.copy())
@@ -392,7 +397,7 @@ def vector_loop(data, cfg, warm=None, gradient=False):
                 ut = ut - eta * t
                 steps.append(eta)
         else:
-            ut = data.factorization.solve(r)
+            ut = data.operator.factorization.solve(r)
         u = project_cone_dual(2.0 * ut - w, data.cone)
         dw = u - ut
         w = w + dw
@@ -443,8 +448,8 @@ class TestBatch:
     def test_rows_match_one_row_solves(self, rhs_datas, solver, warm, steps, mode):
         single, batch = BATCH_SOLVERS[solver]
         cap = step_size_cap(rhs_datas[0])
-        fixed = {"exact": {}, "fixed": dict(step_mode="fixed", fixed_eta=0.5 * cap),
-                 "capped": dict(step_mode="fixed", fixed_eta=4.0 * cap)}[mode]
+        fixed = {"exact": {}, "fixed": dict(fixed_eta=0.5 * cap),
+                 "capped": dict(fixed_eta=4.0 * cap)}[mode]
         cfg = SolverConfig(steps_per_iter=steps, record_history=True, **fixed)
         warms = short_warms(rhs_datas) if warm else [None] * len(rhs_datas)
         reports = batch(rhs_datas, cfg, warms)
@@ -455,9 +460,9 @@ class TestBatch:
 
     def test_mixed_families_in_input_order(self, monkeypatch):
         calls = []
-        factorize = model.factorize
-        monkeypatch.setattr(model, "factorize",
-                            lambda K: calls.append(K) or factorize(K))
+        factorization = model.Factorization
+        monkeypatch.setattr(model, "Factorization",
+                            lambda K: calls.append(K) or factorization(K))
         rhs = prepare_data(generate(GenSpec(family="qp_rhs", count=4, seed=2, n=10)))
         pf = prepare_data(generate(GenSpec(family="portfolio", count=2, seed=2, k=1)))
         datas = [rhs[0], pf[0], rhs[1], rhs[2], pf[1], rhs[3]]
@@ -540,10 +545,10 @@ class TestBatch:
         from drqp.sparse import Factorization
         bundle = generate(GenSpec(family="qp_rhs", count=4, seed=11, n=16))
         dense = prepare_data(bundle)
-        assert dense[0].factorization._inv is not None  # factorized here, lazily
+        assert dense[0].operator.factorization._inv is not None  # factorized here, lazily
         monkeypatch.setattr(Factorization, "_DENSE_LIMIT", 0)
         lu = prepare_data(bundle)
-        assert lu[0].factorization._inv is None
+        assert lu[0].operator.factorization._inv is None
         cfg = SolverConfig(record_history=True)
         warms = short_warms(dense) if warm else [None] * len(dense)
         batched = dr_solve_batch(lu, cfg, warms)
@@ -567,9 +572,9 @@ class TestBatch:
         # its one-row solve; "mixed" caps some rows' fixed step and not others
         single, batch = BATCH_SOLVERS[solver]
         caps = sorted(step_size_cap(d) for d in distinct_datas)
-        fixed = {"exact": {}, "fixed": dict(step_mode="fixed", fixed_eta=0.5 * caps[0]),
-                 "capped": dict(step_mode="fixed", fixed_eta=4.0 * caps[-1]),
-                 "mixed": dict(step_mode="fixed", fixed_eta=caps[len(caps) // 2])}[mode]
+        fixed = {"exact": {}, "fixed": dict(fixed_eta=0.5 * caps[0]),
+                 "capped": dict(fixed_eta=4.0 * caps[-1]),
+                 "mixed": dict(fixed_eta=caps[len(caps) // 2])}[mode]
         cfg = SolverConfig(steps_per_iter=steps, record_history=True, **fixed)
         warms = short_warms(distinct_datas) if warm else [None] * len(distinct_datas)
         reports = batch(distinct_datas, cfg, warms)
@@ -622,17 +627,17 @@ class TestBatch:
         # channel pair) singleton and a row of another size and cone
         single, batch = BATCH_SOLVERS[solver]
         calls = []
-        factorize = model.factorize
-        monkeypatch.setattr(model, "factorize",
-                            lambda K: calls.append(K) or factorize(K))
+        factorization = model.Factorization
+        monkeypatch.setattr(model, "Factorization",
+                            lambda K: calls.append(K) or factorization(K))
         rhs = prepare_data(generate(GenSpec(family="qp_rhs", count=3, seed=2, n=10)))
         pf = prepare_data(generate(GenSpec(family="portfolio", count=4, seed=2, k=1)))
         other = prepare_data(generate(GenSpec(family="qp_perturbed", count=1, seed=2, n=8)))
         with monkeypatch.context() as m:
             m.setattr(Factorization, "_DENSE_LIMIT", 0)
             m.setattr(model, "_DENSE_LIMIT", 0)
-            assert pf[3].factorization.kind == "superlu"
-            assert not isinstance(pf[3].channel_operator[0], np.ndarray)
+            assert pf[3].operator.factorization.kind == "superlu"
+            assert not isinstance(pf[3].operator.channel_operator[0], np.ndarray)
         datas = [pf[0], rhs[0], pf[3], other[0], pf[1], rhs[1], pf[2], rhs[2]]
         cfg = SolverConfig(record_history=True)
         reports = batch(datas, cfg)
@@ -670,12 +675,13 @@ def test_solved_instance_copies(monkeypatch, dense_limit):
     data = prepare_data(generate(GenSpec(family="qp_rhs", count=1, seed=4, n=10)))[0]
     cfg = SolverConfig(record_history=True)
     ref = dr_solve(data, cfg)
-    assert data.factorization.kind == ("dense-inverse" if dense_limit else "superlu")
+    assert data.operator.factorization.kind == ("dense-inverse" if dense_limit else "superlu")
     B = np.random.default_rng(0).standard_normal((3, data.size))
     for other in (copy.deepcopy(data), pickle.loads(pickle.dumps(data))):
-        assert other.factorization is not data.factorization
-        assert other.factorization.kind == data.factorization.kind
-        np.testing.assert_array_equal(other.factorization.solve(B), data.factorization.solve(B))
+        assert other.operator.factorization is not data.operator.factorization
+        assert other.operator.factorization.kind == data.operator.factorization.kind
+        np.testing.assert_array_equal(other.operator.factorization.solve(B),
+                                      data.operator.factorization.solve(B))
         assert_same_report(dr_solve(other, cfg), ref, atol=0)
 
 
@@ -684,12 +690,12 @@ def test_drgd_sparse_channel_pair_matches_dense(monkeypatch):
     # a fixed step below both caps keeps the comparison free of sigma_max
     spec = GenSpec(family="qp_rhs", count=3, seed=5, n=12)
     dense = prepare_data(generate(spec))  # one shared operator
-    assert isinstance(dense[0].channel_operator[0], np.ndarray)
-    cfg = SolverConfig(step_mode="fixed", fixed_eta=0.5 * step_size_cap(dense[0]),
+    assert isinstance(dense[0].operator.channel_operator[0], np.ndarray)
+    cfg = SolverConfig(fixed_eta=0.5 * step_size_cap(dense[0]),
                        steps_per_iter=2, record_history=True)
     monkeypatch.setattr(model, "_DENSE_LIMIT", 0)
     sparse = prepare_data(generate(spec))
-    assert not isinstance(sparse[0].channel_operator[0], np.ndarray)
+    assert not isinstance(sparse[0].operator.channel_operator[0], np.ndarray)
     for d, s in zip(dense, sparse):
         assert_same_report(drgd_solve(s, cfg), drgd_solve(d, cfg))
     for d, s in zip(drgd_solve_batch(dense, cfg), drgd_solve_batch(sparse, cfg)):

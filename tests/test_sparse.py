@@ -6,8 +6,7 @@ import pytest
 import scipy.linalg
 
 from drqp.sparse import (DimensionError, Factorization, SingularMatrixError,
-                         SparseMatrix, estimate_sigma_max, factorize, spmm, spmm_t,
-                         spmv, spmv_t)
+                         SparseMatrix, estimate_sigma_max, spmv, spmv_t)
 
 
 def random_sparse(rng, nrows, ncols, density=0.5):
@@ -145,30 +144,22 @@ class TestSpmv:
             rhs = y @ spmv(mat, x)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
-    def test_spmm_matches_columnwise_spmv(self):
-        rng = np.random.default_rng(3)
-        mat, dense = random_sparse(rng, 5, 4)
-        X = rng.standard_normal((4, 3))
-        np.testing.assert_allclose(spmm(mat, X), dense @ X, rtol=1e-13)
-        Y = rng.standard_normal((5, 3))
-        np.testing.assert_allclose(spmm_t(mat, Y), dense.T @ Y, rtol=1e-13)
-
 
 class TestFactorize:
     def test_identity_solve(self):
-        fac = factorize(SparseMatrix.identity(2))
+        fac = Factorization(SparseMatrix.identity(2))
         np.testing.assert_array_equal(fac.solve(np.array([5.0, -2.0])),
                                       [5.0, -2.0])
 
     def test_diagonal_solve(self):
-        fac = factorize(SparseMatrix.diagonal([2.0, 4.0]))
+        fac = Factorization(SparseMatrix.diagonal([2.0, 4.0]))
         np.testing.assert_allclose(fac.solve(np.array([2.0, 8.0])), [1.0, 2.0])
 
     def test_residual_contract(self):
         rng = np.random.default_rng(4)
         dense = rng.standard_normal((8, 8)) + 8 * np.eye(8)
         mat = SparseMatrix.from_dense(dense)
-        fac = factorize(mat)
+        fac = Factorization(mat)
         for _ in range(5):
             b = rng.standard_normal(8)
             x = fac.solve(b)
@@ -179,12 +170,12 @@ class TestFactorize:
         rng = np.random.default_rng(5)
         dense = rng.standard_normal((10, 10)) + 10 * np.eye(10)
         mat = SparseMatrix.from_dense(dense)
-        fac = factorize(mat)
+        fac = Factorization(mat)
         x = rng.standard_normal(10)
         np.testing.assert_allclose(fac.solve(spmv(mat, x)), x, rtol=1e-8)
 
     def test_reusable_across_rhs(self):
-        fac = factorize(SparseMatrix.diagonal([1.0, 3.0]))
+        fac = Factorization(SparseMatrix.diagonal([1.0, 3.0]))
         np.testing.assert_allclose(fac.solve(np.array([1.0, 3.0])), [1.0, 1.0])
         np.testing.assert_allclose(fac.solve(np.array([2.0, 9.0])), [2.0, 3.0])
 
@@ -194,7 +185,7 @@ class TestFactorize:
         monkeypatch.setattr(Factorization, "_DENSE_LIMIT", dense_limit)
         rng = np.random.default_rng(12)
         mat, dense = random_sparse(rng, 30, 30)
-        fac = factorize(SparseMatrix.from_dense(dense + 10 * np.eye(30)))
+        fac = Factorization(SparseMatrix.from_dense(dense + 10 * np.eye(30)))
         assert (fac._inv is None) == (dense_limit == 0)
         B = rng.standard_normal((5, 30))
         X = fac.solve(B)
@@ -208,12 +199,12 @@ class TestFactorize:
 
     def test_singular_matrix_raises(self):
         with pytest.raises(SingularMatrixError):
-            factorize(SparseMatrix.from_dense(np.array([[1.0, 1.0],
-                                                        [1.0, 1.0]])))
+            Factorization(SparseMatrix.from_dense(np.array([[1.0, 1.0],
+                                                            [1.0, 1.0]])))
 
     def test_non_square_raises(self):
         with pytest.raises(DimensionError):
-            factorize(SparseMatrix.from_dense(np.ones((2, 3))))
+            Factorization(SparseMatrix.from_dense(np.ones((2, 3))))
 
     @pytest.mark.parametrize("dense", [
         [[0.0, 0.0], [0.0, 0.0]],
@@ -225,7 +216,7 @@ class TestFactorize:
         mat = SparseMatrix.from_dense(dense)
         assert mat.nrows <= Factorization._DENSE_LIMIT
         with pytest.raises(SingularMatrixError):
-            factorize(mat)
+            Factorization(mat)
 
     @pytest.mark.parametrize("dense_limit", [1024, 0], ids=["inverse", "superlu"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -234,7 +225,7 @@ class TestFactorize:
         dense = np.eye(3) + 0.1
         dense[1, 2] = bad
         with pytest.raises(SingularMatrixError, match="non-finite"):
-            factorize(SparseMatrix.from_dense(dense))
+            Factorization(SparseMatrix.from_dense(dense))
 
     def test_ill_conditioned_band_takes_superlu(self):
         # a pivot ratio in (1e-14, 1e-10] is not singular, but too small for an
@@ -246,7 +237,7 @@ class TestFactorize:
         mat = SparseMatrix.from_dense(dense)
         u = np.abs(np.diag(scipy.linalg.lu_factor(dense)[0]))
         assert 1e-14 < u.min() / u.max() <= 1e-10
-        fac = factorize(mat)
+        fac = Factorization(mat)
         assert fac.kind == "superlu"
         for _ in range(5):
             b = rng.standard_normal(9)
@@ -258,7 +249,7 @@ class TestFactorize:
     @pytest.mark.parametrize("dense_limit", [1024, 0], ids=["inverse", "superlu"])
     def test_kind(self, monkeypatch, dense_limit):
         monkeypatch.setattr(Factorization, "_DENSE_LIMIT", dense_limit)
-        fac = factorize(SparseMatrix.diagonal([1.0, 3.0]))
+        fac = Factorization(SparseMatrix.diagonal([1.0, 3.0]))
         assert fac.kind == ("dense-inverse" if dense_limit else "superlu")
         with pytest.raises(AttributeError):
             fac.kind = "superlu"
