@@ -24,8 +24,9 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(tol_fixed_point=args.tol, max_iter=args.max_iter)
+def _solver_config(args, record_history: bool = False) -> SolverConfig:
+    return SolverConfig(tol_fixed_point=args.tol, max_iter=args.max_iter,
+                        record_history=record_history)
 
 
 def _train_config(args, layers: int, **train_only) -> net.TrainConfig:
@@ -123,8 +124,7 @@ def cmd_eval(args) -> int:
     labels = None
     if bundle.labels is not None:
         labels = [bundle.labels[i] for i in idx]
-    rep = report.run_eval(datas, labels, params, _solver_config(args),
-                          record_history=args.history)
+    rep = report.run_eval(datas, labels, params, _solver_config(args, args.history))
     out = _out_dir(args)
     ext = "md" if args.format == "markdown" else "csv"
     header = ("# warm-started target is the internal DR solver; "

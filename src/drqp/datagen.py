@@ -56,9 +56,13 @@ class DatasetBundle:
         if self.labels is not None and len(self.labels) != len(self.instances):
             raise ValueError("labels length must match instances")
         if self.split is not None:
-            all_idx = np.concatenate([np.asarray(v, dtype=int)
-                                      for v in self.split.values()])
-            if len(set(all_idx.tolist())) != all_idx.size:
+            if set(self.split) != {"train", "val", "test"}:
+                raise ValueError("split must hold exactly the sets train, val and test")
+            all_idx = [i for v in self.split.values() for i in v]
+            if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+                       and 0 <= i < len(self) for i in all_idx):
+                raise ValueError(f"split indices must be integers in [0, {len(self)})")
+            if len(set(all_idx)) != len(all_idx):
                 raise ValueError("split sets must be disjoint")
 
     def __len__(self) -> int:
@@ -214,8 +218,7 @@ def generate(spec: GenSpec) -> DatasetBundle:
             PORTFOLIO: gen_portfolio}[spec.family](spec)
 
 
-def label_bundle(bundle: DatasetBundle, tol_label: float = 1e-9,
-                 max_iter: int = 500_000):
+def label_bundle(bundle: DatasetBundle, tol_label: float = 1e-9):
     """Label every instance with a high-accuracy reference solution.
 
     Returns (labeled bundle, exclusions), exclusions listing (index, status)
@@ -225,7 +228,7 @@ def label_bundle(bundle: DatasetBundle, tol_label: float = 1e-9,
     solves them in blocks of one size and cone: one operator, or one
     distinct dense operator per row.
     """
-    cfg = SolverConfig(tol_fixed_point=tol_label, max_iter=max_iter)
+    cfg = SolverConfig(tol_fixed_point=tol_label, max_iter=500_000)
     operators = {}
     datas = [assemble_inclusion(to_conic(qp), operators) for qp in bundle.instances]
     labels = []
@@ -321,6 +324,9 @@ def read_bundle(path) -> DatasetBundle:
         instances.append(qp)
         labels.append(lab)
     any_labels = any(lab is not None for lab in labels)
-    return DatasetBundle(family=family, instances=instances,
-                         labels=labels if any_labels else None,
-                         split=split, seed=seed, spec=spec)
+    try:
+        return DatasetBundle(family=family, instances=instances,
+                             labels=labels if any_labels else None,
+                             split=split, seed=seed, spec=spec)
+    except (AttributeError, TypeError, ValueError) as exc:  # only the split can be at fault
+        raise ValueError(f"{manifest_path}: malformed manifest: {exc}") from exc

@@ -309,7 +309,6 @@ class QualityMetrics:
     max_ineq_viol: float
     dual_residual_inf: float
     complementarity: float
-    l2_to_reference: Optional[float] = None
 
     @property
     def max_viol(self) -> float:
@@ -326,8 +325,7 @@ def l2_distance(x: np.ndarray, y: np.ndarray,
     return float(scipy.linalg.norm(np.concatenate([x - xs, y - ys]), check_finite=False))
 
 
-def quality(cqp: ConicQP, x: np.ndarray, y: np.ndarray,
-            reference: Optional[tuple[np.ndarray, np.ndarray]] = None) -> QualityMetrics:
+def quality(cqp: ConicQP, x: np.ndarray, y: np.ndarray) -> QualityMetrics:
     """KKT-based solution quality of a primal-dual pair (x, y)."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -340,14 +338,12 @@ def quality(cqp: ConicQP, x: np.ndarray, y: np.ndarray,
     max_in = float(np.abs(np.minimum(s_in, 0.0)).max()) if s_in.size else 0.0
     dual = cqp.P._csr @ x + cqp.A._csr.T @ y + cqp.c
     comp = float(abs(s_in @ y[mz:])) if s_in.size else 0.0
-    l2 = None if reference is None else l2_distance(x, y, reference)
     return QualityMetrics(
         objective=cqp.objective(x),
         max_eq_viol=max_eq,
         max_ineq_viol=max_in,
         dual_residual_inf=float(np.abs(dual).max()) if dual.size else 0.0,
         complementarity=comp,
-        l2_to_reference=l2,
     )
 
 

@@ -35,8 +35,7 @@ def layout(L: int, d: int) -> tuple:
     """(name, slice, shape) of every trainable parameter in the flat vector.
 
     The only place that knows the parameter order: layer by layer in
-    LAYER_FIELDS order, then p_out. The names are those of named_parameters()
-    and, per layer, the checkpoint keys.
+    LAYER_FIELDS order, then p_out. Per layer, the names are the checkpoint keys.
     """
     shapes = [(f"layers.{i}.{f}", (d,) if f == "b_eta" else (d, d))
               for i in range(L) for f in LAYER_FIELDS] + [("p_out", (d,))]
@@ -45,16 +44,6 @@ def layout(L: int, d: int) -> tuple:
         entries.append((name, slice(start, start + math.prod(shape)), shape))
         start += math.prod(shape)
     return tuple(entries)
-
-
-class NamedViews(dict):
-    """Reshaped views into one flat vector laid out by layout(L, d), keyed by
-    parameter name; holds parameters or their gradients."""
-
-    def __init__(self, vector: np.ndarray, L: int, d: int):
-        super().__init__((name, vector[s].reshape(shape))
-                         for name, s, shape in layout(L, d))
-        self.vector = vector
 
 
 @dataclass
@@ -98,22 +87,15 @@ class NetParams:
                        else np.asarray(self.vector, dtype=np.float64))
         if self.vector.shape != (size,):
             raise ValueError(f"parameter vector must have shape ({size},)")
-        self._views = NamedViews(self.vector, self.L, self.d)
-        self.layers = [LayerParams(**{f: self._views[f"layers.{i}.{f}"]
-                                      for f in LAYER_FIELDS})
+        views = {name: self.vector[s].reshape(shape)
+                 for name, s, shape in layout(self.L, self.d)}
+        self.layers = [LayerParams(**{f: views[f"layers.{i}.{f}"] for f in LAYER_FIELDS})
                        for i in range(self.L)]
-        self.p_out = self._views["p_out"]
-
-    def named_parameters(self):
-        """(name, view) pairs for every trainable tensor; eta is a fixed prior."""
-        return self._views.items()
+        self.p_out = views["p_out"]
 
     def copy(self) -> "NetParams":
         return NetParams(self.L, self.d, self.eta.copy(), self.unroll_steps,
                          self.vector.copy())
-
-    def get(self, name: str) -> np.ndarray:
-        return self._views[name]
 
 
 def init_params(L: int, d: int, seed: int = 0, scheme: str = ALGORITHM_CONSISTENT,
@@ -197,31 +179,32 @@ def forward(data: MonotoneData, params: NetParams):
     States are (n+m) x d channel arrays. The initialization broadcasts q and
     the projection of -q across channels; each layer mixes channels, takes
     unroll_steps gated gradient steps on the least-squares target, projects,
-    and updates w.
+    and updates w. An overflow raises NonFiniteActivationError, not warnings.
     """
     K, Kt = data.operator.channel_operator
     Q = np.repeat(data.q[:, None], params.d, axis=1)
     ut = np.zeros_like(Q)
     w = Q + project_cone_dual(-Q, data.cone)
     caches = []
-    for li, lp in enumerate(params.layers):
-        wprime = w @ lp.U_w - Q
-        gate = _sigmoid(w @ lp.U_eta + lp.b_eta)
-        inner = []
-        ut_out = ut
-        for _ in range(params.unroll_steps):
-            vt = ut_out @ lp.U_ut
-            g = Kt @ (K @ vt - wprime)
-            inner.append((ut_out, g))
-            ut_out = vt - params.eta[li] * gate * g
-        p_pre = 2.0 * (ut_out @ lp.V_ut) - w @ lp.V_w
-        u_out = project_cone_dual(p_pre, data.cone)
-        w_out = w @ lp.W_w + (u_out @ lp.W_u - ut_out @ lp.W_ut)
-        if not np.isfinite(w_out).all() or not np.isfinite(ut_out).all():
-            raise NonFiniteActivationError(li)
-        caches.append(LayerCache(w_in=w, wprime=wprime, gate=gate, inner=inner,
-                                 p_pre=p_pre, u_out=u_out, ut_out=ut_out))
-        ut, w = ut_out, w_out
+    with np.errstate(over="ignore", invalid="ignore"):
+        for li, lp in enumerate(params.layers):
+            wprime = w @ lp.U_w - Q
+            gate = _sigmoid(w @ lp.U_eta + lp.b_eta)
+            inner = []
+            ut_out = ut
+            for _ in range(params.unroll_steps):
+                vt = ut_out @ lp.U_ut
+                g = Kt @ (K @ vt - wprime)
+                inner.append((ut_out, g))
+                ut_out = vt - params.eta[li] * gate * g
+            p_pre = 2.0 * (ut_out @ lp.V_ut) - w @ lp.V_w
+            u_out = project_cone_dual(p_pre, data.cone)
+            w_out = w @ lp.W_w + (u_out @ lp.W_u - ut_out @ lp.W_ut)
+            if not np.isfinite(w_out).all() or not np.isfinite(ut_out).all():
+                raise NonFiniteActivationError(li)
+            caches.append(LayerCache(w_in=w, wprime=wprime, gate=gate, inner=inner,
+                                     p_pre=p_pre, u_out=u_out, ut_out=ut_out))
+            ut, w = ut_out, w_out
     out = caches[-1].u_out @ params.p_out
     return out[:data.n], out[data.n:], ForwardCache(layers=caches, out=out)
 
@@ -237,20 +220,13 @@ def loss(preds: list, labels: list) -> float:
 
 
 def backward(data: MonotoneData, params: NetParams, cache: ForwardCache,
-             label: tuple[np.ndarray, np.ndarray]) -> NamedViews:
-    """Exact reverse-mode gradients of 0.5 ||out - label||^2 for one sample.
+             label: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Exact reverse-mode gradient of 0.5 ||out - label||^2 for one sample.
 
-    Returns NamedViews keyed like NetParams.named_parameters(). The projection
+    Returns one flat vector laid out like params.vector. The projection
     adjoint is the active-set 0/1 mask on the nonnegative-dual rows, with
     subgradient 0 at exactly 0.
     """
-    return NamedViews(_gradient(data, params, cache, label), params.L, params.d)
-
-
-def _gradient(data: MonotoneData, params: NetParams, cache: ForwardCache,
-              label: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """backward() as one flat vector laid out like params.vector, the form
-    training sums; written through slices, with no named views built."""
     xs, ys = label
     target = np.concatenate([np.asarray(xs, dtype=np.float64),
                              np.asarray(ys, dtype=np.float64)])
@@ -323,6 +299,9 @@ def _gradient(data: MonotoneData, params: NetParams, cache: ForwardCache,
 
 # -- Adam -------------------------------------------------------------------
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
+
+
 @dataclass
 class AdamMoments:
     m: np.ndarray  # first and second moments, laid out like NetParams.vector
@@ -337,9 +316,6 @@ class AdamMoments:
 class TrainConfig:
     learning_rate: float = 1e-5
     batch_size: int = 2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     max_epochs: int = 100
     patience: int = 10
     seed: int = 0
@@ -347,8 +323,6 @@ class TrainConfig:
     unroll_steps: int = 1
     layers: int = 4
     embed: int = 128
-    init_scheme: str = ALGORITHM_CONSISTENT
-    init_noise_std: float = 0.01
     # optional escalation: bump the learning rate once after this many
     # non-improving epochs (None disables). An epoch counts as improving
     # only when val drops below the best by more than escalation_min_delta
@@ -375,14 +349,14 @@ def adam_step(params: NetParams, grads: np.ndarray, moments: AdamMoments, t: int
     if t < 1:
         raise ValueError("step index t must be >= 1")
     lr = cfg.learning_rate if lr is None else lr
-    bc1 = 1.0 - cfg.beta1 ** t
-    bc2 = 1.0 - cfg.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     m, v = moments.m, moments.v
-    m *= cfg.beta1
-    m += (1.0 - cfg.beta1) * grads
-    v *= cfg.beta2
-    v += (1.0 - cfg.beta2) * grads * grads
-    params.vector -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grads
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grads * grads
+    params.vector -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 # -- training loop ----------------------------------------------------------
@@ -404,10 +378,10 @@ class TrainResult:
     best_val_loss: float
 
 
-def default_eta_prior(datas, rho: float = 0.9) -> float:
-    """Cap-based step prior: the gate halves it, so 2x the tightest safe cap
-    keeps the effective step inside every instance's safeguard."""
-    return 2.0 * rho * min(step_size_cap(d) for d in datas)
+def default_eta_prior(datas) -> float:
+    """Cap-based step prior 2 * 0.9 * the tightest safe cap: the gate halves
+    it, so the effective step stays inside every instance's safeguard."""
+    return 2.0 * 0.9 * min(step_size_cap(d) for d in datas)
 
 
 def train(datas: list, labels: list, train_idx, val_idx, cfg: TrainConfig,
@@ -429,8 +403,7 @@ def train(datas: list, labels: list, train_idx, val_idx, cfg: TrainConfig,
     eta_prior = cfg.eta_prior
     if eta_prior is None:
         eta_prior = default_eta_prior([datas[i] for i in train_idx])
-    params = init_params(cfg.layers, cfg.embed, seed=cfg.seed, scheme=cfg.init_scheme,
-                         eta_prior=eta_prior, noise_std=cfg.init_noise_std,
+    params = init_params(cfg.layers, cfg.embed, seed=cfg.seed, eta_prior=eta_prior,
                          unroll_steps=cfg.unroll_steps)
     moments = AdamMoments.zeros(params)
     rng = np.random.default_rng(cfg.seed)
@@ -453,7 +426,7 @@ def train(datas: list, labels: list, train_idx, val_idx, cfg: TrainConfig,
             for i in batch:
                 xh, yh, cache = forward(datas[i], params)
                 preds.append((xh, yh))
-                grads += _gradient(datas[i], params, cache, labels[i])
+                grads += backward(datas[i], params, cache, labels[i])
             grads /= batch.size
             epoch_losses.append(loss(preds, [labels[i] for i in batch]))
             step += 1

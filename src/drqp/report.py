@@ -51,7 +51,6 @@ class ComparisonRow:
 
 @dataclass
 class ComparisonReport:
-    tol: float
     rows: list
     multistep: dict  # steps_per_iter -> list of iteration counts
 
@@ -89,7 +88,7 @@ def run_compare(datas: list, tol: float = 1e-6, steps_list=(1,),
             drgd_max_ineq=gd_first.metrics.max_ineq_viol,
             drgd_iterations=gd_first.iterations, drgd_status=gd_first.status,
         ))
-    return ComparisonReport(tol=tol, rows=rows, multistep=multistep)
+    return ComparisonReport(rows=rows, multistep=multistep)
 
 
 # -- warm-start evaluation ----------------------------------------------------
@@ -173,7 +172,6 @@ def complete_zero_cone_dual(data: MonotoneData, u: np.ndarray) -> np.ndarray:
 
 def run_eval(datas: list, labels: list, params: NetParams,
              cfg: SolverConfig = SolverConfig(),
-             record_history: bool = False,
              cold_cache: Optional[list] = None) -> WarmStartReport:
     """Cold vs network-warm-started dr_solve on each instance.
 
@@ -182,13 +180,12 @@ def run_eval(datas: list, labels: list, params: NetParams,
     runs share an identical SolverConfig; only the initial state differs.
     inference_time covers the whole warm path before the warm solve:
     forward pass, projection, completion and warm-state construction.
+    With cfg.record_history the report holds both residual histories.
     cold_cache, when given, reuses precomputed cold SolveReports; their
     cold_time is then None.
     """
     rows = []
-    histories = {} if record_history else None
-    if record_history:
-        cfg = replace(cfg, record_history=True)
+    histories = {} if cfg.record_history else None
     for i, data in enumerate(datas):
         if cold_cache is not None:
             cold = cold_cache[i]
@@ -215,7 +212,7 @@ def run_eval(datas: list, labels: list, params: NetParams,
             objective=warm.metrics.objective, max_viol=warm.metrics.max_viol,
             l2_to_reference=l2, cold_status=cold.status, warm_status=warm.status,
         ))
-        if record_history:
+        if cfg.record_history:
             histories[i] = (cold.residual_history, warm.residual_history)
     return WarmStartReport(rows=rows, residual_histories=histories)
 

@@ -12,6 +12,7 @@ from .model import MonotoneData, QualityMetrics, project_cone_dual, quality
 from .sparse import Factorization, spmv, spmv_t
 
 _DIVERGENCE_LIMIT = 1e12
+SAFEGUARD_RHO = 0.99  # the step-size cap's fraction of 1 / sigma_max^2
 
 
 @dataclass(frozen=True)
@@ -20,14 +21,11 @@ class SolverConfig:
     max_iter: int = 200_000
     fixed_eta: Optional[float] = None  # None steps at the cap; else min(fixed_eta, cap)
     steps_per_iter: int = 1
-    safeguard_rho: float = 0.99
     record_history: bool = False
 
     def __post_init__(self):
         if self.tol_fixed_point <= 0:
             raise ValueError("tol_fixed_point must be positive")
-        if not (0 < self.safeguard_rho < 1):
-            raise ValueError("safeguard_rho must lie in (0, 1)")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.steps_per_iter < 1:
@@ -56,13 +54,13 @@ class SolveReport:
     message: str = ""
 
 
-def step_size_cap(data: MonotoneData, rho: float = 0.99) -> float:
-    """Safeguard cap rho / sigma_max(I+M)^2.
+def step_size_cap(data: MonotoneData) -> float:
+    """Safeguard cap SAFEGUARD_RHO / sigma_max(I+M)^2.
 
     sym(I+M) >= I because P is PSD, so the strong-monotonicity constant is
     at least 1 and the cap keeps the reflected gradient map nonexpansive.
     """
-    return rho / data.sigma_max ** 2
+    return SAFEGUARD_RHO / data.sigma_max ** 2
 
 
 def exact_linesearch_step(t: np.ndarray, data: MonotoneData) -> float:
@@ -308,7 +306,7 @@ def _gradient_steps(group: list, cfg: SolverConfig, steps, stacked: bool):
     step size as a (B, 1) column; steps, when given, records each row's step
     sizes."""
     etas = [cap if cfg.fixed_eta is None else min(cfg.fixed_eta, cap)
-            for cap in (step_size_cap(d, cfg.safeguard_rho) for d in group)]
+            for cap in (step_size_cap(d) for d in group)]
     if stacked:
         stack = _Stack(np.stack([d.operator.channel_operator[0] for d in group]),
                        np.array(etas)[:, None])

@@ -138,24 +138,20 @@ def test_criterion_07_gradient_fidelity():
 
     h = 1e-5
     worst = 0.0
-    for name, _ in params.named_parameters():
-        g = grads[name]
-        base = params.get(name)
-        it = np.nditer(base, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = base[idx]
-            base[idx] = orig + h
-            xp, yp, _ = net.forward(data, params)
-            fp = net.loss([(xp, yp)], [label])
-            base[idx] = orig - h
-            xm, ym, _ = net.forward(data, params)
-            fm = net.loss([(xm, ym)], [label])
-            base[idx] = orig
-            fd = (fp - fm) / (2.0 * h)
-            if abs(fd) < 1e-8 and abs(g[idx]) < 1e-8:
-                continue
-            worst = max(worst, abs(g[idx] - fd) / max(abs(fd), 1e-12))
+    base = params.vector
+    for k in range(base.size):
+        orig = base[k]
+        base[k] = orig + h
+        xp, yp, _ = net.forward(data, params)
+        fp = net.loss([(xp, yp)], [label])
+        base[k] = orig - h
+        xm, ym, _ = net.forward(data, params)
+        fm = net.loss([(xm, ym)], [label])
+        base[k] = orig
+        fd = (fp - fm) / (2.0 * h)
+        if abs(fd) < 1e-8 and abs(grads[k]) < 1e-8:
+            continue
+        worst = max(worst, abs(grads[k] - fd) / max(abs(fd), 1e-12))
     assert worst <= 1e-4
 
 

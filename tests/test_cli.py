@@ -111,12 +111,8 @@ class TestTrainEval:
                   str(tmp_path / "absent.json")])
         assert rc == 2
 
-    @pytest.mark.parametrize("weight", [
-        float("inf"),
-        # the overflow is the point
-        pytest.param(1e200, marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
-    ])
-    def test_eval_non_finite_checkpoint_fails(self, bundle_dir, tmp_path,
+    @pytest.mark.parametrize("weight", [float("inf"), 1e200])
+    def test_eval_non_finite_checkpoint_fails(self, bundle_dir, tmp_path, capsys,
                                               weight):
         # inf is rejected on load; 1e200 loads but overflows in the forward pass
         ckpt = tmp_path / "bad.json"
@@ -128,6 +124,7 @@ class TestTrainEval:
         rc = run(["eval", str(bundle_dir), "--checkpoint", str(ckpt),
                   "--out", str(tmp_path / "out")])
         assert rc == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
 
     def test_eval_malformed_checkpoint_fails(self, bundle_dir, tmp_path, capsys):
@@ -172,7 +169,19 @@ def test_train_config_from_flags(monkeypatch, bundle_dir, tmp_path):
     (lambda manifest, instance: instance.pop("P"), "instance_0000.json", "missing key 'P'"),
     (lambda manifest, instance: manifest["spec"].update(colour="red"), "manifest.json",
      "colour"),
-], ids=["no-instances", "no-P", "unknown-spec-key"])
+    (lambda manifest, instance: manifest["split"].update(test=[8]), "manifest.json",
+     "integers in [0, 8)"),
+    (lambda manifest, instance: manifest["split"].update(test=[-1]), "manifest.json",
+     "integers in [0, 8)"),
+    (lambda manifest, instance: manifest["split"].update(test=[True]), "manifest.json",
+     "integers in [0, 8)"),
+    (lambda manifest, instance: manifest["split"].pop("test"), "manifest.json",
+     "exactly the sets train, val and test"),
+    (lambda manifest, instance: manifest["split"]["test"].append(
+        manifest["split"]["train"][0]), "manifest.json", "disjoint"),
+], ids=["no-instances", "no-P", "unknown-spec-key", "split-index-too-large",
+        "split-index-negative", "split-index-bool", "split-without-test",
+        "split-overlap"])
 def test_malformed_bundle_fails(bundle_dir, tmp_path, capsys, corrupt, culprit, problem):
     bundle = tmp_path / "bundle"
     shutil.copytree(bundle_dir, bundle)

@@ -378,10 +378,9 @@ class TestQuality:
         assert m.max_ineq_viol == pytest.approx(1.0)
 
     def test_reference_distance(self):
-        cqp = to_conic(one_var_qp())
-        m = quality(cqp, np.array([2.0]), np.array([1.0]),
-                    reference=(np.array([1.0]), np.array([1.0])))
-        assert m.l2_to_reference == pytest.approx(1.0)
+        l2 = l2_distance(np.array([2.0]), np.array([1.0]),
+                         (np.array([1.0]), np.array([1.0])))
+        assert l2 == pytest.approx(1.0)
 
 
     def test_reference_distance_does_not_overflow(self):
@@ -390,11 +389,10 @@ class TestQuality:
         with np.errstate(over="raise"):
             l2 = l2_distance(x, np.zeros(0), (np.zeros(10), np.zeros(0)))
         assert l2 == pytest.approx(math.sqrt(10) * 1e200, rel=1e-14)
-        cqp = to_conic(one_var_qp())
-        with np.errstate(over="ignore"):  # the objective, ~1e399, is out of range
-            m = quality(cqp, np.array([1e200]), np.array([1.0]),
-                        reference=(np.array([0.0]), np.array([1.0])))
-        assert m.l2_to_reference == pytest.approx(1e200, rel=1e-14)
+        with np.errstate(over="raise"):
+            l2 = l2_distance(np.array([1e200]), np.array([1.0]),
+                             (np.array([0.0]), np.array([1.0])))
+        assert l2 == pytest.approx(1e200, rel=1e-14)
 
 
 class TestInstanceFiles:

@@ -69,8 +69,7 @@ class TestInitParams:
     def test_seed_determinism(self):
         a = net.init_params(3, 8, seed=5)
         b = net.init_params(3, 8, seed=5)
-        for name, val in a.named_parameters():
-            np.testing.assert_array_equal(val, b.get(name))
+        np.testing.assert_array_equal(a.vector, b.vector)
 
     def test_random_scheme_differs(self):
         a = net.init_params(2, 4, seed=0, scheme="random")
@@ -99,7 +98,6 @@ class TestForward:
         for layer in cache.layers:
             assert np.all(layer.u_out[tail:, :] >= 0.0)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the inf is the point
     def test_non_finite_raises_with_layer(self, tiny_data):
         params = net.init_params(2, 4, seed=2)
         params.layers[1].U_ut[0, 0] = np.inf
@@ -183,24 +181,20 @@ class TestBackward:
         _, _, cache = net.forward(data, params)
         grads = net.backward(data, params, cache, label)
         worst = 0.0
-        for name, _ in params.named_parameters():
-            g = grads[name]
-            base = params.get(name)
-            it = np.nditer(base, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                orig = base[idx]
-                base[idx] = orig + h
-                xp, yp, _ = net.forward(data, params)
-                fp = net.loss([(xp, yp)], [label])
-                base[idx] = orig - h
-                xm, ym, _ = net.forward(data, params)
-                fm = net.loss([(xm, ym)], [label])
-                base[idx] = orig
-                fd = (fp - fm) / (2 * h)
-                if abs(fd) < 1e-8 and abs(g[idx]) < 1e-8:
-                    continue
-                worst = max(worst, abs(g[idx] - fd) / max(abs(fd), 1e-12))
+        base = params.vector
+        for k in range(base.size):
+            orig = base[k]
+            base[k] = orig + h
+            xp, yp, _ = net.forward(data, params)
+            fp = net.loss([(xp, yp)], [label])
+            base[k] = orig - h
+            xm, ym, _ = net.forward(data, params)
+            fm = net.loss([(xm, ym)], [label])
+            base[k] = orig
+            fd = (fp - fm) / (2 * h)
+            if abs(fd) < 1e-8 and abs(grads[k]) < 1e-8:
+                continue
+            worst = max(worst, abs(grads[k] - fd) / max(abs(fd), 1e-12))
         return worst
 
     def test_finite_difference_small_net(self, tiny_data):
@@ -234,16 +228,13 @@ class TestBackward:
         assert not sp.issparse(dense.operator.channel_operator[0])
         assert sp.issparse(sparse.operator.channel_operator[0])
         np.testing.assert_allclose(out_s, out_d, rtol=1e-12, atol=1e-14)
-        for name in grads_d:
-            np.testing.assert_allclose(grads_s[name], grads_d[name],
-                                       rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(grads_s, grads_d, rtol=1e-12, atol=1e-14)
 
     def test_zero_gradient_at_exact_prediction(self, tiny_data):
         params = net.init_params(2, 4, seed=5)
         xh, yh, cache = net.forward(tiny_data, params)
         grads = net.backward(tiny_data, params, cache, (xh, yh))
-        for g in grads.values():
-            np.testing.assert_array_equal(g, np.zeros_like(g))
+        np.testing.assert_array_equal(grads, np.zeros_like(grads))
 
     def test_bias_gradient_scalar_oracle(self):
         # 1x1 problem, d=1, L=1: the gate path collapses to scalars and the
@@ -274,7 +265,8 @@ class TestBackward:
         dL_du1 = (u1 - label[0][0])
         dL_dut1 = 2 * dL_du1
         hand = dL_dut1 * (-eta_l * g0) * sig * (1 - sig)
-        assert grads["layers.0.b_eta"][0] == pytest.approx(hand, rel=1e-12)
+        b_eta_grad = net.NetParams(1, 1, params.eta, vector=grads).layers[0].b_eta
+        assert b_eta_grad[0] == pytest.approx(hand, rel=1e-12)
 
 
 class TestAdam:
@@ -284,8 +276,7 @@ class TestAdam:
         moments = net.AdamMoments.zeros(params)
         grads = np.zeros_like(params.vector)
         net.adam_step(params, grads, moments, 1, net.TrainConfig())
-        for name, val in params.named_parameters():
-            np.testing.assert_array_equal(val, before.get(name))
+        np.testing.assert_array_equal(params.vector, before.vector)
 
     def test_first_step_magnitude(self):
         params = net.init_params(1, 2, seed=0)
@@ -294,7 +285,7 @@ class TestAdam:
         cfg = net.TrainConfig(learning_rate=1e-3)
         grads = np.full_like(params.vector, 2.0)
         net.adam_step(params, grads, moments, 1, cfg)
-        delta = params.get("p_out") - before.get("p_out")
+        delta = params.p_out - before.p_out
         np.testing.assert_allclose(delta, -cfg.learning_rate, rtol=1e-6)
 
     def test_quadratic_descent(self):
@@ -304,37 +295,38 @@ class TestAdam:
         cfg = net.TrainConfig(learning_rate=0.1)
         values = []
         for t in range(1, 101):
-            p = params.get("p_out")[0]
+            p = params.p_out[0]
             values.append((p - 3.0) ** 2)
-            grads = net.NamedViews(np.zeros_like(params.vector), 1, 1)
-            grads["p_out"][:] = np.array([2 * (p - 3.0)])
-            net.adam_step(params, grads.vector, moments, t, cfg)
+            grads = np.zeros_like(params.vector)
+            net.NetParams(1, 1, params.eta, vector=grads).p_out[:] = 2 * (p - 3.0)
+            net.adam_step(params, grads, moments, t, cfg)
         assert values[-1] < values[10] < values[0]
 
     def test_matches_per_tensor_reference(self):
         # the flat update is the per-tensor update, element for element
         params = net.init_params(2, 3, seed=1, scheme="random")
-        ref = {name: np.array(val) for name, val in params.named_parameters()}
+        tensors = net.layout(params.L, params.d)
+        ref = {name: params.vector[s].reshape(shape).copy() for name, s, shape in tensors}
         ref_m = {name: np.zeros_like(val) for name, val in ref.items()}
         ref_v = {name: np.zeros_like(val) for name, val in ref.items()}
         moments = net.AdamMoments.zeros(params)
         cfg = net.TrainConfig(learning_rate=1e-3)
+        b1, b2, eps = net.ADAM_BETA1, net.ADAM_BETA2, net.ADAM_EPS
         rng = np.random.default_rng(2)
         for t in range(1, 51):
-            grads = net.NamedViews(
-                10.0 ** rng.uniform(-8, 2, params.vector.size)
-                * rng.choice([-1.0, 1.0], params.vector.size), params.L, params.d)
-            net.adam_step(params, grads.vector, moments, t, cfg)
-            bc1, bc2 = 1.0 - cfg.beta1 ** t, 1.0 - cfg.beta2 ** t
-            for name, arr in ref.items():
-                g, m, v = grads[name], ref_m[name], ref_v[name]
-                m *= cfg.beta1
-                m += (1.0 - cfg.beta1) * g
-                v *= cfg.beta2
-                v += (1.0 - cfg.beta2) * g * g
-                arr -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
-        for name, val in params.named_parameters():
-            np.testing.assert_array_equal(val, ref[name])
+            grads = (10.0 ** rng.uniform(-8, 2, params.vector.size)
+                     * rng.choice([-1.0, 1.0], params.vector.size))
+            net.adam_step(params, grads, moments, t, cfg)
+            bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            for name, s, shape in tensors:
+                g, m, v, arr = grads[s].reshape(shape), ref_m[name], ref_v[name], ref[name]
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * g * g
+                arr -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        for name, s, shape in tensors:
+            np.testing.assert_array_equal(params.vector[s].reshape(shape), ref[name])
 
 
 class TestTrain:
@@ -386,6 +378,17 @@ class TestTrain:
         assert lrs[0] == 1e-30
         assert 1e-3 in lrs
 
+    def test_gradients_come_from_backward(self, monkeypatch):
+        # one backward call per sample: one epoch at batch 1 over 4 samples
+        datas, labels = self._toy_problem()
+        calls = []
+        backward = net.backward
+        monkeypatch.setattr(net, "backward", lambda *a: calls.append(1) or backward(*a))
+        cfg = net.TrainConfig(max_epochs=1, batch_size=1, layers=1, embed=2,
+                              eta_prior=0.05)
+        net.train(datas, labels, [0, 1, 2, 3], [4, 5], cfg)
+        assert len(calls) == 4
+
     def test_missing_labels_rejected(self):
         datas, labels = self._toy_problem()
         labels[1] = None
@@ -407,8 +410,7 @@ class TestCheckpoints:
         back = net.load_checkpoint(path)
         assert back.L == params.L and back.d == params.d
         assert back.unroll_steps == 2
-        for name, val in params.named_parameters():
-            np.testing.assert_array_equal(back.get(name), val)
+        np.testing.assert_array_equal(back.vector, params.vector)
         np.testing.assert_array_equal(back.eta, params.eta)
 
     def test_golden_file_round_trip(self, tmp_path):
@@ -420,8 +422,7 @@ class TestCheckpoints:
         net.save_checkpoint(back, path)
         assert path.read_bytes() == golden.read_bytes()
         fresh = net.init_params(2, 3, seed=7, scheme="random", unroll_steps=2)
-        for name, val in back.named_parameters():
-            np.testing.assert_array_equal(val, fresh.get(name))
+        np.testing.assert_array_equal(back.vector, fresh.vector)
 
     @pytest.mark.parametrize("case", [
         "not-object", "missing-layer-key", "extra-layer-key", "missing-key",

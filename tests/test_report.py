@@ -81,8 +81,7 @@ class TestRunEval:
     def test_histories_recorded(self, labeled_bundle):
         datas = prepare_data(labeled_bundle, [0])
         params = net.init_params(1, 2, seed=0)
-        rep = run_eval(datas, None, params, SolverConfig(),
-                       record_history=True)
+        rep = run_eval(datas, None, params, SolverConfig(record_history=True))
         cold, warm = rep.residual_histories[0]
         assert len(cold) > 0 and len(warm) > 0
 

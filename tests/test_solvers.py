@@ -380,7 +380,7 @@ def vector_loop(data, cfg, warm=None, gradient=False):
     """The one-instance DR loop the block driver replaced, as the reference:
     (status, iterations, u_tilde, u, w, residual history, step sizes)."""
     K = data.I_plus_M
-    cap = step_size_cap(data, cfg.safeguard_rho)
+    cap = step_size_cap(data)
     eta = cap if cfg.fixed_eta is None else min(cfg.fixed_eta, cap)
     z = np.zeros(data.size)
     ut, u, w = (z.copy(), z.copy(), z.copy()) if warm is None else (
