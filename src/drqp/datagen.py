@@ -8,7 +8,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .model import (INF, StandardQP, SparseMatrix, assemble_inclusion, read_instance,
                     to_conic, write_instance)

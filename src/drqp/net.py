@@ -6,6 +6,7 @@ import csv
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -181,10 +182,59 @@ def forward(data: MonotoneData, params: NetParams):
     unroll_steps gated gradient steps on the least-squares target, projects,
     and updates w. An overflow raises NonFiniteActivationError, not warnings.
     """
-    K, Kt = data.operator.channel_operator
     Q = np.repeat(data.q[:, None], params.d, axis=1)
+    out, caches = _unroll(data, Q, params, operator.matmul, project_cone_dual)
+    return out[:data.n], out[data.n:], ForwardCache(layers=caches, out=out)
+
+
+def forward_block(datas: list, params: NetParams) -> list:
+    """(x_hat, y_hat) of forward for each of datas, which share one operator
+    and one cone, from one forward over the block; bit for bit forward's.
+
+    The block's states are (N*B, d) arrays in n-major order, (N, B, d) in
+    memory: row j*B + b is row j of instance b. Each mix is then one
+    (N*B, d) @ (d, d) product, whose rows are the one-instance rows, and the
+    projection acts on the free (N, B*d) view, whose last m_nonneg rows are
+    every instance's dual rows. A CSR K multiplies that view too; a dense K
+    multiplies each instance's strided (N, d) slice within one batched call,
+    because a single (N, B*d) product rounds some columns differently from
+    the (N, d) one unless BLAS tiles d evenly.
+    """
+    data, d, B = datas[0], params.d, len(datas)
+    if any(dt.operator is not data.operator or dt.cone != data.cone for dt in datas):
+        raise ValueError("a block's instances must share one operator and one cone")
+    N = data.size
+
+    def by_instance(X):
+        return X.reshape(N, B, d).transpose(1, 0, 2)
+
+    def kdot(A, X):
+        if not isinstance(A, np.ndarray):
+            return (A @ X.reshape(N, -1)).reshape(-1, d)
+        out = np.empty_like(X)
+        np.matmul(A, by_instance(X), out=by_instance(out))
+        return out
+
+    def project(X, cone):
+        return project_cone_dual(X.reshape(N, -1), cone).reshape(-1, d)
+
+    Q = np.repeat(np.stack([dt.q for dt in datas], axis=1), d, axis=1).reshape(-1, d)
+    out, _ = _unroll(data, Q, params, kdot, project)
+    rows = np.ascontiguousarray(out.reshape(N, B).T)
+    return [(row[:data.n], row[data.n:]) for row in rows]
+
+
+def _unroll(data: MonotoneData, Q: np.ndarray, params: NetParams, kdot,
+            project) -> tuple:
+    """The forward body; returns the readout and the per-layer caches.
+
+    Q is q broadcast across channels. kdot(A, X) multiplies the states X by
+    A = K or K' and project(X, cone) projects them: for one instance the
+    plain product and project_cone_dual, for a block forward_block's.
+    """
+    K, Kt = data.operator.channel_operator
     ut = np.zeros_like(Q)
-    w = Q + project_cone_dual(-Q, data.cone)
+    w = Q + project(-Q, data.cone)
     caches = []
     with np.errstate(over="ignore", invalid="ignore"):
         for li, lp in enumerate(params.layers):
@@ -192,21 +242,24 @@ def forward(data: MonotoneData, params: NetParams):
             gate = _sigmoid(w @ lp.U_eta + lp.b_eta)
             inner = []
             ut_out = ut
-            for _ in range(params.unroll_steps):
-                vt = ut_out @ lp.U_ut
-                g = Kt @ (K @ vt - wprime)
+            for step in range(params.unroll_steps):
+                if li == 0 and step == 0:
+                    # u-tilde starts at 0, so vt = 0 U_ut and K vt are 0
+                    vt, g = ut_out, kdot(Kt, -wprime)
+                else:
+                    vt = ut_out @ lp.U_ut
+                    g = kdot(Kt, kdot(K, vt) - wprime)
                 inner.append((ut_out, g))
                 ut_out = vt - params.eta[li] * gate * g
             p_pre = 2.0 * (ut_out @ lp.V_ut) - w @ lp.V_w
-            u_out = project_cone_dual(p_pre, data.cone)
+            u_out = project(p_pre, data.cone)
             w_out = w @ lp.W_w + (u_out @ lp.W_u - ut_out @ lp.W_ut)
             if not np.isfinite(w_out).all() or not np.isfinite(ut_out).all():
                 raise NonFiniteActivationError(li)
             caches.append(LayerCache(w_in=w, wprime=wprime, gate=gate, inner=inner,
                                      p_pre=p_pre, u_out=u_out, ut_out=ut_out))
             ut, w = ut_out, w_out
-    out = caches[-1].u_out @ params.p_out
-    return out[:data.n], out[data.n:], ForwardCache(layers=caches, out=out)
+    return caches[-1].u_out @ params.p_out, caches
 
 
 def loss(preds: list, labels: list) -> float:
@@ -226,6 +279,12 @@ def backward(data: MonotoneData, params: NetParams, cache: ForwardCache,
     Returns one flat vector laid out like params.vector. The projection
     adjoint is the active-set 0/1 mask on the nonnegative-dual rows, with
     subgradient 0 at exactly 0.
+
+    Only live terms are computed. The last layer's w_out and ut_out feed
+    nothing, so its W_w, W_u and W_ut gradients stay 0; below it u_out feeds
+    only w_out. Layer 0 starts from u-tilde = 0 and a w that no parameter
+    moves, so nothing propagates out of it, and its first gradient step adds
+    nothing to U_ut.
     """
     xs, ys = label
     target = np.concatenate([np.asarray(xs, dtype=np.float64),
@@ -234,66 +293,71 @@ def backward(data: MonotoneData, params: NetParams, cache: ForwardCache,
         raise ValueError("label dimension mismatch")
     K, Kt = data.operator.channel_operator
     free = data.n + data.cone.m_zero
-    grad = np.zeros_like(params.vector)
-    at = {name: s for name, s, _ in layout(params.L, params.d)}
-
-    def add(name, g):
-        grad[at[name]] += g.ravel()
+    zero = np.zeros((params.d, params.d))
+    layer_grads = []    # per layer, from the last: field -> gradient
 
     r = cache.out - target
-    add("p_out", cache.layers[-1].u_out.T @ r)
-    u_bar = np.outer(r, params.p_out)        # d(loss)/d(u_out of last layer)
-    ut_bar = np.zeros_like(u_bar)
-    w_bar = np.zeros_like(u_bar)
+    p_out_grad = cache.layers[-1].u_out.T @ r
+    p_bar = np.outer(r, params.p_out)        # d(loss)/d(u_out of the last layer)
 
     for li in range(params.L - 1, -1, -1):
         lp = params.layers[li]
         lc = cache.layers[li]
-        pre = f"layers.{li}."
-        # w_out = w_in W_w + u_out W_u - ut_out W_ut
-        add(pre + "W_w", lc.w_in.T @ w_bar)
-        add(pre + "W_u", lc.u_out.T @ w_bar)
-        add(pre + "W_ut", -lc.ut_out.T @ w_bar)
-        w_in_bar = w_bar @ lp.W_w.T
-        u_bar = u_bar + w_bar @ lp.W_u.T
-        ut_out_bar = ut_bar - w_bar @ lp.W_ut.T
+        gr = {"W_w": zero, "W_u": zero, "W_ut": zero, "U_ut": zero}
+        last = li == params.L - 1
+        if not last:
+            # w_out = w_in W_w + u_out W_u - ut_out W_ut
+            gr["W_w"] = lc.w_in.T @ w_bar
+            gr["W_u"] = lc.u_out.T @ w_bar
+            gr["W_ut"] = -lc.ut_out.T @ w_bar
+            p_bar = w_bar @ lp.W_u.T
         # u_out = proj(p_pre); rows dual to the nonneg block mask at p_pre > 0
-        p_bar = u_bar.copy()
         p_bar[free:] *= lc.p_pre[free:] > 0
         # p_pre = 2 ut_out V_ut - w_in V_w
-        add(pre + "V_ut", 2.0 * lc.ut_out.T @ p_bar)
-        add(pre + "V_w", -lc.w_in.T @ p_bar)
-        ut_out_bar = ut_out_bar + 2.0 * p_bar @ lp.V_ut.T
-        w_in_bar = w_in_bar - p_bar @ lp.V_w.T
+        gr["V_ut"] = 2.0 * lc.ut_out.T @ p_bar
+        gr["V_w"] = -lc.w_in.T @ p_bar
+        cur = 2.0 * p_bar @ lp.V_ut.T         # d(loss)/d(ut_out)
+        if not last:
+            cur = ut_bar - w_bar @ lp.W_ut.T + cur
         # inner gradient steps, reversed
         eta = params.eta[li]
-        gate_bar = np.zeros_like(lc.gate)
-        wprime_bar = np.zeros_like(lc.wprime)
-        cur = ut_out_bar
-        for ut_cur, g in reversed(lc.inner):
+        steps = len(lc.inner)
+        for k in range(steps - 1, -1, -1):
+            ut_cur, g = lc.inner[k]
             # ut_next = vt - eta * gate * g
-            vt_bar = cur.copy()
             g_bar = -eta * lc.gate * cur
-            gate_bar += -eta * g * cur
+            step_gate_bar = -eta * g * cur
             # g = K'(K vt - wprime)
             Kg = K @ g_bar
-            vt_bar += Kt @ Kg
-            wprime_bar -= Kg
+            if k == steps - 1:
+                gate_bar, wprime_bar = step_gate_bar, -Kg
+            else:
+                gate_bar += step_gate_bar
+                wprime_bar -= Kg
+            if li == 0 and k == 0:
+                break  # ut_cur = 0 and nothing lies upstream
+            vt_bar = cur + Kt @ Kg
             # vt = ut_cur U_ut
-            add(pre + "U_ut", ut_cur.T @ vt_bar)
+            U_ut_grad = ut_cur.T @ vt_bar
+            gr["U_ut"] = U_ut_grad if k == steps - 1 else gr["U_ut"] + U_ut_grad
             cur = vt_bar @ lp.U_ut.T
         # gate = sigmoid(z_gate); z_gate = w_in U_eta + b_eta
         z_bar = gate_bar * lc.gate * (1.0 - lc.gate)
-        add(pre + "U_eta", lc.w_in.T @ z_bar)
-        add(pre + "b_eta", z_bar.sum(axis=0))
-        w_in_bar = w_in_bar + z_bar @ lp.U_eta.T
+        gr["U_eta"] = lc.w_in.T @ z_bar
+        gr["b_eta"] = z_bar.sum(axis=0)
         # wprime = w_in U_w - Q
-        add(pre + "U_w", lc.w_in.T @ wprime_bar)
-        w_in_bar = w_in_bar + wprime_bar @ lp.U_w.T
-        # hand states to the previous layer
-        ut_bar = cur
-        w_bar = w_in_bar
-        u_bar = np.zeros_like(u_bar)
+        gr["U_w"] = lc.w_in.T @ wprime_bar
+        layer_grads.append(gr)
+        if li > 0:
+            # hand states to the previous layer
+            pv = p_bar @ lp.V_w.T
+            w_in_bar = -pv if last else w_bar @ lp.W_w.T - pv
+            w_bar = w_in_bar + z_bar @ lp.U_eta.T + wprime_bar @ lp.U_w.T
+            ut_bar = cur
+    # in layout order; + 0.0 turns a -0.0 into 0.0, as a sum into zeros does
+    grad = np.concatenate([gr[f] for gr in reversed(layer_grads) for f in LAYER_FIELDS]
+                          + [p_out_grad], axis=None)
+    grad += 0.0
     return grad
 
 
@@ -407,6 +471,9 @@ def train(datas: list, labels: list, train_idx, val_idx, cfg: TrainConfig,
                          unroll_steps=cfg.unroll_steps)
     moments = AdamMoments.zeros(params)
     rng = np.random.default_rng(cfg.seed)
+    val_groups = {}  # validation runs one block forward per operator and cone
+    for i in val_idx:
+        val_groups.setdefault((datas[i].operator, datas[i].cone), []).append(i)
 
     best = params.copy()
     best_val = np.inf
@@ -421,18 +488,21 @@ def train(datas: list, labels: list, train_idx, val_idx, cfg: TrainConfig,
         epoch_losses = []
         for start in range(0, order.size, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            grads = np.zeros_like(params.vector)
-            preds = []
+            grads, preds = None, []
             for i in batch:
                 xh, yh, cache = forward(datas[i], params)
                 preds.append((xh, yh))
-                grads += backward(datas[i], params, cache, labels[i])
-            grads /= batch.size
+                grad = backward(datas[i], params, cache, labels[i])
+                grads = grad if grads is None else grads + grad
+            if batch.size > 1:
+                grads /= batch.size
             epoch_losses.append(loss(preds, [labels[i] for i in batch]))
             step += 1
             adam_step(params, grads, moments, step, cfg, lr=lr)
-        val_loss = loss([forward(datas[i], params)[:2] for i in val_idx],
-                        [labels[i] for i in val_idx])
+        preds = {}
+        for group in val_groups.values():
+            preds.update(zip(group, forward_block([datas[i] for i in group], params)))
+        val_loss = loss([preds[i] for i in val_idx], [labels[i] for i in val_idx])
         improved = val_loss < best_val
         meaningful = val_loss < best_val * (1.0 - cfg.escalation_min_delta)
         if improved:

@@ -162,6 +162,10 @@ def _freeze(data: MonotoneData, ut, u, w, status: str, iterations: int,
                        message=message)
 
 
+# a huge but finite iterate may overflow to inf or NaN in the residual, the
+# resolvent or a frozen row's quality; the divergence test turns that into
+# status "error", so no warning is raised for it
+@np.errstate(over="ignore", invalid="ignore")
 def _iterate(datas: list, cfg: SolverConfig, warms: list, resolvent) -> list:
     """The DR iteration shared by both solvers, on a block of instances.
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from drqp.datagen import GenSpec, generate
-from drqp.model import (ConeSpec, StandardQP, assemble_inclusion, to_conic)
+from drqp.model import StandardQP, assemble_inclusion, to_conic
 from drqp.report import prepare_data
 from drqp.sparse import SparseMatrix
 

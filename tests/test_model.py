@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from conftest import build_standard, inclusion_of, one_var_qp
 from drqp import model
 from drqp.datagen import GenSpec, generate, label_bundle
-from drqp.model import (ConeSpec, ConicQP, Operator, StandardQP, assemble_inclusion,
+from drqp.model import (ConeSpec, ConicQP, Operator, assemble_inclusion,
                         l2_distance, project_cone_dual, quality, read_instance,
                         to_conic, write_instance)
 from drqp.report import complete_zero_cone_dual, prepare_data

@@ -8,7 +8,9 @@ import scipy.sparse as sp
 
 from conftest import build_standard, inclusion_of
 from drqp import model, net
+from drqp.datagen import GenSpec, generate
 from drqp.model import project_cone_dual
+from drqp.report import prepare_data
 from drqp.solvers import (IterateState, SolverConfig, drgd_solve,
                           step_size_cap)
 
@@ -106,6 +108,46 @@ class TestForward:
         assert err.value.layer == 1
 
 
+class TestForwardBlock:
+    """A block forward's rows are forward's outputs, byte for byte."""
+
+    @staticmethod
+    def _assert_rows_equal(datas, params):
+        block = net.forward_block(datas, params)
+        assert len(block) == len(datas)
+        for data, (xb, yb) in zip(datas, block):
+            xh, yh, _ = net.forward(data, params)
+            assert xb.tobytes() == xh.tobytes() and yb.tobytes() == yh.tobytes()
+
+    @pytest.mark.parametrize("B", [1, 4])
+    def test_rows_equal_one_instance_forwards(self, desk_datas, B):
+        # d = 3 is no multiple of a BLAS tile width
+        for d in (3, 8):
+            self._assert_rows_equal(desk_datas[:B], net.init_params(3, d, seed=1))
+
+    def test_unroll_steps(self, desk_datas):
+        params = net.init_params(2, 4, seed=2, scheme="random", unroll_steps=2)
+        self._assert_rows_equal(desk_datas[2:6], params)
+
+    def test_sparse_operator(self, monkeypatch):
+        monkeypatch.setattr(model, "_DENSE_LIMIT", 0)
+        datas = prepare_data(generate(GenSpec(family="qp_rhs", count=4, seed=7, n=20)))
+        assert sp.issparse(datas[0].operator.channel_operator[0])
+        self._assert_rows_equal(datas, net.init_params(3, 5, seed=3))
+
+    def test_distinct_operators_rejected(self, desk_datas, tiny_data):
+        with pytest.raises(ValueError, match="share one operator"):
+            net.forward_block([desk_datas[0], tiny_data], net.init_params(1, 2))
+
+    def test_block_projects_every_instance(self, desk_datas):
+        # every row of the dual block is projected, not just the last rows
+        # of the stacked state
+        params = net.init_params(2, 4, seed=4, scheme="random")
+        tail = desk_datas[0].size - desk_datas[0].cone.m_nonneg
+        for x, y in net.forward_block(desk_datas[:4], params):
+            assert np.all(np.concatenate([x, y])[tail:] >= 0.0)
+
+
 class TestEmulation:
     def test_single_layer_hand_iteration(self, one_var_data):
         data = one_var_data
@@ -176,6 +218,60 @@ class TestLoss:
             net.loss([(np.zeros(1), np.zeros(1))], [])
 
 
+def reference_backward(data, params, cache, label):
+    """Every term of every layer, the exactly-zero ones included, summed
+    into a zero vector: the reference backward must equal bit for bit."""
+    target = np.concatenate([np.asarray(v, dtype=np.float64) for v in label])
+    K, Kt = data.operator.channel_operator
+    free = data.n + data.cone.m_zero
+    grad = np.zeros_like(params.vector)
+    at = {name: s for name, s, _ in net.layout(params.L, params.d)}
+
+    def add(name, g):
+        grad[at[name]] += g.ravel()
+
+    r = cache.out - target
+    add("p_out", cache.layers[-1].u_out.T @ r)
+    u_bar = np.outer(r, params.p_out)
+    ut_bar = np.zeros_like(u_bar)
+    w_bar = np.zeros_like(u_bar)
+    for li in range(params.L - 1, -1, -1):
+        lp, lc, pre = params.layers[li], cache.layers[li], f"layers.{li}."
+        add(pre + "W_w", lc.w_in.T @ w_bar)
+        add(pre + "W_u", lc.u_out.T @ w_bar)
+        add(pre + "W_ut", -lc.ut_out.T @ w_bar)
+        w_in_bar = w_bar @ lp.W_w.T
+        u_bar = u_bar + w_bar @ lp.W_u.T
+        ut_out_bar = ut_bar - w_bar @ lp.W_ut.T
+        p_bar = u_bar.copy()
+        p_bar[free:] *= lc.p_pre[free:] > 0
+        add(pre + "V_ut", 2.0 * lc.ut_out.T @ p_bar)
+        add(pre + "V_w", -lc.w_in.T @ p_bar)
+        ut_out_bar = ut_out_bar + 2.0 * p_bar @ lp.V_ut.T
+        w_in_bar = w_in_bar - p_bar @ lp.V_w.T
+        eta = params.eta[li]
+        gate_bar = np.zeros_like(lc.gate)
+        wprime_bar = np.zeros_like(lc.wprime)
+        cur = ut_out_bar
+        for ut_cur, g in reversed(lc.inner):
+            vt_bar = cur.copy()
+            g_bar = -eta * lc.gate * cur
+            gate_bar += -eta * g * cur
+            Kg = K @ g_bar
+            vt_bar += Kt @ Kg
+            wprime_bar -= Kg
+            add(pre + "U_ut", ut_cur.T @ vt_bar)
+            cur = vt_bar @ lp.U_ut.T
+        z_bar = gate_bar * lc.gate * (1.0 - lc.gate)
+        add(pre + "U_eta", lc.w_in.T @ z_bar)
+        add(pre + "b_eta", z_bar.sum(axis=0))
+        w_in_bar = w_in_bar + z_bar @ lp.U_eta.T
+        add(pre + "U_w", lc.w_in.T @ wprime_bar)
+        w_in_bar = w_in_bar + wprime_bar @ lp.U_w.T
+        ut_bar, w_bar, u_bar = cur, w_in_bar, np.zeros_like(u_bar)
+    return grad
+
+
 class TestBackward:
     def _fd_check(self, data, params, label, rtol=1e-4, h=1e-5):
         _, _, cache = net.forward(data, params)
@@ -229,6 +325,32 @@ class TestBackward:
         assert sp.issparse(sparse.operator.channel_operator[0])
         np.testing.assert_allclose(out_s, out_d, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(grads_s, grads_d, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("L,d,steps", [(1, 3, 1), (2, 4, 3), (4, 8, 1), (3, 5, 2)])
+    def test_matches_unpruned_reference_bit_for_bit(self, desk_datas, L, d, steps):
+        # skipping the terms that are exactly zero moves no bit of the rest
+        params = net.init_params(L, d, seed=L + d, scheme="random", unroll_steps=steps)
+        rng = np.random.default_rng(d)
+        for data in desk_datas[:3]:
+            label = (rng.standard_normal(data.n), rng.standard_normal(data.m))
+            _, _, cache = net.forward(data, params)
+            got = net.backward(data, params, cache, label)
+            assert got.tobytes() == reference_backward(data, params, cache, label).tobytes()
+
+    def test_dead_terms_are_exact_zeros(self, desk_datas):
+        # the last layer's w_out feeds nothing, and layer 0's first gradient
+        # step starts from u-tilde = 0
+        params = net.init_params(3, 4, seed=7, scheme="random")
+        data = desk_datas[0]
+        label = (np.ones(data.n), np.ones(data.m))
+        _, _, cache = net.forward(data, params)
+        grads = net.NetParams(3, 4, params.eta,
+                              vector=net.backward(data, params, cache, label))
+        last = grads.layers[-1]
+        for g in (last.W_w, last.W_u, last.W_ut, grads.layers[0].U_ut):
+            assert g.tobytes() == np.zeros((4, 4)).tobytes()
+        for g in (grads.layers[1].W_w, grads.layers[1].U_ut, grads.layers[0].W_u):
+            assert np.all(g != 0.0)
 
     def test_zero_gradient_at_exact_prediction(self, tiny_data):
         params = net.init_params(2, 4, seed=5)
@@ -388,6 +510,33 @@ class TestTrain:
                               eta_prior=0.05)
         net.train(datas, labels, [0, 1, 2, 3], [4, 5], cfg)
         assert len(calls) == 4
+
+    def test_block_validation_loss_in_val_order(self):
+        # a val set over two operators: the logged loss sums the one-instance
+        # forwards in val_idx order, not the blocks' order
+        datas = [d for seed in (1, 2) for d in prepare_data(
+            generate(GenSpec(family="qp_rhs", count=4, seed=seed, n=6)))]
+        rng = np.random.default_rng(8)
+        labels = [(rng.standard_normal(d.n), 10.0 ** rng.uniform(-3, 3) *
+                   rng.standard_normal(d.m)) for d in datas]
+        val_idx = [5, 1, 6, 2, 7, 3]
+        cfg = net.TrainConfig(max_epochs=2, batch_size=1, layers=2, embed=3,
+                              eta_prior=0.05, learning_rate=1e-3)
+        seen = []
+
+        def check(epoch, params, val_loss):
+            preds = {i: net.forward(datas[i], params)[:2] for i in val_idx}
+            in_order = net.loss([preds[i] for i in val_idx], [labels[i] for i in val_idx])
+            grouped = [5, 6, 7, 1, 2, 3]  # the blocks' order: operator 1 first
+            by_group = net.loss([preds[i] for i in grouped], [labels[i] for i in grouped])
+            seen.append((val_loss, in_order, by_group))
+
+        net.train(datas, labels, [0, 4], val_idx, cfg, epoch_callback=check)
+        assert len({id(d.operator) for d in datas}) == 2
+        for val_loss, in_order, by_group in seen:
+            assert val_loss == in_order
+        # the orders round apart, so the check above tells them apart
+        assert any(in_order != by_group for _, in_order, by_group in seen)
 
     def test_missing_labels_rejected(self):
         datas, labels = self._toy_problem()

@@ -584,6 +584,23 @@ class TestBatch:
             assert_identical(rep, single(data, cfg, warm=w))
 
     @pytest.mark.parametrize("solver", BATCH_SOLVERS)
+    def test_huge_finite_row_ends_in_error(self, distinct_datas, solver):
+        # a warm start at 1e200 overflows the residual to inf; under the
+        # suite's RuntimeWarning-as-error filter it must end in "error",
+        # alone and as a stacked row beside a normal row, whose report stays
+        # its one-row report byte for byte
+        single, batch = BATCH_SOLVERS[solver]
+        datas = distinct_datas[0::2][:2]  # two portfolio rows, one stacked block
+        huge = warm_start_from_solution(datas[0], np.full(datas[0].n, 1e200),
+                                        np.full(datas[0].m, 1e200))
+        cfg = SolverConfig(record_history=True)
+        reports = batch(datas, cfg, [huge, None])
+        for rep in (single(datas[0], cfg, warm=huge), reports[0]):
+            assert (rep.status, rep.iterations, rep.message) == (
+                "error", 1, "divergent iterate")
+        assert_identical(reports[1], single(datas[1], cfg))
+
+    @pytest.mark.parametrize("solver", BATCH_SOLVERS)
     def test_stacked_nan_row_fails_alone(self, distinct_datas, solver):
         single, batch = BATCH_SOLVERS[solver]
         z = np.zeros(distinct_datas[2].size)
