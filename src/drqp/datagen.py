@@ -245,6 +245,8 @@ def split_bundle(bundle: DatasetBundle, sizes: tuple[int, int, int],
                  seed: int = 0) -> DatasetBundle:
     """Seeded disjoint train/val/test split."""
     n_train, n_val, n_test = sizes
+    if min(sizes) < 0:
+        raise ValueError("split sizes must be nonnegative")
     total = n_train + n_val + n_test
     if total > len(bundle):
         raise ValueError(f"split sizes {sizes} oversubscribe {len(bundle)} instances")

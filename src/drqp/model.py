@@ -11,8 +11,9 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from .sparse import DimensionError, Factorization, SparseMatrix, estimate_sigma_max
+from .sparse import DimensionError, Factorization, SparseMatrix
 
 INF = float("inf")
 
@@ -210,21 +211,22 @@ class Operator:
 
     @cached_property
     def sigma_max(self) -> float:
-        """An upper bound on the largest singular value of I+M, or its
-        converged estimate, for the step-size caps rho / sigma_max^2.
+        """The largest singular value of I+M, for the step-size caps
+        rho / sigma_max^2, or an upper bound on it.
 
-        The exact dense 2-norm up to _DENSE_LIMIT. Above it the power
-        iteration estimate when it converged, else the bound
-        sqrt(||K||_1 ||K||_inf), which is never below the true value, unlike
-        an unconverged power iterate.
+        The exact dense 2-norm up to _DENSE_LIMIT. Above it one ARPACK svds
+        call from a seeded start vector; should ARPACK not converge, the
+        bound sqrt(||K||_1 ||K||_inf), which is never below the true value.
         """
         if self.size <= _DENSE_LIMIT:
             return float(np.linalg.norm(self.I_plus_M.to_dense(), 2))
-        est = estimate_sigma_max(self.I_plus_M)
-        if est.converged:
-            return est.sigma_max
-        absK = abs(self.I_plus_M._csr)
-        return float(math.sqrt(absK.sum(axis=0).max() * absK.sum(axis=1).max()))
+        K = self.I_plus_M._csr
+        v0 = np.random.default_rng(0).standard_normal(self.size)
+        try:
+            return float(spla.svds(K, k=1, v0=v0, return_singular_vectors=False)[0])
+        except spla.ArpackNoConvergence:
+            absK = abs(K)
+            return float(math.sqrt(absK.sum(axis=0).max() * absK.sum(axis=1).max()))
 
     def equality_pinv(self, m_zero: int) -> np.ndarray:
         """Pseudo-inverse of the equality block A_eq' of M (rows :n, columns

@@ -396,8 +396,10 @@ class TrainConfig:
     escalation_min_delta: float = 0.0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (0 < self.learning_rate < math.inf):
+            raise ValueError("learning_rate must be positive and finite")
+        if self.escalated_lr is not None and not (0 < self.escalated_lr < math.inf):
+            raise ValueError("escalated_lr must be positive and finite")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         if self.batch_size < 1 or self.max_epochs < 1:

@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .model import MonotoneData, QualityMetrics, project_cone_dual, quality
-from .sparse import Factorization, spmv, spmv_t
+from .sparse import Factorization, spmv
 
 _DIVERGENCE_LIMIT = 1e12
 SAFEGUARD_RHO = 0.99  # the step-size cap's fraction of 1 / sigma_max^2
@@ -24,8 +24,8 @@ class SolverConfig:
     record_history: bool = False
 
     def __post_init__(self):
-        if self.tol_fixed_point <= 0:
-            raise ValueError("tol_fixed_point must be positive")
+        if not (0 < self.tol_fixed_point < math.inf):
+            raise ValueError("tol_fixed_point must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.steps_per_iter < 1:
@@ -61,81 +61,6 @@ def step_size_cap(data: MonotoneData) -> float:
     at least 1 and the cap keeps the reflected gradient map nonexpansive.
     """
     return SAFEGUARD_RHO / data.sigma_max ** 2
-
-
-def exact_linesearch_step(t: np.ndarray, data: MonotoneData) -> float:
-    """Exact minimizer of f along -t for f(v) = 0.5||(I+M)v - r||^2.
-
-    eta* = ||t||^2 / ||(I+M)t||^2; for this quadratic the exact step
-    satisfies both Wolfe conditions (c1 <= 1/2; the new gradient is
-    orthogonal to t).
-    """
-    tt = float(t @ t)
-    if tt == 0.0:
-        raise ValueError("exact_linesearch_step: t is zero (already converged)")
-    Kt = spmv(data.I_plus_M, t)
-    return tt / float(Kt @ Kt)
-
-
-@dataclass(frozen=True)
-class WolfeResult:
-    sufficient_decrease: bool
-    curvature: bool
-    decrease_lhs: float
-    decrease_rhs: float
-    curvature_lhs: float
-    curvature_rhs: float
-
-    @property
-    def passed(self) -> bool:
-        return self.sufficient_decrease and self.curvature
-
-
-def wolfe_check(data: MonotoneData, w: np.ndarray, u_tilde: np.ndarray,
-                u_tilde_next: np.ndarray, eta: float,
-                c1: float = 1e-4, c2: float = 0.9) -> WolfeResult:
-    """Evaluate both Wolfe conditions for f(v) = 0.5||(I+M)v - (w-q)||^2."""
-    if not (0 < c1 < 0.5 < c2 < 1):
-        raise ValueError("require 0 < c1 < 1/2 < c2 < 1")
-    K = data.I_plus_M
-    r = w - data.q
-
-    def grad(v):
-        return spmv_t(K, spmv(K, v) - r)
-
-    def f(v):
-        e = spmv(K, v) - r
-        return 0.5 * float(e @ e)
-
-    g0 = grad(u_tilde)
-    g1 = grad(u_tilde_next)
-    gg = float(g0 @ g0)
-    dec_lhs = f(u_tilde) - f(u_tilde_next)
-    dec_rhs = c1 * eta * gg
-    cur_lhs = float(g1 @ g0)
-    cur_rhs = c2 * gg
-    return WolfeResult(
-        sufficient_decrease=bool(dec_lhs >= dec_rhs),
-        curvature=bool(cur_lhs <= cur_rhs),
-        decrease_lhs=dec_lhs, decrease_rhs=dec_rhs,
-        curvature_lhs=cur_lhs, curvature_rhs=cur_rhs,
-    )
-
-
-def dr_operator_apply(data: MonotoneData, eta: float, u_tilde_prev: np.ndarray,
-                      w: np.ndarray) -> np.ndarray:
-    """One fixed-step DR-GD w-update via the Cayley/reflection composition.
-
-    T(w) = (1/2) (Id + C(2*Phi - Id)) w with C the Cayley operator of the
-    normal cone (C = 2*Pi_C - Id) and Phi the gradient-step map. Exists as an
-    independent oracle for the solver's iteration.
-    """
-    K = data.I_plus_M
-    phi = (u_tilde_prev - eta * spmv_t(K, spmv(K, u_tilde_prev))
-           + eta * spmv_t(K, w - data.q))
-    refl = 2.0 * phi - w
-    cayley = 2.0 * project_cone_dual(refl, data.cone) - refl
-    return 0.5 * (w + cayley)
 
 
 def warm_start_from_solution(data: MonotoneData, x: np.ndarray,

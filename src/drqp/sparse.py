@@ -1,4 +1,4 @@
-"""Sparse CSR kernels, reusable LU factorization, and spectral-norm estimation."""
+"""Sparse CSR matrices, their product, and a reusable LU factorization."""
 
 from __future__ import annotations
 
@@ -102,15 +102,6 @@ class SparseMatrix:
         indptr = np.bincount(key // ncols + 1, minlength=nrows + 1).cumsum()
         return cls(nrows, ncols, indptr, key % ncols, vals)
 
-    @classmethod
-    def identity(cls, n: int) -> "SparseMatrix":
-        return cls.from_scipy(sp.identity(n, format="csr"))
-
-    @classmethod
-    def diagonal(cls, diag) -> "SparseMatrix":
-        # keeps explicit zeros out of the pattern
-        return cls.from_dense(np.diag(np.asarray(diag, dtype=np.float64)))
-
     # -- copies: the matrix is immutable, so a deep copy is the matrix itself;
     # a pickle or shallow copy rebuilds it through the validating constructor
 
@@ -179,14 +170,6 @@ def spmv(A: SparseMatrix, x: np.ndarray) -> np.ndarray:
     if x.shape != (A.ncols,):
         raise DimensionError(f"spmv: x has shape {x.shape}, expected ({A.ncols},)")
     return A._csr @ x
-
-
-def spmv_t(A: SparseMatrix, x: np.ndarray) -> np.ndarray:
-    """Transpose product A.T @ x, using a cached transpose."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (A.nrows,):
-        raise DimensionError(f"spmv_t: x has shape {x.shape}, expected ({A.nrows},)")
-    return A._csr_t @ x
 
 
 class Factorization:
@@ -261,38 +244,3 @@ def _inverse_safe(u_diag: np.ndarray) -> bool:
         raise SingularMatrixError("numerically singular matrix")
     return bool(du.size) and du.min() > du.max() * 1e-10
 
-
-@dataclass(frozen=True)
-class SpectralEstimate:
-    sigma_max: float
-    iterations_used: int
-    converged: bool
-
-
-def estimate_sigma_max(A: SparseMatrix, tol: float = 1e-10,
-                       max_iter: int = 5000, seed: int = 0) -> SpectralEstimate:
-    """Largest-singular-value estimate by power iteration on A.T @ A.
-
-    The start vector is drawn from a fixed-seed generator so downstream
-    step-size caps are reproducible.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(A.ncols)
-    nv = np.linalg.norm(v)
-    if nv == 0 or A.ncols == 0 or A.nrows == 0:
-        return SpectralEstimate(0.0, 0, True)
-    v /= nv
-    sigma = 0.0
-    for it in range(1, max_iter + 1):
-        u = spmv(A, v)
-        sigma_new = np.linalg.norm(u)
-        if sigma_new == 0.0:
-            return SpectralEstimate(0.0, it, True)
-        v = spmv_t(A, u)
-        v /= np.linalg.norm(v)
-        if abs(sigma_new - sigma) <= tol * max(1.0, sigma_new):
-            return SpectralEstimate(float(sigma_new), it, True)
-        sigma = sigma_new
-    return SpectralEstimate(float(sigma), max_iter, False)

@@ -14,10 +14,10 @@ from drqp.datagen import (GenSpec, generate, label_bundle, read_bundle,
                           split_bundle, write_bundle)
 from drqp.model import ConeSpec, project_cone_dual
 from drqp.report import prepare_data, run_compare, run_eval
-from drqp.solvers import (IterateState, SolverConfig, dr_operator_apply,
-                          dr_solve, drgd_solve, exact_linesearch_step,
-                          step_size_cap, wolfe_check)
-from drqp.sparse import spmv, spmv_t
+from drqp.solvers import (IterateState, SolverConfig, dr_solve, drgd_solve,
+                          step_size_cap)
+from drqp.sparse import spmv
+from oracles import dr_operator_apply, exact_linesearch_step, wolfe_check
 
 
 def desk_instances(count, seed=0, n=50):
@@ -65,7 +65,7 @@ def test_criterion_02_exact_step_satisfies_wolfe():
         data = datas[trial % len(datas)]
         w = rng.standard_normal(data.size)
         ut = rng.standard_normal(data.size)
-        t = spmv_t(data.I_plus_M, spmv(data.I_plus_M, ut) - (w - data.q))
+        t = data.I_plus_M._csr_t @ (spmv(data.I_plus_M, ut) - (w - data.q))
         eta = exact_linesearch_step(t, data)
         res = wolfe_check(data, w, ut, ut - eta * t, eta, c1=1e-4, c2=0.9)
         failures += not res.passed
@@ -81,7 +81,7 @@ def test_criterion_03_nonexpansive_under_cap():
         ut = rng.standard_normal(data.size)
 
         def reflected(w):
-            phi = ut - eta * spmv_t(K, spmv(K, ut) - (w - data.q))
+            phi = ut - eta * (K._csr_t @ (spmv(K, ut) - (w - data.q)))
             return 2.0 * phi - w
 
         for _ in range(100):
@@ -244,7 +244,7 @@ class TestCriterion11InvariantSuite:
         for _ in range(100):
             x = rng.standard_normal(data.size)
             y = rng.standard_normal(data.size)
-            lhs = spmv_t(data.I_plus_M, y) @ x
+            lhs = (data.I_plus_M._csr_t @ y) @ x
             rhs = y @ spmv(data.I_plus_M, x)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 

@@ -47,6 +47,15 @@ class TestGenerate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["family"] == "portfolio"
 
+    def test_non_finite_label_tol_is_runtime_error(self, tmp_path, capsys):
+        # labels at tol inf were written with KKT violations of 0.02-0.07
+        out = tmp_path / "inf"
+        rc = run(["generate", "--family", "qp_rhs", "--n", "10", "--count", "2",
+                  "--label", "--label-tol", "inf", "--out", str(out)])
+        assert rc == 2
+        assert "tol_fixed_point must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCompare:
     def test_emits_tables(self, bundle_dir, tmp_path):
@@ -62,6 +71,15 @@ class TestCompare:
                   "--out", str(tmp_path / "cmp0")])
         assert rc == 2
         assert "error: max_iter must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tol_is_runtime_error(self, bundle_dir, tmp_path, capsys, tol):
+        # tol inf reported every row converged after 1 iteration; nan ran
+        # every solve to max_iter
+        out = tmp_path / "cmp"
+        assert run(["compare", str(bundle_dir), "--tol", tol, "--out", str(out)]) == 2
+        assert "tol_fixed_point must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_markdown_format(self, bundle_dir, tmp_path):
         out = tmp_path / "cmpmd"
@@ -104,6 +122,20 @@ class TestTrainEval:
         out = tmp_path / "bad"
         assert run(["train", str(bundle_dir), *flags, "--out", str(out)]) == 2
         assert "batch_size and max_epochs must be >= 1" in capsys.readouterr().err
+        assert not (out / "model.json").exists()
+
+    @pytest.mark.parametrize("flags, problem", [
+        (["--lr", "nan"], "learning_rate must be positive and finite"),
+        (["--escalate-lr", "-1", "--escalate-patience", "0"],
+         "escalated_lr must be positive and finite"),
+    ], ids=["lr-nan", "escalate-lr-negative"])
+    def test_learning_rates_positive_and_finite(self, bundle_dir, tmp_path, capsys,
+                                                flags, problem):
+        # a nan rate failed later on the wrong cause, a negative escalated
+        # rate trained by gradient ascent and wrote its checkpoint
+        out = tmp_path / "bad"
+        assert run(["train", str(bundle_dir), *flags, "--out", str(out)]) == 2
+        assert problem in capsys.readouterr().err
         assert not (out / "model.json").exists()
 
     def test_eval_missing_checkpoint_fails(self, bundle_dir, tmp_path):
@@ -203,3 +235,12 @@ class TestUsageErrors:
         copy = tmp_path / "copy"
         shutil.copytree(bundle_dir, copy)
         assert run(["split", str(copy), "--sizes", "90", "5", "5"]) == 2
+
+    def test_split_negative_size(self, bundle_dir, tmp_path, capsys):
+        # -1 took every instance but one into train and failed as "not disjoint"
+        copy = tmp_path / "copy"
+        shutil.copytree(bundle_dir, copy)
+        manifest = (copy / "manifest.json").read_bytes()
+        assert run(["split", str(copy), "--sizes", "-1", "2", "3"]) == 2
+        assert "split sizes must be nonnegative" in capsys.readouterr().err
+        assert (copy / "manifest.json").read_bytes() == manifest

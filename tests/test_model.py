@@ -11,7 +11,7 @@ from drqp.model import (ConeSpec, ConicQP, Operator, assemble_inclusion,
                         l2_distance, project_cone_dual, quality, read_instance,
                         to_conic, write_instance)
 from drqp.report import complete_zero_cone_dual, prepare_data
-from drqp.sparse import SparseMatrix, SpectralEstimate
+from drqp.sparse import SparseMatrix
 
 
 def _unbounded(n):
@@ -235,18 +235,20 @@ class TestOperator:
         assert len({id(d.operator) for d in prepare_data(portfolio)}) == 3
 
     def test_no_power_iteration_and_one_factorization(self, monkeypatch):
-        estimates = _count_calls(monkeypatch, model, "estimate_sigma_max")
+        # below the dense limit sigma_max is the dense 2-norm, without svds
+        svds_calls = _count_calls(monkeypatch, model.spla, "svds")
         factorizations = _count_calls(monkeypatch, model, "Factorization")
         for spec, distinct in ((GenSpec(family="qp_rhs", count=4, seed=2, n=10), 1),
                                (GenSpec(family="portfolio", count=3, seed=2, k=2), 3)):
             bundle = generate(spec)
-            prepare_data(bundle)
+            datas = prepare_data(bundle)
             assert factorizations == []
             labeled, excluded = label_bundle(bundle)
             assert excluded == []
             assert len(factorizations) == distinct
             factorizations.clear()
-        assert estimates == []
+            assert all(d.sigma_max > 1.0 for d in datas)
+        assert svds_calls == []
 
     def test_equality_pinv_once_per_zero_cone_size(self, monkeypatch):
         pinvs = _count_calls(monkeypatch, np.linalg, "pinv")
@@ -282,21 +284,29 @@ class TestOperator:
             assert data.sigma_max >= truth * (1.0 - 1e-12)
 
     @pytest.mark.parametrize("converged", [True, False])
-    def test_sigma_max_above_dense_limit(self, tiny_data, monkeypatch, converged):
-        # above the dense limit a converged estimate is used as is, and an
-        # unconverged one is replaced by sqrt(||K||_1 ||K||_inf)
+    def test_sigma_max_above_dense_limit(self, desk_datas, tiny_data, monkeypatch,
+                                         converged):
+        # above the dense limit one svds call gives sigma_max to 1e-12 of the
+        # SVD, the same bits on every fresh operator; should ARPACK not
+        # converge, the bound sqrt(||K||_1 ||K||_inf) stands in
         monkeypatch.setattr(model, "_DENSE_LIMIT", 0)
-        monkeypatch.setattr(model, "estimate_sigma_max",
-                            lambda K: SpectralEstimate(0.5, 5000, converged))
-        data = assemble_inclusion(tiny_data.cqp)
-        K = np.abs(data.I_plus_M.to_dense())
-        bound = math.sqrt(K.sum(axis=0).max() * K.sum(axis=1).max())
-        truth = np.linalg.svd(data.I_plus_M.to_dense(), compute_uv=False)[0]
-        if converged:
-            assert data.sigma_max == 0.5
-        else:
-            assert data.sigma_max == pytest.approx(bound, rel=1e-15)
-            assert data.sigma_max >= truth
+        if not converged:
+            def no_convergence(*args, **kwargs):
+                raise model.spla.ArpackNoConvergence("no convergence", [], [])
+            monkeypatch.setattr(model.spla, "svds", no_convergence)
+        portfolio = prepare_data(generate(GenSpec(family="portfolio", count=2,
+                                                  seed=3, k=2)))
+        for cqp in [d.cqp for d in (tiny_data, *desk_datas[:3], *portfolio)]:
+            data = assemble_inclusion(cqp)
+            K = data.I_plus_M.to_dense()
+            truth = np.linalg.svd(K, compute_uv=False)[0]
+            if converged:
+                assert data.sigma_max == pytest.approx(truth, rel=1e-12)
+                assert assemble_inclusion(cqp).sigma_max == data.sigma_max
+            else:
+                bound = math.sqrt(np.linalg.norm(K, 1) * np.linalg.norm(K, np.inf))
+                assert data.sigma_max == pytest.approx(bound, rel=1e-15)
+                assert data.sigma_max >= truth
 
 
 class TestProjectConeDual:

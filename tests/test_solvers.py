@@ -9,11 +9,11 @@ from drqp.datagen import GenSpec, generate
 from drqp.model import project_cone_dual
 from drqp.report import prepare_data
 from drqp import model, solvers
-from drqp.solvers import (IterateState, SolverConfig, dr_operator_apply,
-                          dr_solve, dr_solve_batch, drgd_solve, drgd_solve_batch,
-                          exact_linesearch_step, step_size_cap,
-                          warm_start_from_solution, wolfe_check)
-from drqp.sparse import Factorization, spmv, spmv_t
+from drqp.solvers import (IterateState, SolverConfig, dr_solve, dr_solve_batch,
+                          drgd_solve, drgd_solve_batch, step_size_cap,
+                          warm_start_from_solution)
+from drqp.sparse import Factorization, spmv
+from oracles import dr_operator_apply, exact_linesearch_step, wolfe_check
 
 
 def fixed_cfg(data, frac=0.5, **kw):
@@ -173,7 +173,7 @@ class TestExactLinesearch:
         for _ in range(10):
             ut = rng.standard_normal(tiny_data.size)
             rhs = rng.standard_normal(tiny_data.size)
-            t = spmv_t(K, spmv(K, ut) - rhs)
+            t = K._csr_t @ (spmv(K, ut) - rhs)
             star = (t @ t) / (spmv(K, t) @ spmv(K, t))
             best = f(ut - star * t, rhs)
             for eta in rng.uniform(0.0, 3.0 * star, 50):
@@ -199,7 +199,7 @@ class TestWolfeCheck:
     def _random_pair(self, data, rng):
         w = rng.standard_normal(data.size)
         ut = rng.standard_normal(data.size)
-        t = spmv_t(data.I_plus_M, spmv(data.I_plus_M, ut) - (w - data.q))
+        t = data.I_plus_M._csr_t @ (spmv(data.I_plus_M, ut) - (w - data.q))
         return w, ut, t
 
     def test_exact_step_passes(self, tiny_data):
@@ -278,7 +278,7 @@ class TestDrOperatorApply:
             ut = rng.standard_normal(data.size)
 
             def reflected_phi(w):
-                phi = ut - eta * spmv_t(K, spmv(K, ut) - (w - data.q))
+                phi = ut - eta * (K._csr_t @ (spmv(K, ut) - (w - data.q)))
                 return 2 * phi - w
 
             for _ in range(30):
@@ -391,7 +391,7 @@ def vector_loop(data, cfg, warm=None, gradient=False):
         r = w - data.q
         if gradient:
             for _ in range(cfg.steps_per_iter):
-                t = spmv_t(K, spmv(K, ut) - r)
+                t = K._csr_t @ (spmv(K, ut) - r)
                 if not float(t @ t) > 0.0:
                     break
                 ut = ut - eta * t

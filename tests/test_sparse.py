@@ -1,12 +1,15 @@
 import copy
+import math
 import pickle
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from drqp import model
+from drqp.model import Operator
 from drqp.sparse import (DimensionError, Factorization, SingularMatrixError,
-                         SparseMatrix, estimate_sigma_max, spmv, spmv_t)
+                         SparseMatrix, spmv)
 
 
 def random_sparse(rng, nrows, ncols, density=0.5):
@@ -24,12 +27,16 @@ class TestConstruction:
         np.testing.assert_array_equal(mat.to_dense(), dense)
 
     def test_identity(self):
-        np.testing.assert_array_equal(SparseMatrix.identity(3).to_dense(),
-                                      np.eye(3))
+        mat = SparseMatrix.from_dense(np.eye(3))
+        np.testing.assert_array_equal(mat.indptr, [0, 1, 2, 3])
+        np.testing.assert_array_equal(mat.indices, [0, 1, 2])
+        np.testing.assert_array_equal(mat.to_dense(), np.eye(3))
 
     def test_diagonal(self):
-        np.testing.assert_array_equal(
-            SparseMatrix.diagonal([2.0, 4.0]).to_dense(), np.diag([2.0, 4.0]))
+        # a zero on the diagonal stays out of the pattern
+        mat = SparseMatrix.from_dense(np.diag([2.0, 0.0, 4.0]))
+        np.testing.assert_array_equal(mat.indices, [0, 2])
+        np.testing.assert_array_equal(mat.to_dense(), np.diag([2.0, 0.0, 4.0]))
 
     def test_offsets_length_checked(self):
         with pytest.raises(ValueError):
@@ -89,7 +96,7 @@ class TestConstruction:
     def test_copies_stay_immutable_and_consistent(self):
         # copies of a matrix whose CSR backend is cached: read-only arrays, and
         # products and dense views that agree with them
-        mat = SparseMatrix.identity(3)
+        mat = SparseMatrix.from_dense(np.eye(3))
         spmv(mat, np.ones(3))
         for c in (copy.copy(mat), copy.deepcopy(mat), pickle.loads(pickle.dumps(mat))):
             assert not any(a.flags.writeable for a in (c.indptr, c.indices, c.values))
@@ -102,7 +109,7 @@ class TestConstruction:
 class TestSpmv:
     def test_identity_apply(self):
         x = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(spmv(SparseMatrix.identity(3), x), x)
+        np.testing.assert_array_equal(spmv(SparseMatrix.from_dense(np.eye(3)), x), x)
 
     def test_zero_matrix(self):
         mat = SparseMatrix.from_dense(np.zeros((2, 3)))
@@ -114,25 +121,27 @@ class TestSpmv:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            spmv(SparseMatrix.identity(3), np.ones(2))
+            spmv(SparseMatrix.from_dense(np.eye(3)), np.ones(2))
 
     def test_transpose_identity(self):
         x = np.array([4.0, 5.0])
-        np.testing.assert_array_equal(spmv_t(SparseMatrix.identity(2), x), x)
+        np.testing.assert_array_equal(
+            spmv(SparseMatrix.from_dense(np.eye(2)).transpose(), x), x)
 
     def test_transpose_hand_example(self):
         mat = SparseMatrix.from_dense(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        np.testing.assert_array_equal(spmv_t(mat, np.ones(2)), [4.0, 6.0])
+        np.testing.assert_array_equal(spmv(mat.transpose(), np.ones(2)), [4.0, 6.0])
 
     def test_transpose_against_dense_oracle(self):
         rng = np.random.default_rng(1)
         mat, dense = random_sparse(rng, 5, 3)
         y = rng.standard_normal(5)
-        np.testing.assert_allclose(spmv_t(mat, y), dense.T @ y, rtol=1e-13)
+        np.testing.assert_allclose(spmv(mat.transpose(), y), dense.T @ y, rtol=1e-13)
 
     def test_transpose_dimension_mismatch(self):
+        # the 3 x 2 transpose of a 2 x 3 matrix takes vectors of length 2
         with pytest.raises(DimensionError):
-            spmv_t(SparseMatrix.identity(3), np.ones(2))
+            spmv(SparseMatrix.from_dense(np.ones((2, 3))).transpose(), np.ones(3))
 
     def test_adjoint_identity(self):
         rng = np.random.default_rng(2)
@@ -140,19 +149,19 @@ class TestSpmv:
             mat, _ = random_sparse(rng, 6, 4)
             x = rng.standard_normal(4)
             y = rng.standard_normal(6)
-            lhs = spmv_t(mat, y) @ x
+            lhs = spmv(mat.transpose(), y) @ x
             rhs = y @ spmv(mat, x)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
 class TestFactorize:
     def test_identity_solve(self):
-        fac = Factorization(SparseMatrix.identity(2))
+        fac = Factorization(SparseMatrix.from_dense(np.eye(2)))
         np.testing.assert_array_equal(fac.solve(np.array([5.0, -2.0])),
                                       [5.0, -2.0])
 
     def test_diagonal_solve(self):
-        fac = Factorization(SparseMatrix.diagonal([2.0, 4.0]))
+        fac = Factorization(SparseMatrix.from_dense(np.diag([2.0, 4.0])))
         np.testing.assert_allclose(fac.solve(np.array([2.0, 8.0])), [1.0, 2.0])
 
     def test_residual_contract(self):
@@ -175,7 +184,7 @@ class TestFactorize:
         np.testing.assert_allclose(fac.solve(spmv(mat, x)), x, rtol=1e-8)
 
     def test_reusable_across_rhs(self):
-        fac = Factorization(SparseMatrix.diagonal([1.0, 3.0]))
+        fac = Factorization(SparseMatrix.from_dense(np.diag([1.0, 3.0])))
         np.testing.assert_allclose(fac.solve(np.array([1.0, 3.0])), [1.0, 1.0])
         np.testing.assert_allclose(fac.solve(np.array([2.0, 9.0])), [2.0, 3.0])
 
@@ -249,49 +258,54 @@ class TestFactorize:
     @pytest.mark.parametrize("dense_limit", [1024, 0], ids=["inverse", "superlu"])
     def test_kind(self, monkeypatch, dense_limit):
         monkeypatch.setattr(Factorization, "_DENSE_LIMIT", dense_limit)
-        fac = Factorization(SparseMatrix.diagonal([1.0, 3.0]))
+        fac = Factorization(SparseMatrix.from_dense(np.diag([1.0, 3.0])))
         assert fac.kind == ("dense-inverse" if dense_limit else "superlu")
         with pytest.raises(AttributeError):
             fac.kind = "superlu"
 
 
 class TestSigmaMax:
+    """Operator.sigma_max above the dense limit, where one ARPACK svds call
+    gives it; it reads only I_plus_M, so any square matrix can stand in."""
+
+    @pytest.fixture(autouse=True)
+    def _above_dense_limit(self, monkeypatch):
+        monkeypatch.setattr(model, "_DENSE_LIMIT", 0)
+
+    @staticmethod
+    def sigma_max(dense):
+        K = SparseMatrix.from_dense(dense)
+        return Operator(M=K, I_plus_M=K, n=K.nrows).sigma_max
+
     def test_identity(self):
-        est = estimate_sigma_max(SparseMatrix.identity(4))
-        assert est.converged
-        assert est.sigma_max == pytest.approx(1.0, abs=1e-9)
+        assert self.sigma_max(np.eye(4)) == pytest.approx(1.0, rel=1e-12)
 
     def test_diagonal(self):
-        est = estimate_sigma_max(SparseMatrix.diagonal([1.0, 3.0]))
-        assert est.sigma_max == pytest.approx(3.0, abs=1e-6)
+        assert self.sigma_max(np.diag([1.0, 3.0])) == pytest.approx(3.0, rel=1e-12)
 
     def test_against_svd_oracle(self):
-        rng = np.random.default_rng(6)
-        dense = rng.standard_normal((10, 10))
-        est = estimate_sigma_max(SparseMatrix.from_dense(dense))
+        dense = np.random.default_rng(6).standard_normal((10, 10))
         truth = np.linalg.svd(dense, compute_uv=False)[0]
-        assert est.sigma_max == pytest.approx(truth, abs=1e-4)
+        assert self.sigma_max(dense) == pytest.approx(truth, rel=1e-12)
 
     def test_deterministic(self):
-        rng = np.random.default_rng(7)
-        mat, _ = random_sparse(rng, 6, 6)
-        a = estimate_sigma_max(mat)
-        b = estimate_sigma_max(mat)
-        assert a.sigma_max == b.sigma_max
-        assert a.iterations_used == b.iterations_used
+        _, dense = random_sparse(np.random.default_rng(7), 6, 6)
+        assert self.sigma_max(dense) == self.sigma_max(dense)
 
     def test_upper_bound_character(self):
         rng = np.random.default_rng(8)
-        mat, dense = random_sparse(rng, 7, 7)
-        est = estimate_sigma_max(mat, tol=1e-10)
+        _, dense = random_sparse(rng, 7, 7)
+        sigma = self.sigma_max(dense)
         for _ in range(20):
             x = rng.standard_normal(7)
-            ratio = np.linalg.norm(dense @ x) / np.linalg.norm(x)
-            assert est.sigma_max >= ratio - 1e-6
+            assert sigma >= np.linalg.norm(dense @ x) / np.linalg.norm(x) * (1 - 1e-12)
 
-    def test_non_convergence_flagged(self):
-        rng = np.random.default_rng(9)
-        dense = rng.standard_normal((12, 12))
-        est = estimate_sigma_max(SparseMatrix.from_dense(dense), tol=1e-16,
-                                 max_iter=2)
-        assert not est.converged
+    def test_non_convergence_flagged(self, monkeypatch):
+        # ARPACK allowed one restart does not converge on a 50 x 50 matrix;
+        # the bound sqrt(||K||_1 ||K||_inf) stands in
+        svds = model.spla.svds
+        monkeypatch.setattr(model.spla, "svds", lambda *a, **kw: svds(*a, maxiter=1, **kw))
+        dense = np.random.default_rng(9).standard_normal((50, 50))
+        bound = math.sqrt(np.linalg.norm(dense, 1) * np.linalg.norm(dense, np.inf))
+        assert self.sigma_max(dense) == pytest.approx(bound, rel=1e-15)
+        assert bound >= np.linalg.svd(dense, compute_uv=False)[0]
