@@ -110,7 +110,7 @@ def cmd_train(args) -> int:
     out = _out_dir(args)
     ckpt = out / (args.checkpoint or "model.json")
     net.save_checkpoint(result.params, ckpt)
-    net.write_training_log(out / "training_log.csv", result.log)
+    (out / "training_log.csv").write_text(report.training_log_csv(result.log))
     print(f"best val loss {result.best_val_loss:.6g} at epoch {result.best_epoch}; "
           f"checkpoint: {ckpt}")
     return EXIT_OK

@@ -52,6 +52,8 @@ class DatasetBundle:
     spec: Optional[GenSpec] = None
 
     def __post_init__(self):
+        if not self.instances:
+            raise ValueError("a bundle needs at least one instance")
         if self.labels is not None and len(self.labels) != len(self.instances):
             raise ValueError("labels length must match instances")
         if self.split is not None:
@@ -264,7 +266,7 @@ def _instance_name(i: int) -> str:
 
 
 def write_bundle(bundle: DatasetBundle, path) -> None:
-    """One JSON file per instance plus a manifest with split membership."""
+    """One JSON file per instance plus a manifest with the file list and split."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     for i, qp in enumerate(bundle.instances):
@@ -274,28 +276,13 @@ def write_bundle(bundle: DatasetBundle, path) -> None:
         "format_version": 1,
         "family": bundle.family,
         "seed": bundle.seed,
-        "count": len(bundle),
         "spec": None if bundle.spec is None else asdict(bundle.spec),
         "split": bundle.split,
-        "instances": [
-            {"file": _instance_name(i),
-             "labeled": bool(bundle.labels is not None and bundle.labels[i] is not None),
-             "split": _membership(bundle.split, i)}
-            for i in range(len(bundle))
-        ],
+        "instances": [{"file": _instance_name(i)} for i in range(len(bundle))],
     }
     with open(path / "manifest.json", "w") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=1)
         fh.write("\n")
-
-
-def _membership(split: Optional[dict], i: int) -> Optional[str]:
-    if split is None:
-        return None
-    for name, idx in split.items():
-        if i in idx:
-            return name
-    return None
 
 
 def read_bundle(path) -> DatasetBundle:
@@ -329,5 +316,5 @@ def read_bundle(path) -> DatasetBundle:
         return DatasetBundle(family=family, instances=instances,
                              labels=labels if any_labels else None,
                              split=split, seed=seed, spec=spec)
-    except (AttributeError, TypeError, ValueError) as exc:  # only the split can be at fault
+    except (AttributeError, TypeError, ValueError) as exc:  # the split, or no instances
         raise ValueError(f"{manifest_path}: malformed manifest: {exc}") from exc

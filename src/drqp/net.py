@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import math
@@ -81,8 +80,8 @@ class NetParams:
         if not isinstance(self.unroll_steps, (int, np.integer)) or self.unroll_steps < 1:
             raise ValueError("unroll_steps must be an integer >= 1")
         self.eta = np.asarray(self.eta, dtype=np.float64)
-        if self.eta.shape != (self.L,) or np.any(self.eta <= 0):
-            raise ValueError("eta priors must be positive, one per layer")
+        if self.eta.shape != (self.L,) or not np.all((0 < self.eta) & (self.eta < np.inf)):
+            raise ValueError("eta priors must be positive and finite, one per layer")
         size = layout(self.L, self.d)[-1][1].stop
         self.vector = (np.zeros(size) if self.vector is None
                        else np.asarray(self.vector, dtype=np.float64))
@@ -160,7 +159,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 @dataclass
 class LayerCache:
     w_in: np.ndarray
-    wprime: np.ndarray
     gate: np.ndarray
     inner: list          # per gradient step: (u-tilde before it, g)
     p_pre: np.ndarray    # projection pre-activation
@@ -256,7 +254,7 @@ def _unroll(data: MonotoneData, Q: np.ndarray, params: NetParams, kdot,
             w_out = w @ lp.W_w + (u_out @ lp.W_u - ut_out @ lp.W_ut)
             if not np.isfinite(w_out).all() or not np.isfinite(ut_out).all():
                 raise NonFiniteActivationError(li)
-            caches.append(LayerCache(w_in=w, wprime=wprime, gate=gate, inner=inner,
+            caches.append(LayerCache(w_in=w, gate=gate, inner=inner,
                                      p_pre=p_pre, u_out=u_out, ut_out=ut_out))
             ut, w = ut_out, w_out
     return caches[-1].u_out @ params.p_out, caches
@@ -404,6 +402,10 @@ class TrainConfig:
             raise ValueError("patience must be >= 1")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("batch_size and max_epochs must be >= 1")
+        if self.escalation_patience < 0:
+            raise ValueError("escalation_patience must be >= 0")
+        if not (0 <= self.escalation_min_delta < 1):
+            raise ValueError("escalation_min_delta must lie in [0, 1)")
 
 
 def adam_step(params: NetParams, grads: np.ndarray, moments: AdamMoments, t: int,
@@ -528,16 +530,6 @@ def train(datas: list, labels: list, train_idx, val_idx, cfg: TrainConfig,
                        best_val_loss=float(best_val))
 
 
-def write_training_log(path, log: list) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_loss", "best_flag",
-                         "learning_rate"])
-        for row in log:
-            writer.writerow([row.epoch, repr(row.train_loss), repr(row.val_loss),
-                             int(row.best), repr(row.learning_rate)])
-
-
 # -- checkpoints ------------------------------------------------------------
 
 def save_checkpoint(params: NetParams, path) -> None:
@@ -561,7 +553,7 @@ def save_checkpoint(params: NetParams, path) -> None:
         fh.write(text + "\n")
 
 
-def load_checkpoint(path, expect_d: Optional[int] = None) -> NetParams:
+def load_checkpoint(path) -> NetParams:
     """Read a checkpoint; anything malformed raises ValueError naming path."""
     with open(path) as fh:
         try:
@@ -592,8 +584,6 @@ def load_checkpoint(path, expect_d: Optional[int] = None) -> NetParams:
                            np.concatenate([part.ravel() for part in parts]))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed checkpoint: {exc}") from exc
-    if not (np.all(np.isfinite(params.vector)) and np.all(np.isfinite(params.eta))):
+    if not np.all(np.isfinite(params.vector)):
         raise ValueError(f"{path}: checkpoint holds non-finite values")
-    if expect_d is not None and params.d != expect_d:
-        raise ValueError(f"checkpoint embedding size {params.d} != expected {expect_d}")
     return params

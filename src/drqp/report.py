@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -245,17 +245,8 @@ def table(header: list, rows: list, fmt: str) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-COMPARISON_HEADER = [
-    "instance", "dr_objective", "dr_max_eq", "dr_max_ineq", "dr_iterations",
-    "dr_status", "drgd_objective", "drgd_max_eq", "drgd_max_ineq",
-    "drgd_iterations", "drgd_status", "ratio",
-]
-
-WARMSTART_HEADER = [
-    "instance", "cold_iterations", "warm_iterations", "cold_time", "warm_time",
-    "inference_time", "objective", "max_viol", "l2_to_reference",
-    "cold_status", "warm_status",
-]
+COMPARISON_HEADER = [f.name for f in fields(ComparisonRow)] + ["ratio"]
+WARMSTART_HEADER = [f.name for f in fields(WarmStartRow)]
 
 
 def comparison_table(report: ComparisonReport, fmt: str = "csv") -> str:
@@ -283,14 +274,16 @@ def warmstart_summary(report: WarmStartReport, fmt: str = "csv") -> str:
 
 def residual_history_csv(report: WarmStartReport) -> str:
     """Plot-ready long format: (instance_id, start, iter, residual) rows."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["instance_id", "start", "iter", "residual"])
-    if report.residual_histories:
-        for i in sorted(report.residual_histories):
-            cold, warm = report.residual_histories[i]
-            for k, r in enumerate(cold or []):
-                writer.writerow([i, "cold", k, repr(r)])
-            for k, r in enumerate(warm or []):
-                writer.writerow([i, "warm", k, repr(r)])
-    return buf.getvalue()
+    rows = []
+    for i in sorted(report.residual_histories or {}):
+        for start, history in zip(("cold", "warm"), report.residual_histories[i]):
+            rows += [[i, start, k, r] for k, r in enumerate(history or [])]
+    return table(["instance_id", "start", "iter", "residual"], rows, "csv")
+
+
+def training_log_csv(log: list) -> str:
+    """One row per net.EpochLog; best_flag is 1 for an epoch that improved."""
+    rows = [[e.epoch, e.train_loss, e.val_loss, int(e.best), e.learning_rate]
+            for e in log]
+    return table(["epoch", "train_loss", "val_loss", "best_flag", "learning_rate"],
+                 rows, "csv")

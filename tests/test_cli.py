@@ -138,6 +138,26 @@ class TestTrainEval:
         assert problem in capsys.readouterr().err
         assert not (out / "model.json").exists()
 
+    @pytest.mark.parametrize("flags, problem", [
+        (["--escalate-lr", "1e-4", "--escalate-patience", "-1"],
+         "escalation_patience must be >= 0"),
+        (["--escalate-lr", "1e-4", "--escalate-min-delta", "nan"],
+         "escalation_min_delta must lie in [0, 1)"),
+        (["--escalate-lr", "1e-4", "--escalate-min-delta", "1"],
+         "escalation_min_delta must lie in [0, 1)"),
+        (["--eta-prior", "nan"], "eta priors must be positive and finite"),
+        (["--eta-prior", "inf"], "eta priors must be positive and finite"),
+    ], ids=["escalate-patience-negative", "escalate-min-delta-nan",
+            "escalate-min-delta-one", "eta-prior-nan", "eta-prior-inf"])
+    def test_escalation_and_eta_prior_checked(self, bundle_dir, tmp_path, capsys,
+                                              flags, problem):
+        # the escalation settings used to train and write a checkpoint; a
+        # non-finite prior failed as a non-finite activation in layer 0
+        out = tmp_path / "bad"
+        assert run(["train", str(bundle_dir), *flags, "--out", str(out)]) == 2
+        assert problem in capsys.readouterr().err
+        assert not (out / "model.json").exists()
+
     def test_eval_missing_checkpoint_fails(self, bundle_dir, tmp_path):
         rc = run(["eval", str(bundle_dir), "--checkpoint",
                   str(tmp_path / "absent.json")])
@@ -171,6 +191,29 @@ class TestTrainEval:
         assert str(ckpt) in capsys.readouterr().err
 
 
+def test_table_headers(bundle_dir, tmp_path):
+    # the columns are read from the row types; a renamed or reordered field
+    # must not change a table silently
+    out = tmp_path / "run"
+    assert run(["compare", str(bundle_dir), "--out", str(out)]) == 0
+    assert run(["train", str(bundle_dir), "--layers", "1", "--embed", "2",
+                "--epochs", "1", "--eta-prior", "auto", "--out", str(out)]) == 0
+    assert run(["eval", str(bundle_dir), "--checkpoint", str(out / "model.json"),
+                "--history", "--out", str(out)]) == 0
+
+    def header(name, line=0):
+        return (out / name).read_text().splitlines()[line]
+    assert header("comparison.csv") == (
+        "instance,dr_objective,dr_max_eq,dr_max_ineq,dr_iterations,dr_status,"
+        "drgd_objective,drgd_max_eq,drgd_max_ineq,drgd_iterations,drgd_status,ratio")
+    assert header("warmstart.csv", 1) == (
+        "instance,cold_iterations,warm_iterations,cold_time,warm_time,"
+        "inference_time,objective,max_viol,l2_to_reference,cold_status,warm_status")
+    assert header("training_log.csv") == (
+        "epoch,train_loss,val_loss,best_flag,learning_rate")
+    assert header("residual_history.csv") == "instance_id,start,iter,residual"
+
+
 class TestAblate:
     def test_one_row_per_layer_count(self, bundle_dir, tmp_path):
         out = tmp_path / "abl"
@@ -198,6 +241,8 @@ def test_train_config_from_flags(monkeypatch, bundle_dir, tmp_path):
 @pytest.mark.parametrize("corrupt, culprit, problem", [
     (lambda manifest, instance: manifest.pop("instances"), "manifest.json",
      "missing key 'instances'"),
+    (lambda manifest, instance: manifest["instances"].clear(), "manifest.json",
+     "at least one instance"),
     (lambda manifest, instance: instance.pop("P"), "instance_0000.json", "missing key 'P'"),
     (lambda manifest, instance: manifest["spec"].update(colour="red"), "manifest.json",
      "colour"),
@@ -211,9 +256,9 @@ def test_train_config_from_flags(monkeypatch, bundle_dir, tmp_path):
      "exactly the sets train, val and test"),
     (lambda manifest, instance: manifest["split"]["test"].append(
         manifest["split"]["train"][0]), "manifest.json", "disjoint"),
-], ids=["no-instances", "no-P", "unknown-spec-key", "split-index-too-large",
-        "split-index-negative", "split-index-bool", "split-without-test",
-        "split-overlap"])
+], ids=["no-instances", "empty-instances", "no-P", "unknown-spec-key",
+        "split-index-too-large", "split-index-negative", "split-index-bool",
+        "split-without-test", "split-overlap"])
 def test_malformed_bundle_fails(bundle_dir, tmp_path, capsys, corrupt, culprit, problem):
     bundle = tmp_path / "bundle"
     shutil.copytree(bundle_dir, bundle)

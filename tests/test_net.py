@@ -10,7 +10,7 @@ from conftest import build_standard, inclusion_of
 from drqp import model, net
 from drqp.datagen import GenSpec, generate
 from drqp.model import project_cone_dual
-from drqp.report import prepare_data
+from drqp.report import prepare_data, training_log_csv
 from drqp.solvers import (IterateState, SolverConfig, drgd_solve,
                           step_size_cap)
 
@@ -251,7 +251,7 @@ def reference_backward(data, params, cache, label):
         w_in_bar = w_in_bar - p_bar @ lp.V_w.T
         eta = params.eta[li]
         gate_bar = np.zeros_like(lc.gate)
-        wprime_bar = np.zeros_like(lc.wprime)
+        wprime_bar = np.zeros_like(lc.w_in)
         cur = ut_out_bar
         for ut_cur, g in reversed(lc.inner):
             vt_bar = cur.copy()
@@ -612,13 +612,6 @@ class TestCheckpoints:
         with pytest.raises(Exception):
             net.load_checkpoint(path)
 
-    def test_width_mismatch_rejected(self, tmp_path):
-        params = net.init_params(1, 4, seed=0)
-        path = tmp_path / "model.json"
-        net.save_checkpoint(params, path)
-        with pytest.raises(ValueError):
-            net.load_checkpoint(path, expect_d=8)
-
     def test_non_finite_rejected(self, tmp_path):
         params = net.init_params(1, 2, seed=0)
         path = tmp_path / "model.json"
@@ -649,12 +642,10 @@ class TestCheckpoints:
 
 
 class TestTrainingLog:
-    def test_csv_columns(self, tmp_path):
+    def test_csv_columns(self):
         log = [net.EpochLog(epoch=1, train_loss=0.5, val_loss=0.6, best=True,
                             learning_rate=1e-5)]
-        path = tmp_path / "log.csv"
-        net.write_training_log(path, log)
-        lines = path.read_text().strip().splitlines()
+        lines = training_log_csv(log).strip().splitlines()
         assert lines[0].split(",")[:5] == ["epoch", "train_loss", "val_loss",
                                            "best_flag", "learning_rate"]
         assert lines[1].startswith("1,")
