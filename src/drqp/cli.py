@@ -116,10 +116,21 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _test_indices(bundle) -> list:
+    """The bundle's test split, or every instance when it has no split; an
+    empty test split is a ValueError, so eval and ablate exit 2 on it."""
+    if bundle.split is None:
+        return list(range(len(bundle)))
+    if not bundle.split["test"]:
+        raise ValueError("the bundle's test split is empty; "
+                         "re-split it with a TEST size of at least 1")
+    return bundle.split["test"]
+
+
 def cmd_eval(args) -> int:
     bundle = datagen.read_bundle(args.bundle)
     params = net.load_checkpoint(args.checkpoint)
-    idx = bundle.split["test"] if bundle.split else list(range(len(bundle)))
+    idx = _test_indices(bundle)
     datas = report.prepare_data(bundle, idx)
     labels = None
     if bundle.labels is not None:
@@ -145,8 +156,8 @@ def cmd_ablate(args) -> int:
     if bundle.labels is None or bundle.split is None:
         print("error: ablation needs a labeled, split bundle", file=sys.stderr)
         return EXIT_RUNTIME
+    test_idx = _test_indices(bundle)
     datas = report.prepare_data(bundle)
-    test_idx = bundle.split["test"]
     test_datas = [datas[i] for i in test_idx]
     test_labels = [bundle.labels[i] for i in test_idx]
     rows = []

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
 
@@ -166,7 +166,8 @@ class Operator:
 
     Everything derived from K is computed on first use and cached, so
     problems that share an Operator share its factorization, channel
-    products, sigma_max and equality-block pseudo-inverses.
+    products, DR-GD gradient operator, sigma_max and equality-block
+    pseudo-inverses.
     """
 
     M: SparseMatrix
@@ -208,6 +209,18 @@ class Operator:
             K = self.I_plus_M.to_dense()
             return K, K.T
         return self.I_plus_M._csr, self.I_plus_M._csr_t
+
+    @cached_property
+    def gradient_operator(self) -> np.ndarray:
+        """G = [K'K; -K], the (2N, N) dense operator of a DR-GD gradient step:
+        [u_tilde | w] G + qK = (K u_tilde - (w - q))' K, one product per step.
+
+        Built on the first DR-GD solve of an operator with a dense channel
+        pair; never for the CSR pair above _DENSE_LIMIT, where K'K of a sparse
+        K fills in (a dense row of A makes A'A dense).
+        """
+        K = self.channel_operator[0]
+        return np.concatenate([K.T @ K, -K])
 
     @cached_property
     def sigma_max(self) -> float:
@@ -277,16 +290,21 @@ def assemble_inclusion(cqp: ConicQP, operators: Optional[dict] = None) -> Monoto
     """Build the monotone-inclusion data of a conic QP.
 
     operators, when given, holds the operators already built by the caller
-    for other problems; a problem with the same (P, A) as one of them shares
-    its Operator, and a new one is added to it.
+    for other problems, each with the conic A it was built from; a problem
+    with the same (P, A) as one of them shares its Operator and its A object
+    (so quality's cached transpose of A serves them all), and a new one is
+    added to it.
     """
     operators = {} if operators is None else operators
     # equal exactly when (P, A) are equal by shape and bytes
     key = tuple((mat.shape, mat.indptr.tobytes(), mat.indices.tobytes(),
                  mat.values.tobytes()) for mat in (cqp.P, cqp.A))
     if key not in operators:
-        operators[key] = Operator.assemble(cqp.P, cqp.A)
-    return MonotoneData(operator=operators[key], q=np.concatenate([cqp.c, cqp.b]),
+        operators[key] = (Operator.assemble(cqp.P, cqp.A), cqp.A)
+    operator, A = operators[key]
+    if A is not cqp.A:
+        cqp = replace(cqp, A=A)
+    return MonotoneData(operator=operator, q=np.concatenate([cqp.c, cqp.b]),
                         cone=cqp.cone, n=cqp.n, m=cqp.m, cqp=cqp)
 
 
@@ -338,7 +356,7 @@ def quality(cqp: ConicQP, x: np.ndarray, y: np.ndarray) -> QualityMetrics:
     s_eq, s_in = s[:mz], s[mz:]
     max_eq = float(np.abs(s_eq).max()) if s_eq.size else 0.0
     max_in = float(np.abs(np.minimum(s_in, 0.0)).max()) if s_in.size else 0.0
-    dual = cqp.P._csr @ x + cqp.A._csr.T @ y + cqp.c
+    dual = cqp.P._csr @ x + cqp.A._csr_t @ y + cqp.c
     comp = float(abs(s_in @ y[mz:])) if s_in.size else 0.0
     return QualityMetrics(
         objective=cqp.objective(x),

@@ -26,10 +26,10 @@ class SolverConfig:
     def __post_init__(self):
         if not (0 < self.tol_fixed_point < math.inf):
             raise ValueError("tol_fixed_point must be positive and finite")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.steps_per_iter < 1:
-            raise ValueError("steps_per_iter must be >= 1")
+        for name in ("max_iter", "steps_per_iter"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be >= 1 and an integer")
         if self.fixed_eta is not None and not (0 < self.fixed_eta < math.inf):
             raise ValueError("fixed_eta must be positive and finite")
 
@@ -94,35 +94,43 @@ def _freeze(data: MonotoneData, ut, u, w, status: str, iterations: int,
 def _iterate(datas: list, cfg: SolverConfig, warms: list, resolvent) -> list:
     """The DR iteration shared by both solvers, on a block of instances.
 
-    Row i of the B x N state arrays is instance datas[i]; all rows have one
-    size and one cone, and one operator or one distinct dense operator per
-    row. resolvent(R, UT, rows) returns the next u_tilde block, per row an
-    exact or approximate solution of (I+M) u_tilde = r started from the
-    current one; rows are the positions in datas of the rows still
-    iterating. Projection, w-update, residual and stopping rules are common.
-    A row that converges, diverges or reaches max_iter is frozen into its
-    own SolveReport and dropped from the block; reports come back in the
-    order of datas.
+    Row i of the B x N blocks is instance datas[i]; all rows have one size
+    and one cone, and one operator or one distinct dense operator per row.
+    The state is one (2, B, N) array S: S[0] the u_tilde block and S[1] the
+    w block, each contiguous, so at B = 1 a row's [u_tilde | w] is one
+    vector. resolvent(S, Q, rows) writes the next u_tilde block into S[0],
+    per row an exact or approximate solution of (I+M) u_tilde = w - q
+    started from the current one; Q holds q of the rows still iterating and
+    rows their positions in datas. Projection, w-update, residual and
+    stopping rules are common, and the reflection and w-step reuse their
+    buffers. A row that converges, diverges or reaches max_iter is frozen
+    into its own SolveReport and dropped from the block; reports come back
+    in the order of datas.
     """
     cone, tol = datas[0].cone, cfg.tol_fixed_point
     rows = np.arange(len(datas))
     Q = np.stack([d.q for d in datas])
-    zero = np.zeros(Q.shape[1])
-    UT = np.stack([zero if s is None else s.u_tilde for s in warms])
-    W = np.stack([zero if s is None else s.w for s in warms])
+    S = np.zeros((2,) + Q.shape)
+    for j, s in enumerate(warms):
+        if s is not None:
+            S[:, j] = s.u_tilde, s.w
+    UT, W = S
+    U, dW = np.empty_like(Q), np.empty_like(Q)
+    # the dual rows of the reflection U, which the cone projection clips
+    dual = U.T[U.shape[1] - cone.m_nonneg:]
     histories = [[] for _ in datas] if cfg.record_history else None
     active_histories = histories
     reports = [None] * len(datas)
     # an upper bound on max|W| over the rows; inf forces the full check
     w_bound = math.inf
     for k in range(1, cfg.max_iter + 1):
-        UT = resolvent(W - Q, UT, rows)
-        # the reflection 2 UT - W, formed in a fresh array (UT + UT is 2 UT
-        # exactly, without a scalar operand) and projected in place
-        U = UT + UT
+        resolvent(S, Q, rows)
+        # the reflection 2 UT - W (UT + UT is 2 UT exactly, without a scalar
+        # operand), projected in place: project_cone_dual on a prebound view
+        np.add(UT, UT, out=U)
         U -= W
-        project_cone_dual(U.T, cone, in_place=True)
-        dW = U - UT
+        np.maximum(dual, 0.0, out=dual)
+        np.subtract(U, UT, out=dW)
         W += dW
         # per-row residuals as floats: cheaper than array reductions at small B
         resid = [math.sqrt(r2) for r2 in np.vecdot(dW, dW).tolist()]
@@ -152,7 +160,10 @@ def _iterate(datas: list, cfg: SolverConfig, warms: list, resolvent) -> list:
                                  "error" if error[j] else "converged", k,
                                  None if histories is None else histories[i],
                                  "divergent iterate" if error[j] else "")
-        rows, UT, U, W, Q = rows[keep], UT[keep], U[keep], W[keep], Q[keep]
+        # compress keeps S in (2, B, N) order; S[:, keep] would not
+        rows, S, U, dW, Q = rows[keep], S.compress(keep, axis=1), U[keep], dW[keep], Q[keep]
+        UT, W = S
+        dual = U.T[U.shape[1] - cone.m_nonneg:]
         if histories is not None:
             active_histories = [histories[i] for i in rows]
         if not rows.size:
@@ -163,7 +174,8 @@ def _iterate(datas: list, cfg: SolverConfig, warms: list, resolvent) -> list:
     return reports
 
 
-# bytes of operators one stacked block may hold as its (B, N, N) stack; a
+# bytes of operators one stacked block may hold: a (B, N, N) stack of
+# inverses for DR, a (B, 2N, N) stack of gradient operators for DR-GD; a
 # larger group is split into several stacked blocks
 _STACK_BYTES = 64 << 20
 
@@ -174,8 +186,9 @@ def _by_operator(datas: list, cfg: SolverConfig, warms, gradient: bool) -> list:
     Instances that share an operator iterate as one 2-D block. Instances
     whose operator is theirs alone and on the dense path (a dense inverse
     for DR, a dense channel pair for DR-GD) are stacked by size and cone, at
-    most _STACK_BYTES of operators to a block; a SuperLU or sparse operator
-    of one instance runs alone.
+    most _STACK_BYTES of operators to a block (8 N^2 bytes a row for DR,
+    16 N^2 for DR-GD); a SuperLU or sparse operator of one instance runs
+    alone.
     """
     warms = [None] * len(datas) if warms is None else warms
     if len(warms) != len(datas):
@@ -190,8 +203,9 @@ def _by_operator(datas: list, cfg: SolverConfig, warms, gradient: bool) -> list:
         if len(idx) == 1 and dense:
             stacks.setdefault((data.size, data.cone), []).extend(groups.pop(key))
     blocks = [(idx, False) for idx in groups.values()]
+    row_bytes = 16 if gradient else 8
     for idx in stacks.values():
-        per = max(1, _STACK_BYTES // (8 * datas[idx[0]].size ** 2))
+        per = max(1, _STACK_BYTES // (row_bytes * datas[idx[0]].size ** 2))
         chunks = [idx[s:s + per] for s in range(0, len(idx), per)]
         blocks += [(chunk, len(chunk) > 1) for chunk in chunks]
     reports = [None] * len(datas)
@@ -202,11 +216,11 @@ def _by_operator(datas: list, cfg: SolverConfig, warms, gradient: bool) -> list:
             resolvent = _gradient_steps(group, cfg, steps, stacked)
         elif stacked:
             inverses = _Stack(Factorization.stack([d.operator.factorization for d in group]))
-            resolvent = lambda R, UT, rows: Factorization.solve_stacked(
-                inverses.at(rows)[0], R)
+            resolvent = lambda S, Q, rows: Factorization.solve_stacked(
+                inverses.at(rows)[0], S[1] - Q, out=S[0])
         else:
             solve = group[0].operator.factorization.solve
-            resolvent = lambda R, UT, rows: solve(R)
+            resolvent = lambda S, Q, rows: solve(S[1] - Q, out=S[0])
         for j, rep in enumerate(_iterate(group, cfg, [warms[i] for i in idx], resolvent)):
             if steps is not None:
                 rep.step_sizes = steps[j]
@@ -215,7 +229,7 @@ def _by_operator(datas: list, cfg: SolverConfig, warms, gradient: bool) -> list:
 
 
 class _Stack:
-    """The per-row arrays of a stacked block (operators, step sizes), which
+    """The per-row arrays of a block (stacked operators, DR-GD's qK), which
     shrink to the rows still iterating when rows drop, and only then."""
 
     def __init__(self, *arrays):
@@ -229,47 +243,70 @@ class _Stack:
 
 
 def _gradient_steps(group: list, cfg: SolverConfig, steps, stacked: bool):
-    """cfg.steps_per_iter gradient steps on 0.5||(I+M)v - r||^2 per row, on
-    the channel pair of the row's operator: the shared pair of a 2-D block,
-    or on a stacked block a (B, N, N) stack of dense K, with each row's own
-    step size as a (B, 1) column; steps, when given, records each row's step
-    sizes."""
+    """cfg.steps_per_iter gradient steps on 0.5||(I+M)v - (w - q)||^2 per
+    row, at the row's step size eta, written into u_tilde with w held fixed.
+
+    On a dense channel pair each step is one product,
+    eta T = [u_tilde | w] (eta G) + eta qK, with G = [K'K; -K] the operator's
+    cached gradient_operator, scaled once per block: the shared G of a 2-D
+    block, or on a stacked block a (B, 2N, N) stack of each row's own G at
+    its own step size. eta qK is formed once per block, as -[0 | q] (eta G):
+    the product a step forms, so a row at u_tilde = 0, w = q (its
+    subproblem solved exactly) gets T = 0 exactly. The CSR pair above
+    model._DENSE_LIMIT takes the two sparse products (u_tilde K' - r) K. A
+    row whose gradient vanished or is not finite keeps its iterate; steps,
+    when given, records each row's step sizes.
+    """
     etas = [cap if cfg.fixed_eta is None else min(cfg.fixed_eta, cap)
             for cap in (step_size_cap(d) for d in group)]
+    N = group[0].size
+    K, Kt = group[0].operator.channel_operator
+    dense = isinstance(K, np.ndarray)
     if stacked:
-        stack = _Stack(np.stack([d.operator.channel_operator[0] for d in group]),
-                       np.array(etas)[:, None])
-    else:
-        K, Kt = group[0].operator.channel_operator
+        G = np.stack([d.operator.gradient_operator for d in group])
+        G *= np.array(etas)[:, None, None]
+    elif dense:
+        G = group[0].operator.gradient_operator * etas[0]
+    if dense:
+        Z = np.concatenate([np.zeros((len(group), N)),
+                            np.stack([d.q for d in group])], axis=1)
+        QK = -(np.matmul(Z[:, None], G)[:, 0] if stacked else Z @ G)
+        per_row = _Stack(QK, G) if stacked else _Stack(QK)
 
-    def gradient_steps(R, UT, rows):
-        if stacked:  # each row's own K and step size
-            Ks, eta = stack.at(rows)
-            Kts = Ks.transpose(0, 2, 1)
+    def gradient_steps(S, Q, rows):
+        UT = S[0]
+        if stacked:  # each row's own G and step size
+            QK, G_rows = per_row.at(rows)
+        elif dense:
+            (QK,) = per_row.at(rows)
         else:
-            eta = etas[0]
-        for _ in range(cfg.steps_per_iter):
-            if stacked:  # row i times Kt[i], then K[i]: batched vector-matrix products
-                T = np.matmul(np.matmul(UT[:, None], Kts) - R[:, None], Ks)[:, 0]
+            R = S[1] - Q
+        for step in range(cfg.steps_per_iter):
+            if dense:
+                if step == 0 or len(rows) > 1:
+                    # [u_tilde | w] per row: at B = 1 a view of S, which
+                    # follows the steps taken in place; a copy above
+                    X = S.transpose(1, 0, 2).reshape(len(rows), 2 * N)
+                T = np.matmul(X[:, None], G_rows)[:, 0] if stacked else X @ G
+                T += QK
             else:
                 T = (UT @ Kt - R) @ K
+                T *= etas[0]
             tt = np.vecdot(T, T).tolist()
-            T *= eta
             # the sum is NaN when any entry is; the unmasked step saves about
             # 14 % of a DR-GD iteration over the masked one
             if min(tt) > 0.0 and sum(tt) >= 0.0:
-                UT = UT - T
+                UT -= T
                 stepped = rows
             else:
                 # a row whose gradient vanished (its subproblem is solved
                 # exactly) or is not finite keeps its iterate
                 ok = np.array(tt) > 0.0
-                UT = np.where(ok[:, None], UT - T, UT)
+                np.subtract(UT, T, out=UT, where=ok[:, None])
                 stepped = rows[ok]
             if steps is not None:
                 for i in stepped:
                     steps[i].append(etas[i])
-        return UT
 
     return gradient_steps
 
@@ -292,8 +329,9 @@ def dr_solve_batch(datas: list, cfg: SolverConfig = SolverConfig(),
 def drgd_solve_batch(datas: list, cfg: SolverConfig = SolverConfig(),
                      warms: Optional[list] = None) -> list:
     """drgd_solve for many instances, in the blocks of dr_solve_batch; a
-    stacked block holds each row's dense channel pair and steps each row with
-    its own step size.
+    stacked block holds each row's gradient operator [K'K; -K], scaled by
+    the row's own step size, as a (B, 2N, N) stack (16 N^2 bytes a row
+    against _STACK_BYTES), and each row equals its drgd_solve bit for bit.
 
     No pipeline stage calls it yet: compare and eval solve one instance at a
     time.
@@ -314,9 +352,12 @@ def drgd_solve(data: MonotoneData, cfg: SolverConfig = SolverConfig(),
     Each outer iteration takes cfg.steps_per_iter gradient steps on the
     least-squares subproblem at the safeguard cap, or at cfg.fixed_eta when
     that is smaller, then applies the same projection and w updates as
-    dr_solve. No factorization is performed; the steps use the operator's
-    channel pair (dense I+M up to model._DENSE_LIMIT). An exact line search
-    clipped at the cap would step at the cap too: its step
+    dr_solve. No factorization is performed. Up to model._DENSE_LIMIT a
+    step is one product of [u_tilde | w] with the operator's cached
+    [K'K; -K] (scaled by the step size) plus qK, equal in exact arithmetic
+    to (K u_tilde - (w - q))' K, with a rounding floor near
+    eps sigma_max^2 ||u_tilde||; above it the two CSR products. An exact
+    line search clipped at the cap would step at the cap too: its step
     ||t||^2/||Kt||^2 >= 1/sigma_max^2 is never below it.
     """
     return drgd_solve_batch([data], cfg, [warm])[0]

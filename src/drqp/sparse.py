@@ -213,15 +213,19 @@ class Factorization:
     def __reduce__(self):  # SuperLU does not pickle: such a copy factorizes A again
         return (Factorization, (self._A,)) if self._lu is not None else super().__reduce__()
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """x with A x = b for a vector b, or for each row of a B x n block."""
+    def solve(self, b: np.ndarray, out=None) -> np.ndarray:
+        """x with A x = b for a vector b, or for each row of a B x n block;
+        written into out, an array of b's shape, when given."""
         b = np.asarray(b, dtype=np.float64)
         n = self.shape[0]
         if b.ndim not in (1, 2) or b.shape[-1] != n:
             raise DimensionError(f"solve: b has shape {b.shape}, expected ({n},) or (B, {n})")
         if self._inv is not None:
-            return b @ self._inv.T
-        return self._lu.solve(b.T).T
+            return np.matmul(b, self._inv.T, out=out)
+        if out is None:
+            return self._lu.solve(b.T).T
+        out[...] = self._lu.solve(b.T).T
+        return out
 
     @staticmethod
     def stack(factorizations: list) -> np.ndarray:
@@ -231,10 +235,12 @@ class Factorization:
         return np.stack([f._inv for f in factorizations])
 
     @staticmethod
-    def solve_stacked(inverses: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def solve_stacked(inverses: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
         """Row i of the B x n block b solved against inverses[i] of a stack:
-        one batched product, each row bit for bit as solve() gives it alone."""
-        return np.matmul(b[:, None, :], inverses.transpose(0, 2, 1))[:, 0]
+        one batched product, each row bit for bit as solve() gives it alone;
+        written into out, a B x n array, when given."""
+        return np.matmul(b[:, None, :], inverses.transpose(0, 2, 1),
+                         out=None if out is None else out[:, None])[:, 0]
 
 
 def _inverse_safe(u_diag: np.ndarray) -> bool:

@@ -289,3 +289,22 @@ class TestUsageErrors:
         assert run(["split", str(copy), "--sizes", "-1", "2", "3"]) == 2
         assert "split sizes must be nonnegative" in capsys.readouterr().err
         assert (copy / "manifest.json").read_bytes() == manifest
+
+
+@pytest.mark.parametrize("command", ["eval", "ablate"])
+def test_empty_test_split_fails(bundle_dir, tmp_path, capsys, command):
+    # an empty test split used to exit 0 with "unknown" ratios and tables of
+    # headers only
+    copy = tmp_path / "copy"
+    shutil.copytree(bundle_dir, copy)
+    assert run(["split", str(copy), "--sizes", "5", "3", "0"]) == 0
+    ckpt = tmp_path / "model.json"
+    net.save_checkpoint(net.init_params(1, 2, seed=0), ckpt)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = {"eval": ["eval", str(copy), "--checkpoint", str(ckpt)],
+            "ablate": ["ablate", str(copy), "--layers", "1", "--embed", "2",
+                       "--epochs", "1"]}[command]
+    assert run(argv + ["--out", str(out)]) == 2
+    assert "test split is empty" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())

@@ -234,6 +234,22 @@ class TestOperator:
         portfolio = generate(GenSpec(family="portfolio", count=3, seed=1, k=2))
         assert len({id(d.operator) for d in prepare_data(portfolio)}) == 3
 
+    def test_shared_operator_shares_conic_A(self):
+        # one A object per operator, so quality's cached transpose of A is
+        # built once; the metrics are those of each instance's own A
+        bundle = generate(GenSpec(family="qp_rhs", count=5, seed=1, n=10))
+        datas = prepare_data(bundle)
+        assert len({id(d.cqp.A) for d in datas}) == 1
+        rng = np.random.default_rng(0)
+        for data, qp in zip(datas, bundle.instances):
+            own = to_conic(qp)
+            assert own.A is not data.cqp.A
+            x, y = rng.standard_normal(data.n), rng.standard_normal(data.m)
+            ref = quality(own, x, y)
+            assert quality(data.cqp, x, y) == ref
+            dual = own.P._csr @ x + own.A._csr.T @ y + own.c
+            assert ref.dual_residual_inf == float(np.abs(dual).max())
+
     def test_no_power_iteration_and_one_factorization(self, monkeypatch):
         # below the dense limit sigma_max is the dense 2-norm, without svds
         svds_calls = _count_calls(monkeypatch, model.spla, "svds")

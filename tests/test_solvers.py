@@ -1,13 +1,15 @@
 import copy
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import build_standard, inclusion_of
-from drqp.datagen import GenSpec, generate
+from drqp.datagen import GenSpec, generate, label_bundle
 from drqp.model import project_cone_dual
-from drqp.report import prepare_data
+from drqp.net import init_params
+from drqp.report import prepare_data, run_eval
 from drqp import model, solvers
 from drqp.solvers import (IterateState, SolverConfig, dr_solve, dr_solve_batch,
                           drgd_solve, drgd_solve_batch, step_size_cap,
@@ -41,6 +43,14 @@ class TestSolverConfig:
     def test_max_iter_positive(self, max_iter):
         with pytest.raises(ValueError, match="max_iter must be >= 1"):
             SolverConfig(max_iter=max_iter)
+
+    @pytest.mark.parametrize("field", ["max_iter", "steps_per_iter"])
+    @pytest.mark.parametrize("value", [10.5, 1.5, 2.0, "3"])
+    def test_counts_are_integers(self, field, value):
+        # a float count used to pass construction and fail inside range()
+        with pytest.raises(ValueError, match=f"{field} must be >= 1 and an integer"):
+            SolverConfig(**{field: value})
+        assert getattr(SolverConfig(**{field: np.int64(2)}), field) == 2
 
     @pytest.mark.parametrize("eta", [0.0, -0.1, float("nan"), float("inf")])
     def test_fixed_eta_positive_and_finite(self, eta):
@@ -441,6 +451,24 @@ class TestBatch:
             np.testing.assert_allclose(rep.residual_history, history, rtol=0,
                                        atol=1e-12)
 
+    @pytest.mark.parametrize("steps", [1, 3, 10])
+    @pytest.mark.parametrize("mode", ["exact", "fixed", "capped"])
+    def test_one_row_drgd_product_near_vector_loop(self, distinct_datas, steps, mode):
+        # one product [u_tilde | w] [K'K; -K] + qK per step, in place of
+        # (K u_tilde - r)' K, changes only the rounding
+        for data in distinct_datas:
+            cap = step_size_cap(data)
+            fixed = {"exact": {}, "fixed": dict(fixed_eta=0.5 * cap),
+                     "capped": dict(fixed_eta=4.0 * cap)}[mode]
+            cfg = SolverConfig(steps_per_iter=steps, record_history=True, **fixed)
+            rep = drgd_solve(data, cfg)
+            status, iters, ut, u, w, _, step_sizes = vector_loop(data, cfg, gradient=True)
+            assert (rep.status, rep.iterations) == (status, iters)
+            assert rep.step_sizes == step_sizes
+            for got, ref in zip((rep.state.u_tilde, rep.state.u, rep.state.w),
+                                (ut, u, w)):
+                np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("solver", BATCH_SOLVERS)
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     @pytest.mark.parametrize("steps", [1, 3])
@@ -668,20 +696,29 @@ class TestBatch:
 
     @pytest.mark.parametrize("solver", BATCH_SOLVERS)
     def test_stack_byte_budget_splits_blocks(self, monkeypatch, distinct_datas, solver):
+        # a stacked row holds 8 N^2 bytes for DR (its inverse) and 16 N^2 for
+        # DR-GD (its [K'K; -K])
         single, batch = BATCH_SOLVERS[solver]
+        row_bytes = {"dr": 8, "drgd": 16}[solver]
         cfg = SolverConfig(record_history=True, max_iter=300)
         whole = batch(distinct_datas, cfg)
         sizes = []
-        init = solvers._Stack.__init__
-        monkeypatch.setattr(solvers._Stack, "__init__",
-                            lambda self, *a: sizes.append(len(a[0])) or init(self, *a))
-        # room for two operators of the larger size: blocks of 2 and 1 per family
+        iterate = solvers._iterate
+        monkeypatch.setattr(solvers, "_iterate",
+                            lambda datas, *a: sizes.append(len(datas)) or iterate(datas, *a))
+        # room for two rows of the larger size: blocks of 2 and 1 per family
         N = max(d.size for d in distinct_datas)
-        monkeypatch.setattr(solvers, "_STACK_BYTES", 2 * 8 * N * N)
+        monkeypatch.setattr(solvers, "_STACK_BYTES", 2 * row_bytes * N * N)
         split = batch(distinct_datas, cfg)
-        assert set(sizes) == {2}
+        assert sorted(sizes) == [1, 1, 2, 2]
         for a, b in zip(split, whole):
             assert_identical(a, b)
+        if solver == "drgd":  # DR's room for two rows holds one DR-GD row
+            sizes.clear()
+            monkeypatch.setattr(solvers, "_STACK_BYTES", 2 * 8 * N * N)
+            for a, b in zip(batch(distinct_datas, cfg), whole):
+                assert_identical(a, b)
+            assert sizes == [1] * len(distinct_datas)
 
 
 @pytest.mark.parametrize("dense_limit", [1024, 0], ids=["inverse", "superlu"])
@@ -717,3 +754,30 @@ def test_drgd_sparse_channel_pair_matches_dense(monkeypatch):
         assert_same_report(drgd_solve(s, cfg), drgd_solve(d, cfg))
     for d, s in zip(drgd_solve_batch(dense, cfg), drgd_solve_batch(sparse, cfg)):
         assert_same_report(s, d)
+
+
+def test_gradient_operator_built_once_for_drgd_only(monkeypatch):
+    # [K'K; -K] is built on an operator's first DR-GD solve and reused after;
+    # DR-only stages (label, eval) never build it, nor does the CSR pair
+    built = []
+    prop = model.Operator.__dict__["gradient_operator"]
+    build = prop.func
+    monkeypatch.setattr(prop, "func", lambda op: built.append(op) or build(op))
+    bundle = generate(GenSpec(family="portfolio", count=2, seed=4, k=1))
+    datas = prepare_data(bundle)
+    label_bundle(bundle)
+    run_eval(datas, None, init_params(1, 2), SolverConfig(max_iter=50))
+    dr_solve_batch(datas, SolverConfig(max_iter=50))
+    assert built == []
+    cfg = SolverConfig(max_iter=50)
+    drgd_solve(datas[0], cfg)
+    assert built == [datas[0].operator]
+    G, K = datas[0].operator.gradient_operator, datas[0].operator.channel_operator[0]
+    assert G.shape == (2 * K.shape[0], K.shape[0])
+    np.testing.assert_array_equal(G[K.shape[0]:], -K)
+    drgd_solve_batch(datas, cfg)
+    drgd_solve(datas[0], replace(cfg, steps_per_iter=2))
+    assert built == [d.operator for d in datas]
+    monkeypatch.setattr(model, "_DENSE_LIMIT", 0)
+    drgd_solve_batch(prepare_data(bundle), cfg)
+    assert len(built) == 2
