@@ -33,12 +33,14 @@ class GenSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
+        for name in ("count", "n", "k"):
+            value = getattr(self, name)
+            if value is not None and (not isinstance(value, (int, np.integer)) or value < 1):
+                raise ValueError(f"{name} must be >= 1 and an integer")
         if self.family in (QP_RHS, QP_PERTURBED):
             if self.n is None or self.n < 2 or self.n % 2:
                 raise ValueError("QP families need even n >= 2")
-        elif self.k is None or self.k < 1:
+        elif self.k is None:
             raise ValueError("portfolio needs k >= 1")
 
 
@@ -287,7 +289,8 @@ def write_bundle(bundle: DatasetBundle, path) -> None:
 
 def read_bundle(path) -> DatasetBundle:
     """The bundle write_bundle wrote at path; a malformed manifest or
-    instance file raises ValueError naming that file."""
+    instance file, or a label of the wrong length, raises ValueError naming
+    that file."""
     path = Path(path)
     manifest_path = path / "manifest.json"
     try:
@@ -309,6 +312,9 @@ def read_bundle(path) -> DatasetBundle:
     matrices = {}  # equal matrices are read into one object
     for name in files:
         qp, lab = read_instance(path / name, matrices)
+        if lab is not None and (lab[0].shape != (qp.n,) or lab[1].shape != (qp.conic_rows,)):
+            raise ValueError(f"{path / name}: labels must hold x of length {qp.n} and y "
+                             f"of length {qp.conic_rows}, the conic row count")
         instances.append(qp)
         labels.append(lab)
     any_labels = any(lab is not None for lab in labels)

@@ -73,6 +73,12 @@ class StandardQP:
     def n(self) -> int:
         return self.P.nrows
 
+    @property
+    def conic_rows(self) -> int:
+        """The row count m of to_conic's A: equalities, inequalities and finite bounds."""
+        return (self.A_eq.nrows + self.G.nrows
+                + int(np.isfinite(self.l).sum() + np.isfinite(self.u).sum()))
+
     def objective(self, x: np.ndarray) -> float:
         return float(0.5 * x @ (self.P._csr @ x) + self.c @ x)
 
@@ -166,8 +172,8 @@ class Operator:
 
     Everything derived from K is computed on first use and cached, so
     problems that share an Operator share its factorization, channel
-    products, DR-GD gradient operator, sigma_max and equality-block
-    pseudo-inverses.
+    products, sigma_max, equality-block pseudo-inverses and DR-GD gradient
+    operator (scaled, for one step size at a time).
     """
 
     M: SparseMatrix
@@ -175,6 +181,8 @@ class Operator:
     n: int  # order of P: u = (x; y) has x = u[:n]
     # zero-cone size -> pseudo-inverse of the equality block, see equality_pinv
     _equality_pinvs: dict = field(default_factory=dict, init=False, repr=False)
+    # step size -> its gradient operator, for the last one asked for only
+    _gradient_operators: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def assemble(cls, P: SparseMatrix, A: SparseMatrix) -> "Operator":
@@ -210,17 +218,24 @@ class Operator:
             return K, K.T
         return self.I_plus_M._csr, self.I_plus_M._csr_t
 
-    @cached_property
-    def gradient_operator(self) -> np.ndarray:
-        """G = [K'K; -K], the (2N, N) dense operator of a DR-GD gradient step:
+    def gradient_operator(self, eta: float) -> np.ndarray:
+        """eta G, G = [K'K; -K], the (2N, N) dense operator of a DR-GD step:
         [u_tilde | w] G + qK = (K u_tilde - (w - q))' K, one product per step.
 
-        Built on the first DR-GD solve of an operator with a dense channel
-        pair; never for the CSR pair above _DENSE_LIMIT, where K'K of a sparse
-        K fills in (a dense row of A makes A'A dense).
+        Built without temporaries for the last eta asked for only, on DR-GD
+        solves of an operator with a dense channel pair; never for the CSR
+        pair above _DENSE_LIMIT, where K'K of a sparse K fills in.
         """
-        K = self.channel_operator[0]
-        return np.concatenate([K.T @ K, -K])
+        G = self._gradient_operators.get(eta)
+        if G is None:
+            K, N = self.channel_operator[0], self.size
+            self._gradient_operators.clear()
+            G = np.empty((2 * N, N))
+            np.matmul(K.T, K, out=G[:N])
+            np.negative(K, out=G[N:])
+            G *= eta
+            self._gradient_operators[eta] = G
+        return G
 
     @cached_property
     def sigma_max(self) -> float:
@@ -308,15 +323,13 @@ def assemble_inclusion(cqp: ConicQP, operators: Optional[dict] = None) -> Monoto
                         cone=cqp.cone, n=cqp.n, m=cqp.m, cqp=cqp)
 
 
-def project_cone_dual(v: np.ndarray, spec: ConeSpec, in_place: bool = False) -> np.ndarray:
+def project_cone_dual(v: np.ndarray, spec: ConeSpec) -> np.ndarray:
     """Project u = (x; y) onto R^n x dual-cone: identity on free coordinates,
     max(0, .) on coordinates dual to the nonnegative block.
 
-    v is a vector or an (n+m) x d channel array, projected row-wise. With
-    in_place, v itself, a float64 array, is projected and returned; a
-    transposed view projects each row of a B x (n+m) block.
+    v is a vector or an (n+m) x d channel array, projected row-wise.
     """
-    out = v if in_place else np.array(v, dtype=np.float64)
+    out = np.array(v, dtype=np.float64)
     dual = out[out.shape[0] - spec.m_nonneg:]
     np.maximum(dual, 0.0, out=dual)
     return out

@@ -75,10 +75,10 @@ class NetParams:
     vector: Optional[np.ndarray] = None  # trainable scalars in layout order; zeros if None
 
     def __post_init__(self):
-        if self.L < 1 or self.d < 1:
-            raise ValueError("L and d must be >= 1")
-        if not isinstance(self.unroll_steps, (int, np.integer)) or self.unroll_steps < 1:
-            raise ValueError("unroll_steps must be an integer >= 1")
+        for name in ("L", "d", "unroll_steps"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be >= 1 and an integer")
         self.eta = np.asarray(self.eta, dtype=np.float64)
         if self.eta.shape != (self.L,) or not np.all((0 < self.eta) & (self.eta < np.inf)):
             raise ValueError("eta priors must be positive and finite, one per layer")
@@ -109,7 +109,9 @@ def init_params(L: int, d: int, seed: int = 0, scheme: str = ALGORITHM_CONSISTEN
     a spread of step sizes. random: zero-mean Gaussians with variance 2/d.
     """
     rng = np.random.default_rng(seed)
-    params = NetParams(L, d, eta=np.full(L, float(eta_prior)), unroll_steps=unroll_steps)
+    # an L that is not an integer gets no priors here, and NetParams names it
+    eta = np.full(L, float(eta_prior)) if isinstance(L, (int, np.integer)) else ()
+    params = NetParams(L, d, eta=eta, unroll_steps=unroll_steps)
     for lp in params.layers:
         if scheme == ALGORITHM_CONSISTENT:
             def mat():
@@ -398,12 +400,11 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive and finite")
         if self.escalated_lr is not None and not (0 < self.escalated_lr < math.inf):
             raise ValueError("escalated_lr must be positive and finite")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-        if self.batch_size < 1 or self.max_epochs < 1:
-            raise ValueError("batch_size and max_epochs must be >= 1")
-        if self.escalation_patience < 0:
-            raise ValueError("escalation_patience must be >= 0")
+        for name in ("batch_size", "max_epochs", "patience", "layers", "embed",
+                     "unroll_steps", "escalation_patience"):
+            value, least = getattr(self, name), int(name != "escalation_patience")
+            if not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name} must be >= {least} and an integer")
         if not (0 <= self.escalation_min_delta < 1):
             raise ValueError("escalation_min_delta must lie in [0, 1)")
 

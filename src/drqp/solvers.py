@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .model import MonotoneData, QualityMetrics, project_cone_dual, quality
-from .sparse import Factorization, spmv
+from .sparse import spmv
 
 _DIVERGENCE_LIMIT = 1e12
 SAFEGUARD_RHO = 0.99  # the step-size cap's fraction of 1 / sigma_max^2
@@ -91,7 +91,7 @@ def _freeze(data: MonotoneData, ut, u, w, status: str, iterations: int,
 # resolvent or a frozen row's quality; the divergence test turns that into
 # status "error", so no warning is raised for it
 @np.errstate(over="ignore", invalid="ignore")
-def _iterate(datas: list, cfg: SolverConfig, warms: list, resolvent) -> list:
+def _iterate(datas: list, cfg: SolverConfig, warms: list, resolvent, per_row: list) -> list:
     """The DR iteration shared by both solvers, on a block of instances.
 
     Row i of the B x N blocks is instance datas[i]; all rows have one size
@@ -101,11 +101,13 @@ def _iterate(datas: list, cfg: SolverConfig, warms: list, resolvent) -> list:
     vector. resolvent(S, Q, rows) writes the next u_tilde block into S[0],
     per row an exact or approximate solution of (I+M) u_tilde = w - q
     started from the current one; Q holds q of the rows still iterating and
-    rows their positions in datas. Projection, w-update, residual and
-    stopping rules are common, and the reflection and w-step reuse their
-    buffers. A row that converges, diverges or reaches max_iter is frozen
-    into its own SolveReport and dropped from the block; reports come back
-    in the order of datas.
+    rows their positions in datas; per_row holds the block's other per-row
+    arrays (a stack of operators, DR-GD's eta qK), which the resolvent
+    reads through its closure. Projection, w-update, residual and stopping
+    rules are common, and the reflection and w-step reuse their buffers. A
+    row that converges, diverges or reaches max_iter is frozen into its own
+    SolveReport and cut from the block, Q and per_row; reports come back in
+    the order of datas.
     """
     cone, tol = datas[0].cone, cfg.tol_fixed_point
     rows = np.arange(len(datas))
@@ -162,6 +164,7 @@ def _iterate(datas: list, cfg: SolverConfig, warms: list, resolvent) -> list:
                                  "divergent iterate" if error[j] else "")
         # compress keeps S in (2, B, N) order; S[:, keep] would not
         rows, S, U, dW, Q = rows[keep], S.compress(keep, axis=1), U[keep], dW[keep], Q[keep]
+        per_row[:] = [a[keep] for a in per_row]
         UT, W = S
         dual = U.T[U.shape[1] - cone.m_nonneg:]
         if histories is not None:
@@ -183,12 +186,12 @@ _STACK_BYTES = 64 << 20
 def _by_operator(datas: list, cfg: SolverConfig, warms, gradient: bool) -> list:
     """Solve datas in blocks of one size and cone; reports in input order.
 
-    Instances that share an operator iterate as one 2-D block. Instances
-    whose operator is theirs alone and on the dense path (a dense inverse
-    for DR, a dense channel pair for DR-GD) are stacked by size and cone, at
-    most _STACK_BYTES of operators to a block (8 N^2 bytes a row for DR,
-    16 N^2 for DR-GD); a SuperLU or sparse operator of one instance runs
-    alone.
+    Instances that share an operator iterate as one 2-D block (DR solves it
+    with Factorization.solve). Instances whose operator is theirs alone and
+    on the dense path (a dense inverse for DR, a dense channel pair for
+    DR-GD) are stacked by size and cone, one _product per step, at most
+    _STACK_BYTES of operators to a block (8 N^2 bytes a row for DR, 16 N^2
+    for DR-GD); a SuperLU or sparse operator of one instance runs alone.
     """
     warms = [None] * len(datas) if warms is None else warms
     if len(warms) != len(datas):
@@ -210,49 +213,45 @@ def _by_operator(datas: list, cfg: SolverConfig, warms, gradient: bool) -> list:
         blocks += [(chunk, len(chunk) > 1) for chunk in chunks]
     reports = [None] * len(datas)
     for idx, stacked in blocks:
-        group = [datas[i] for i in idx]
+        group, per_row = [datas[i] for i in idx], []
         steps = [[] for _ in idx] if gradient and cfg.record_history else None
         if gradient:
-            resolvent = _gradient_steps(group, cfg, steps, stacked)
+            resolvent = _gradient_steps(group, cfg, steps, stacked, per_row)
         elif stacked:
-            inverses = _Stack(Factorization.stack([d.operator.factorization for d in group]))
-            resolvent = lambda S, Q, rows: Factorization.solve_stacked(
-                inverses.at(rows)[0], S[1] - Q, out=S[0])
+            # row i times its inverse's transpose, as solve() multiplies it
+            per_row.append(np.stack([d.operator.factorization.inverse for d in group]))
+            resolvent = lambda S, Q, rows: _product(
+                S[1] - Q, per_row[0].transpose(0, 2, 1), out=S[0])
         else:
             solve = group[0].operator.factorization.solve
             resolvent = lambda S, Q, rows: solve(S[1] - Q, out=S[0])
-        for j, rep in enumerate(_iterate(group, cfg, [warms[i] for i in idx], resolvent)):
+        for j, rep in enumerate(_iterate(group, cfg, [warms[i] for i in idx], resolvent, per_row)):
             if steps is not None:
                 rep.step_sizes = steps[j]
             reports[idx[j]] = rep
     return reports
 
 
-class _Stack:
-    """The per-row arrays of a block (stacked operators, DR-GD's qK), which
-    shrink to the rows still iterating when rows drop, and only then."""
-
-    def __init__(self, *arrays):
-        self.rows, self.arrays = np.arange(len(arrays[0])), arrays
-
-    def at(self, rows: np.ndarray) -> tuple:
-        if len(rows) != len(self.rows):
-            keep = np.isin(self.rows, rows)
-            self.rows, self.arrays = rows, tuple(a[keep] for a in self.arrays)
-        return self.arrays
+def _product(X: np.ndarray, A: np.ndarray, out=None) -> np.ndarray:
+    """X A for a B x n block X and a shared 2-D A, or row i of X times A[i]
+    for a (B, n, p) stack A: one batched product, each row bit for bit its
+    one-row product; written into out, a B x p array, when given."""
+    if A.ndim == 2:
+        return np.matmul(X, A, out=out)
+    return np.matmul(X[:, None], A, out=None if out is None else out[:, None])[:, 0]
 
 
-def _gradient_steps(group: list, cfg: SolverConfig, steps, stacked: bool):
+def _gradient_steps(group: list, cfg: SolverConfig, steps, stacked: bool, per_row: list):
     """cfg.steps_per_iter gradient steps on 0.5||(I+M)v - (w - q)||^2 per
     row, at the row's step size eta, written into u_tilde with w held fixed.
 
-    On a dense channel pair each step is one product,
-    eta T = [u_tilde | w] (eta G) + eta qK, with G = [K'K; -K] the operator's
-    cached gradient_operator, scaled once per block: the shared G of a 2-D
-    block, or on a stacked block a (B, 2N, N) stack of each row's own G at
-    its own step size. eta qK is formed once per block, as -[0 | q] (eta G):
-    the product a step forms, so a row at u_tilde = 0, w = q (its
-    subproblem solved exactly) gets T = 0 exactly. The CSR pair above
+    On a dense channel pair each step is one _product,
+    eta T = [u_tilde | w] (eta G) + eta qK, with eta G the operator's
+    gradient_operator(eta): the shared array itself on a 2-D block, a
+    (B, 2N, N) stack of each row's own on a stacked block. eta qK is formed
+    once per block, as -[0 | q] (eta G): the product a step forms, so a row
+    at u_tilde = 0, w = q (its subproblem solved exactly) gets T = 0
+    exactly. Per-row arrays go to per_row. The CSR pair above
     model._DENSE_LIMIT takes the two sparse products (u_tilde K' - r) K. A
     row whose gradient vanished or is not finite keeps its iterate; steps,
     when given, records each row's step sizes.
@@ -262,23 +261,18 @@ def _gradient_steps(group: list, cfg: SolverConfig, steps, stacked: bool):
     N = group[0].size
     K, Kt = group[0].operator.channel_operator
     dense = isinstance(K, np.ndarray)
-    if stacked:
-        G = np.stack([d.operator.gradient_operator for d in group])
-        G *= np.array(etas)[:, None, None]
-    elif dense:
-        G = group[0].operator.gradient_operator * etas[0]
     if dense:
+        G = (np.stack([d.operator.gradient_operator(eta) for d, eta in zip(group, etas)])
+             if stacked else group[0].operator.gradient_operator(etas[0]))
         Z = np.concatenate([np.zeros((len(group), N)),
                             np.stack([d.q for d in group])], axis=1)
-        QK = -(np.matmul(Z[:, None], G)[:, 0] if stacked else Z @ G)
-        per_row = _Stack(QK, G) if stacked else _Stack(QK)
+        per_row += [-_product(Z, G), G] if stacked else [-_product(Z, G)]
+        shared = None if stacked else G  # a stack only in per_row, so cuts free it
 
     def gradient_steps(S, Q, rows):
         UT = S[0]
-        if stacked:  # each row's own G and step size
-            QK, G_rows = per_row.at(rows)
-        elif dense:
-            (QK,) = per_row.at(rows)
+        if dense:  # eta qK and, stacked, each row's own eta G
+            QK, G_rows = per_row if stacked else (per_row[0], shared)
         else:
             R = S[1] - Q
         for step in range(cfg.steps_per_iter):
@@ -287,7 +281,7 @@ def _gradient_steps(group: list, cfg: SolverConfig, steps, stacked: bool):
                     # [u_tilde | w] per row: at B = 1 a view of S, which
                     # follows the steps taken in place; a copy above
                     X = S.transpose(1, 0, 2).reshape(len(rows), 2 * N)
-                T = np.matmul(X[:, None], G_rows)[:, 0] if stacked else X @ G
+                T = _product(X, G_rows)
                 T += QK
             else:
                 T = (UT @ Kt - R) @ K
@@ -329,9 +323,9 @@ def dr_solve_batch(datas: list, cfg: SolverConfig = SolverConfig(),
 def drgd_solve_batch(datas: list, cfg: SolverConfig = SolverConfig(),
                      warms: Optional[list] = None) -> list:
     """drgd_solve for many instances, in the blocks of dr_solve_batch; a
-    stacked block holds each row's gradient operator [K'K; -K], scaled by
-    the row's own step size, as a (B, 2N, N) stack (16 N^2 bytes a row
-    against _STACK_BYTES), and each row equals its drgd_solve bit for bit.
+    shared block steps with its operator's gradient_operator(eta) itself, a
+    stacked block with a (B, 2N, N) stack of each row's own (16 N^2 bytes a
+    row against _STACK_BYTES), and each row equals its drgd_solve bit for bit.
 
     No pipeline stage calls it yet: compare and eval solve one instance at a
     time.
@@ -353,9 +347,9 @@ def drgd_solve(data: MonotoneData, cfg: SolverConfig = SolverConfig(),
     least-squares subproblem at the safeguard cap, or at cfg.fixed_eta when
     that is smaller, then applies the same projection and w updates as
     dr_solve. No factorization is performed. Up to model._DENSE_LIMIT a
-    step is one product of [u_tilde | w] with the operator's cached
-    [K'K; -K] (scaled by the step size) plus qK, equal in exact arithmetic
-    to (K u_tilde - (w - q))' K, with a rounding floor near
+    step is one product of [u_tilde | w] with the operator's eta [K'K; -K]
+    plus eta qK, equal in exact arithmetic to eta (K u_tilde - (w - q))' K,
+    with a rounding floor near
     eps sigma_max^2 ||u_tilde||; above it the two CSR products. An exact
     line search clipped at the cap would step at the cap too: its step
     ||t||^2/||Kt||^2 >= 1/sigma_max^2 is never below it.

@@ -176,6 +176,7 @@ class Factorization:
     """Reusable LU factorization of a square nonsingular matrix: a dense LAPACK
     LU and the explicit inverse built from it, so solve() is one BLAS product,
     up to _DENSE_LIMIT and above a pivot ratio of 1e-10; SuperLU otherwise.
+    inverse is that C-ordered inverse, or None on the SuperLU path.
 
     solve() is re-entrant for distinct right-hand sides and satisfies
     ||Ax - b|| / max(1, ||b||) <= 1e-10 for well-conditioned A.
@@ -190,13 +191,13 @@ class Factorization:
             raise DimensionError("factorize: matrix must be square")
         if not np.all(np.isfinite(A.values)):
             raise SingularMatrixError("matrix has non-finite entries")
-        self.shape, self._inv, self._lu = A.shape, None, None
+        self.shape, self.inverse, self._lu = A.shape, None, None
         if 0 < A.nrows <= self._DENSE_LIMIT:
             lu, piv, _ = lapack.dgetrf(A._csr.toarray(order="F"), overwrite_a=True)
             if _inverse_safe(np.diagonal(lu)):
                 # getrs against I, C-ordered: how np.linalg.inv builds its inverse
                 inv = lapack.dgetrs(lu, piv, np.eye(A.nrows, order="F"), overwrite_b=True)[0]
-                self._inv = np.ascontiguousarray(inv)
+                self.inverse = np.ascontiguousarray(inv)
                 return
         self._A = A
         try:
@@ -208,7 +209,7 @@ class Factorization:
     @property
     def kind(self) -> str:
         """How solve() works: "dense-inverse" or "superlu"."""
-        return "dense-inverse" if self._inv is not None else "superlu"
+        return "dense-inverse" if self.inverse is not None else "superlu"
 
     def __reduce__(self):  # SuperLU does not pickle: such a copy factorizes A again
         return (Factorization, (self._A,)) if self._lu is not None else super().__reduce__()
@@ -220,27 +221,12 @@ class Factorization:
         n = self.shape[0]
         if b.ndim not in (1, 2) or b.shape[-1] != n:
             raise DimensionError(f"solve: b has shape {b.shape}, expected ({n},) or (B, {n})")
-        if self._inv is not None:
-            return np.matmul(b, self._inv.T, out=out)
+        if self.inverse is not None:
+            return np.matmul(b, self.inverse.T, out=out)
         if out is None:
             return self._lu.solve(b.T).T
         out[...] = self._lu.solve(b.T).T
         return out
-
-    @staticmethod
-    def stack(factorizations: list) -> np.ndarray:
-        """The inverses of "dense-inverse" factorizations of one order as one
-        (B, n, n) stack for solve_stacked; a subset of it is a selection
-        along the first axis."""
-        return np.stack([f._inv for f in factorizations])
-
-    @staticmethod
-    def solve_stacked(inverses: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
-        """Row i of the B x n block b solved against inverses[i] of a stack:
-        one batched product, each row bit for bit as solve() gives it alone;
-        written into out, a B x n array, when given."""
-        return np.matmul(b[:, None, :], inverses.transpose(0, 2, 1),
-                         out=None if out is None else out[:, None])[:, 0]
 
 
 def _inverse_safe(u_diag: np.ndarray) -> bool:

@@ -121,7 +121,8 @@ class TestTrainEval:
         # --batch -1 used to train nothing and write the untrained checkpoint
         out = tmp_path / "bad"
         assert run(["train", str(bundle_dir), *flags, "--out", str(out)]) == 2
-        assert "batch_size and max_epochs must be >= 1" in capsys.readouterr().err
+        field = {"--batch": "batch_size", "--epochs": "max_epochs"}[flags[0]]
+        assert f"{field} must be >= 1" in capsys.readouterr().err
         assert not (out / "model.json").exists()
 
     @pytest.mark.parametrize("flags, problem", [
@@ -307,4 +308,29 @@ def test_empty_test_split_fails(bundle_dir, tmp_path, capsys, command):
                        "--epochs", "1"]}[command]
     assert run(argv + ["--out", str(out)]) == 2
     assert "test split is empty" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_labels_of_wrong_length_fail(bundle_dir, tmp_path, capsys, command):
+    # a test label cut to one entry used to be broadcast: eval exited 0 with
+    # an l2_to_reference measured against a label of one number
+    copy = tmp_path / "copy"
+    shutil.copytree(bundle_dir, copy)
+    manifest = json.loads((copy / "manifest.json").read_text())
+    path = copy / manifest["instances"][manifest["split"]["test"][0]]["file"]
+    doc = json.loads(path.read_text())
+    doc["labels"] = {"x": doc["labels"]["x"][:1], "y": doc["labels"]["y"][:1]}
+    path.write_text(json.dumps(doc))
+    ckpt = tmp_path / "model.json"
+    net.save_checkpoint(net.init_params(1, 2, seed=0), ckpt)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = {"eval": ["eval", str(copy), "--checkpoint", str(ckpt)],
+            "train": ["train", str(copy), "--layers", "1", "--embed", "2",
+                      "--epochs", "1"]}[command]
+    assert run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert "labels must hold x of length 10 and y of length 10" in err
     assert not out.exists() or not any(out.iterdir())

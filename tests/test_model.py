@@ -83,6 +83,18 @@ class TestToConic:
         assert cqp.cone.m_nonneg == 2
         assert cqp.cone.m_zero == 0
 
+    @pytest.mark.parametrize("family, kw", [
+        ("qp_rhs", dict(n=12)), ("qp_perturbed", dict(n=12)), ("portfolio", dict(k=3)),
+    ])
+    def test_conic_rows_counted_without_transform(self, family, kw):
+        qps = generate(GenSpec(family=family, count=2, seed=5, **kw)).instances
+        boxed = build_standard(P=np.eye(3), c=np.zeros(3), A=np.ones((1, 3)), b=[1.0],
+                               G=np.ones((2, 3)), h=[2.0, 3.0], l=[-1.0, -np.inf, 0.0],
+                               u=[1.0, np.inf, np.inf])
+        for qp in qps + [boxed]:
+            assert qp.conic_rows == to_conic(qp).m
+        assert boxed.conic_rows == 6
+
     def test_boxed_instance_row_enumeration(self):
         # n=4, 2 equalities, 2 inequalities, full box: 2 + 2 + 8 conic rows
         rng = np.random.default_rng(0)

@@ -82,6 +82,27 @@ class TestInitParams:
             net.init_params(2, 4, eta_prior=0.0)
 
 
+def _gen_spec(**kw):
+    family = "portfolio" if "k" in kw else "qp_rhs"
+    return GenSpec(**{"family": family, "count": 2, **({} if "k" in kw else {"n": 4}), **kw})
+
+
+@pytest.mark.parametrize("build, field", [
+    *[(net.TrainConfig, name) for name in ("batch_size", "max_epochs", "patience", "layers",
+                                            "embed", "unroll_steps", "escalation_patience")],
+    (_gen_spec, "count"), (_gen_spec, "n"), (_gen_spec, "k"),
+    (net.init_params, "L"), (net.init_params, "d"),
+])
+@pytest.mark.parametrize("value", [2.0, 1.5, "3"])
+def test_counts_are_integers(build, field, value):
+    # a float count used to pass construction and die deep inside training,
+    # generation or the parameter layout with a TypeError naming no field
+    kw = {"L": 2, "d": 3} if build is net.init_params else {}
+    with pytest.raises(ValueError, match=f"{field} must be >= [01] and an integer"):
+        build(**{**kw, field: value})
+    build(**{**kw, field: np.int64(2)})
+
+
 class TestForward:
     def test_trivial_problem_outputs_zero(self):
         qp = build_standard(P=np.zeros((2, 2)), c=[0.0, 0.0],

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -573,10 +574,10 @@ class TestBatch:
         from drqp.sparse import Factorization
         bundle = generate(GenSpec(family="qp_rhs", count=4, seed=11, n=16))
         dense = prepare_data(bundle)
-        assert dense[0].operator.factorization._inv is not None  # factorized here, lazily
+        assert dense[0].operator.factorization.inverse is not None  # factorized here, lazily
         monkeypatch.setattr(Factorization, "_DENSE_LIMIT", 0)
         lu = prepare_data(bundle)
-        assert lu[0].operator.factorization._inv is None
+        assert lu[0].operator.factorization.inverse is None
         cfg = SolverConfig(record_history=True)
         warms = short_warms(dense) if warm else [None] * len(dense)
         batched = dr_solve_batch(lu, cfg, warms)
@@ -756,28 +757,54 @@ def test_drgd_sparse_channel_pair_matches_dense(monkeypatch):
         assert_same_report(s, d)
 
 
-def test_gradient_operator_built_once_for_drgd_only(monkeypatch):
-    # [K'K; -K] is built on an operator's first DR-GD solve and reused after;
-    # DR-only stages (label, eval) never build it, nor does the CSR pair
-    built = []
-    prop = model.Operator.__dict__["gradient_operator"]
-    build = prop.func
-    monkeypatch.setattr(prop, "func", lambda op: built.append(op) or build(op))
+def test_gradient_operator_one_scaled_copy(monkeypatch):
+    # a DR-GD solve leaves its operator one eta [K'K; -K], for the last eta
+    # it stepped at; DR-only stages (label, eval) never ask for it, nor does
+    # the CSR pair
+    asked = []
+    gradient_operator = model.Operator.gradient_operator
+    monkeypatch.setattr(model.Operator, "gradient_operator",
+                        lambda op, eta: asked.append(op) or gradient_operator(op, eta))
     bundle = generate(GenSpec(family="portfolio", count=2, seed=4, k=1))
     datas = prepare_data(bundle)
     label_bundle(bundle)
     run_eval(datas, None, init_params(1, 2), SolverConfig(max_iter=50))
     dr_solve_batch(datas, SolverConfig(max_iter=50))
-    assert built == []
-    cfg = SolverConfig(max_iter=50)
+    assert asked == []
+    op, cfg = datas[0].operator, SolverConfig(max_iter=50, record_history=True)
+
+    def assert_holds(eta):  # one (2N, N) array, bit for bit eta [K'K; -K]
+        K = op.channel_operator[0]
+        assert list(op._gradient_operators) == [eta]
+        G = op._gradient_operators[eta]
+        assert G.shape == (2 * len(K), len(K))
+        assert G.tobytes() == (eta * np.concatenate([K.T @ K, -K])).tobytes()
+
     drgd_solve(datas[0], cfg)
-    assert built == [datas[0].operator]
-    G, K = datas[0].operator.gradient_operator, datas[0].operator.channel_operator[0]
-    assert G.shape == (2 * K.shape[0], K.shape[0])
-    np.testing.assert_array_equal(G[K.shape[0]:], -K)
+    assert_holds(step_size_cap(datas[0]))
+    # another step size replaces the array; the solve equals a fresh operator's
+    fixed = replace(cfg, fixed_eta=0.5 * step_size_cap(datas[0]))
+    assert_identical(drgd_solve(datas[0], fixed), drgd_solve(prepare_data(bundle)[0], fixed))
+    assert_holds(fixed.fixed_eta)
     drgd_solve_batch(datas, cfg)
-    drgd_solve(datas[0], replace(cfg, steps_per_iter=2))
-    assert built == [d.operator for d in datas]
+    assert asked[-2:] == [d.operator for d in datas]
+    asked.clear()
     monkeypatch.setattr(model, "_DENSE_LIMIT", 0)
     drgd_solve_batch(prepare_data(bundle), cfg)
-    assert len(built) == 2
+    assert asked == []
+
+
+def test_drgd_solve_peak_memory():
+    # with K and sigma_max cached, a DR-GD solve holds one (2N, N) array:
+    # its operator's eta [K'K; -K], built without temporaries (16 N^2 bytes);
+    # 20 N^2 leaves room for the block's vectors but not for a second copy
+    data = prepare_data(generate(GenSpec(family="portfolio", count=1, seed=6, k=20)))[0]
+    data.operator.channel_operator, data.operator.sigma_max
+    N = data.size
+    tracemalloc.start()
+    try:
+        drgd_solve(data, SolverConfig(max_iter=20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 16 * N * N <= peak < 20 * N * N

@@ -195,7 +195,7 @@ class TestFactorize:
         rng = np.random.default_rng(12)
         mat, dense = random_sparse(rng, 30, 30)
         fac = Factorization(SparseMatrix.from_dense(dense + 10 * np.eye(30)))
-        assert (fac._inv is None) == (dense_limit == 0)
+        assert (fac.inverse is None) == (dense_limit == 0)
         B = rng.standard_normal((5, 30))
         X = fac.solve(B)
         assert X.shape == (5, 30)
