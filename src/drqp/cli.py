@@ -17,11 +17,37 @@ EXIT_RUNTIME = 2
 OUT_DIR_ENV = "DRQP_OUT_DIR"
 
 
-def _out_dir(args) -> Path:
-    base = args.out or os.environ.get(OUT_DIR_ENV, ".")
-    path = Path(base)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _out_path(args, name: str) -> Path:
+    """name in the output directory (--out, $DRQP_OUT_DIR or the working
+    directory), which this creates: commands call it after every check."""
+    out = Path(args.out or os.environ.get(OUT_DIR_ENV, "."))
+    out.mkdir(parents=True, exist_ok=True)
+    return out / name
+
+
+def _write_table(args, stem: str, text: str) -> None:
+    """text as stem.md under --format markdown, else as stem.csv."""
+    ext = "md" if args.format == "markdown" else "csv"
+    _out_path(args, f"{stem}.{ext}").write_text(text)
+
+
+def _label(bundle, args):
+    """label_bundle at --label-tol, with a warning for each exclusion."""
+    bundle, excluded = datagen.label_bundle(bundle, tol_label=args.label_tol)
+    for i, status in excluded:
+        print(f"warning: instance {i} excluded from labels ({status})",
+              file=sys.stderr)
+    return bundle, excluded
+
+
+def _labeled_split_bundle(args):
+    """The labeled, split bundle that train and ablate read, and its data."""
+    bundle = datagen.read_bundle(args.bundle)
+    if bundle.labels is None:
+        raise ValueError("bundle has no labels; run `drqp label` first")
+    if bundle.split is None:
+        raise ValueError("bundle has no split; run `drqp split` first")
+    return bundle, report.prepare_data(bundle)
 
 
 def _solver_config(args, record_history: bool = False) -> SolverConfig:
@@ -43,24 +69,17 @@ def cmd_generate(args) -> int:
                            n=args.n, k=args.k)
     bundle = datagen.generate(spec)
     if args.label:
-        bundle, excluded = datagen.label_bundle(bundle, tol_label=args.label_tol)
-        for i, status in excluded:
-            print(f"warning: instance {i} excluded from labels ({status})",
-                  file=sys.stderr)
+        bundle, _ = _label(bundle, args)
     if args.split:
         bundle = datagen.split_bundle(bundle, tuple(args.split), seed=args.seed)
-    out = _out_dir(args)
+    out = _out_path(args, ".")
     datagen.write_bundle(bundle, out)
     print(f"wrote {len(bundle)} instances to {out}")
     return EXIT_OK
 
 
 def cmd_label(args) -> int:
-    bundle = datagen.read_bundle(args.bundle)
-    bundle, excluded = datagen.label_bundle(bundle, tol_label=args.label_tol)
-    for i, status in excluded:
-        print(f"warning: instance {i} excluded from labels ({status})",
-              file=sys.stderr)
+    bundle, excluded = _label(datagen.read_bundle(args.bundle), args)
     datagen.write_bundle(bundle, args.bundle)
     print(f"labeled {len(bundle) - len(excluded)}/{len(bundle)} instances")
     return EXIT_OK
@@ -79,10 +98,8 @@ def cmd_compare(args) -> int:
     datas = report.prepare_data(bundle)
     rep = report.run_compare(datas, tol=args.tol, steps_list=args.steps,
                              max_iter=args.max_iter)
-    out = _out_dir(args)
-    ext = "md" if args.format == "markdown" else "csv"
-    (out / f"comparison.{ext}").write_text(report.comparison_table(rep, args.format))
-    (out / f"multistep.{ext}").write_text(report.multistep_table(rep, args.format))
+    _write_table(args, "comparison", report.comparison_table(rep, args.format))
+    _write_table(args, "multistep", report.multistep_table(rep, args.format))
     print(f"iteration ratio (drgd/dr): {rep.iteration_ratio:.3f}")
     failures = [r for r in rep.rows
                 if r.dr_status != "converged" or r.drgd_status != "converged"]
@@ -93,24 +110,16 @@ def cmd_compare(args) -> int:
 
 
 def cmd_train(args) -> int:
-    bundle = datagen.read_bundle(args.bundle)
-    if bundle.labels is None:
-        print("error: bundle has no labels; run `drqp label` first", file=sys.stderr)
-        return EXIT_RUNTIME
-    if bundle.split is None:
-        print("error: bundle has no split; run `drqp split` first", file=sys.stderr)
-        return EXIT_RUNTIME
-    datas = report.prepare_data(bundle)
+    bundle, datas = _labeled_split_bundle(args)
     cfg = _train_config(
         args, args.layers, unroll_steps=args.unroll_steps,
         escalated_lr=args.escalate_lr, escalation_patience=args.escalate_patience,
         escalation_min_delta=args.escalate_min_delta)
     result = net.train(datas, bundle.labels, bundle.split["train"],
                        bundle.split["val"], cfg)
-    out = _out_dir(args)
-    ckpt = out / (args.checkpoint or "model.json")
+    ckpt = _out_path(args, args.checkpoint or "model.json")
     net.save_checkpoint(result.params, ckpt)
-    (out / "training_log.csv").write_text(report.training_log_csv(result.log))
+    _out_path(args, "training_log.csv").write_text(report.training_log_csv(result.log))
     print(f"best val loss {result.best_val_loss:.6g} at epoch {result.best_epoch}; "
           f"checkpoint: {ckpt}")
     return EXIT_OK
@@ -136,14 +145,12 @@ def cmd_eval(args) -> int:
     if bundle.labels is not None:
         labels = [bundle.labels[i] for i in idx]
     rep = report.run_eval(datas, labels, params, _solver_config(args, args.history))
-    out = _out_dir(args)
-    ext = "md" if args.format == "markdown" else "csv"
     header = ("# warm-started target is the internal DR solver; "
               "ratios are internally consistent, not comparable to external solvers\n")
-    (out / f"warmstart.{ext}").write_text(header + report.warmstart_table(rep, args.format))
-    (out / f"warmstart_summary.{ext}").write_text(report.warmstart_summary(rep, args.format))
+    _write_table(args, "warmstart", header + report.warmstart_table(rep, args.format))
+    _write_table(args, "warmstart_summary", report.warmstart_summary(rep, args.format))
     if args.history:
-        (out / "residual_history.csv").write_text(report.residual_history_csv(rep))
+        _out_path(args, "residual_history.csv").write_text(report.residual_history_csv(rep))
     print(f"iteration ratio: {_ratio(rep.iteration_ratio)}  "
           f"time ratio: {_ratio(rep.time_ratio)}")
     if any(r.failed for r in rep.rows):
@@ -152,12 +159,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    bundle = datagen.read_bundle(args.bundle)
-    if bundle.labels is None or bundle.split is None:
-        print("error: ablation needs a labeled, split bundle", file=sys.stderr)
-        return EXIT_RUNTIME
+    bundle, datas = _labeled_split_bundle(args)
     test_idx = _test_indices(bundle)
-    datas = report.prepare_data(bundle)
     test_datas = [datas[i] for i in test_idx]
     test_labels = [bundle.labels[i] for i in test_idx]
     rows = []
@@ -169,11 +172,8 @@ def cmd_ablate(args) -> int:
         rows.append([L, result.best_val_loss, rep.iteration_ratio])
         print(f"L={L}: val loss {result.best_val_loss:.6g}, "
               f"iteration ratio {_ratio(rep.iteration_ratio)}")
-    out = _out_dir(args)
-    text = report.table(["layers", "best_val_loss", "iteration_ratio"], rows,
-                        args.format)
-    ext = "md" if args.format == "markdown" else "csv"
-    (out / f"ablation.{ext}").write_text(text)
+    _write_table(args, "ablation", report.table(
+        ["layers", "best_val_loss", "iteration_ratio"], rows, args.format))
     return EXIT_OK
 
 
@@ -187,47 +187,60 @@ def _eta_prior(value: str):
     return float(value)
 
 
+def _training_flags(embed: int, epochs: int, eta_prior) -> argparse.ArgumentParser:
+    """A parent parser of train's and ablate's shared flags, with the command's defaults."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--lr", type=float, default=1e-5)
+    flags.add_argument("--batch", type=int, default=2)
+    flags.add_argument("--epochs", type=int, default=epochs)
+    flags.add_argument("--patience", type=int, default=10)
+    flags.add_argument("--eta-prior", type=_eta_prior, default=eta_prior,
+                       help='step prior per layer, or "auto" for a cap-based value')
+    flags.add_argument("--embed", type=int, default=embed)
+    return flags
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="drqp",
                                      description="DR splitting QP toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("generate", help="generate a dataset bundle")
+    # one parent parser per flag group that several commands share
+    bundle, seed, label_tol, solver, out = (argparse.ArgumentParser(add_help=False)
+                                            for _ in range(5))
+    bundle.add_argument("bundle")
+    seed.add_argument("--seed", type=int, default=0)
+    label_tol.add_argument("--label-tol", type=float, default=1e-9)
+    solver.add_argument("--tol", type=float, default=1e-6)
+    solver.add_argument("--max-iter", type=int, default=200_000)
+    solver.add_argument("--format", choices=["csv", "markdown"], default="csv")
+    out.add_argument("--out")
+
+    def command(name, func, help, *parents):
+        cmd = sub.add_parser(name, help=help, parents=parents)
+        cmd.set_defaults(func=func)
+        return cmd
+
+    gen = command("generate", cmd_generate, "generate a dataset bundle", seed, label_tol, out)
     gen.add_argument("--family", required=True, choices=datagen.FAMILIES)
     gen.add_argument("--n", type=int, help="variable count for QP families")
     gen.add_argument("--k", type=int, help="factor count for portfolio")
     gen.add_argument("--count", type=int, required=True)
-    gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--label", action="store_true", help="label after generating")
-    gen.add_argument("--label-tol", type=float, default=1e-9)
     gen.add_argument("--split", type=int, nargs=3, metavar=("TRAIN", "VAL", "TEST"))
-    gen.add_argument("--out")
-    gen.set_defaults(func=cmd_generate)
 
-    lab = sub.add_parser("label", help="label an existing bundle in place")
-    lab.add_argument("bundle")
-    lab.add_argument("--label-tol", type=float, default=1e-9)
-    lab.set_defaults(func=cmd_label)
+    command("label", cmd_label, "label an existing bundle in place", bundle, label_tol)
 
-    spl = sub.add_parser("split", help="assign a split to a bundle in place")
-    spl.add_argument("bundle")
+    spl = command("split", cmd_split, "assign a split to a bundle in place", bundle, seed)
     spl.add_argument("--sizes", type=int, nargs=3, required=True,
                      metavar=("TRAIN", "VAL", "TEST"))
-    spl.add_argument("--seed", type=int, default=0)
-    spl.set_defaults(func=cmd_split)
 
-    cmp_ = sub.add_parser("compare", help="compare DR splitting with DR-GD")
-    cmp_.add_argument("bundle")
-    cmp_.add_argument("--tol", type=float, default=1e-6)
-    cmp_.add_argument("--max-iter", type=int, default=200_000)
+    cmp_ = command("compare", cmd_compare, "compare DR splitting with DR-GD",
+                   bundle, solver, out)
     cmp_.add_argument("--steps", type=int, nargs="+", default=[1])
-    cmp_.add_argument("--format", choices=["csv", "markdown"], default="csv")
-    cmp_.add_argument("--out")
-    cmp_.set_defaults(func=cmd_compare)
 
-    tra = sub.add_parser("train", help="train the unrolled network")
-    tra.add_argument("bundle")
-    tra.add_argument("--lr", type=float, default=1e-5)
+    tra = command("train", cmd_train, "train the unrolled network",
+                  bundle, _training_flags(embed=128, epochs=100, eta_prior=0.1), seed, out)
     tra.add_argument("--escalate-lr", type=float, default=None,
                      help="raise the learning rate to this value after "
                           "--escalate-patience epochs without improvement")
@@ -235,45 +248,20 @@ def build_parser() -> argparse.ArgumentParser:
     tra.add_argument("--escalate-min-delta", type=float, default=0.0,
                      help="relative val improvement below this counts "
                           "as a plateau epoch for escalation")
-    tra.add_argument("--batch", type=int, default=2)
-    tra.add_argument("--epochs", type=int, default=100)
-    tra.add_argument("--patience", type=int, default=10)
-    tra.add_argument("--seed", type=int, default=0)
-    tra.add_argument("--eta-prior", type=_eta_prior, default=0.1,
-                     help='step prior per layer, or "auto" for a cap-based value')
     tra.add_argument("--layers", type=int, default=4)
-    tra.add_argument("--embed", type=int, default=128)
     tra.add_argument("--unroll-steps", type=int, default=1)
     tra.add_argument("--checkpoint", help="checkpoint filename inside --out")
-    tra.add_argument("--out")
-    tra.set_defaults(func=cmd_train)
 
-    ev = sub.add_parser("eval", help="warm-start evaluation of a checkpoint")
-    ev.add_argument("bundle")
+    ev = command("eval", cmd_eval, "warm-start evaluation of a checkpoint",
+                 bundle, solver, out)
     ev.add_argument("--checkpoint", required=True)
-    ev.add_argument("--tol", type=float, default=1e-6)
-    ev.add_argument("--max-iter", type=int, default=200_000)
     ev.add_argument("--history", action="store_true",
                     help="emit residual-history CSV")
-    ev.add_argument("--format", choices=["csv", "markdown"], default="csv")
-    ev.add_argument("--out")
-    ev.set_defaults(func=cmd_eval)
 
-    abl = sub.add_parser("ablate", help="train and evaluate per layer count")
-    abl.add_argument("bundle")
+    abl = command("ablate", cmd_ablate, "train and evaluate per layer count",
+                  bundle, _training_flags(embed=8, epochs=50, eta_prior="auto"), seed,
+                  solver, out)
     abl.add_argument("--layers", type=int, nargs="+", required=True)
-    abl.add_argument("--embed", type=int, default=8)
-    abl.add_argument("--lr", type=float, default=1e-5)
-    abl.add_argument("--batch", type=int, default=2)
-    abl.add_argument("--epochs", type=int, default=50)
-    abl.add_argument("--patience", type=int, default=10)
-    abl.add_argument("--seed", type=int, default=0)
-    abl.add_argument("--eta-prior", type=_eta_prior, default="auto")
-    abl.add_argument("--tol", type=float, default=1e-6)
-    abl.add_argument("--max-iter", type=int, default=200_000)
-    abl.add_argument("--format", choices=["csv", "markdown"], default="csv")
-    abl.add_argument("--out")
-    abl.set_defaults(func=cmd_ablate)
 
     return parser
 

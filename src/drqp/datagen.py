@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .model import (INF, StandardQP, SparseMatrix, assemble_inclusion, read_instance,
-                    to_conic, write_instance)
+from .model import (INF, StandardQP, SparseMatrix, assemble_inclusion, check_counts,
+                    check_positive, read_instance, read_json, to_conic, write_instance,
+                    write_json)
 from .solvers import SolverConfig, dr_solve_batch
 
 QP_RHS = "qp_rhs"
@@ -33,10 +33,11 @@ class GenSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        for name in ("count", "n", "k"):
-            value = getattr(self, name)
-            if value is not None and (not isinstance(value, (int, np.integer)) or value < 1):
-                raise ValueError(f"{name} must be >= 1 and an integer")
+        check_counts(self, "count", "n", "k", optional=True)
+        # factors U[1-w, 1+w] stay positive; h keeps a positive margin on the witness box
+        if not (0 <= self.perturbation < 1):
+            raise ValueError("perturbation must lie in [0, 1)")
+        check_positive(self, "margin")
         if self.family in (QP_RHS, QP_PERTURBED):
             if self.n is None or self.n < 2 or self.n % 2:
                 raise ValueError("QP families need even n >= 2")
@@ -274,17 +275,24 @@ def write_bundle(bundle: DatasetBundle, path) -> None:
     for i, qp in enumerate(bundle.instances):
         labels = bundle.labels[i] if bundle.labels is not None else None
         write_instance(path / _instance_name(i), qp, labels)
-    manifest = {
+    write_json(path / "manifest.json", {
         "format_version": 1,
         "family": bundle.family,
         "seed": bundle.seed,
         "spec": None if bundle.spec is None else asdict(bundle.spec),
         "split": bundle.split,
         "instances": [{"file": _instance_name(i)} for i in range(len(bundle))],
-    }
-    with open(path / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    }, indent=1)
+
+
+def _bundle_from_manifest(doc) -> DatasetBundle:
+    """The bundle a manifest describes, its instances still the file names."""
+    if doc.get("format_version") != 1:
+        raise ValueError("unsupported manifest version")
+    spec = None if doc.get("spec") is None else GenSpec(**doc["spec"])
+    return DatasetBundle(family=doc["family"],
+                         instances=[entry["file"] for entry in doc["instances"]],
+                         labels=None, split=doc.get("split"), seed=doc["seed"], spec=spec)
 
 
 def read_bundle(path) -> DatasetBundle:
@@ -292,35 +300,9 @@ def read_bundle(path) -> DatasetBundle:
     instance file, or a label of the wrong length, raises ValueError naming
     that file."""
     path = Path(path)
-    manifest_path = path / "manifest.json"
-    try:
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
-        if manifest.get("format_version") != 1:
-            raise ValueError("unsupported manifest version")
-        files = [entry["file"] for entry in manifest["instances"]]
-        spec = None
-        if manifest.get("spec") is not None:
-            spec = GenSpec(**manifest["spec"])
-        family, seed, split = manifest["family"], manifest["seed"], manifest.get("split")
-    except KeyError as exc:
-        raise ValueError(f"{manifest_path}: malformed manifest: missing key {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ValueError(f"{manifest_path}: malformed manifest: {exc}") from exc
-    instances = []
-    labels = []
+    bundle = read_json(path / "manifest.json", "manifest", _bundle_from_manifest)
     matrices = {}  # equal matrices are read into one object
-    for name in files:
-        qp, lab = read_instance(path / name, matrices)
-        if lab is not None and (lab[0].shape != (qp.n,) or lab[1].shape != (qp.conic_rows,)):
-            raise ValueError(f"{path / name}: labels must hold x of length {qp.n} and y "
-                             f"of length {qp.conic_rows}, the conic row count")
-        instances.append(qp)
-        labels.append(lab)
+    instances, labels = zip(*(read_instance(path / name, matrices) for name in bundle.instances))
     any_labels = any(lab is not None for lab in labels)
-    try:
-        return DatasetBundle(family=family, instances=instances,
-                             labels=labels if any_labels else None,
-                             split=split, seed=seed, spec=spec)
-    except (AttributeError, TypeError, ValueError) as exc:  # the split, or no instances
-        raise ValueError(f"{manifest_path}: malformed manifest: {exc}") from exc
+    return replace(bundle, instances=list(instances),
+                   labels=list(labels) if any_labels else None)

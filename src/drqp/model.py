@@ -18,6 +18,23 @@ from .sparse import DimensionError, Factorization, SparseMatrix
 INF = float("inf")
 
 
+def check_counts(obj, *names: str, least: int = 1, optional: bool = False) -> None:
+    """Raise ValueError naming the first field that is not an integer >= least."""
+    for name in names:
+        value = getattr(obj, name)
+        if not (optional and value is None) and (
+                not isinstance(value, (int, np.integer)) or value < least):
+            raise ValueError(f"{name} must be >= {least} and an integer")
+
+
+def check_positive(obj, *names: str, optional: bool = False) -> None:
+    """Raise ValueError naming the first field that is not positive and finite."""
+    for name in names:
+        value = getattr(obj, name)
+        if not (optional and value is None) and not (0 < value < INF):
+            raise ValueError(f"{name} must be positive and finite")
+
+
 @dataclass(frozen=True)
 class ConeSpec:
     """Product cone: zero cone block first, then nonnegative cone block."""
@@ -218,24 +235,26 @@ class Operator:
             return K, K.T
         return self.I_plus_M._csr, self.I_plus_M._csr_t
 
-    def gradient_operator(self, eta: float) -> np.ndarray:
+    def gradient_operator(self, eta: float, out: Optional[np.ndarray] = None) -> np.ndarray:
         """eta G, G = [K'K; -K], the (2N, N) dense operator of a DR-GD step:
         [u_tilde | w] G + qK = (K u_tilde - (w - q))' K, one product per step.
 
-        Built without temporaries for the last eta asked for only, on DR-GD
-        solves of an operator with a dense channel pair; never for the CSR
-        pair above _DENSE_LIMIT, where K'K of a sparse K fills in.
+        Built without temporaries, on DR-GD solves of an operator with a
+        dense channel pair; never for the CSR pair above _DENSE_LIMIT, where
+        K'K of a sparse K fills in. Without out it is cached for the last eta
+        asked for only; with out, a (2N, N) array such as one slice of a
+        stack, it is written there and not cached.
         """
-        G = self._gradient_operators.get(eta)
-        if G is None:
-            K, N = self.channel_operator[0], self.size
+        if out is None and eta in self._gradient_operators:
+            return self._gradient_operators[eta]
+        K, N = self.channel_operator[0], self.size
+        if out is None:
             self._gradient_operators.clear()
-            G = np.empty((2 * N, N))
-            np.matmul(K.T, K, out=G[:N])
-            np.negative(K, out=G[N:])
-            G *= eta
-            self._gradient_operators[eta] = G
-        return G
+            out = self._gradient_operators[eta] = np.empty((2 * N, N))
+        np.matmul(K.T, K, out=out[:N])
+        np.negative(K, out=out[N:])
+        out *= eta
+        return out
 
     @cached_property
     def sigma_max(self) -> float:
@@ -350,11 +369,14 @@ class QualityMetrics:
 
 def l2_distance(x: np.ndarray, y: np.ndarray,
                 reference: tuple[np.ndarray, np.ndarray]) -> float:
-    """Euclidean distance from (x, y) to the reference (x*, y*).
+    """Euclidean distance from (x, y) to the reference (x*, y*), which must
+    have their shapes.
 
     The scaled BLAS norm cannot overflow while the distance itself is finite.
     """
     xs, ys = reference
+    if np.shape(xs) != np.shape(x) or np.shape(ys) != np.shape(y):
+        raise DimensionError("l2_distance: reference shape mismatch")
     return float(scipy.linalg.norm(np.concatenate([x - xs, y - ys]), check_finite=False))
 
 
@@ -422,7 +444,7 @@ def _bounds_from_doc(lst: list) -> np.ndarray:
 
 def instance_to_doc(qp: StandardQP,
                     labels: Optional[tuple[np.ndarray, np.ndarray]] = None) -> dict:
-    doc = {
+    return {
         "format_version": FORMAT_VERSION,
         "n": qp.n,
         "m1": qp.A_eq.nrows,
@@ -440,11 +462,11 @@ def instance_to_doc(qp: StandardQP,
             "y": labels[1].tolist(),
         },
     }
-    return doc
 
 
 def instance_from_doc(doc: dict, matrices: Optional[dict] = None):
-    """(StandardQP, labels or None) of an instance document.
+    """(StandardQP, labels or None) of an instance document; labels must hold
+    x of length n and y of the conic row count.
 
     matrices, when given, holds the matrices already read by the caller; a
     matrix equal to one of them, by shape and bytes, is that object, so
@@ -468,28 +490,39 @@ def instance_from_doc(doc: dict, matrices: Optional[dict] = None):
     if doc.get("labels") is not None:
         labels = (np.asarray(doc["labels"]["x"], dtype=np.float64),
                   np.asarray(doc["labels"]["y"], dtype=np.float64))
+        if labels[0].shape != (qp.n,) or labels[1].shape != (qp.conic_rows,):
+            raise ValueError(f"labels must hold x of length {qp.n} and y of length "
+                             f"{qp.conic_rows}, the conic row count")
     return qp, labels
 
 
 def write_instance(path, qp: StandardQP, labels=None) -> None:
-    # dumps takes json's C encoder, dump its pure-Python one; same text
-    text = json.dumps(instance_to_doc(qp, labels), sort_keys=True)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    write_json(path, instance_to_doc(qp, labels))
 
 
 def read_instance(path, matrices: Optional[dict] = None):
     """instance_from_doc of the file at path; matrices as there. A malformed
     file raises ValueError naming path."""
+    return read_json(path, "instance file", lambda doc: instance_from_doc(doc, matrices))
+
+
+def write_json(path, doc, indent: Optional[int] = None) -> None:
+    """Write doc to path as strict JSON with sorted keys and a final newline;
+    a non-finite float raises ValueError before the file is opened."""
+    # dumps takes json's C encoder (without indent), dump its pure-Python one
+    text = json.dumps(doc, sort_keys=True, indent=indent, allow_nan=False)
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
+
+
+def read_json(path, what: str, parse):
+    """parse(doc) of the JSON document at path; malformed JSON (its message
+    names line and column) or a KeyError, AttributeError, TypeError or
+    ValueError from parse is one ValueError naming path and what; OSError passes."""
     with open(path) as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: malformed instance file at line {exc.lineno}, "
-                             f"column {exc.colno}: {exc.msg}") from exc
-    try:
-        return instance_from_doc(doc, matrices)
-    except KeyError as exc:
-        raise ValueError(f"{path}: malformed instance file: missing key {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed instance file: {exc}") from exc
+            return parse(json.load(fh))
+        except KeyError as exc:
+            raise ValueError(f"{path}: malformed {what}: missing key {exc}") from exc
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: malformed {what}: {exc}") from exc

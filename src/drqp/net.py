@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -11,7 +10,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import MonotoneData, project_cone_dual
+from .model import (MonotoneData, check_counts, check_positive, project_cone_dual,
+                    read_json, write_json)
 from .solvers import step_size_cap
 
 CHECKPOINT_VERSION = "drqp-net-1"
@@ -75,10 +75,7 @@ class NetParams:
     vector: Optional[np.ndarray] = None  # trainable scalars in layout order; zeros if None
 
     def __post_init__(self):
-        for name in ("L", "d", "unroll_steps"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be >= 1 and an integer")
+        check_counts(self, "L", "d", "unroll_steps")
         self.eta = np.asarray(self.eta, dtype=np.float64)
         if self.eta.shape != (self.L,) or not np.all((0 < self.eta) & (self.eta < np.inf)):
             raise ValueError("eta priors must be positive and finite, one per layer")
@@ -396,15 +393,11 @@ class TrainConfig:
     escalation_min_delta: float = 0.0
 
     def __post_init__(self):
-        if not (0 < self.learning_rate < math.inf):
-            raise ValueError("learning_rate must be positive and finite")
-        if self.escalated_lr is not None and not (0 < self.escalated_lr < math.inf):
-            raise ValueError("escalated_lr must be positive and finite")
-        for name in ("batch_size", "max_epochs", "patience", "layers", "embed",
-                     "unroll_steps", "escalation_patience"):
-            value, least = getattr(self, name), int(name != "escalation_patience")
-            if not isinstance(value, (int, np.integer)) or value < least:
-                raise ValueError(f"{name} must be >= {least} and an integer")
+        check_positive(self, "learning_rate")
+        check_positive(self, "escalated_lr", optional=True)
+        check_counts(self, "batch_size", "max_epochs", "patience", "layers", "embed",
+                     "unroll_steps")
+        check_counts(self, "escalation_patience", least=0)
         if not (0 <= self.escalation_min_delta < 1):
             raise ValueError("escalation_min_delta must lie in [0, 1)")
 
@@ -539,7 +532,7 @@ def save_checkpoint(params: NetParams, path) -> None:
     Non-finite values raise ValueError before the file is opened, so no
     partial checkpoint is left behind.
     """
-    doc = {
+    write_json(path, {
         "version": CHECKPOINT_VERSION,
         "L": params.L,
         "d": params.d,
@@ -548,43 +541,35 @@ def save_checkpoint(params: NetParams, path) -> None:
         "p_out": params.p_out.tolist(),
         "layers": [{f: getattr(lp, f).tolist() for f in LAYER_FIELDS}
                    for lp in params.layers],
-    }
-    text = json.dumps(doc, sort_keys=True, allow_nan=False)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    })
+
+
+def _params_from_doc(doc) -> NetParams:
+    if not isinstance(doc, dict) or set(doc) != _CHECKPOINT_KEYS:
+        raise ValueError(f"not a JSON object with keys {sorted(_CHECKPOINT_KEYS)}")
+    if doc["version"] != CHECKPOINT_VERSION:
+        raise ValueError(f"version mismatch: {doc['version']!r}")
+    L, d, layers = doc["L"], doc["d"], doc["layers"]
+    if len(layers) != L:
+        raise ValueError(f"{len(layers)} layers for L = {L}")
+    arrays = {f"layers.{i}.{f}": v for i, ld in enumerate(layers)
+              for f, v in dict(ld).items()}
+    arrays["p_out"] = doc["p_out"]
+    entries = layout(L, d)
+    names = {name for name, _, _ in entries}
+    if set(arrays) != names:
+        raise ValueError(f"missing or unknown parameters {sorted(set(arrays) ^ names)}")
+    parts = [np.asarray(arrays[name], dtype=np.float64) for name, _, _ in entries]
+    for part, (name, _, shape) in zip(parts, entries):
+        if part.shape != shape:
+            raise ValueError(f"{name} has shape {part.shape}, expected {shape}")
+    params = NetParams(L, d, doc["eta"], doc["unroll_steps"],
+                       np.concatenate([part.ravel() for part in parts]))
+    if not np.all(np.isfinite(params.vector)):
+        raise ValueError("non-finite values")
+    return params
 
 
 def load_checkpoint(path) -> NetParams:
     """Read a checkpoint; anything malformed raises ValueError naming path."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: corrupt checkpoint: {exc.msg}") from exc
-    if not isinstance(doc, dict) or set(doc) != _CHECKPOINT_KEYS:
-        raise ValueError(f"{path}: checkpoint must be a JSON object with keys "
-                         f"{sorted(_CHECKPOINT_KEYS)}")
-    if doc["version"] != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: checkpoint version mismatch: {doc['version']!r}")
-    try:
-        L, d, layers = doc["L"], doc["d"], doc["layers"]
-        if len(layers) != L:
-            raise ValueError(f"{len(layers)} layers for L = {L}")
-        arrays = {f"layers.{i}.{f}": v for i, ld in enumerate(layers)
-                  for f, v in dict(ld).items()}
-        arrays["p_out"] = doc["p_out"]
-        entries = layout(L, d)
-        names = {name for name, _, _ in entries}
-        if set(arrays) != names:
-            raise ValueError(f"missing or unknown parameters {sorted(set(arrays) ^ names)}")
-        parts = [np.asarray(arrays[name], dtype=np.float64) for name, _, _ in entries]
-        for part, (name, _, shape) in zip(parts, entries):
-            if part.shape != shape:
-                raise ValueError(f"{name} has shape {part.shape}, expected {shape}")
-        params = NetParams(L, d, doc["eta"], doc["unroll_steps"],
-                           np.concatenate([part.ravel() for part in parts]))
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed checkpoint: {exc}") from exc
-    if not np.all(np.isfinite(params.vector)):
-        raise ValueError(f"{path}: checkpoint holds non-finite values")
-    return params
+    return read_json(path, "checkpoint", _params_from_doc)

@@ -8,7 +8,8 @@ from typing import Optional
 
 import numpy as np
 
-from .model import MonotoneData, QualityMetrics, project_cone_dual, quality
+from .model import (MonotoneData, QualityMetrics, check_counts, check_positive,
+                    project_cone_dual, quality)
 from .sparse import spmv
 
 _DIVERGENCE_LIMIT = 1e12
@@ -24,14 +25,9 @@ class SolverConfig:
     record_history: bool = False
 
     def __post_init__(self):
-        if not (0 < self.tol_fixed_point < math.inf):
-            raise ValueError("tol_fixed_point must be positive and finite")
-        for name in ("max_iter", "steps_per_iter"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be >= 1 and an integer")
-        if self.fixed_eta is not None and not (0 < self.fixed_eta < math.inf):
-            raise ValueError("fixed_eta must be positive and finite")
+        check_positive(self, "tol_fixed_point")
+        check_counts(self, "max_iter", "steps_per_iter")
+        check_positive(self, "fixed_eta", optional=True)
 
 
 @dataclass
@@ -262,8 +258,12 @@ def _gradient_steps(group: list, cfg: SolverConfig, steps, stacked: bool, per_ro
     K, Kt = group[0].operator.channel_operator
     dense = isinstance(K, np.ndarray)
     if dense:
-        G = (np.stack([d.operator.gradient_operator(eta) for d, eta in zip(group, etas)])
-             if stacked else group[0].operator.gradient_operator(etas[0]))
+        if stacked:  # each row's own, written straight into its slice
+            G = np.empty((len(group), 2 * N, N))
+            for d, eta, G_row in zip(group, etas, G):
+                d.operator.gradient_operator(eta, out=G_row)
+        else:
+            G = group[0].operator.gradient_operator(etas[0])
         Z = np.concatenate([np.zeros((len(group), N)),
                             np.stack([d.q for d in group])], axis=1)
         per_row += [-_product(Z, G), G] if stacked else [-_product(Z, G)]

@@ -1,9 +1,10 @@
+import argparse
 import json
 import shutil
 
 import pytest
 
-from drqp import net
+from drqp import cli, datagen, net
 from drqp.cli import main
 
 
@@ -239,6 +240,91 @@ def test_train_config_from_flags(monkeypatch, bundle_dir, tmp_path):
                     net.TrainConfig(layers=5, embed=8, max_epochs=50, eta_prior=None)]
 
 
+FMT = ["csv", "markdown"]
+# per command: (flag, default, type, choices, nargs, required), and a minimal command line
+FLAG_SURFACE = {
+    "generate": ([("--family", None, None, datagen.FAMILIES, None, True),
+                  ("--n", None, int, None, None, False),
+                  ("--k", None, int, None, None, False),
+                  ("--count", None, int, None, None, True),
+                  ("--seed", 0, int, None, None, False),
+                  ("--label", False, None, None, 0, False),
+                  ("--label-tol", 1e-9, float, None, None, False),
+                  ("--split", None, int, None, 3, False),
+                  ("--out", None, None, None, None, False)],
+                 ["--family", "qp_rhs", "--count", "1"]),
+    "label": ([("bundle", None, None, None, None, True),
+               ("--label-tol", 1e-9, float, None, None, False)], ["b"]),
+    "split": ([("bundle", None, None, None, None, True),
+               ("--sizes", None, int, None, 3, True),
+               ("--seed", 0, int, None, None, False)], ["b", "--sizes", "1", "1", "1"]),
+    "compare": ([("bundle", None, None, None, None, True),
+                 ("--tol", 1e-6, float, None, None, False),
+                 ("--max-iter", 200_000, int, None, None, False),
+                 ("--steps", [1], int, None, "+", False),
+                 ("--format", "csv", None, FMT, None, False),
+                 ("--out", None, None, None, None, False)], ["b"]),
+    "train": ([("bundle", None, None, None, None, True),
+               ("--lr", 1e-5, float, None, None, False),
+               ("--escalate-lr", None, float, None, None, False),
+               ("--escalate-patience", 3, int, None, None, False),
+               ("--escalate-min-delta", 0.0, float, None, None, False),
+               ("--batch", 2, int, None, None, False),
+               ("--epochs", 100, int, None, None, False),
+               ("--patience", 10, int, None, None, False),
+               ("--seed", 0, int, None, None, False),
+               ("--eta-prior", 0.1, cli._eta_prior, None, None, False),
+               ("--layers", 4, int, None, None, False),
+               ("--embed", 128, int, None, None, False),
+               ("--unroll-steps", 1, int, None, None, False),
+               ("--checkpoint", None, None, None, None, False),
+               ("--out", None, None, None, None, False)], ["b"]),
+    "eval": ([("bundle", None, None, None, None, True),
+              ("--checkpoint", None, None, None, None, True),
+              ("--tol", 1e-6, float, None, None, False),
+              ("--max-iter", 200_000, int, None, None, False),
+              ("--history", False, None, None, 0, False),
+              ("--format", "csv", None, FMT, None, False),
+              ("--out", None, None, None, None, False)], ["b", "--checkpoint", "m.json"]),
+    "ablate": ([("bundle", None, None, None, None, True),
+                ("--layers", None, int, None, "+", True),
+                ("--embed", 8, int, None, None, False),
+                ("--lr", 1e-5, float, None, None, False),
+                ("--batch", 2, int, None, None, False),
+                ("--epochs", 50, int, None, None, False),
+                ("--patience", 10, int, None, None, False),
+                ("--seed", 0, int, None, None, False),
+                ("--eta-prior", "auto", cli._eta_prior, None, None, False),
+                ("--tol", 1e-6, float, None, None, False),
+                ("--max-iter", 200_000, int, None, None, False),
+                ("--format", "csv", None, FMT, None, False),
+                ("--out", None, None, None, None, False)], ["b", "--layers", "1"]),
+}
+
+
+@pytest.mark.parametrize("command", FLAG_SURFACE)
+def test_flag_surface(command):
+    # every flag of every command, with its default, type, choices, nargs and
+    # whether it is required; flags that commands share are declared once
+    flags, argv = FLAG_SURFACE[command]
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in sub.choices[command]._actions if a.dest != "help"}
+    expected = {flag.lstrip("-").replace("-", "_"): spec for flag, *spec in flags}
+    assert sorted(actions) == sorted(expected)
+    for dest, (default, type_, choices, nargs, required) in expected.items():
+        a = actions[dest]
+        assert (a.default, a.type, a.choices, a.nargs, a.required) == (
+            default, type_, choices, nargs, required), dest
+    # a string default goes through its type, as a flag on the command line would
+    args = vars(parser.parse_args([command] + argv))
+    given = {arg.lstrip("-").replace("-", "_") for arg in argv if arg.startswith("--")}
+    for dest, (default, type_, *_) in expected.items():
+        if dest not in given | {"bundle"}:
+            assert args[dest] == (type_(default) if type_ and isinstance(default, str)
+                                  else default), dest
+
+
 @pytest.mark.parametrize("corrupt, culprit, problem", [
     (lambda manifest, instance: manifest.pop("instances"), "manifest.json",
      "missing key 'instances'"),
@@ -290,6 +376,22 @@ class TestUsageErrors:
         assert run(["split", str(copy), "--sizes", "-1", "2", "3"]) == 2
         assert "split sizes must be nonnegative" in capsys.readouterr().err
         assert (copy / "manifest.json").read_bytes() == manifest
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("missing, step, generate_flags", [
+    ("labels", "label", ["--split", "1", "1", "1"]), ("split", "split", ["--label"])])
+def test_unlabeled_or_unsplit_bundle_fails(tmp_path, capsys, command, missing, step,
+                                           generate_flags):
+    # train and ablate share one preflight, which names what the bundle lacks
+    bundle = tmp_path / "bundle"
+    assert run(["generate", "--family", "qp_rhs", "--n", "4", "--count", "3",
+                "--out", str(bundle)] + generate_flags) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run([command, str(bundle), "--layers", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: bundle has no {missing}; run `drqp {step}` first\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["eval", "ablate"])

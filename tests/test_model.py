@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from drqp.model import (ConeSpec, ConicQP, Operator, assemble_inclusion,
                         l2_distance, project_cone_dual, quality, read_instance,
                         to_conic, write_instance)
 from drqp.report import complete_zero_cone_dual, prepare_data
-from drqp.sparse import SparseMatrix
+from drqp.sparse import DimensionError, SparseMatrix
 
 
 def _unbounded(n):
@@ -421,6 +423,13 @@ class TestQuality:
         assert l2 == pytest.approx(1.0)
 
 
+    @pytest.mark.parametrize("reference", [(np.zeros(1), np.zeros(1)),
+                                           (np.zeros(3), np.zeros(3))])
+    def test_reference_of_another_shape_rejected(self, reference):
+        # a reference of one entry was broadcast: 2.236 instead of an error
+        with pytest.raises(DimensionError):
+            l2_distance(np.ones(3), np.ones(2), reference)
+
     def test_reference_distance_does_not_overflow(self):
         # ||(1e200, ..., 1e200)|| is finite although its square is not
         x = np.full(10, 1e200)
@@ -443,7 +452,7 @@ class TestInstanceFiles:
                             G=rng.standard_normal((2, 3)),
                             h=rng.standard_normal(2) + 2.0,
                             l=[-1.0, -np.inf, 0.0], u=[1.0, np.inf, np.inf])
-        labels = (rng.standard_normal(3), rng.standard_normal(3))
+        labels = (rng.standard_normal(3), rng.standard_normal(6))  # 1 + 2 + 3 conic rows
         path = tmp_path / "inst.json"
         write_instance(path, qp, labels=labels)
         back, back_labels = read_instance(path)
@@ -468,4 +477,18 @@ class TestInstanceFiles:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(Exception):
+            read_instance(path)
+
+    def test_label_of_wrong_length_rejected(self, tmp_path):
+        # read_instance used to read back any label length; only read_bundle checked it
+        l, u = _unbounded(2)
+        qp = build_standard(P=np.eye(2), c=[0.0, 0.0], A=np.zeros((0, 2)), b=[],
+                            G=[[-1.0, 0.0]], h=[-1.0], l=l, u=u)
+        path = tmp_path / "inst.json"
+        write_instance(path, qp, labels=(np.zeros(2), np.zeros(1)))
+        doc = json.loads(path.read_text())
+        doc["labels"]["x"] = [0.0]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*labels must hold x "
+                           "of length 2 and y of length 1"):
             read_instance(path)

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from pathlib import Path
 
@@ -101,6 +102,20 @@ def test_counts_are_integers(build, field, value):
     with pytest.raises(ValueError, match=f"{field} must be >= [01] and an integer"):
         build(**{**kw, field: value})
     build(**{**kw, field: np.int64(2)})
+
+
+@pytest.mark.parametrize("field, value, message", [
+    *[("perturbation", v, r"perturbation must lie in \[0, 1\)")
+      for v in (math.nan, math.inf, 1.0, -0.1)],
+    *[("margin", v, "margin must be positive and finite")
+      for v in (math.nan, math.inf, 0.0, -1.0)],
+])
+def test_generator_widths_are_checked(field, value, message):
+    # perturbation=nan raised numpy's OverflowError inside generation, and
+    # margin=nan generated instances whose h is NaN
+    with pytest.raises(ValueError, match=message):
+        _gen_spec(family="qp_perturbed", **{field: value})
+    _gen_spec(family="qp_perturbed", perturbation=0.0, margin=0.5)
 
 
 class TestForward:
