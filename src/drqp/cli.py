@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 from . import datagen, net, report
+from .net import TrainConfig
 from .solvers import SolverConfig
 
 EXIT_OK = 0
@@ -55,10 +56,10 @@ def _solver_config(args, record_history: bool = False) -> SolverConfig:
                         record_history=record_history)
 
 
-def _train_config(args, layers: int, **train_only) -> net.TrainConfig:
+def _train_config(args, layers: int, **train_only) -> TrainConfig:
     """The TrainConfig of train and ablate from their shared flags, plus the
     fields only train has flags for."""
-    return net.TrainConfig(
+    return TrainConfig(
         learning_rate=args.lr, batch_size=args.batch, max_epochs=args.epochs,
         patience=args.patience, seed=args.seed, eta_prior=args.eta_prior,
         layers=layers, embed=args.embed, **train_only)
@@ -187,13 +188,15 @@ def _eta_prior(value: str):
     return float(value)
 
 
-def _training_flags(embed: int, epochs: int, eta_prior) -> argparse.ArgumentParser:
-    """A parent parser of train's and ablate's shared flags, with the command's defaults."""
+def _training_flags(embed: int = TrainConfig.embed, epochs: int = TrainConfig.max_epochs,
+                    eta_prior=TrainConfig.eta_prior) -> argparse.ArgumentParser:
+    """A parent parser of train's and ablate's shared flags: TrainConfig's
+    defaults, except where the command passes its own."""
     flags = argparse.ArgumentParser(add_help=False)
-    flags.add_argument("--lr", type=float, default=1e-5)
-    flags.add_argument("--batch", type=int, default=2)
+    flags.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    flags.add_argument("--batch", type=int, default=TrainConfig.batch_size)
     flags.add_argument("--epochs", type=int, default=epochs)
-    flags.add_argument("--patience", type=int, default=10)
+    flags.add_argument("--patience", type=int, default=TrainConfig.patience)
     flags.add_argument("--eta-prior", type=_eta_prior, default=eta_prior,
                        help='step prior per layer, or "auto" for a cap-based value')
     flags.add_argument("--embed", type=int, default=embed)
@@ -211,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     bundle.add_argument("bundle")
     seed.add_argument("--seed", type=int, default=0)
     label_tol.add_argument("--label-tol", type=float, default=1e-9)
-    solver.add_argument("--tol", type=float, default=1e-6)
-    solver.add_argument("--max-iter", type=int, default=200_000)
+    solver.add_argument("--tol", type=float, default=SolverConfig.tol_fixed_point)
+    solver.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
     solver.add_argument("--format", choices=["csv", "markdown"], default="csv")
     out.add_argument("--out")
 
@@ -240,16 +243,17 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--steps", type=int, nargs="+", default=[1])
 
     tra = command("train", cmd_train, "train the unrolled network",
-                  bundle, _training_flags(embed=128, epochs=100, eta_prior=0.1), seed, out)
+                  bundle, _training_flags(), seed, out)
     tra.add_argument("--escalate-lr", type=float, default=None,
                      help="raise the learning rate to this value after "
                           "--escalate-patience epochs without improvement")
-    tra.add_argument("--escalate-patience", type=int, default=3)
-    tra.add_argument("--escalate-min-delta", type=float, default=0.0,
+    tra.add_argument("--escalate-patience", type=int, default=TrainConfig.escalation_patience)
+    tra.add_argument("--escalate-min-delta", type=float,
+                     default=TrainConfig.escalation_min_delta,
                      help="relative val improvement below this counts "
                           "as a plateau epoch for escalation")
-    tra.add_argument("--layers", type=int, default=4)
-    tra.add_argument("--unroll-steps", type=int, default=1)
+    tra.add_argument("--layers", type=int, default=TrainConfig.layers)
+    tra.add_argument("--unroll-steps", type=int, default=TrainConfig.unroll_steps)
     tra.add_argument("--checkpoint", help="checkpoint filename inside --out")
 
     ev = command("eval", cmd_eval, "warm-start evaluation of a checkpoint",

@@ -82,8 +82,12 @@ class StandardQP:
             raise DimensionError("right-hand side length mismatch")
         if self.l.shape != (n,) or self.u.shape != (n,):
             raise DimensionError("bounds must have length n")
-        if np.any(self.l > self.u):
-            raise ValueError("l <= u must hold elementwise")
+        if not np.isfinite(np.concatenate([self.c, self.b_eq, self.h])).all():
+            raise ValueError("c, b_eq and h must be finite")
+        # false for a NaN bound, and for l = +inf or u = -inf, which to_conic
+        # would drop as if the side were unbounded
+        if not ((self.l <= self.u) & (self.l < INF) & (self.u > -INF)).all():
+            raise ValueError("l <= u must hold elementwise, with l < inf, u > -inf and no NaN")
         self.P.psd_checked  # raises unless P is symmetric PSD; cached on P
 
     @property
@@ -515,13 +519,18 @@ def write_json(path, doc, indent: Optional[int] = None) -> None:
         fh.write(text + "\n")
 
 
+def _reject_constant(token: str):
+    raise ValueError(f"non-finite number {token} is not allowed")
+
+
 def read_json(path, what: str, parse):
-    """parse(doc) of the JSON document at path; malformed JSON (its message
-    names line and column) or a KeyError, AttributeError, TypeError or
-    ValueError from parse is one ValueError naming path and what; OSError passes."""
+    """parse(doc) of the strict JSON document at path; malformed JSON (its
+    message names line and column), the NaN/Infinity tokens json accepts by
+    default, or a KeyError, AttributeError, TypeError or ValueError from
+    parse is one ValueError naming path and what; OSError passes."""
     with open(path) as fh:
         try:
-            return parse(json.load(fh))
+            return parse(json.load(fh, parse_constant=_reject_constant))
         except KeyError as exc:
             raise ValueError(f"{path}: malformed {what}: missing key {exc}") from exc
         except (AttributeError, TypeError, ValueError) as exc:

@@ -87,23 +87,24 @@ def _freeze(data: MonotoneData, ut, u, w, status: str, iterations: int,
 # resolvent or a frozen row's quality; the divergence test turns that into
 # status "error", so no warning is raised for it
 @np.errstate(over="ignore", invalid="ignore")
-def _iterate(datas: list, cfg: SolverConfig, warms: list, resolvent, per_row: list) -> list:
+def _iterate(datas: list, cfg: SolverConfig, warms: list, bind, per_row: list) -> list:
     """The DR iteration shared by both solvers, on a block of instances.
 
     Row i of the B x N blocks is instance datas[i]; all rows have one size
     and one cone, and one operator or one distinct dense operator per row.
     The state is one (2, B, N) array S: S[0] the u_tilde block and S[1] the
     w block, each contiguous, so at B = 1 a row's [u_tilde | w] is one
-    vector. resolvent(S, Q, rows) writes the next u_tilde block into S[0],
-    per row an exact or approximate solution of (I+M) u_tilde = w - q
-    started from the current one; Q holds q of the rows still iterating and
-    rows their positions in datas; per_row holds the block's other per-row
-    arrays (a stack of operators, DR-GD's eta qK), which the resolvent
-    reads through its closure. Projection, w-update, residual and stopping
-    rules are common, and the reflection and w-step reuse their buffers. A
-    row that converges, diverges or reaches max_iter is frozen into its own
-    SolveReport and cut from the block, Q and per_row; reports come back in
-    the order of datas.
+    vector. bind(S, Q, rows), called at the start and after each cut, binds
+    the resolvent to buffers of the block's shape: a call that writes into
+    S[0] per row an exact or approximate solution of (I+M) u_tilde = w - q
+    started from the current one. Q holds q of the rows still iterating,
+    rows their positions in datas, per_row the block's other per-row arrays
+    (a stack of operators, DR-GD's eta qK), read through the closure. Then
+    five ufunc calls form the reflection, its projection and the w-step, and
+    the residual is one np.dot on one row, one np.vecdot and a list of
+    floats on several. A row that converges, diverges or reaches max_iter is
+    frozen into its own SolveReport and cut from the block, Q and per_row;
+    reports come back in the order of datas.
     """
     cone, tol = datas[0].cone, cfg.tol_fixed_point
     rows = np.arange(len(datas))
@@ -112,61 +113,68 @@ def _iterate(datas: list, cfg: SolverConfig, warms: list, resolvent, per_row: li
     for j, s in enumerate(warms):
         if s is not None:
             S[:, j] = s.u_tilde, s.w
-    UT, W = S
     U, dW = np.empty_like(Q), np.empty_like(Q)
-    # the dual rows of the reflection U, which the cone projection clips
-    dual = U.T[U.shape[1] - cone.m_nonneg:]
     histories = [[] for _ in datas] if cfg.record_history else None
-    active_histories = histories
     reports = [None] * len(datas)
     # an upper bound on max|W| over the rows; inf forces the full check
-    w_bound = math.inf
-    for k in range(1, cfg.max_iter + 1):
-        resolvent(S, Q, rows)
-        # the reflection 2 UT - W (UT + UT is 2 UT exactly, without a scalar
-        # operand), projected in place: project_cone_dual on a prebound view
-        np.add(UT, UT, out=U)
-        U -= W
-        np.maximum(dual, 0.0, out=dual)
-        np.subtract(U, UT, out=dW)
-        W += dW
-        # per-row residuals as floats: cheaper than array reductions at small B
-        resid = [math.sqrt(r2) for r2 in np.vecdot(dW, dW).tolist()]
-        if histories is not None:
-            for h, r in zip(active_histories, resid):
-                h.append(r)
-        # Each |W| entry grows by at most its row's residual, so while the
-        # bound stays below half the limit no row can diverge; a NaN or inf
-        # residual makes the sum, and so the bound, fail the test. Taking
-        # max|W| every iteration instead costs about 13 % of a one-row
-        # iteration.
-        w_bound += sum(resid)
-        if min(resid) > tol and w_bound <= 0.5 * _DIVERGENCE_LIMIT:
-            continue
-        resid = np.array(resid)
-        w_max = np.abs(W).max(axis=1)
-        # the negated comparisons are also true for NaN and inf
-        error = ~np.isfinite(resid) | ~(w_max <= _DIVERGENCE_LIMIT)
-        done = error | (resid <= tol)
-        keep = ~done
-        w_bound = float(w_max.max(initial=0.0, where=keep))
-        if not done.any():
-            continue
-        for j in np.flatnonzero(done):
-            i = rows[j]
-            reports[i] = _freeze(datas[i], UT[j], U[j], W[j],
-                                 "error" if error[j] else "converged", k,
-                                 None if histories is None else histories[i],
-                                 "divergent iterate" if error[j] else "")
-        # compress keeps S in (2, B, N) order; S[:, keep] would not
-        rows, S, U, dW, Q = rows[keep], S.compress(keep, axis=1), U[keep], dW[keep], Q[keep]
-        per_row[:] = [a[keep] for a in per_row]
-        UT, W = S
-        dual = U.T[U.shape[1] - cone.m_nonneg:]
-        if histories is not None:
-            active_histories = [histories[i] for i in rows]
-        if not rows.size:
+    w_bound, k = math.inf, 0
+    while rows.size and k < cfg.max_iter:
+        resolve, (UT, W) = bind(S, Q, rows), S
+        # the dual columns of the reflection U, which the cone projection clips
+        dual = U[:, U.shape[1] - cone.m_nonneg:]
+        dw = dW[0] if rows.size == 1 else None
+        active_histories = None if histories is None else [histories[i] for i in rows]
+        for k in range(k + 1, cfg.max_iter + 1):
+            resolve()
+            # the reflection 2 UT - W (UT + UT is 2 UT exactly, without a
+            # scalar operand), projected in place, and the w-step
+            np.add(UT, UT, U)
+            U -= W
+            np.maximum(dual, 0.0, out=dual)
+            np.subtract(U, UT, dW)
+            W += dW
+            # Each |W| entry grows by at most its row's residual, so while
+            # the bound stays below half the limit no row can diverge; a NaN
+            # or inf residual makes the sum, and so the bound, fail the test.
+            # Taking max|W| every iteration instead costs about 13 % of a
+            # one-row iteration.
+            if dw is not None:
+                r = math.sqrt(np.dot(dw, dw))
+                if active_histories is not None:
+                    active_histories[0].append(r)
+                w_bound += r
+                if r > tol and w_bound <= 0.5 * _DIVERGENCE_LIMIT:
+                    continue
+                resid = [r]
+            else:
+                # per-row residuals as floats: cheaper than array reductions at small B
+                resid = [math.sqrt(r2) for r2 in np.vecdot(dW, dW).tolist()]
+                if active_histories is not None:
+                    for h, r in zip(active_histories, resid):
+                        h.append(r)
+                w_bound += sum(resid)
+                if min(resid) > tol and w_bound <= 0.5 * _DIVERGENCE_LIMIT:
+                    continue
+            resid = np.array(resid)
+            w_max = np.abs(W).max(axis=1)
+            # the negated comparisons are also true for NaN and inf
+            error = ~np.isfinite(resid) | ~(w_max <= _DIVERGENCE_LIMIT)
+            done = error | (resid <= tol)
+            keep = ~done
+            w_bound = float(w_max.max(initial=0.0, where=keep))
+            if not done.any():
+                continue
+            for j in np.flatnonzero(done):
+                i = rows[j]
+                reports[i] = _freeze(datas[i], UT[j], U[j], W[j],
+                                     "error" if error[j] else "converged", k,
+                                     None if histories is None else histories[i],
+                                     "divergent iterate" if error[j] else "")
+            # compress keeps S in (2, B, N) order; S[:, keep] would not
+            rows, S, U, dW, Q = rows[keep], S.compress(keep, axis=1), U[keep], dW[keep], Q[keep]
+            per_row[:] = [a[keep] for a in per_row]
             break
+    UT, W = S
     for j, i in enumerate(rows):
         reports[i] = _freeze(datas[i], UT[j], U[j], W[j], "max_iter", cfg.max_iter,
                              None if histories is None else histories[i])
@@ -185,7 +193,7 @@ def _by_operator(datas: list, cfg: SolverConfig, warms, gradient: bool) -> list:
     Instances that share an operator iterate as one 2-D block (DR solves it
     with Factorization.solve). Instances whose operator is theirs alone and
     on the dense path (a dense inverse for DR, a dense channel pair for
-    DR-GD) are stacked by size and cone, one _product per step, at most
+    DR-GD) are stacked by size and cone, one batched product per step, at most
     _STACK_BYTES of operators to a block (8 N^2 bytes a row for DR, 16 N^2
     for DR-GD); a SuperLU or sparse operator of one instance runs alone.
     """
@@ -211,43 +219,47 @@ def _by_operator(datas: list, cfg: SolverConfig, warms, gradient: bool) -> list:
     for idx, stacked in blocks:
         group, per_row = [datas[i] for i in idx], []
         steps = [[] for _ in idx] if gradient and cfg.record_history else None
-        if gradient:
-            resolvent = _gradient_steps(group, cfg, steps, stacked, per_row)
-        elif stacked:
-            # row i times its inverse's transpose, as solve() multiplies it
-            per_row.append(np.stack([d.operator.factorization.inverse for d in group]))
-            resolvent = lambda S, Q, rows: _product(
-                S[1] - Q, per_row[0].transpose(0, 2, 1), out=S[0])
-        else:
-            solve = group[0].operator.factorization.solve
-            resolvent = lambda S, Q, rows: solve(S[1] - Q, out=S[0])
-        for j, rep in enumerate(_iterate(group, cfg, [warms[i] for i in idx], resolvent, per_row)):
+        bind = (_gradient_steps(group, cfg, steps, stacked, per_row) if gradient
+                else _linear_solves(group, stacked, per_row))
+        for j, rep in enumerate(_iterate(group, cfg, [warms[i] for i in idx], bind, per_row)):
             if steps is not None:
                 rep.step_sizes = steps[j]
             reports[idx[j]] = rep
     return reports
 
 
-def _product(X: np.ndarray, A: np.ndarray, out=None) -> np.ndarray:
-    """X A for a B x n block X and a shared 2-D A, or row i of X times A[i]
-    for a (B, n, p) stack A: one batched product, each row bit for bit its
-    one-row product; written into out, a B x p array, when given."""
-    if A.ndim == 2:
-        return np.matmul(X, A, out=out)
-    return np.matmul(X[:, None], A, out=None if out is None else out[:, None])[:, 0]
+def _linear_solves(group: list, stacked: bool, per_row: list):
+    """DR's resolvent binder: w - q into a buffer R, then u_tilde from the
+    shared operator's Factorization.solve or, on a stacked block, row i times
+    its own inverse's transpose (as solve() multiplies it), one batched
+    product over the stack of inverses in per_row."""
+    if stacked:
+        per_row.append(np.stack([d.operator.factorization.inverse for d in group]))
+    solve = group[0].operator.factorization.solve
+
+    def bind(S, Q, rows):
+        (UT, W), R = S, np.empty_like(Q)
+        if stacked:
+            UT3, inverses_t = UT[:, None], per_row[0].transpose(0, 2, 1)
+            return lambda: np.matmul(np.subtract(W, Q, R)[:, None], inverses_t, UT3)
+        return lambda: solve(np.subtract(W, Q, R), out=UT)
+
+    return bind
 
 
 def _gradient_steps(group: list, cfg: SolverConfig, steps, stacked: bool, per_row: list):
-    """cfg.steps_per_iter gradient steps on 0.5||(I+M)v - (w - q)||^2 per
-    row, at the row's step size eta, written into u_tilde with w held fixed.
+    """DR-GD's resolvent binder: cfg.steps_per_iter gradient steps on
+    0.5||(I+M)v - (w - q)||^2 per row, at the row's step size eta, written
+    into u_tilde with w held fixed.
 
-    On a dense channel pair each step is one _product,
+    On a dense channel pair each step is one matmul into a buffer T,
     eta T = [u_tilde | w] (eta G) + eta qK, with eta G the operator's
     gradient_operator(eta): the shared array itself on a 2-D block, a
-    (B, 2N, N) stack of each row's own on a stacked block. eta qK is formed
-    once per block, as -[0 | q] (eta G): the product a step forms, so a row
-    at u_tilde = 0, w = q (its subproblem solved exactly) gets T = 0
-    exactly. Per-row arrays go to per_row. The CSR pair above
+    (B, 2N, N) stack of each row's own on a stacked block. [u_tilde | w] is
+    a view of S on one row, a buffer refilled each step on several. eta qK
+    is formed once per block, as -[0 | q] (eta G): the product a step forms,
+    so a row at u_tilde = 0, w = q (its subproblem solved exactly) gets
+    T = 0 exactly. Per-row arrays go to per_row. The CSR pair above
     model._DENSE_LIMIT takes the two sparse products (u_tilde K' - r) K. A
     row whose gradient vanished or is not finite keeps its iterate; steps,
     when given, records each row's step sizes.
@@ -266,43 +278,51 @@ def _gradient_steps(group: list, cfg: SolverConfig, steps, stacked: bool, per_ro
             G = group[0].operator.gradient_operator(etas[0])
         Z = np.concatenate([np.zeros((len(group), N)),
                             np.stack([d.q for d in group])], axis=1)
-        per_row += [-_product(Z, G), G] if stacked else [-_product(Z, G)]
+        per_row += [-np.matmul(Z[:, None], G)[:, 0], G] if stacked else [-(Z @ G)]
         shared = None if stacked else G  # a stack only in per_row, so cuts free it
 
-    def gradient_steps(S, Q, rows):
-        UT = S[0]
+    def bind(S, Q, rows):
+        (UT, W), T, B = S, np.empty_like(Q), len(rows)
+        t, i = (T[0], rows[0]) if B == 1 else (None, None)
         if dense:  # eta qK and, stacked, each row's own eta G
             QK, G_rows = per_row if stacked else (per_row[0], shared)
-        else:
-            R = S[1] - Q
-        for step in range(cfg.steps_per_iter):
-            if dense:
-                if step == 0 or len(rows) > 1:
-                    # [u_tilde | w] per row: at B = 1 a view of S, which
-                    # follows the steps taken in place; a copy above
-                    X = S.transpose(1, 0, 2).reshape(len(rows), 2 * N)
-                T = _product(X, G_rows)
-                T += QK
-            else:
-                T = (UT @ Kt - R) @ K
-                T *= etas[0]
-            tt = np.vecdot(T, T).tolist()
-            # the sum is NaN when any entry is; the unmasked step saves about
-            # 14 % of a DR-GD iteration over the masked one
-            if min(tt) > 0.0 and sum(tt) >= 0.0:
-                UT -= T
-                stepped = rows
-            else:
-                # a row whose gradient vanished (its subproblem is solved
-                # exactly) or is not finite keeps its iterate
-                ok = np.array(tt) > 0.0
-                np.subtract(UT, T, out=UT, where=ok[:, None])
-                stepped = rows[ok]
-            if steps is not None:
-                for i in stepped:
-                    steps[i].append(etas[i])
+            X = S.transpose(1, 0, 2).reshape(B, 2 * N)  # at B = 1 a view of S
+            XA, TA = (X[:, None], T[:, None]) if stacked else (X, T)
 
-    return gradient_steps
+        def gradient_steps():
+            for _ in range(cfg.steps_per_iter):
+                if dense:
+                    if B > 1:
+                        np.copyto(X.reshape(B, 2, N), S.transpose(1, 0, 2))
+                    np.matmul(XA, G_rows, TA)
+                    np.add(T, QK, T)
+                else:
+                    np.multiply((UT @ Kt - (W - Q)) @ K, etas[0], out=T)
+                if t is not None:
+                    # a gradient that vanished (the subproblem is solved
+                    # exactly) or is not finite leaves the iterate
+                    if np.dot(t, t) > 0.0:
+                        np.subtract(UT, T, UT)
+                        if steps is not None:
+                            steps[i].append(etas[i])
+                    continue
+                tt = np.vecdot(T, T).tolist()
+                # the sum is NaN when any entry is; the unmasked step saves
+                # about 14 % of a DR-GD iteration over the masked one
+                if min(tt) > 0.0 and sum(tt) >= 0.0:
+                    np.subtract(UT, T, UT)
+                    stepped = rows
+                else:
+                    ok = np.array(tt) > 0.0
+                    np.subtract(UT, T, out=UT, where=ok[:, None])
+                    stepped = rows[ok]
+                if steps is not None:
+                    for j in stepped:
+                        steps[j].append(etas[j])
+
+        return gradient_steps
+
+    return bind
 
 
 def dr_solve_batch(datas: list, cfg: SolverConfig = SolverConfig(),

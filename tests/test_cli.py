@@ -359,6 +359,20 @@ def test_malformed_bundle_fails(bundle_dir, tmp_path, capsys, corrupt, culprit, 
     assert str(bundle / culprit) in err and problem in err
 
 
+def test_label_rejects_nan_in_instance_file(bundle_dir, tmp_path, capsys):
+    # the bundle used to read back with c[0] = nan and fail only after labeling
+    bundle = tmp_path / "bundle"
+    shutil.copytree(bundle_dir, bundle)
+    path = bundle / "instance_0003.json"
+    doc = json.loads(path.read_text())
+    doc["c"][0] = float("nan")
+    path.write_text(json.dumps(doc))
+    manifest = (bundle / "manifest.json").read_bytes()
+    assert run(["label", str(bundle)]) == 2
+    assert f"{path}: malformed instance file: non-finite number NaN" in capsys.readouterr().err
+    assert (bundle / "manifest.json").read_bytes() == manifest
+
+
 class TestUsageErrors:
     def test_unknown_command(self):
         assert run(["frobnicate"]) == 1

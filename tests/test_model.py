@@ -60,6 +60,20 @@ class TestStandardQP:
             build_standard(P=[[1.0]], c=[0.0], A=np.zeros((0, 1)), b=[],
                            G=np.zeros((0, 1)), h=[], l=[1.0], u=[-1.0])
 
+    @pytest.mark.parametrize("change", [
+        dict(c=[np.nan]), dict(c=[np.inf]), dict(b=[-np.inf]), dict(h=[np.nan]),
+        dict(l=[np.nan]), dict(u=[np.nan]), dict(l=[np.inf], u=[np.inf]),
+        dict(l=[-np.inf], u=[-np.inf])],
+        ids=["c-nan", "c-inf", "b-inf", "h-nan", "l-nan", "u-nan", "l-inf", "u-minus-inf"])
+    def test_non_finite_data_rejected(self, change):
+        # a NaN c read back from a file used to solve to "error"; l = +inf
+        # was dropped by to_conic as if x had no lower bound
+        kw = dict(P=[[1.0]], c=[0.0], A=[[1.0]], b=[1.0], G=[[1.0]], h=[2.0],
+                  l=[-1.0], u=[3.0])
+        problem = "l <= u" if {"l", "u"} & set(change) else "c, b_eq and h must be finite"
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            build_standard(**(kw | change))
+
     def test_objective(self):
         qp = one_var_qp()
         assert qp.objective(np.array([2.0])) == pytest.approx(2.0)
@@ -477,6 +491,20 @@ class TestInstanceFiles:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(Exception):
+            read_instance(path)
+
+    @pytest.mark.parametrize("literal, problem", [
+        ("NaN", "non-finite number NaN"), ("Infinity", "non-finite number Infinity"),
+        ("-Infinity", "non-finite number -Infinity"), ("1e999", "c, b_eq and h must be finite")],
+        ids=["NaN", "Infinity", "minus-Infinity", "1e999"])
+    def test_non_finite_number_in_file_rejected(self, tmp_path, literal, problem):
+        # json.load accepts NaN and Infinity by default, and 1e999 overflows to inf
+        path = tmp_path / "inst.json"
+        write_instance(path, one_var_qp())
+        doc = json.loads(path.read_text())
+        doc["c"] = ["C"]
+        path.write_text(json.dumps(doc).replace('"C"', literal))
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + re.escape(problem)):
             read_instance(path)
 
     def test_label_of_wrong_length_rejected(self, tmp_path):

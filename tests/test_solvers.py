@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 import tracemalloc
 from dataclasses import replace
@@ -426,17 +427,19 @@ def vector_loop(data, cfg, warm=None, gradient=False):
 class TestBatch:
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     def test_one_row_dr_equals_vector_loop(self, rhs_datas, warm):
-        # same arithmetic as the replaced loop, so bit for bit
-        cfg = SolverConfig(record_history=True)
+        # same arithmetic as the replaced loop, so bit for bit, with and
+        # without the history (a one-row iteration records nothing without it)
         warms = short_warms(rhs_datas) if warm else [None] * len(rhs_datas)
-        for data, w in zip(rhs_datas, warms):
-            rep = dr_solve(data, cfg, warm=w)
-            status, iters, ut, u, wv, history, _ = vector_loop(data, cfg, w)
-            assert (rep.status, rep.iterations) == (status, iters)
-            for got, ref in zip((rep.state.u_tilde, rep.state.u, rep.state.w),
-                                (ut, u, wv)):
-                assert got.tobytes() == ref.tobytes()
-            assert rep.residual_history == history
+        for record_history in (True, False):
+            cfg = SolverConfig(record_history=record_history)
+            for data, w in zip(rhs_datas, warms):
+                rep = dr_solve(data, cfg, warm=w)
+                status, iters, ut, u, wv, history, _ = vector_loop(data, cfg, w)
+                assert (rep.status, rep.iterations) == (status, iters)
+                for got, ref in zip((rep.state.u_tilde, rep.state.u, rep.state.w),
+                                    (ut, u, wv)):
+                    assert got.tobytes() == ref.tobytes()
+                assert rep.residual_history == (history if record_history else None)
 
     @pytest.mark.parametrize("steps", [1, 3])
     def test_one_row_drgd_near_vector_loop(self, rhs_datas, steps):
@@ -604,13 +607,14 @@ class TestBatch:
         fixed = {"exact": {}, "fixed": dict(fixed_eta=0.5 * caps[0]),
                  "capped": dict(fixed_eta=4.0 * caps[-1]),
                  "mixed": dict(fixed_eta=caps[len(caps) // 2])}[mode]
-        cfg = SolverConfig(steps_per_iter=steps, record_history=True, **fixed)
         warms = short_warms(distinct_datas) if warm else [None] * len(distinct_datas)
-        reports = batch(distinct_datas, cfg, warms)
-        assert len(reports) == len(distinct_datas)
-        for data, w, rep in zip(distinct_datas, warms, reports):
-            assert rep.status == "converged"
-            assert_identical(rep, single(data, cfg, warm=w))
+        for record_history in (True, False):
+            cfg = SolverConfig(steps_per_iter=steps, record_history=record_history, **fixed)
+            reports = batch(distinct_datas, cfg, warms)
+            assert len(reports) == len(distinct_datas)
+            for data, w, rep in zip(distinct_datas, warms, reports):
+                assert rep.status == "converged"
+                assert_identical(rep, single(data, cfg, warm=w))
 
     @pytest.mark.parametrize("solver", BATCH_SOLVERS)
     def test_huge_finite_row_ends_in_error(self, distinct_datas, solver):
@@ -637,13 +641,31 @@ class TestBatch:
         w[3] = np.nan
         warms = [None] * len(distinct_datas)
         warms[2] = IterateState(z, z.copy(), w)
-        cfg = SolverConfig(record_history=True)
-        reports = batch(distinct_datas, cfg, warms)
-        assert (reports[2].status, reports[2].iterations) == ("error", 1)
-        if solver == "drgd":
-            assert reports[2].step_sizes == []
-        for data, w, rep in zip(distinct_datas, warms, reports):
-            assert_identical(rep, single(data, cfg, warm=w))
+        for record_history in (True, False):
+            cfg = SolverConfig(record_history=record_history)
+            reports = batch(distinct_datas, cfg, warms)
+            assert (reports[2].status, reports[2].iterations) == ("error", 1)
+            if solver == "drgd":
+                assert reports[2].step_sizes == ([] if record_history else None)
+                assert reports[2].state.u_tilde.tobytes() == z.tobytes()
+            for data, w, rep in zip(distinct_datas, warms, reports):
+                assert_identical(rep, single(data, cfg, warm=w))
+
+    @pytest.mark.parametrize("record_history", [True, False], ids=["history", "no-history"])
+    def test_one_row_drgd_from_nan_state(self, distinct_datas, record_history):
+        # a NaN in w makes every entry of the gradient NaN: no step is taken,
+        # so u_tilde stays the warm one, and the residual ends it in "error"
+        data = distinct_datas[2]
+        z = np.zeros(data.size)
+        w = z.copy()
+        w[3] = np.nan
+        rep = drgd_solve(data, SolverConfig(record_history=record_history),
+                         warm=IterateState(z, z.copy(), w))
+        assert (rep.status, rep.iterations, rep.message) == ("error", 1, "divergent iterate")
+        assert rep.state.u_tilde.tobytes() == z.tobytes()
+        assert rep.step_sizes == ([] if record_history else None)
+        if record_history:
+            assert len(rep.residual_history) == 1 and math.isnan(rep.residual_history[0])
 
     @pytest.mark.parametrize("steps", [1, 3])
     def test_stacked_vanished_gradient_row(self, distinct_datas, steps):
