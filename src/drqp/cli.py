@@ -165,16 +165,21 @@ def cmd_ablate(args) -> int:
     test_datas = [datas[i] for i in test_idx]
     test_labels = [bundle.labels[i] for i in test_idx]
     rows = []
+    failed = 0
     for L in args.layers:
         result = net.train(datas, bundle.labels, bundle.split["train"],
                            bundle.split["val"], _train_config(args, L))
         rep = report.run_eval(test_datas, test_labels, result.params,
                               _solver_config(args))
         rows.append([L, result.best_val_loss, rep.iteration_ratio])
+        failed += sum(r.failed for r in rep.rows)
         print(f"L={L}: val loss {result.best_val_loss:.6g}, "
               f"iteration ratio {_ratio(rep.iteration_ratio)}")
     _write_table(args, "ablation", report.table(
         ["layers", "best_val_loss", "iteration_ratio"], rows, args.format))
+    if failed:
+        print(f"{failed} warm-start evaluations failed", file=sys.stderr)
+        return EXIT_RUNTIME
     return EXIT_OK
 
 

@@ -9,8 +9,8 @@ from typing import Optional
 import numpy as np
 
 from .model import (INF, StandardQP, SparseMatrix, assemble_inclusion, check_counts,
-                    check_positive, read_instance, read_json, to_conic, write_instance,
-                    write_json)
+                    check_positive, instance_to_doc, matrix_from_doc, matrix_key,
+                    matrix_to_doc, read_instance, read_json, to_conic, write_json)
 from .solvers import SolverConfig, dr_solve_batch
 
 QP_RHS = "qp_rhs"
@@ -18,6 +18,10 @@ QP_PERTURBED = "qp_perturbed"
 PORTFOLIO = "portfolio"
 
 FAMILIES = (QP_RHS, QP_PERTURBED, PORTFOLIO)
+
+# 2: each distinct matrix once, in the manifest's matrix table, which the
+# instance files index; 1: every matrix inline in its instance file
+MANIFEST_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -269,40 +273,56 @@ def _instance_name(i: int) -> str:
 
 
 def write_bundle(bundle: DatasetBundle, path) -> None:
-    """One JSON file per instance plus a manifest with the file list and split."""
+    """One JSON file per instance plus a manifest with the file list, the
+    split and the matrix table: each distinct matrix (by shape and bytes)
+    once, which the instance files name by index."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
+    table, index = [], {}  # matrix documents; matrix_key -> index into table
+
+    def reference(mat: SparseMatrix) -> int:
+        key = matrix_key(mat)
+        if key not in index:
+            index[key] = len(table)
+            table.append(matrix_to_doc(mat))
+        return index[key]
+
     for i, qp in enumerate(bundle.instances):
         labels = bundle.labels[i] if bundle.labels is not None else None
-        write_instance(path / _instance_name(i), qp, labels)
+        write_json(path / _instance_name(i), instance_to_doc(qp, labels, reference))
     write_json(path / "manifest.json", {
-        "format_version": 1,
+        "format_version": MANIFEST_VERSION,
         "family": bundle.family,
         "seed": bundle.seed,
         "spec": None if bundle.spec is None else asdict(bundle.spec),
         "split": bundle.split,
         "instances": [{"file": _instance_name(i)} for i in range(len(bundle))],
-    }, indent=1)
+        "matrices": table,
+    })
 
 
-def _bundle_from_manifest(doc) -> DatasetBundle:
-    """The bundle a manifest describes, its instances still the file names."""
-    if doc.get("format_version") != 1:
-        raise ValueError("unsupported manifest version")
+def _bundle_from_manifest(doc, matrices: dict):
+    """The bundle a manifest describes, its instances still the file names,
+    and its matrix table read into matrices (empty at version 1)."""
     spec = None if doc.get("spec") is None else GenSpec(**doc["spec"])
-    return DatasetBundle(family=doc["family"],
-                         instances=[entry["file"] for entry in doc["instances"]],
-                         labels=None, split=doc.get("split"), seed=doc["seed"], spec=spec)
+    bundle = DatasetBundle(family=doc["family"],
+                           instances=[entry["file"] for entry in doc["instances"]],
+                           labels=None, split=doc.get("split"), seed=doc["seed"], spec=spec)
+    entries = doc["matrices"] if doc["format_version"] == MANIFEST_VERSION else []
+    return bundle, [matrix_from_doc(entry, matrices) for entry in entries]
 
 
 def read_bundle(path) -> DatasetBundle:
-    """The bundle write_bundle wrote at path; a malformed manifest or
-    instance file, or a label of the wrong length, raises ValueError naming
-    that file."""
+    """The bundle write_bundle wrote at path, or one of manifest version 1;
+    a malformed manifest or instance file, or a label of the wrong length,
+    raises ValueError naming that file."""
     path = Path(path)
-    bundle = read_json(path / "manifest.json", "manifest", _bundle_from_manifest)
     matrices = {}  # equal matrices are read into one object
-    instances, labels = zip(*(read_instance(path / name, matrices) for name in bundle.instances))
+    bundle, table = read_json(path / "manifest.json", "manifest",
+                              lambda doc: _bundle_from_manifest(doc, matrices),
+                              (1, MANIFEST_VERSION))
+    instances, labels = zip(*(read_instance(path / name, matrices, table)
+                              for name in bundle.instances))
     any_labels = any(lab is not None for lab in labels)
     return replace(bundle, instances=list(instances),
                    labels=list(labels) if any_labels else None)

@@ -84,6 +84,8 @@ class StandardQP:
             raise DimensionError("bounds must have length n")
         if not np.isfinite(np.concatenate([self.c, self.b_eq, self.h])).all():
             raise ValueError("c, b_eq and h must be finite")
+        if not all(np.isfinite(mat.values).all() for mat in (self.P, self.A_eq, self.G)):
+            raise ValueError("P, A_eq and G must be finite")
         # false for a NaN bound, and for l = +inf or u = -inf, which to_conic
         # would drop as if the side were unbounded
         if not ((self.l <= self.u) & (self.l < INF) & (self.u > -INF)).all():
@@ -324,6 +326,12 @@ class MonotoneData:
         return self.operator.sigma_max
 
 
+def matrix_key(mat: SparseMatrix) -> tuple:
+    """A key that two matrices share exactly when their shapes and bytes are equal."""
+    return (mat.nrows, mat.ncols) + tuple(a.tobytes() for a in (mat.indptr, mat.indices,
+                                                                 mat.values))
+
+
 def assemble_inclusion(cqp: ConicQP, operators: Optional[dict] = None) -> MonotoneData:
     """Build the monotone-inclusion data of a conic QP.
 
@@ -334,9 +342,7 @@ def assemble_inclusion(cqp: ConicQP, operators: Optional[dict] = None) -> Monoto
     added to it.
     """
     operators = {} if operators is None else operators
-    # equal exactly when (P, A) are equal by shape and bytes
-    key = tuple((mat.shape, mat.indptr.tobytes(), mat.indices.tobytes(),
-                 mat.values.tobytes()) for mat in (cqp.P, cqp.A))
+    key = (matrix_key(cqp.P), matrix_key(cqp.A))
     if key not in operators:
         operators[key] = (Operator.assemble(cqp.P, cqp.A), cqp.A)
     operator, A = operators[key]
@@ -408,15 +414,16 @@ def quality(cqp: ConicQP, x: np.ndarray, y: np.ndarray) -> QualityMetrics:
 
 # -- instance file format ---------------------------------------------------
 #
-# Text document (JSON) holding n, m1, m2', the five matrices as
-# (offsets, indices, values) triplets, vectors, bounds with "inf"/"-inf"
-# sentinels and optional reference labels. Floats round-trip bit-exactly
-# through repr.
+# Text document (JSON) holding n, m1, m2, the three matrices P, A_eq and G
+# as (offsets, indices, values) triplets, vectors, bounds with "inf"/"-inf"
+# sentinels and optional reference labels. In a bundle's instance files each
+# matrix is instead an index into the matrix table of the bundle's manifest.
+# Floats round-trip bit-exactly through repr.
 
 FORMAT_VERSION = 1
 
 
-def _matrix_to_doc(A: SparseMatrix) -> dict:
+def matrix_to_doc(A: SparseMatrix) -> dict:
     return {
         "nrows": A.nrows,
         "ncols": A.ncols,
@@ -426,13 +433,23 @@ def _matrix_to_doc(A: SparseMatrix) -> dict:
     }
 
 
-def _matrix_from_doc(doc: dict, matrices: dict) -> SparseMatrix:
+def matrix_from_doc(doc, matrices: dict, table=()) -> SparseMatrix:
+    """The matrix of a matrix document, or of an index into table, the
+    matrices of a bundle's manifest; a document equal to a matrix in
+    matrices, by shape and bytes, is that object, and a new one is added."""
+    if not isinstance(doc, dict):
+        if type(doc) is not int or not 0 <= doc < len(table):
+            raise ValueError(f"matrix reference {doc!r} is not an index into a matrix "
+                             f"table of {len(table)} entries")
+        return table[doc]
     parts = (np.asarray(doc["offsets"], dtype=np.int64),
              np.asarray(doc["indices"], dtype=np.int64),
              np.asarray(doc["values"], dtype=np.float64))
-    # equal exactly when shape and bytes are equal
+    # matrix_key of the matrix these parts make
     key = (doc["nrows"], doc["ncols"]) + tuple(a.tobytes() for a in parts)
     if key not in matrices:
+        if not np.isfinite(parts[2]).all():  # an overflowed literal such as 1e999
+            raise ValueError("matrix values must be finite")
         matrices[key] = SparseMatrix(doc["nrows"], doc["ncols"], *parts)
     return matrices[key]
 
@@ -447,17 +464,20 @@ def _bounds_from_doc(lst: list) -> np.ndarray:
 
 
 def instance_to_doc(qp: StandardQP,
-                    labels: Optional[tuple[np.ndarray, np.ndarray]] = None) -> dict:
+                    labels: Optional[tuple[np.ndarray, np.ndarray]] = None,
+                    matrix_doc=matrix_to_doc) -> dict:
+    """The instance document; matrix_doc gives the entry of each of P, A_eq
+    and G: its matrix document, or a bundle's index into its matrix table."""
     return {
         "format_version": FORMAT_VERSION,
         "n": qp.n,
         "m1": qp.A_eq.nrows,
         "m2": qp.G.nrows,
-        "P": _matrix_to_doc(qp.P),
+        "P": matrix_doc(qp.P),
         "c": qp.c.tolist(),
-        "A_eq": _matrix_to_doc(qp.A_eq),
+        "A_eq": matrix_doc(qp.A_eq),
         "b_eq": qp.b_eq.tolist(),
-        "G": _matrix_to_doc(qp.G),
+        "G": matrix_doc(qp.G),
         "h": qp.h.tolist(),
         "l": _bounds_to_doc(qp.l),
         "u": _bounds_to_doc(qp.u),
@@ -468,24 +488,23 @@ def instance_to_doc(qp: StandardQP,
     }
 
 
-def instance_from_doc(doc: dict, matrices: Optional[dict] = None):
+def instance_from_doc(doc: dict, matrices: Optional[dict] = None, table=()):
     """(StandardQP, labels or None) of an instance document; labels must hold
     x of length n and y of the conic row count.
 
     matrices, when given, holds the matrices already read by the caller; a
     matrix equal to one of them, by shape and bytes, is that object, so
     instances read into one dict share it (and P's checks run once), and a
-    new one is added to it.
+    new one is added to it. A matrix given as an index is that entry of
+    table, the matrix table of the bundle the document belongs to.
     """
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported instance format version: {doc.get('format_version')!r}")
     matrices = {} if matrices is None else matrices
     qp = StandardQP(
-        P=_matrix_from_doc(doc["P"], matrices),
+        P=matrix_from_doc(doc["P"], matrices, table),
         c=np.asarray(doc["c"], dtype=np.float64),
-        A_eq=_matrix_from_doc(doc["A_eq"], matrices),
+        A_eq=matrix_from_doc(doc["A_eq"], matrices, table),
         b_eq=np.asarray(doc["b_eq"], dtype=np.float64),
-        G=_matrix_from_doc(doc["G"], matrices),
+        G=matrix_from_doc(doc["G"], matrices, table),
         h=np.asarray(doc["h"], dtype=np.float64),
         l=_bounds_from_doc(doc["l"]),
         u=_bounds_from_doc(doc["u"]),
@@ -497,6 +516,8 @@ def instance_from_doc(doc: dict, matrices: Optional[dict] = None):
         if labels[0].shape != (qp.n,) or labels[1].shape != (qp.conic_rows,):
             raise ValueError(f"labels must hold x of length {qp.n} and y of length "
                              f"{qp.conic_rows}, the conic row count")
+        if not np.isfinite(np.concatenate(labels)).all():
+            raise ValueError("labels must be finite")
     return qp, labels
 
 
@@ -504,17 +525,18 @@ def write_instance(path, qp: StandardQP, labels=None) -> None:
     write_json(path, instance_to_doc(qp, labels))
 
 
-def read_instance(path, matrices: Optional[dict] = None):
-    """instance_from_doc of the file at path; matrices as there. A malformed
-    file raises ValueError naming path."""
-    return read_json(path, "instance file", lambda doc: instance_from_doc(doc, matrices))
+def read_instance(path, matrices: Optional[dict] = None, table=()):
+    """instance_from_doc of the file at path; matrices and table as there. A
+    malformed file raises ValueError naming path."""
+    return read_json(path, "instance file", lambda doc: instance_from_doc(doc, matrices, table),
+                     (FORMAT_VERSION,))
 
 
-def write_json(path, doc, indent: Optional[int] = None) -> None:
-    """Write doc to path as strict JSON with sorted keys and a final newline;
-    a non-finite float raises ValueError before the file is opened."""
+def write_json(path, doc) -> None:
+    """Write doc to path as compact strict JSON with sorted keys and a final
+    newline; a non-finite float raises ValueError before the file is opened."""
     # dumps takes json's C encoder (without indent), dump its pure-Python one
-    text = json.dumps(doc, sort_keys=True, indent=indent, allow_nan=False)
+    text = json.dumps(doc, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
         fh.write(text + "\n")
 
@@ -523,14 +545,23 @@ def _reject_constant(token: str):
     raise ValueError(f"non-finite number {token} is not allowed")
 
 
-def read_json(path, what: str, parse):
-    """parse(doc) of the strict JSON document at path; malformed JSON (its
-    message names line and column), the NaN/Infinity tokens json accepts by
-    default, or a KeyError, AttributeError, TypeError or ValueError from
-    parse is one ValueError naming path and what; OSError passes."""
+def read_json(path, what: str, parse, versions: tuple, key: str = "format_version"):
+    """parse(doc) of the strict JSON object at path whose key holds one of
+    versions; malformed JSON (its message names line and column), the
+    NaN/Infinity tokens json accepts by default, another version (named with
+    the versions expected), or a KeyError, AttributeError, TypeError or
+    ValueError from parse is one ValueError naming path and what; OSError
+    passes."""
     with open(path) as fh:
         try:
-            return parse(json.load(fh, parse_constant=_reject_constant))
+            doc = json.load(fh, parse_constant=_reject_constant)
+            if not isinstance(doc, dict):
+                raise ValueError("not a JSON object")
+            version = doc.get(key)
+            if version not in versions:
+                raise ValueError(f"unsupported version {version!r}, expected "
+                                 + " or ".join(map(repr, versions)))
+            return parse(doc)
         except KeyError as exc:
             raise ValueError(f"{path}: malformed {what}: missing key {exc}") from exc
         except (AttributeError, TypeError, ValueError) as exc:

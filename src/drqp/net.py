@@ -545,10 +545,8 @@ def save_checkpoint(params: NetParams, path) -> None:
 
 
 def _params_from_doc(doc) -> NetParams:
-    if not isinstance(doc, dict) or set(doc) != _CHECKPOINT_KEYS:
-        raise ValueError(f"not a JSON object with keys {sorted(_CHECKPOINT_KEYS)}")
-    if doc["version"] != CHECKPOINT_VERSION:
-        raise ValueError(f"version mismatch: {doc['version']!r}")
+    if set(doc) != _CHECKPOINT_KEYS:
+        raise ValueError(f"the keys must be {sorted(_CHECKPOINT_KEYS)}")
     L, d, layers = doc["L"], doc["d"], doc["layers"]
     if len(layers) != L:
         raise ValueError(f"{len(layers)} layers for L = {L}")
@@ -572,4 +570,4 @@ def _params_from_doc(doc) -> NetParams:
 
 def load_checkpoint(path) -> NetParams:
     """Read a checkpoint; anything malformed raises ValueError naming path."""
-    return read_json(path, "checkpoint", _params_from_doc)
+    return read_json(path, "checkpoint", _params_from_doc, (CHECKPOINT_VERSION,), key="version")

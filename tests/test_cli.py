@@ -1,10 +1,11 @@
 import argparse
 import json
 import shutil
+from dataclasses import replace
 
 import pytest
 
-from drqp import cli, datagen, net
+from drqp import cli, datagen, net, report
 from drqp.cli import main
 
 
@@ -225,6 +226,23 @@ class TestAblate:
         lines = (out / "ablation.csv").read_text().strip().splitlines()
         assert len(lines) == 3
 
+    def test_failed_row_exits_2(self, bundle_dir, tmp_path, monkeypatch, capsys):
+        # ablate exited 0 when a warm-start row failed, where eval exits 2
+        run_eval = report.run_eval
+
+        def failing(*args):
+            rep = run_eval(*args)
+            rep.rows[0] = replace(rep.rows[0], warm_status="error")
+            return rep
+
+        monkeypatch.setattr(report, "run_eval", failing)
+        out = tmp_path / "abl"
+        rc = run(["ablate", str(bundle_dir), "--layers", "1", "--embed", "2",
+                  "--epochs", "1", "--out", str(out)])
+        assert rc == 2
+        assert (out / "ablation.csv").exists()
+        assert "1 warm-start evaluations failed" in capsys.readouterr().err
+
 
 def test_train_config_from_flags(monkeypatch, bundle_dir, tmp_path):
     # train sets every field it has a flag for; ablate's layer counts come
@@ -371,6 +389,30 @@ def test_label_rejects_nan_in_instance_file(bundle_dir, tmp_path, capsys):
     assert run(["label", str(bundle)]) == 2
     assert f"{path}: malformed instance file: non-finite number NaN" in capsys.readouterr().err
     assert (bundle / "manifest.json").read_bytes() == manifest
+
+
+@pytest.mark.parametrize("holder, what", [("manifest.json", "manifest"),
+                                          ("instance_0001.json", "instance file")])
+def test_label_rejects_overflowing_matrix_value(bundle_dir, tmp_path, capsys, holder, what):
+    # 1e999 in A_eq read back as inf; labeling then failed in the factorization
+    # with "matrix has non-finite entries", naming no file
+    bundle = tmp_path / "bundle"
+    shutil.copytree(bundle_dir, bundle)
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    instance = json.loads((bundle / "instance_0001.json").read_text())
+    a_eq = manifest["matrices"][instance["A_eq"]]
+    a_eq = dict(a_eq, values=["V"] + a_eq["values"][1:])
+    if holder == "manifest.json":
+        manifest["matrices"][instance["A_eq"]] = a_eq
+    else:
+        instance["A_eq"] = a_eq  # inline, as a standalone instance file holds it
+    for name, doc in [("manifest.json", manifest), ("instance_0001.json", instance)]:
+        (bundle / name).write_text(json.dumps(doc).replace('"V"', "1e999"))
+    before = {f.name: f.read_bytes() for f in bundle.iterdir()}
+    assert run(["label", str(bundle)]) == 2
+    assert capsys.readouterr().err == (f"error: {bundle / holder}: malformed {what}: "
+                                       "matrix values must be finite\n")
+    assert {f.name: f.read_bytes() for f in bundle.iterdir()} == before
 
 
 class TestUsageErrors:

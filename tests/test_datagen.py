@@ -1,5 +1,7 @@
 import io
 import json
+import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from drqp.datagen import (DatasetBundle, GenSpec, gen_portfolio, gen_qp_perturbe
                           gen_qp_rhs, generate, label_bundle, read_bundle,
                           split_bundle, write_bundle)
 from drqp import datagen
-from drqp.model import instance_to_doc, quality, to_conic
+from drqp.model import (instance_to_doc, matrix_key, matrix_to_doc, quality, to_conic,
+                        write_instance, write_json)
 from drqp.report import prepare_data
 from drqp.solvers import SolverConfig, dr_solve
 from drqp.sparse import SparseMatrix
@@ -316,16 +319,100 @@ class TestBundleFiles:
             assert (tmp_path / "b" / f.name).read_bytes() == f.read_bytes()
 
     def test_files_match_streaming_encoder(self, tmp_path):
-        # the one-shot dumps gives the bytes json.dump streamed before
+        # the one-shot dumps gives the bytes json.dump streams, for the
+        # instance documents that index the matrix table and for the manifest
         bundle = split_bundle(label_bundle(gen_portfolio(small_spec(
             family="portfolio", count=3, n=None, k=2)))[0], (1, 1, 1), seed=0)
         write_bundle(bundle, tmp_path / "b")
-        for i, qp in enumerate(bundle.instances):
+
+        def streamed(doc) -> bytes:
             buf = io.StringIO()
-            json.dump(instance_to_doc(qp, bundle.labels[i]), buf, sort_keys=True)
+            json.dump(doc, buf, sort_keys=True)
             buf.write("\n")
-            assert (tmp_path / "b" / f"instance_{i:04d}.json").read_bytes() \
-                == buf.getvalue().encode()
+            return buf.getvalue().encode()
+
+        manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        assert (tmp_path / "b" / "manifest.json").read_bytes() == streamed(manifest)
+        table = manifest["matrices"]
+        for i, qp in enumerate(bundle.instances):
+            doc = instance_to_doc(qp, bundle.labels[i],
+                                  lambda mat: table.index(matrix_to_doc(mat)))
+            assert (tmp_path / "b" / f"instance_{i:04d}.json").read_bytes() == streamed(doc)
+
+    def test_size_grows_by_less_than_a_matrix_copy_per_instance(self, tmp_path):
+        # qp_rhs instances share P, A_eq and G, which every instance file
+        # used to repeat: the bundle grew by count copies of them
+        sizes = []
+        for count in (2, 6):
+            write_bundle(gen_qp_rhs(small_spec(count=count, n=20)), tmp_path / str(count))
+            sizes.append(sum(f.stat().st_size for f in (tmp_path / str(count)).iterdir()))
+        qp = gen_qp_rhs(small_spec(count=1, n=20)).instances[0]
+        copy = len(json.dumps([matrix_to_doc(mat) for mat in (qp.P, qp.A_eq, qp.G)]))
+        assert (sizes[1] - sizes[0]) / 4 < copy
+
+    @pytest.mark.parametrize("family, entries", [("qp_rhs", 3), ("qp_perturbed", 3 * 4)])
+    def test_matrix_table_holds_each_distinct_matrix_once(self, tmp_path, family, entries):
+        bundle = generate(small_spec(family=family))
+        write_bundle(bundle, tmp_path / "b")
+        manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        assert manifest["format_version"] == 2
+        assert len(manifest["matrices"]) == entries
+        refs = set()
+        for i, qp in enumerate(bundle.instances):
+            doc = json.loads((tmp_path / "b" / f"instance_{i:04d}.json").read_text())
+            for name in ("P", "A_eq", "G"):
+                assert manifest["matrices"][doc[name]] == matrix_to_doc(getattr(qp, name))
+                refs.add(doc[name])
+        assert refs == set(range(entries))
+
+    def test_version_1_bundle_reads_back_bit_for_bit(self, tmp_path):
+        # manifest version 1 has no matrix table: every instance file holds
+        # its matrices inline, as a standalone instance file does
+        bundle = split_bundle(label_bundle(gen_qp_rhs(small_spec(count=3)))[0], (1, 1, 1),
+                              seed=0)
+        path = tmp_path / "v1"
+        path.mkdir()
+        names = [f"instance_{i:04d}.json" for i in range(len(bundle))]
+        for name, qp, labels in zip(names, bundle.instances, bundle.labels):
+            write_instance(path / name, qp, labels)
+        write_json(path / "manifest.json", {
+            "format_version": 1, "family": bundle.family, "seed": bundle.seed,
+            "spec": asdict(bundle.spec), "split": bundle.split,
+            "instances": [{"file": name} for name in names]})
+        back = read_bundle(path)
+        assert (back.family, back.seed, back.spec, back.split) \
+            == (bundle.family, bundle.seed, bundle.spec, bundle.split)
+        for qp, orig in zip(back.instances, bundle.instances):
+            for name in ("P", "A_eq", "G"):
+                assert matrix_key(getattr(qp, name)) == matrix_key(getattr(orig, name))
+            for name in ("c", "b_eq", "h", "l", "u"):
+                assert getattr(qp, name).tobytes() == getattr(orig, name).tobytes()
+        for (x, y), (xo, yo) in zip(back.labels, bundle.labels):
+            assert (x.tobytes(), y.tobytes()) == (xo.tobytes(), yo.tobytes())
+        assert len({id(qp.P) for qp in back.instances}) == 1
+
+    @pytest.mark.parametrize("ref", [3, -1, True, 1.0, "0", None],
+                             ids=["out-of-range", "negative", "bool", "float", "string", "null"])
+    def test_bad_matrix_reference_names_the_file(self, tmp_path, ref):
+        write_bundle(gen_qp_rhs(small_spec(count=2)), tmp_path / "b")
+        path = tmp_path / "b" / "instance_0001.json"
+        doc = json.loads(path.read_text())
+        doc["A_eq"] = ref
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: malformed instance file: "
+                                                       f"matrix reference {ref!r} is not an "
+                                                       "index into a matrix table of 3")):
+            read_bundle(tmp_path / "b")
+
+    def test_unsupported_manifest_version_named(self, tmp_path):
+        write_bundle(gen_qp_rhs(small_spec(count=2)), tmp_path / "b")
+        path = tmp_path / "b" / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc["format_version"] = 3
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: malformed manifest: unsupported version 3, expected 1 or 2")):
+            read_bundle(tmp_path / "b")
 
     @pytest.mark.parametrize("family, distinct", [("qp_rhs", 1), ("qp_perturbed", 4)])
     def test_read_shares_matrices(self, tmp_path, monkeypatch, family, distinct):

@@ -63,14 +63,19 @@ class TestStandardQP:
     @pytest.mark.parametrize("change", [
         dict(c=[np.nan]), dict(c=[np.inf]), dict(b=[-np.inf]), dict(h=[np.nan]),
         dict(l=[np.nan]), dict(u=[np.nan]), dict(l=[np.inf], u=[np.inf]),
-        dict(l=[-np.inf], u=[-np.inf])],
-        ids=["c-nan", "c-inf", "b-inf", "h-nan", "l-nan", "u-nan", "l-inf", "u-minus-inf"])
+        dict(l=[-np.inf], u=[-np.inf]), dict(P=[[np.inf]]), dict(A=[[np.nan]]),
+        dict(G=[[-np.inf]])],
+        ids=["c-nan", "c-inf", "b-inf", "h-nan", "l-nan", "u-nan", "l-inf", "u-minus-inf",
+             "P-inf", "A-nan", "G-minus-inf"])
     def test_non_finite_data_rejected(self, change):
         # a NaN c read back from a file used to solve to "error"; l = +inf
-        # was dropped by to_conic as if x had no lower bound
+        # was dropped by to_conic as if x had no lower bound; an infinite
+        # matrix entry failed only in the factorization, after labeling began
         kw = dict(P=[[1.0]], c=[0.0], A=[[1.0]], b=[1.0], G=[[1.0]], h=[2.0],
                   l=[-1.0], u=[3.0])
-        problem = "l <= u" if {"l", "u"} & set(change) else "c, b_eq and h must be finite"
+        problem = ("l <= u" if {"l", "u"} & set(change) else
+                   "P, A_eq and G must be finite" if {"P", "A", "G"} & set(change) else
+                   "c, b_eq and h must be finite")
         with pytest.raises(ValueError, match=re.escape(problem)):
             build_standard(**(kw | change))
 
@@ -519,4 +524,50 @@ class TestInstanceFiles:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=re.escape(str(path)) + ".*labels must hold x "
                            "of length 2 and y of length 1"):
+            read_instance(path)
+
+    def test_non_finite_label_in_file_rejected(self, tmp_path):
+        # a label of 1e999 read back as inf, and training reported val loss inf
+        path = tmp_path / "inst.json"
+        write_instance(path, one_var_qp(), labels=(np.ones(1), np.ones(1)))
+        doc = json.loads(path.read_text())
+        doc["labels"]["x"] = ["X"]
+        path.write_text(json.dumps(doc).replace('"X"', "1e999"))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: malformed instance file: labels must be finite")):
+            read_instance(path)
+
+    def test_non_finite_matrix_value_in_file_rejected(self, tmp_path):
+        # 1e999 overflows to inf, which used to surface only in the factorization
+        path = tmp_path / "inst.json"
+        write_instance(path, one_var_qp())
+        doc = json.loads(path.read_text())
+        doc["G"]["values"] = ["V"]
+        path.write_text(json.dumps(doc).replace('"V"', "1e999"))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: malformed instance file: matrix values must be finite")):
+            read_instance(path)
+
+    def test_matrix_reference_without_table_rejected(self, tmp_path):
+        # an index into a bundle's matrix table names nothing in a standalone file
+        path = tmp_path / "inst.json"
+        write_instance(path, one_var_qp())
+        doc = json.loads(path.read_text())
+        doc["P"] = 0
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: malformed instance file: matrix reference 0 is not an index "
+                "into a matrix table of 0 entries")):
+            read_instance(path)
+
+    @pytest.mark.parametrize("version", [2, None, "1"])
+    def test_unsupported_version_named(self, tmp_path, version):
+        path = tmp_path / "inst.json"
+        write_instance(path, one_var_qp())
+        doc = json.loads(path.read_text())
+        doc["format_version"] = version
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: malformed instance file: unsupported version {version!r}, "
+                "expected 1")):
             read_instance(path)

@@ -673,7 +673,9 @@ class TestCheckpoints:
         doc = json.loads(path.read_text())
         doc["version"] = "someone-elses-format"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: malformed checkpoint: unsupported version 'someone-elses-format', "
+                "expected 'drqp-net-1'")):
             net.load_checkpoint(path)
 
 
