@@ -275,7 +275,9 @@ def _instance_name(i: int) -> str:
 def write_bundle(bundle: DatasetBundle, path) -> None:
     """One JSON file per instance plus a manifest with the file list, the
     split and the matrix table: each distinct matrix (by shape and bytes)
-    once, which the instance files name by index."""
+    once, which the instance files name by index. Instance files of an
+    earlier bundle in path that the manifest does not list are deleted;
+    other files are left alone."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     table, index = [], {}  # matrix documents; matrix_key -> index into table
@@ -299,6 +301,11 @@ def write_bundle(bundle: DatasetBundle, path) -> None:
         "instances": [{"file": _instance_name(i)} for i in range(len(bundle))],
         "matrices": table,
     })
+    for stale in path.glob("instance_*.json"):
+        number = stale.name[len("instance_"):-len(".json")]
+        if (number.isdigit() and int(number) >= len(bundle)
+                and stale.name == _instance_name(int(number))):
+            stale.unlink()
 
 
 def _bundle_from_manifest(doc, matrices: dict):

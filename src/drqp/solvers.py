@@ -72,113 +72,172 @@ def warm_start_from_solution(data: MonotoneData, x: np.ndarray,
                         w=w0)
 
 
-def _freeze(data: MonotoneData, ut, u, w, status: str, iterations: int,
-            history, message: str = "") -> SolveReport:
-    """The report of one row of the block, with copies of its iterates."""
-    u = u.copy()
-    x, y = u[:data.n], u[data.n:]
-    return SolveReport(status=status, iterations=iterations,
-                       state=IterateState(ut.copy(), u, w.copy()), x=x, y=y,
-                       metrics=quality(data.cqp, x, y), residual_history=history,
-                       message=message)
+# iterations per chunk: the stop test runs once per chunk, so a row computes
+# up to CHUNK - 1 iterations past its stop, which its report drops
+CHUNK = 16
+# at most this many bytes of u_tilde, w and dW per chunk, so that a block of
+# many rows keeps its chunk in cache (34 rows of N = 100: 6 iterations)
+_CHUNK_BYTES = 512 << 10
+
+
+def _reflect(ut, w, u, dual, dw, w_next):
+    """The reflection 2 u_tilde - w into u (ut + ut is 2 ut exactly, without a
+    scalar operand), projected in place through its dual columns, and the
+    w-step w_next = w + dw, dw = u - ut."""
+    np.add(ut, ut, u)
+    np.subtract(u, w, u)
+    np.maximum(dual, 0.0, out=dual)
+    np.subtract(u, ut, dw)
+    np.add(w, dw, w_next)
+
+
+def _chunk_length(low: float, decay: float, tol: float) -> int:
+    """The iterations, at most CHUNK, until a residual at low that decays by
+    decay (its log) per iteration reaches tol: a chunk of that length ends
+    near the next stop, so a block computes few iterations past it."""
+    return max(1, min(CHUNK, math.ceil(math.log(tol / low) / decay))) if decay < 0 else CHUNK
 
 
 # a huge but finite iterate may overflow to inf or NaN in the residual, the
-# resolvent or a frozen row's quality; the divergence test turns that into
-# status "error", so no warning is raised for it
+# resolvent or a frozen row's quality, and a stopped row runs on to the end of
+# its chunk; the stop test turns that into status "error", so no warning is
+# raised for it
 @np.errstate(over="ignore", invalid="ignore")
-def _iterate(datas: list, cfg: SolverConfig, warms: list, bind, per_row: list) -> list:
+def _iterate(datas: list, cfg: SolverConfig, warms: list, bind, per_row: list,
+             etas=None) -> list:
     """The DR iteration shared by both solvers, on a block of instances.
 
     Row i of the B x N blocks is instance datas[i]; all rows have one size
     and one cone, and one operator or one distinct dense operator per row.
-    The state is one (2, B, N) array S: S[0] the u_tilde block and S[1] the
-    w block, each contiguous, so at B = 1 a row's [u_tilde | w] is one
-    vector. bind(S, Q, rows), called at the start and after each cut, binds
-    the resolvent to buffers of the block's shape: a call that writes into
-    S[0] per row an exact or approximate solution of (I+M) u_tilde = w - q
-    started from the current one. Q holds q of the rows still iterating,
-    rows their positions in datas, per_row the block's other per-row arrays
-    (a stack of operators, DR-GD's eta qK), read through the closure. Then
-    five ufunc calls form the reflection, its projection and the w-step, and
-    the residual is one np.dot on one row, one np.vecdot and a list of
-    floats on several. A row that converges, diverges or reaches max_iter is
-    frozen into its own SolveReport and cut from the block, Q and per_row;
-    reports come back in the order of datas.
+    Iterations run in chunks of at most C = CHUNK (fewer when the slots of
+    many rows would pass _CHUNK_BYTES) over (C + 1, 2, B, N) slots S, S[j, 0]
+    a u_tilde block and S[j, 1] a w block, so at B = 1 a slot's
+    [u_tilde | w] is one vector. Iteration j of a chunk reads slot j and
+    writes slot j + 1, its w-step into dW[j] and its reflection into one
+    buffer U. bind(S, UT, W, Q), with UT and W the lists of S[:, 0] and
+    S[:, 1], called at the start and after each cut, gives (resolve, check):
+    resolve(j) writes into UT[j + 1] per row an exact or approximate solution
+    of (I+M) u_tilde = W[j] - q started from UT[j]; check is None, or
+    check(n) tests the chunk's n resolvents at once and gives None, or
+    (j, missed) for the first one it redid, which is reflected again and
+    ends the chunk, missed counting each row's gradient steps not taken in
+    it. Q holds q of the rows still iterating, rows their positions in
+    datas, per_row the block's other per-row arrays (a stack of operators,
+    DR-GD's eta qK), read through the closure.
+
+    The stop test runs once per chunk, on every residual from one np.vecdot
+    over dW. Each |W| entry grows by at most its row's residual, so while a
+    bound on max|W| stays below half the limit no row can diverge; past it
+    max|W| of every iterate decides. A row stops at its first iteration
+    whose residual is not finite or whose max|W| passes the limit ("error"),
+    or whose residual is at most tol ("converged"), as with a test after
+    every iteration. The chunk ends at the first stop of any row, U is
+    formed again for it, the stopped rows are frozen from its slot and cut
+    from the block, Q and per_row, and the others go on from that slot. So
+    they compute the iterations after the stop again, in the block without
+    the stopped rows (a shared operator's product rounds by block size), and
+    every report is bit for bit the one of a test after every iteration.
+    The next chunk's length is the iterations until the smallest residual,
+    decaying as over the last chunk, reaches tol, so a block computes few
+    iterations past a stop. With etas (DR-GD's step size per row) a
+    recorded row's step_sizes hold its eta once per step taken. Reports
+    come back in the order of datas.
     """
-    cone, tol = datas[0].cone, cfg.tol_fixed_point
+    cone, tol, steps = datas[0].cone, cfg.tol_fixed_point, cfg.steps_per_iter
     rows = np.arange(len(datas))
     Q = np.stack([d.q for d in datas])
-    S = np.zeros((2,) + Q.shape)
-    for j, s in enumerate(warms):
-        if s is not None:
-            S[:, j] = s.u_tilde, s.w
-    U, dW = np.empty_like(Q), np.empty_like(Q)
+    start = np.zeros((2,) + Q.shape)  # the next chunk's slot 0
+    for j, warm in enumerate(warms):
+        if warm is not None:
+            start[:, j] = warm.u_tilde, warm.w
     histories = [[] for _ in datas] if cfg.record_history else None
+    missed = [0] * len(datas)  # DR-GD steps not taken, per row
     reports = [None] * len(datas)
-    # an upper bound on max|W| over the rows; inf forces the full check
-    w_bound, k = math.inf, 0
-    while rows.size and k < cfg.max_iter:
-        resolve, (UT, W) = bind(S, Q, rows), S
-        # the dual columns of the reflection U, which the cone projection clips
-        dual = U[:, U.shape[1] - cone.m_nonneg:]
-        dw = dW[0] if rows.size == 1 else None
-        active_histories = None if histories is None else [histories[i] for i in rows]
-        for k in range(k + 1, cfg.max_iter + 1):
-            resolve()
-            # the reflection 2 UT - W (UT + UT is 2 UT exactly, without a
-            # scalar operand), projected in place, and the w-step
-            np.add(UT, UT, U)
-            U -= W
-            np.maximum(dual, 0.0, out=dual)
-            np.subtract(U, UT, dW)
-            W += dW
-            # Each |W| entry grows by at most its row's residual, so while
-            # the bound stays below half the limit no row can diverge; a NaN
-            # or inf residual makes the sum, and so the bound, fail the test.
-            # Taking max|W| every iteration instead costs about 13 % of a
-            # one-row iteration.
-            if dw is not None:
-                r = math.sqrt(np.dot(dw, dw))
-                if active_histories is not None:
-                    active_histories[0].append(r)
-                w_bound += r
-                if r > tol and w_bound <= 0.5 * _DIVERGENCE_LIMIT:
-                    continue
-                resid = [r]
+    # an upper bound on max|W| over the rows (NaN if a w is, which forces
+    # the full test)
+    w_bound, k = float(np.abs(start[1]).max()), 0
+    # the smallest residual of the last chunk and its log decay per iteration
+    low_before, decay, length = math.nan, 0.0, CHUNK
+    while True:
+        # slots for as many iterations as _CHUNK_BYTES of u_tilde, w and dW hold
+        C = min(CHUNK, max(1, _CHUNK_BYTES // (24 * Q.size)))
+        S, U, dW = np.empty((C + 1, 2) + Q.shape), np.empty_like(Q), np.empty((C,) + Q.shape)
+        S[0] = start
+        UT, W = list(S[:, 0]), list(S[:, 1])
+        resolve, check = bind(S, UT, W, Q)
+        # iteration j's (u_tilde, w, U, U's dual columns, dW, next w)
+        views = list(zip(UT[1:], W, [U] * C, [U[:, U.shape[1] - cone.m_nonneg:]] * C, dW, W[1:]))
+        while True:
+            n = min(length, C, cfg.max_iter - k)
+            for j in range(n):
+                resolve(j)
+                # _reflect, written out: a call per iteration costs more
+                ut, w, u, dual, dw, w_next = views[j]
+                np.add(ut, ut, u)
+                np.subtract(u, w, u)
+                np.maximum(dual, 0.0, out=dual)
+                np.subtract(u, ut, dw)
+                np.add(w, dw, w_next)
+            redone = None if check is None else check(n)
+            if redone is not None:
+                n = redone[0] + 1
+                _reflect(*views[n - 1])
+            resid = np.sqrt(np.vecdot(dW[:n], dW[:n]))  # (n, B)
+            # as floats: cheaper than two array reductions on a few rows; the
+            # sum is NaN if any residual is, and the negated comparisons are
+            # also true for NaN and inf
+            flat = resid.ravel().tolist()
+            total, low, stop = sum(flat), min(flat), None
+            if low > tol and w_bound + total <= 0.5 * _DIVERGENCE_LIMIT:
+                w_bound += total
             else:
-                # per-row residuals as floats: cheaper than array reductions at small B
-                resid = [math.sqrt(r2) for r2 in np.vecdot(dW, dW).tolist()]
-                if active_histories is not None:
-                    for h, r in zip(active_histories, resid):
-                        h.append(r)
-                w_bound += sum(resid)
-                if min(resid) > tol and w_bound <= 0.5 * _DIVERGENCE_LIMIT:
-                    continue
-            resid = np.array(resid)
-            w_max = np.abs(W).max(axis=1)
-            # the negated comparisons are also true for NaN and inf
-            error = ~np.isfinite(resid) | ~(w_max <= _DIVERGENCE_LIMIT)
-            done = error | (resid <= tol)
-            keep = ~done
-            w_bound = float(w_max.max(initial=0.0, where=keep))
-            if not done.any():
-                continue
-            for j in np.flatnonzero(done):
-                i = rows[j]
-                reports[i] = _freeze(datas[i], UT[j], U[j], W[j],
-                                     "error" if error[j] else "converged", k,
-                                     None if histories is None else histories[i],
-                                     "divergent iterate" if error[j] else "")
-            # compress keeps S in (2, B, N) order; S[:, keep] would not
-            rows, S, U, dW, Q = rows[keep], S.compress(keep, axis=1), U[keep], dW[keep], Q[keep]
-            per_row[:] = [a[keep] for a in per_row]
-            break
-    UT, W = S
-    for j, i in enumerate(rows):
-        reports[i] = _freeze(datas[i], UT[j], U[j], W[j], "max_iter", cfg.max_iter,
-                             None if histories is None else histories[i])
-    return reports
+                w_max = np.abs(S[1:n + 1, 1]).max(axis=2)
+                error = ~np.isfinite(resid) | ~(w_max <= _DIVERGENCE_LIMIT)
+                done = error | (resid <= tol)
+                # the chunk ends at its first stop, so every row computed
+                # after it is computed again in the block without the
+                # stopped rows, as without chunks
+                if done.any():
+                    n = int(done.any(axis=1).argmax()) + 1
+                    _reflect(*views[n - 1])  # U of the stop iteration again
+                error, stop = error[n - 1], done[n - 1]
+                w_bound = float(w_max[n - 1].max(initial=0.0, where=~stop))
+            k += n
+            if histories is not None:
+                for i, h in zip(rows.tolist(), resid[:n].T.tolist()):
+                    histories[i] += h
+            if redone is not None and redone[0] == n - 1:
+                for i, m in zip(rows.tolist(), redone[1].tolist()):
+                    missed[i] += m
+            if k == cfg.max_iter or (stop is not None and stop.any()):
+                break
+            if low_before > low:
+                decay = math.log(low / low_before) / n
+            low_before, length = low, _chunk_length(low, decay, tol)
+            S[0] = S[n]
+        # freeze the rows that end at slot n; the rest go on from it in a
+        # block of their own
+        ends = np.ones(len(rows), bool) if k == cfg.max_iter else stop
+        for j in np.flatnonzero(ends):
+            i, u = rows[j], U[j].copy()
+            status = "max_iter" if stop is None or not stop[j] else (
+                "error" if error[j] else "converged")
+            x, y = u[:datas[i].n], u[datas[i].n:]
+            reports[i] = SolveReport(
+                status=status, iterations=k,
+                state=IterateState(S[n, 0, j].copy(), u, S[n, 1, j].copy()),
+                x=x, y=y, metrics=quality(datas[i].cqp, x, y),
+                residual_history=None if histories is None else histories[i],
+                message="divergent iterate" if status == "error" else "")
+            if etas is not None and cfg.record_history:
+                reports[i].step_sizes = [etas[i]] * (steps * k - missed[i])
+        keep = ~ends
+        if not keep.any():
+            return reports
+        low_before = float(resid[n - 1, keep].min())
+        length = _chunk_length(low_before, decay, tol)
+        rows, Q, start = rows[keep], Q[keep], S[n][:, keep]
+        per_row[:] = [a[keep] for a in per_row]
 
 
 # bytes of operators one stacked block may hold: a (B, N, N) stack of
@@ -218,12 +277,14 @@ def _by_operator(datas: list, cfg: SolverConfig, warms, gradient: bool) -> list:
     reports = [None] * len(datas)
     for idx, stacked in blocks:
         group, per_row = [datas[i] for i in idx], []
-        steps = [[] for _ in idx] if gradient and cfg.record_history else None
-        bind = (_gradient_steps(group, cfg, steps, stacked, per_row) if gradient
-                else _linear_solves(group, stacked, per_row))
-        for j, rep in enumerate(_iterate(group, cfg, [warms[i] for i in idx], bind, per_row)):
-            if steps is not None:
-                rep.step_sizes = steps[j]
+        if gradient:
+            etas = [cap if cfg.fixed_eta is None else min(cfg.fixed_eta, cap)
+                    for cap in (step_size_cap(d) for d in group)]
+            bind = _gradient_steps(group, cfg, etas, stacked, per_row)
+        else:
+            etas, bind = None, _linear_solves(group, stacked, per_row)
+        for j, rep in enumerate(_iterate(group, cfg, [warms[i] for i in idx], bind,
+                                         per_row, etas)):
             reports[idx[j]] = rep
     return reports
 
@@ -237,36 +298,43 @@ def _linear_solves(group: list, stacked: bool, per_row: list):
         per_row.append(np.stack([d.operator.factorization.inverse for d in group]))
     solve = group[0].operator.factorization.solve
 
-    def bind(S, Q, rows):
-        (UT, W), R = S, np.empty_like(Q)
+    def bind(S, UT, W, Q):
+        R = np.empty_like(Q)
         if stacked:
-            UT3, inverses_t = UT[:, None], per_row[0].transpose(0, 2, 1)
-            return lambda: np.matmul(np.subtract(W, Q, R)[:, None], inverses_t, UT3)
-        return lambda: solve(np.subtract(W, Q, R), out=UT)
+            UT3, inverses_t = list(S[:, 0, :, None]), per_row[0].transpose(0, 2, 1)
+            return (lambda j: np.matmul(np.subtract(W[j], Q, R)[:, None], inverses_t,
+                                        UT3[j + 1])), None
+        return (lambda j: solve(np.subtract(W[j], Q, R), out=UT[j + 1])), None
 
     return bind
 
 
-def _gradient_steps(group: list, cfg: SolverConfig, steps, stacked: bool, per_row: list):
+def _gradient_steps(group: list, cfg: SolverConfig, etas: list, stacked: bool,
+                    per_row: list):
     """DR-GD's resolvent binder: cfg.steps_per_iter gradient steps on
-    0.5||(I+M)v - (w - q)||^2 per row, at the row's step size eta, written
-    into u_tilde with w held fixed.
+    0.5||(I+M)v - (w - q)||^2 per row, at the row's step size in etas, from
+    slot j's u_tilde into slot j + 1's with w held at slot j's.
 
-    On a dense channel pair each step is one matmul into a buffer T,
+    On a dense channel pair each step is one matmul into T[j, m], a row of
+    a (C, steps_per_iter, B, N) array for a chunk of C iterations:
     eta T = [u_tilde | w] (eta G) + eta qK, with eta G the operator's
     gradient_operator(eta): the shared array itself on a 2-D block, a
     (B, 2N, N) stack of each row's own on a stacked block. [u_tilde | w] is
-    a view of S on one row, a buffer refilled each step on several. eta qK
-    is formed once per block, as -[0 | q] (eta G): the product a step forms,
-    so a row at u_tilde = 0, w = q (its subproblem solved exactly) gets
-    T = 0 exactly. Per-row arrays go to per_row. The CSR pair above
-    model._DENSE_LIMIT takes the two sparse products (u_tilde K' - r) K. A
-    row whose gradient vanished or is not finite keeps its iterate; steps,
-    when given, records each row's step sizes.
+    a view of a slot on one row, a buffer refilled each step on several; a
+    step after the first reads slot j + 1, whose w is first set to slot
+    j's. eta qK is formed once per block, as -[0 | q] (eta G): the product a
+    step forms, so a row at u_tilde = 0, w = q (its subproblem solved
+    exactly) gets T = 0 exactly. Per-row arrays go to per_row. The CSR pair
+    above model._DENSE_LIMIT takes the two sparse products (u_tilde K' - r) K.
+
+    Every step is taken; check(n) then forms every ||T||^2 of the chunk in
+    one np.vecdot. A row whose gradient vanished or is not finite keeps its
+    iterate, so the first iteration with such a step on any row is redone
+    from slot j with each step taken only where ||T||^2 > 0, as a test
+    before every step would take it; the rows that passed compute the same
+    bits again, and the chunk ends after it.
     """
-    etas = [cap if cfg.fixed_eta is None else min(cfg.fixed_eta, cap)
-            for cap in (step_size_cap(d) for d in group)]
-    N = group[0].size
+    N, steps = group[0].size, cfg.steps_per_iter
     K, Kt = group[0].operator.channel_operator
     dense = isinstance(K, np.ndarray)
     if dense:
@@ -281,46 +349,60 @@ def _gradient_steps(group: list, cfg: SolverConfig, steps, stacked: bool, per_ro
         per_row += [-np.matmul(Z[:, None], G)[:, 0], G] if stacked else [-(Z @ G)]
         shared = None if stacked else G  # a stack only in per_row, so cuts free it
 
-    def bind(S, Q, rows):
-        (UT, W), T, B = S, np.empty_like(Q), len(rows)
-        t, i = (T[0], rows[0]) if B == 1 else (None, None)
+    def bind(S, UT, W, Q):
+        B, C = len(Q), len(S) - 1
+        T = np.empty((C, steps, B, N))
         if dense:  # eta qK and, stacked, each row's own eta G
             QK, G_rows = per_row if stacked else (per_row[0], shared)
-            X = S.transpose(1, 0, 2).reshape(B, 2 * N)  # at B = 1 a view of S
-            XA, TA = (X[:, None], T[:, None]) if stacked else (X, T)
+            if B == 1:  # each slot's [u_tilde | w] is a view of S
+                X = list(S.reshape((C + 1, 1) + (1,) * stacked + (2 * N,)))
+            else:  # one buffer, refilled from slot src as [u_tilde | w] rows
+                buffer = np.empty((B, 2 * N))
+                X = [buffer[:, None] if stacked else buffer] * (C + 1)
+                rows_of, slots = buffer.reshape(B, 2, N), list(S.transpose(0, 2, 1, 3))
+        else:
+            X = [None] * (C + 1)
+        # T[j, m] and the product's output, T[j, m] with a middle axis stacked
+        Ts = list(T.reshape(C * steps, B, N))
+        TA = list(T.reshape(C * steps, B, 1, N)) if stacked else Ts
+        # step m of iteration j reads slot j (m = 0) or j + 1: (that slot,
+        # its [u_tilde | w] operand, the product's output, T[j, m])
+        sources = [j + (m > 0) for j in range(C) for m in range(steps)]
+        flat = list(zip(sources, [X[i] for i in sources], TA, Ts))
+        plan = [flat[i:i + steps] for i in range(0, C * steps, steps)]
 
-        def gradient_steps():
-            for _ in range(cfg.steps_per_iter):
-                if dense:
+        def resolve(j, missed=None):
+            """Slot j + 1's u_tilde from slot j's; with missed, each step is
+            taken only on rows whose ||T||^2 > 0, and missed counts the rest."""
+            if steps > 1:
+                np.copyto(W[j + 1], W[j])
+            for src, x, ta, t in plan[j]:
+                if not dense:
+                    np.multiply((UT[src] @ Kt - (W[src] - Q)) @ K, etas[0], out=t)
+                else:
                     if B > 1:
-                        np.copyto(X.reshape(B, 2, N), S.transpose(1, 0, 2))
-                    np.matmul(XA, G_rows, TA)
-                    np.add(T, QK, T)
+                        np.copyto(rows_of, slots[src])
+                    np.matmul(x, G_rows, ta)
+                    np.add(t, QK, t)
+                if missed is None:
+                    np.subtract(UT[src], t, UT[j + 1])
                 else:
-                    np.multiply((UT @ Kt - (W - Q)) @ K, etas[0], out=T)
-                if t is not None:
-                    # a gradient that vanished (the subproblem is solved
-                    # exactly) or is not finite leaves the iterate
-                    if np.dot(t, t) > 0.0:
-                        np.subtract(UT, T, UT)
-                        if steps is not None:
-                            steps[i].append(etas[i])
-                    continue
-                tt = np.vecdot(T, T).tolist()
-                # the sum is NaN when any entry is; the unmasked step saves
-                # about 14 % of a DR-GD iteration over the masked one
-                if min(tt) > 0.0 and sum(tt) >= 0.0:
-                    np.subtract(UT, T, UT)
-                    stepped = rows
-                else:
-                    ok = np.array(tt) > 0.0
-                    np.subtract(UT, T, out=UT, where=ok[:, None])
-                    stepped = rows[ok]
-                if steps is not None:
-                    for j in stepped:
-                        steps[j].append(etas[j])
+                    ok = np.vecdot(t, t) > 0.0
+                    np.subtract(UT[j + 1], t, out=UT[j + 1], where=ok[:, None])
+                    missed += ~ok
 
-        return gradient_steps
+        def check(n):
+            tt = np.vecdot(T[:n], T[:n])  # (n, steps, B)
+            flat = tt.ravel().tolist()
+            if min(flat) > 0.0 and sum(flat) >= 0.0:  # the sum is NaN if any is
+                return None
+            j = int(np.argmin((tt > 0.0).all(axis=(1, 2))))
+            np.copyto(S[j + 1], S[j])
+            missed = np.zeros(B, dtype=int)
+            resolve(j, missed)
+            return j, missed
+
+        return resolve, check
 
     return bind
 

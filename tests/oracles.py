@@ -1,17 +1,21 @@
 """Independent references that tests check the solvers against: the exact
-line-search step, the Wolfe conditions and the DR-GD operator composition.
+line-search step, the Wolfe conditions, the DR-GD operator composition and
+an eager one-instance DR-GD loop.
 
 No solver calls them; each is written from its definition, with the
-operator's CSR product and its cached transpose.
+operator's CSR product and its cached transpose, or, for the loop, with the
+arithmetic drgd_solve must reproduce bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from drqp.model import MonotoneData, project_cone_dual
+from drqp.solvers import SolverConfig, step_size_cap
 from drqp.sparse import spmv
 
 
@@ -87,3 +91,45 @@ def dr_operator_apply(data: MonotoneData, eta: float, u_tilde_prev: np.ndarray,
     refl = 2.0 * phi - w
     cayley = 2.0 * project_cone_dual(refl, data.cone) - refl
     return 0.5 * (w + cayley)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def drgd_loop(data: MonotoneData, cfg: SolverConfig, warm=None):
+    """DR-GD on one instance with a stop test after every iteration and a
+    gradient test before every step: (status, iterations, u_tilde, u, w,
+    residual history, step sizes).
+
+    A step is eta T = [u_tilde | w] (eta G) + eta qK with eta G the
+    operator's dense gradient_operator(eta) and eta qK = -[0 | q] (eta G),
+    taken only when np.dot(t, t) > 0. An iteration ends in "error" when its
+    residual is not finite or max|w| passes 1e12, in "converged" when the
+    residual is at most tol.
+    """
+    cap = step_size_cap(data)
+    eta = cap if cfg.fixed_eta is None else min(cfg.fixed_eta, cap)
+    G, N = data.operator.gradient_operator(eta), data.size
+    qk = -(np.concatenate([np.zeros(N), data.q])[None] @ G)
+    state = np.zeros((2, 1, N))
+    if warm is not None:
+        state[:, 0] = warm.u_tilde, warm.w
+    x, (ut, w) = state.reshape(1, 2 * N), state  # x = [u_tilde | w], a view
+    history, steps = [], []
+    status, iters = "max_iter", cfg.max_iter
+    for k in range(1, cfg.max_iter + 1):
+        for _ in range(cfg.steps_per_iter):
+            t = x @ G + qk
+            if np.dot(t[0], t[0]) > 0.0:
+                ut -= t
+                steps.append(eta)
+        u = project_cone_dual((ut + ut - w)[0], data.cone)
+        dw = u - ut[0]
+        w += dw
+        resid = math.sqrt(np.dot(dw, dw))
+        history.append(resid)
+        if not math.isfinite(resid) or not (np.abs(w).max() <= 1e12):
+            status, iters = "error", k
+            break
+        if resid <= cfg.tol_fixed_point:
+            status, iters = "converged", k
+            break
+    return status, iters, ut[0].copy(), u, w[0].copy(), history, steps

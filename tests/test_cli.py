@@ -38,6 +38,21 @@ class TestGenerate:
         for f in sorted(bundle_dir.iterdir()):
             assert (out / f.name).read_bytes() == f.read_bytes()
 
+    def test_smaller_bundle_deletes_unlisted_instance_files(self, tmp_path):
+        # a 3-instance bundle written over a 5-instance one used to leave
+        # instance_0003.json and instance_0004.json beside its manifest
+        out = tmp_path / "b"
+        for count in ("5", "3"):
+            assert run(["generate", "--family", "qp_rhs", "--n", "4", "--count", count,
+                        "--out", str(out)]) == 0
+            (out / "notes.txt").write_text("kept")
+            (out / "instance_7.json").write_text("not an instance name")
+        assert sorted(p.name for p in out.iterdir()) == [
+            "instance_0000.json", "instance_0001.json", "instance_0002.json",
+            "instance_7.json", "manifest.json", "notes.txt"]
+        assert (out / "notes.txt").read_text() == "kept"
+        assert len(datagen.read_bundle(out)) == 3
+
     def test_bad_family_usage_error(self, capsys):
         assert run(["generate", "--family", "lp", "--count", "1"]) == 1
 

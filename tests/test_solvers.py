@@ -13,11 +13,11 @@ from drqp.model import project_cone_dual
 from drqp.net import init_params
 from drqp.report import prepare_data, run_eval
 from drqp import model, solvers
-from drqp.solvers import (IterateState, SolverConfig, dr_solve, dr_solve_batch,
+from drqp.solvers import (CHUNK, IterateState, SolverConfig, dr_solve, dr_solve_batch,
                           drgd_solve, drgd_solve_batch, step_size_cap,
                           warm_start_from_solution)
 from drqp.sparse import Factorization, spmv
-from oracles import dr_operator_apply, exact_linesearch_step, wolfe_check
+from oracles import dr_operator_apply, drgd_loop, exact_linesearch_step, wolfe_check
 
 
 def fixed_cfg(data, frac=0.5, **kw):
@@ -744,6 +744,95 @@ class TestBatch:
             assert sizes == [1] * len(distinct_datas)
 
 
+# -- chunked stop tests against loops that test after every iteration --------
+
+def assert_is_loop(rep, loop, record_history, gradient=True):
+    """rep equals an eager loop's (status, iterations, u_tilde, u, w,
+    history, steps) byte for byte."""
+    status, iters, ut, u, w, history, steps = loop
+    assert (rep.status, rep.iterations) == (status, iters)
+    assert rep.message == ("divergent iterate" if status == "error" else "")
+    for got, ref in zip((rep.state.u_tilde, rep.state.u, rep.state.w), (ut, u, w)):
+        assert got.tobytes() == ref.tobytes()
+    assert (rep.residual_history is None) == (not record_history)
+    if record_history:  # bytes, so that a NaN residual compares too
+        assert np.array(rep.residual_history).tobytes() == np.array(history).tobytes()
+    assert rep.step_sizes == (steps if record_history and gradient else None)
+
+
+def infeasible_data(gap=5e10):
+    """min x^2 / 2 s.t. x >= gap and x <= -gap: w grows by about 2 gap an
+    iteration, so DR and DR-GD end in "error" part-way through a chunk."""
+    return inclusion_of(build_standard(P=[[1.0]], c=[0.0], A=np.zeros((0, 1)), b=[],
+                                       G=[[-1.0], [1.0]], h=[-gap, -gap],
+                                       l=[-np.inf], u=[np.inf]))
+
+
+class TestChunks:
+    @pytest.mark.parametrize("max_iter", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 200_000])
+    @pytest.mark.parametrize("steps", [1, 3])
+    @pytest.mark.parametrize("record_history", [True, False], ids=["history", "no-history"])
+    def test_one_row_solves_equal_eager_loops(self, distinct_datas, rhs_datas, max_iter,
+                                              steps, record_history):
+        cfg = SolverConfig(max_iter=max_iter, steps_per_iter=steps,
+                           record_history=record_history)
+        for data in distinct_datas[:2] + rhs_datas[:1]:
+            assert_is_loop(drgd_solve(data, cfg), drgd_loop(data, cfg), record_history)
+            assert_is_loop(dr_solve(data, cfg), vector_loop(data, cfg), record_history,
+                           gradient=False)
+
+    @pytest.mark.parametrize("solver", BATCH_SOLVERS)
+    @pytest.mark.parametrize("at", [CHUNK - 1, CHUNK, CHUNK + 1])
+    def test_stop_at_chunk_edges(self, distinct_datas, solver, at):
+        # a tol equal to the residual of iteration `at`, below every earlier
+        # one, stops the solve there: the first chunk's last iteration, the
+        # one before it and the first of the next chunk
+        single, _ = BATCH_SOLVERS[solver]
+        data = distinct_datas[1]
+        history = single(data, SolverConfig(max_iter=at, record_history=True)).residual_history
+        assert history[at - 1] < min(history[:at - 1])
+        cfg = SolverConfig(tol_fixed_point=history[at - 1], record_history=True)
+        rep = single(data, cfg)
+        assert (rep.status, rep.iterations) == ("converged", at)
+        loop = drgd_loop(data, cfg) if solver == "drgd" else vector_loop(data, cfg)
+        assert_is_loop(rep, loop, True, gradient=solver == "drgd")
+
+    @pytest.mark.parametrize("warm", [0.0, 6e11], ids=["cold", "huge-warm"])
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_divergence_mid_chunk(self, warm, steps):
+        # w grows past the limit at an iteration that is not a chunk's last:
+        # the row ends in "error" there, byte for byte the eager loop's
+        data = infeasible_data()
+        z = np.zeros(data.size)
+        start = IterateState(z, z.copy(), np.full(data.size, warm))
+        for record_history in (True, False):
+            cfg = SolverConfig(steps_per_iter=steps, record_history=record_history)
+            dr, gd = dr_solve(data, cfg, warm=start), drgd_solve(data, cfg, warm=start)
+            for rep in (dr, gd):
+                assert rep.status == "error" and rep.iterations % CHUNK not in (0, 1)
+            assert_is_loop(dr, vector_loop(data, cfg, start), record_history, gradient=False)
+            assert_is_loop(gd, drgd_loop(data, cfg, start), record_history)
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    @pytest.mark.parametrize("record_history", [True, False], ids=["history", "no-history"])
+    def test_stacked_rows_equal_eager_loop(self, distinct_datas, steps, record_history):
+        # a stacked block holding a row whose first gradient vanishes and a
+        # NaN warm row; every row is the eager loop's, byte for byte
+        z = np.zeros(distinct_datas[0].size)
+        w = z.copy()
+        w[3] = np.nan
+        warms = [None] * len(distinct_datas)
+        warms[2] = IterateState(z, z.copy(), distinct_datas[2].q.copy())
+        warms[4] = IterateState(z, z.copy(), w)
+        cfg = SolverConfig(steps_per_iter=steps, record_history=record_history)
+        reports = drgd_solve_batch(distinct_datas, cfg, warms)
+        assert reports[4].status == "error"
+        for data, start, rep in zip(distinct_datas, warms, reports):
+            assert_is_loop(rep, drgd_loop(data, cfg, start), record_history)
+        if record_history:
+            assert len(reports[2].step_sizes) < steps * reports[2].iterations
+
+
 @pytest.mark.parametrize("dense_limit", [1024, 0], ids=["inverse", "superlu"])
 def test_solved_instance_copies(monkeypatch, dense_limit):
     # a solved instance holds its operator's factorization; a deep copy and a
@@ -831,6 +920,22 @@ def test_drgd_solve_peak_memory():
     finally:
         tracemalloc.stop()
     assert 16 * N * N <= peak < 20 * N * N
+
+
+def test_drgd_slots_do_not_grow_with_max_iter():
+    # a solve keeps CHUNK + 1 slots of [u_tilde | w], CHUNK rows of dW and
+    # of T and one U: 2,000 iterations peak where 20 do, up to those slots
+    data = prepare_data(generate(GenSpec(family="portfolio", count=1, seed=6, k=20)))[0]
+    drgd_solve(data, SolverConfig(max_iter=1))  # builds K, sigma_max and eta [K'K; -K]
+    peaks = {}
+    for max_iter in (20, 2000):
+        tracemalloc.start()
+        try:
+            assert drgd_solve(data, SolverConfig(max_iter=max_iter)).iterations == max_iter
+            peaks[max_iter] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[2000] <= peaks[20] + CHUNK * 5 * data.size * 8
 
 
 def test_stacked_drgd_holds_each_operator_once():
