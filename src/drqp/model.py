@@ -19,11 +19,13 @@ INF = float("inf")
 
 
 def check_counts(obj, *names: str, least: int = 1, optional: bool = False) -> None:
-    """Raise ValueError naming the first field that is not an integer >= least."""
+    """Raise ValueError naming the first field that is not an integer >= least;
+    a bool is no count."""
     for name in names:
         value = getattr(obj, name)
         if not (optional and value is None) and (
-                not isinstance(value, (int, np.integer)) or value < least):
+                not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+                or value < least):
             raise ValueError(f"{name} must be >= {least} and an integer")
 
 
@@ -558,7 +560,8 @@ def read_json(path, what: str, parse, versions: tuple, key: str = "format_versio
             if not isinstance(doc, dict):
                 raise ValueError("not a JSON object")
             version = doc.get(key)
-            if version not in versions:
+            # by type and value: True == 1 and 2.0 == 2, but neither is a version
+            if not any(type(version) is type(v) and version == v for v in versions):
                 raise ValueError(f"unsupported version {version!r}, expected "
                                  + " or ".join(map(repr, versions)))
             return parse(doc)

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
@@ -107,7 +107,7 @@ def init_params(L: int, d: int, seed: int = 0, scheme: str = ALGORITHM_CONSISTEN
     """
     rng = np.random.default_rng(seed)
     # an L that is not an integer gets no priors here, and NetParams names it
-    eta = np.full(L, float(eta_prior)) if isinstance(L, (int, np.integer)) else ()
+    eta = [float(eta_prior)] * L if isinstance(L, (int, np.integer)) else ()
     params = NetParams(L, d, eta=eta, unroll_steps=unroll_steps)
     for lp in params.layers:
         if scheme == ALGORITHM_CONSISTENT:
@@ -179,59 +179,10 @@ def forward(data: MonotoneData, params: NetParams):
     unroll_steps gated gradient steps on the least-squares target, projects,
     and updates w. An overflow raises NonFiniteActivationError, not warnings.
     """
-    Q = np.repeat(data.q[:, None], params.d, axis=1)
-    out, caches = _unroll(data, Q, params, operator.matmul, project_cone_dual)
-    return out[:data.n], out[data.n:], ForwardCache(layers=caches, out=out)
-
-
-def forward_block(datas: list, params: NetParams) -> list:
-    """(x_hat, y_hat) of forward for each of datas, which share one operator
-    and one cone, from one forward over the block; bit for bit forward's.
-
-    The block's states are (N*B, d) arrays in n-major order, (N, B, d) in
-    memory: row j*B + b is row j of instance b. Each mix is then one
-    (N*B, d) @ (d, d) product, whose rows are the one-instance rows, and the
-    projection acts on the free (N, B*d) view, whose last m_nonneg rows are
-    every instance's dual rows. A CSR K multiplies that view too; a dense K
-    multiplies each instance's strided (N, d) slice within one batched call,
-    because a single (N, B*d) product rounds some columns differently from
-    the (N, d) one unless BLAS tiles d evenly.
-    """
-    data, d, B = datas[0], params.d, len(datas)
-    if any(dt.operator is not data.operator or dt.cone != data.cone for dt in datas):
-        raise ValueError("a block's instances must share one operator and one cone")
-    N = data.size
-
-    def by_instance(X):
-        return X.reshape(N, B, d).transpose(1, 0, 2)
-
-    def kdot(A, X):
-        if not isinstance(A, np.ndarray):
-            return (A @ X.reshape(N, -1)).reshape(-1, d)
-        out = np.empty_like(X)
-        np.matmul(A, by_instance(X), out=by_instance(out))
-        return out
-
-    def project(X, cone):
-        return project_cone_dual(X.reshape(N, -1), cone).reshape(-1, d)
-
-    Q = np.repeat(np.stack([dt.q for dt in datas], axis=1), d, axis=1).reshape(-1, d)
-    out, _ = _unroll(data, Q, params, kdot, project)
-    rows = np.ascontiguousarray(out.reshape(N, B).T)
-    return [(row[:data.n], row[data.n:]) for row in rows]
-
-
-def _unroll(data: MonotoneData, Q: np.ndarray, params: NetParams, kdot,
-            project) -> tuple:
-    """The forward body; returns the readout and the per-layer caches.
-
-    Q is q broadcast across channels. kdot(A, X) multiplies the states X by
-    A = K or K' and project(X, cone) projects them: for one instance the
-    plain product and project_cone_dual, for a block forward_block's.
-    """
     K, Kt = data.operator.channel_operator
+    Q = np.repeat(data.q[:, None], params.d, axis=1)
     ut = np.zeros_like(Q)
-    w = Q + project(-Q, data.cone)
+    w = Q + project_cone_dual(-Q, data.cone)
     caches = []
     with np.errstate(over="ignore", invalid="ignore"):
         for li, lp in enumerate(params.layers):
@@ -242,21 +193,22 @@ def _unroll(data: MonotoneData, Q: np.ndarray, params: NetParams, kdot,
             for step in range(params.unroll_steps):
                 if li == 0 and step == 0:
                     # u-tilde starts at 0, so vt = 0 U_ut and K vt are 0
-                    vt, g = ut_out, kdot(Kt, -wprime)
+                    vt, g = ut_out, Kt @ -wprime
                 else:
                     vt = ut_out @ lp.U_ut
-                    g = kdot(Kt, kdot(K, vt) - wprime)
+                    g = Kt @ (K @ vt - wprime)
                 inner.append((ut_out, g))
                 ut_out = vt - params.eta[li] * gate * g
             p_pre = 2.0 * (ut_out @ lp.V_ut) - w @ lp.V_w
-            u_out = project(p_pre, data.cone)
+            u_out = project_cone_dual(p_pre, data.cone)
             w_out = w @ lp.W_w + (u_out @ lp.W_u - ut_out @ lp.W_ut)
             if not np.isfinite(w_out).all() or not np.isfinite(ut_out).all():
                 raise NonFiniteActivationError(li)
             caches.append(LayerCache(w_in=w, gate=gate, inner=inner,
                                      p_pre=p_pre, u_out=u_out, ut_out=ut_out))
             ut, w = ut_out, w_out
-    return caches[-1].u_out @ params.p_out, caches
+    out = caches[-1].u_out @ params.p_out
+    return out[:data.n], out[data.n:], ForwardCache(layers=caches, out=out)
 
 
 def loss(preds: list, labels: list) -> float:
@@ -469,9 +421,6 @@ def train(datas: list, labels: list, train_idx, val_idx, cfg: TrainConfig,
                          unroll_steps=cfg.unroll_steps)
     moments = AdamMoments.zeros(params)
     rng = np.random.default_rng(cfg.seed)
-    val_groups = {}  # validation runs one block forward per operator and cone
-    for i in val_idx:
-        val_groups.setdefault((datas[i].operator, datas[i].cone), []).append(i)
 
     best = params.copy()
     best_val = np.inf
@@ -497,10 +446,8 @@ def train(datas: list, labels: list, train_idx, val_idx, cfg: TrainConfig,
             epoch_losses.append(loss(preds, [labels[i] for i in batch]))
             step += 1
             adam_step(params, grads, moments, step, cfg, lr=lr)
-        preds = {}
-        for group in val_groups.values():
-            preds.update(zip(group, forward_block([datas[i] for i in group], params)))
-        val_loss = loss([preds[i] for i in val_idx], [labels[i] for i in val_idx])
+        val_loss = loss([forward(datas[i], params)[:2] for i in val_idx],
+                        [labels[i] for i in val_idx])
         improved = val_loss < best_val
         meaningful = val_loss < best_val * (1.0 - cfg.escalation_min_delta)
         if improved:
@@ -547,6 +494,7 @@ def save_checkpoint(params: NetParams, path) -> None:
 def _params_from_doc(doc) -> NetParams:
     if set(doc) != _CHECKPOINT_KEYS:
         raise ValueError(f"the keys must be {sorted(_CHECKPOINT_KEYS)}")
+    check_counts(SimpleNamespace(**doc), "L", "d")  # before the layout is built from them
     L, d, layers = doc["L"], doc["d"], doc["layers"]
     if len(layers) != L:
         raise ValueError(f"{len(layers)} layers for L = {L}")

@@ -68,12 +68,13 @@ def run_compare(datas: list, tol: float = 1e-6, steps_list=(1,),
                 max_iter: int = 200_000) -> ComparisonReport:
     """Run dr_solve and drgd_solve (per steps_per_iter) on each instance."""
     rows = []
+    # one key, so one solve, per distinct value; the first fills the drgd_ columns
     multistep = {s: [] for s in steps_list}
     for i, data in enumerate(datas):
         cfg = SolverConfig(tol_fixed_point=tol, max_iter=max_iter)
         dr = dr_solve(data, cfg)
         gd_first = None
-        for s in steps_list:
+        for s in multistep:
             gd = drgd_solve(data, replace(cfg, steps_per_iter=s))
             multistep[s].append(gd.iterations)
             if gd_first is None:

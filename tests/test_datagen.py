@@ -408,11 +408,14 @@ class TestBundleFiles:
         write_bundle(gen_qp_rhs(small_spec(count=2)), tmp_path / "b")
         path = tmp_path / "b" / "manifest.json"
         doc = json.loads(path.read_text())
-        doc["format_version"] = 3
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=re.escape(
-                f"{path}: malformed manifest: unsupported version 3, expected 1 or 2")):
-            read_bundle(tmp_path / "b")
+        # True == 1 and 2.0 == 2 in Python, but neither is a format version
+        for version in (3, True, 2.0):
+            doc["format_version"] = version
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{path}: malformed manifest: unsupported version {version!r}, "
+                    "expected 1 or 2")):
+                read_bundle(tmp_path / "b")
 
     @pytest.mark.parametrize("family, distinct", [("qp_rhs", 1), ("qp_perturbed", 4)])
     def test_read_shares_matrices(self, tmp_path, monkeypatch, family, distinct):

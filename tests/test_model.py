@@ -560,7 +560,7 @@ class TestInstanceFiles:
                 "into a matrix table of 0 entries")):
             read_instance(path)
 
-    @pytest.mark.parametrize("version", [2, None, "1"])
+    @pytest.mark.parametrize("version", [2, None, "1", True, 1.0, 2.0])
     def test_unsupported_version_named(self, tmp_path, version):
         path = tmp_path / "inst.json"
         write_instance(path, one_var_qp())

@@ -94,7 +94,7 @@ def _gen_spec(**kw):
     (_gen_spec, "count"), (_gen_spec, "n"), (_gen_spec, "k"),
     (net.init_params, "L"), (net.init_params, "d"),
 ])
-@pytest.mark.parametrize("value", [2.0, 1.5, "3"])
+@pytest.mark.parametrize("value", [2.0, 1.5, "3", True])
 def test_counts_are_integers(build, field, value):
     # a float count used to pass construction and die deep inside training,
     # generation or the parameter layout with a TypeError naming no field
@@ -142,46 +142,6 @@ class TestForward:
         with pytest.raises(net.NonFiniteActivationError) as err:
             net.forward(tiny_data, params)
         assert err.value.layer == 1
-
-
-class TestForwardBlock:
-    """A block forward's rows are forward's outputs, byte for byte."""
-
-    @staticmethod
-    def _assert_rows_equal(datas, params):
-        block = net.forward_block(datas, params)
-        assert len(block) == len(datas)
-        for data, (xb, yb) in zip(datas, block):
-            xh, yh, _ = net.forward(data, params)
-            assert xb.tobytes() == xh.tobytes() and yb.tobytes() == yh.tobytes()
-
-    @pytest.mark.parametrize("B", [1, 4])
-    def test_rows_equal_one_instance_forwards(self, desk_datas, B):
-        # d = 3 is no multiple of a BLAS tile width
-        for d in (3, 8):
-            self._assert_rows_equal(desk_datas[:B], net.init_params(3, d, seed=1))
-
-    def test_unroll_steps(self, desk_datas):
-        params = net.init_params(2, 4, seed=2, scheme="random", unroll_steps=2)
-        self._assert_rows_equal(desk_datas[2:6], params)
-
-    def test_sparse_operator(self, monkeypatch):
-        monkeypatch.setattr(model, "_DENSE_LIMIT", 0)
-        datas = prepare_data(generate(GenSpec(family="qp_rhs", count=4, seed=7, n=20)))
-        assert sp.issparse(datas[0].operator.channel_operator[0])
-        self._assert_rows_equal(datas, net.init_params(3, 5, seed=3))
-
-    def test_distinct_operators_rejected(self, desk_datas, tiny_data):
-        with pytest.raises(ValueError, match="share one operator"):
-            net.forward_block([desk_datas[0], tiny_data], net.init_params(1, 2))
-
-    def test_block_projects_every_instance(self, desk_datas):
-        # every row of the dual block is projected, not just the last rows
-        # of the stacked state
-        params = net.init_params(2, 4, seed=4, scheme="random")
-        tail = desk_datas[0].size - desk_datas[0].cone.m_nonneg
-        for x, y in net.forward_block(desk_datas[:4], params):
-            assert np.all(np.concatenate([x, y])[tail:] >= 0.0)
 
 
 class TestEmulation:
@@ -612,7 +572,8 @@ class TestCheckpoints:
     @pytest.mark.parametrize("case", [
         "not-object", "missing-layer-key", "extra-layer-key", "missing-key",
         "extra-key", "wrong-shape", "layer-count", "layer-not-object",
-        "bad-unroll-steps"])
+        "bad-unroll-steps", "d-fraction", "d-zero", "d-negative", "d-string", "d-bool",
+        "L-string"])
     def test_malformed_rejected(self, tmp_path, case):
         path = tmp_path / "model.json"
         net.save_checkpoint(net.init_params(2, 2, seed=0), path)
@@ -636,8 +597,17 @@ class TestCheckpoints:
             layers[0] = 5
         elif case == "bad-unroll-steps":
             doc["unroll_steps"] = "2"
+        elif case.startswith("d-"):
+            # each was once named through the layout: a shape (2.5, 2.5) or
+            # "can't multiply sequence by non-int of type 'str'"
+            doc["d"] = {"d-fraction": 2.5, "d-zero": 0, "d-negative": -1, "d-string": "2",
+                        "d-bool": True}[case]
+        elif case == "L-string":
+            doc["L"] = "2"  # was "2 layers for L = 2"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=re.escape(str(path))):
+        message = f"{case[0]} must be >= 1 and an integer" if case[1] == "-" else ""
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: malformed checkpoint: {message}")):
             net.load_checkpoint(path)
 
     def test_truncated_file_rejected(self, tmp_path):

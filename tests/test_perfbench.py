@@ -1,0 +1,38 @@
+"""The benchmark pipeline at its tiny size: what perfbench/run.py reads of drqp
+(solvers, operators, the network) still runs and passes its correctness gate.
+
+perfbench/smoke.py checks the benchmark itself and times a sleep to 10 ms,
+too tight for a test suite; this runs only the two benchmark workloads.
+"""
+
+import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="module")
+def checkout(tmp_path_factory):
+    # run.py writes its records next to perfbench/, so it runs on a copy
+    root = tmp_path_factory.mktemp("checkout")
+    for name in ("src", "perfbench"):
+        shutil.copytree(ROOT / name, root / name,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "BENCHMARK.json", root)
+    return root
+
+
+@pytest.mark.parametrize("workload", ["rhs-train", "portfolio-drgd"])
+def test_tiny_workload_passes_its_gate(checkout, workload):
+    proc = subprocess.run(
+        [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
+         "--size", "tiny", "--seconds", "1", "--trace", "0", "--seed", "0"],
+        cwd=checkout, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, f"{proc.stdout}\n{proc.stderr}"
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, result

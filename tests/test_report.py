@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import build_standard, inclusion_of
-from drqp import net, report
+from drqp import net, report, solvers
 from drqp.datagen import GenSpec, generate, label_bundle
 from drqp.report import (WarmStartReport, WarmStartRow, comparison_table,
                          complete_zero_cone_dual, multistep_table, prepare_data,
@@ -39,6 +39,23 @@ class TestRunCompare:
     def test_multistep_column_matches_first(self, labeled_bundle):
         rep = run_compare(prepare_data(labeled_bundle), steps_list=(1, 5))
         assert rep.multistep[1] == [r.drgd_iterations for r in rep.rows]
+
+    def test_each_distinct_steps_value_solved_once(self, labeled_bundle, monkeypatch):
+        # a repeated --steps value once solved every instance again and
+        # averaged the doubled list
+        datas = prepare_data(labeled_bundle)
+        calls = []
+
+        def counting(data, cfg, **kw):
+            calls.append(cfg.steps_per_iter)
+            return solvers.drgd_solve(data, cfg, **kw)
+
+        monkeypatch.setattr(report, "drgd_solve", counting)
+        rep = run_compare(datas, steps_list=(1, 1, 2))
+        assert calls == [1, 2] * len(datas)
+        assert list(rep.multistep) == [1, 2]
+        assert rep.multistep[1] == [r.drgd_iterations for r in rep.rows]
+        assert all(len(v) == len(datas) for v in rep.multistep.values())
 
 
 class TestRunEval:

@@ -47,7 +47,7 @@ class TestSolverConfig:
             SolverConfig(max_iter=max_iter)
 
     @pytest.mark.parametrize("field", ["max_iter", "steps_per_iter"])
-    @pytest.mark.parametrize("value", [10.5, 1.5, 2.0, "3"])
+    @pytest.mark.parametrize("value", [10.5, 1.5, 2.0, "3", True])
     def test_counts_are_integers(self, field, value):
         # a float count used to pass construction and fail inside range()
         with pytest.raises(ValueError, match=f"{field} must be >= 1 and an integer"):
