@@ -39,7 +39,7 @@ class GenSpec:
             raise ValueError(f"unknown family {self.family!r}")
         check_counts(self, "count", "n", "k", optional=True)
         # factors U[1-w, 1+w] stay positive; h keeps a positive margin on the witness box
-        if not (0 <= self.perturbation < 1):
+        if isinstance(self.perturbation, bool) or not (0 <= self.perturbation < 1):
             raise ValueError("perturbation must lie in [0, 1)")
         check_positive(self, "margin")
         if self.family in (QP_RHS, QP_PERTURBED):

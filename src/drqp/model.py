@@ -30,10 +30,12 @@ def check_counts(obj, *names: str, least: int = 1, optional: bool = False) -> No
 
 
 def check_positive(obj, *names: str, optional: bool = False) -> None:
-    """Raise ValueError naming the first field that is not positive and finite."""
+    """Raise ValueError naming the first field that is not positive and finite;
+    a bool is no number."""
     for name in names:
         value = getattr(obj, name)
-        if not (optional and value is None) and not (0 < value < INF):
+        if not (optional and value is None) and (isinstance(value, bool)
+                                                 or not (0 < value < INF)):
             raise ValueError(f"{name} must be positive and finite")
 
 
@@ -197,8 +199,8 @@ class Operator:
 
     Everything derived from K is computed on first use and cached, so
     problems that share an Operator share its factorization, channel
-    products, sigma_max, equality-block pseudo-inverses and DR-GD gradient
-    operator (scaled, for one step size at a time).
+    products, sigma_max, equality-block pseudo-inverses and DR-GD step
+    operator (for one step size at a time).
     """
 
     M: SparseMatrix
@@ -206,8 +208,8 @@ class Operator:
     n: int  # order of P: u = (x; y) has x = u[:n]
     # zero-cone size -> pseudo-inverse of the equality block, see equality_pinv
     _equality_pinvs: dict = field(default_factory=dict, init=False, repr=False)
-    # step size -> its gradient operator, for the last one asked for only
-    _gradient_operators: dict = field(default_factory=dict, init=False, repr=False)
+    # step size -> its DR-GD step operator, for the last one asked for only
+    _step_operators: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def assemble(cls, P: SparseMatrix, A: SparseMatrix) -> "Operator":
@@ -243,9 +245,10 @@ class Operator:
             return K, K.T
         return self.I_plus_M._csr, self.I_plus_M._csr_t
 
-    def gradient_operator(self, eta: float, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """eta G, G = [K'K; -K], the (2N, N) dense operator of a DR-GD step:
-        [u_tilde | w] G + qK = (K u_tilde - (w - q))' K, one product per step.
+    def step_operator(self, eta: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """A = [I - eta K'K; eta K], the (2N, N) dense operator of a DR-GD step:
+        [u_tilde | w] A - [0 | q] A = u_tilde - eta (K u_tilde - (w - q))' K,
+        one product per step.
 
         Built without temporaries, on DR-GD solves of an operator with a
         dense channel pair; never for the CSR pair above _DENSE_LIMIT, where
@@ -253,15 +256,16 @@ class Operator:
         asked for only; with out, a (2N, N) array such as one slice of a
         stack, it is written there and not cached.
         """
-        if out is None and eta in self._gradient_operators:
-            return self._gradient_operators[eta]
+        if out is None and eta in self._step_operators:
+            return self._step_operators[eta]
         K, N = self.channel_operator[0], self.size
         if out is None:
-            self._gradient_operators.clear()
-            out = self._gradient_operators[eta] = np.empty((2 * N, N))
+            self._step_operators.clear()
+            out = self._step_operators[eta] = np.empty((2 * N, N))
         np.matmul(K.T, K, out=out[:N])
-        np.negative(K, out=out[N:])
-        out *= eta
+        out[:N] *= -eta
+        out[:N].reshape(-1)[::N + 1] += 1.0
+        np.multiply(K, eta, out=out[N:])
         return out
 
     @cached_property

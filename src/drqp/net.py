@@ -350,7 +350,8 @@ class TrainConfig:
         check_counts(self, "batch_size", "max_epochs", "patience", "layers", "embed",
                      "unroll_steps")
         check_counts(self, "escalation_patience", least=0)
-        if not (0 <= self.escalation_min_delta < 1):
+        if (isinstance(self.escalation_min_delta, bool)
+                or not (0 <= self.escalation_min_delta < 1)):
             raise ValueError("escalation_min_delta must lie in [0, 1)")
 
 

@@ -46,7 +46,6 @@ class SolveReport:
     y: np.ndarray
     metrics: QualityMetrics
     residual_history: Optional[list] = None
-    step_sizes: Optional[list] = None
     message: str = ""
 
 
@@ -80,17 +79,6 @@ CHUNK = 16
 _CHUNK_BYTES = 512 << 10
 
 
-def _reflect(ut, w, u, dual, dw, w_next):
-    """The reflection 2 u_tilde - w into u (ut + ut is 2 ut exactly, without a
-    scalar operand), projected in place through its dual columns, and the
-    w-step w_next = w + dw, dw = u - ut."""
-    np.add(ut, ut, u)
-    np.subtract(u, w, u)
-    np.maximum(dual, 0.0, out=dual)
-    np.subtract(u, ut, dw)
-    np.add(w, dw, w_next)
-
-
 def _chunk_length(low: float, decay: float, tol: float) -> int:
     """The iterations, at most CHUNK, until a residual at low that decays by
     decay (its log) per iteration reaches tol: a chunk of that length ends
@@ -103,8 +91,7 @@ def _chunk_length(low: float, decay: float, tol: float) -> int:
 # its chunk; the stop test turns that into status "error", so no warning is
 # raised for it
 @np.errstate(over="ignore", invalid="ignore")
-def _iterate(datas: list, cfg: SolverConfig, warms: list, bind, per_row: list,
-             etas=None) -> list:
+def _iterate(datas: list, cfg: SolverConfig, warms: list, bind, per_row: list) -> list:
     """The DR iteration shared by both solvers, on a block of instances.
 
     Row i of the B x N blocks is instance datas[i]; all rows have one size
@@ -113,17 +100,22 @@ def _iterate(datas: list, cfg: SolverConfig, warms: list, bind, per_row: list,
     many rows would pass _CHUNK_BYTES) over (C + 1, 2, B, N) slots S, S[j, 0]
     a u_tilde block and S[j, 1] a w block, so at B = 1 a slot's
     [u_tilde | w] is one vector. Iteration j of a chunk reads slot j and
-    writes slot j + 1, its w-step into dW[j] and its reflection into one
-    buffer U. bind(S, UT, W, Q), with UT and W the lists of S[:, 0] and
-    S[:, 1], called at the start and after each cut, gives (resolve, check):
-    resolve(j) writes into UT[j + 1] per row an exact or approximate solution
-    of (I+M) u_tilde = W[j] - q started from UT[j]; check is None, or
-    check(n) tests the chunk's n resolvents at once and gives None, or
-    (j, missed) for the first one it redid, which is reflected again and
-    ends the chunk, missed counting each row's gradient steps not taken in
-    it. Q holds q of the rows still iterating, rows their positions in
+    writes slot j + 1 and its w-step into dW[j]. bind(S, UT, W, Q), with UT
+    and W the lists of S[:, 0] and S[:, 1], called at the start and after
+    each cut, gives resolve: resolve(j) writes into UT[j + 1] per row an
+    exact or approximate solution of (I+M) u_tilde = W[j] - q started from
+    UT[j]. Q holds q of the rows still iterating, rows their positions in
     datas, per_row the block's other per-row arrays (a stack of operators,
-    DR-GD's eta qK), read through the closure.
+    DR-GD's constant), read through the closure.
+
+    The reflection, projection and w-step are four calls on
+    dw = u - u_tilde, u = Pi(2 u_tilde - w): dw = u_tilde - w, which Pi
+    leaves on the free columns, then max(dw, -u_tilde) on the nonnegative
+    dual ones, then w + dw (the DR fixed-point step, Eckstein & Bertsekas
+    1992). u itself is formed only for the slot a row is frozen from, and
+    its report's w as the w-step w + (u - u_tilde) from there, so that the
+    reported state meets that identity exactly; the w carried on differs
+    from it at rounding.
 
     The stop test runs once per chunk, on every residual from one np.vecdot
     over dW. Each |W| entry grows by at most its row's residual, so while a
@@ -131,19 +123,18 @@ def _iterate(datas: list, cfg: SolverConfig, warms: list, bind, per_row: list,
     max|W| of every iterate decides. A row stops at its first iteration
     whose residual is not finite or whose max|W| passes the limit ("error"),
     or whose residual is at most tol ("converged"), as with a test after
-    every iteration. The chunk ends at the first stop of any row, U is
-    formed again for it, the stopped rows are frozen from its slot and cut
-    from the block, Q and per_row, and the others go on from that slot. So
-    they compute the iterations after the stop again, in the block without
-    the stopped rows (a shared operator's product rounds by block size), and
-    every report is bit for bit the one of a test after every iteration.
-    The next chunk's length is the iterations until the smallest residual,
-    decaying as over the last chunk, reaches tol, so a block computes few
-    iterations past a stop. With etas (DR-GD's step size per row) a
-    recorded row's step_sizes hold its eta once per step taken. Reports
-    come back in the order of datas.
+    every iteration. The chunk ends at the first stop of any row, the
+    stopped rows are frozen from its slot and cut from the block, Q and
+    per_row, and the others go on from that slot. So they compute the
+    iterations after the stop again, in the block without the stopped rows
+    (a shared operator's product rounds by block size), and every report is
+    bit for bit the one of a test after every iteration. The next chunk's
+    length is the iterations until the smallest residual, decaying as over
+    the last chunk, reaches tol, so a block computes few iterations past a
+    stop. Reports come back in the order of datas.
     """
-    cone, tol, steps = datas[0].cone, cfg.tol_fixed_point, cfg.steps_per_iter
+    cone, tol = datas[0].cone, cfg.tol_fixed_point
+    dual = slice(datas[0].size - cone.m_nonneg, None)  # the nonnegative dual columns
     rows = np.arange(len(datas))
     Q = np.stack([d.q for d in datas])
     start = np.zeros((2,) + Q.shape)  # the next chunk's slot 0
@@ -151,7 +142,6 @@ def _iterate(datas: list, cfg: SolverConfig, warms: list, bind, per_row: list,
         if warm is not None:
             start[:, j] = warm.u_tilde, warm.w
     histories = [[] for _ in datas] if cfg.record_history else None
-    missed = [0] * len(datas)  # DR-GD steps not taken, per row
     reports = [None] * len(datas)
     # an upper bound on max|W| over the rows (NaN if a w is, which forces
     # the full test)
@@ -161,27 +151,21 @@ def _iterate(datas: list, cfg: SolverConfig, warms: list, bind, per_row: list,
     while True:
         # slots for as many iterations as _CHUNK_BYTES of u_tilde, w and dW hold
         C = min(CHUNK, max(1, _CHUNK_BYTES // (24 * Q.size)))
-        S, U, dW = np.empty((C + 1, 2) + Q.shape), np.empty_like(Q), np.empty((C,) + Q.shape)
+        S, dW = np.empty((C + 1, 2) + Q.shape), np.empty((C,) + Q.shape)
         S[0] = start
         UT, W = list(S[:, 0]), list(S[:, 1])
-        resolve, check = bind(S, UT, W, Q)
-        # iteration j's (u_tilde, w, U, U's dual columns, dW, next w)
-        views = list(zip(UT[1:], W, [U] * C, [U[:, U.shape[1] - cone.m_nonneg:]] * C, dW, W[1:]))
+        resolve, neg = bind(S, UT, W, Q), np.empty((len(Q), cone.m_nonneg))
+        # iteration j's (u_tilde, w, dw, next w, dual columns of u_tilde and dw)
+        views = list(zip(UT[1:], W, dW, W[1:], S[1:, 0, :, dual], dW[:, :, dual]))
         while True:
             n = min(length, C, cfg.max_iter - k)
             for j in range(n):
                 resolve(j)
-                # _reflect, written out: a call per iteration costs more
-                ut, w, u, dual, dw, w_next = views[j]
-                np.add(ut, ut, u)
-                np.subtract(u, w, u)
-                np.maximum(dual, 0.0, out=dual)
-                np.subtract(u, ut, dw)
+                ut, w, dw, w_next, ut_dual, dw_dual = views[j]
+                np.subtract(ut, w, dw)
+                np.negative(ut_dual, neg)
+                np.maximum(dw_dual, neg, out=dw_dual)
                 np.add(w, dw, w_next)
-            redone = None if check is None else check(n)
-            if redone is not None:
-                n = redone[0] + 1
-                _reflect(*views[n - 1])
             resid = np.sqrt(np.vecdot(dW[:n], dW[:n]))  # (n, B)
             # as floats: cheaper than two array reductions on a few rows; the
             # sum is NaN if any residual is, and the negated comparisons are
@@ -199,16 +183,12 @@ def _iterate(datas: list, cfg: SolverConfig, warms: list, bind, per_row: list,
                 # stopped rows, as without chunks
                 if done.any():
                     n = int(done.any(axis=1).argmax()) + 1
-                    _reflect(*views[n - 1])  # U of the stop iteration again
                 error, stop = error[n - 1], done[n - 1]
                 w_bound = float(w_max[n - 1].max(initial=0.0, where=~stop))
             k += n
             if histories is not None:
                 for i, h in zip(rows.tolist(), resid[:n].T.tolist()):
                     histories[i] += h
-            if redone is not None and redone[0] == n - 1:
-                for i, m in zip(rows.tolist(), redone[1].tolist()):
-                    missed[i] += m
             if k == cfg.max_iter or (stop is not None and stop.any()):
                 break
             if low_before > low:
@@ -219,18 +199,17 @@ def _iterate(datas: list, cfg: SolverConfig, warms: list, bind, per_row: list,
         # block of their own
         ends = np.ones(len(rows), bool) if k == cfg.max_iter else stop
         for j in np.flatnonzero(ends):
-            i, u = rows[j], U[j].copy()
+            i, ut, w = rows[j], S[n, 0, j].copy(), S[n - 1, 1, j]
+            u = project_cone_dual(ut + ut - w, cone)
             status = "max_iter" if stop is None or not stop[j] else (
                 "error" if error[j] else "converged")
             x, y = u[:datas[i].n], u[datas[i].n:]
             reports[i] = SolveReport(
                 status=status, iterations=k,
-                state=IterateState(S[n, 0, j].copy(), u, S[n, 1, j].copy()),
+                state=IterateState(ut, u, w + (u - ut)),
                 x=x, y=y, metrics=quality(datas[i].cqp, x, y),
                 residual_history=None if histories is None else histories[i],
                 message="divergent iterate" if status == "error" else "")
-            if etas is not None and cfg.record_history:
-                reports[i].step_sizes = [etas[i]] * (steps * k - missed[i])
         keep = ~ends
         if not keep.any():
             return reports
@@ -241,7 +220,7 @@ def _iterate(datas: list, cfg: SolverConfig, warms: list, bind, per_row: list,
 
 
 # bytes of operators one stacked block may hold: a (B, N, N) stack of
-# inverses for DR, a (B, 2N, N) stack of gradient operators for DR-GD; a
+# inverses for DR, a (B, 2N, N) stack of step operators for DR-GD; a
 # larger group is split into several stacked blocks
 _STACK_BYTES = 64 << 20
 
@@ -282,9 +261,9 @@ def _by_operator(datas: list, cfg: SolverConfig, warms, gradient: bool) -> list:
                     for cap in (step_size_cap(d) for d in group)]
             bind = _gradient_steps(group, cfg, etas, stacked, per_row)
         else:
-            etas, bind = None, _linear_solves(group, stacked, per_row)
+            bind = _linear_solves(group, stacked, per_row)
         for j, rep in enumerate(_iterate(group, cfg, [warms[i] for i in idx], bind,
-                                         per_row, etas)):
+                                         per_row)):
             reports[idx[j]] = rep
     return reports
 
@@ -302,9 +281,9 @@ def _linear_solves(group: list, stacked: bool, per_row: list):
         R = np.empty_like(Q)
         if stacked:
             UT3, inverses_t = list(S[:, 0, :, None]), per_row[0].transpose(0, 2, 1)
-            return (lambda j: np.matmul(np.subtract(W[j], Q, R)[:, None], inverses_t,
-                                        UT3[j + 1])), None
-        return (lambda j: solve(np.subtract(W[j], Q, R), out=UT[j + 1])), None
+            return lambda j: np.matmul(np.subtract(W[j], Q, R)[:, None], inverses_t,
+                                       UT3[j + 1])
+        return lambda j: solve(np.subtract(W[j], Q, R), out=UT[j + 1])
 
     return bind
 
@@ -315,94 +294,71 @@ def _gradient_steps(group: list, cfg: SolverConfig, etas: list, stacked: bool,
     0.5||(I+M)v - (w - q)||^2 per row, at the row's step size in etas, from
     slot j's u_tilde into slot j + 1's with w held at slot j's.
 
-    On a dense channel pair each step is one matmul into T[j, m], a row of
-    a (C, steps_per_iter, B, N) array for a chunk of C iterations:
-    eta T = [u_tilde | w] (eta G) + eta qK, with eta G the operator's
-    gradient_operator(eta): the shared array itself on a 2-D block, a
+    On a dense channel pair each step is one product and one add,
+    u_tilde' = [u_tilde | w] A + c, with A = [I - eta K'K; eta K] the
+    operator's step_operator(eta): the shared array itself on a 2-D block, a
     (B, 2N, N) stack of each row's own on a stacked block. [u_tilde | w] is
     a view of a slot on one row, a buffer refilled each step on several; a
     step after the first reads slot j + 1, whose w is first set to slot
-    j's. eta qK is formed once per block, as -[0 | q] (eta G): the product a
-    step forms, so a row at u_tilde = 0, w = q (its subproblem solved
-    exactly) gets T = 0 exactly. Per-row arrays go to per_row. The CSR pair
-    above model._DENSE_LIMIT takes the two sparse products (u_tilde K' - r) K.
-
-    Every step is taken; check(n) then forms every ||T||^2 of the chunk in
-    one np.vecdot. A row whose gradient vanished or is not finite keeps its
-    iterate, so the first iteration with such a step on any row is redone
-    from slot j with each step taken only where ||T||^2 > 0, as a test
-    before every step would take it; the rows that passed compute the same
-    bits again, and the chunk ends after it.
+    j's. c = -[0 | q] A is formed once per block by the product a step
+    forms, so a row at u_tilde = 0, w = q (its subproblem solved exactly)
+    steps to u_tilde' = 0 exactly. Per-row arrays go to per_row. The CSR
+    pair above model._DENSE_LIMIT takes the two sparse products
+    u_tilde - eta (u_tilde K' - r) K.
     """
     N, steps = group[0].size, cfg.steps_per_iter
     K, Kt = group[0].operator.channel_operator
     dense = isinstance(K, np.ndarray)
     if dense:
         if stacked:  # each row's own, written straight into its slice
-            G = np.empty((len(group), 2 * N, N))
-            for d, eta, G_row in zip(group, etas, G):
-                d.operator.gradient_operator(eta, out=G_row)
+            A = np.empty((len(group), 2 * N, N))
+            for d, eta, A_row in zip(group, etas, A):
+                d.operator.step_operator(eta, out=A_row)
         else:
-            G = group[0].operator.gradient_operator(etas[0])
+            A = group[0].operator.step_operator(etas[0])
         Z = np.concatenate([np.zeros((len(group), N)),
                             np.stack([d.q for d in group])], axis=1)
-        per_row += [-np.matmul(Z[:, None], G)[:, 0], G] if stacked else [-(Z @ G)]
-        shared = None if stacked else G  # a stack only in per_row, so cuts free it
+        per_row += [-np.matmul(Z[:, None], A)[:, 0], A] if stacked else [-np.dot(Z, A)]
+        shared = None if stacked else A  # a stack only in per_row, so cuts free it
+    # a 2-D block's product is np.dot, which dispatches faster than np.matmul
+    # and gives a row the bits a stacked block's batched np.matmul gives it
+    # (the tests pin one-row and stacked solves to each other byte for byte)
+    product = np.matmul if stacked else np.dot
 
     def bind(S, UT, W, Q):
         B, C = len(Q), len(S) - 1
-        T = np.empty((C, steps, B, N))
-        if dense:  # eta qK and, stacked, each row's own eta G
-            QK, G_rows = per_row if stacked else (per_row[0], shared)
-            if B == 1:  # each slot's [u_tilde | w] is a view of S
-                X = list(S.reshape((C + 1, 1) + (1,) * stacked + (2 * N,)))
-            else:  # one buffer, refilled from slot src as [u_tilde | w] rows
-                buffer = np.empty((B, 2 * N))
-                X = [buffer[:, None] if stacked else buffer] * (C + 1)
-                rows_of, slots = buffer.reshape(B, 2, N), list(S.transpose(0, 2, 1, 3))
-        else:
-            X = [None] * (C + 1)
-        # T[j, m] and the product's output, T[j, m] with a middle axis stacked
-        Ts = list(T.reshape(C * steps, B, N))
-        TA = list(T.reshape(C * steps, B, 1, N)) if stacked else Ts
-        # step m of iteration j reads slot j (m = 0) or j + 1: (that slot,
-        # its [u_tilde | w] operand, the product's output, T[j, m])
-        sources = [j + (m > 0) for j in range(C) for m in range(steps)]
-        flat = list(zip(sources, [X[i] for i in sources], TA, Ts))
-        plan = [flat[i:i + steps] for i in range(0, C * steps, steps)]
+        T = np.empty((B, N))  # a step's product
+        # step m of iteration j reads slot j (m = 0) or j + 1
+        sources = [[j + (m > 0) for m in range(steps)] for j in range(C)]
+        if not dense:
+            def resolve_csr(j):
+                if steps > 1:
+                    np.copyto(W[j + 1], W[j])
+                for src in sources[j]:
+                    np.multiply((UT[src] @ Kt - (W[src] - Q)) @ K, etas[0], out=T)
+                    np.subtract(UT[src], T, UT[j + 1])
 
-        def resolve(j, missed=None):
-            """Slot j + 1's u_tilde from slot j's; with missed, each step is
-            taken only on rows whose ||T||^2 > 0, and missed counts the rest."""
+            return resolve_csr
+        c, A_rows = per_row if stacked else (per_row[0], shared)
+        TA = T[:, None] if stacked else T  # the product's output
+        if B == 1:  # each slot's [u_tilde | w] is a view of S
+            X = list(S.reshape((C + 1, 1) + (1,) * stacked + (2 * N,)))
+        else:  # one buffer, refilled from slot src as [u_tilde | w] rows
+            buffer = np.empty((B, 2 * N))
+            X = [buffer[:, None] if stacked else buffer] * (C + 1)
+            rows_of, slots = buffer.reshape(B, 2, N), list(S.transpose(0, 2, 1, 3))
+        plan = [[(src, X[src]) for src in srcs] for srcs in sources]
+
+        def resolve(j):
             if steps > 1:
                 np.copyto(W[j + 1], W[j])
-            for src, x, ta, t in plan[j]:
-                if not dense:
-                    np.multiply((UT[src] @ Kt - (W[src] - Q)) @ K, etas[0], out=t)
-                else:
-                    if B > 1:
-                        np.copyto(rows_of, slots[src])
-                    np.matmul(x, G_rows, ta)
-                    np.add(t, QK, t)
-                if missed is None:
-                    np.subtract(UT[src], t, UT[j + 1])
-                else:
-                    ok = np.vecdot(t, t) > 0.0
-                    np.subtract(UT[j + 1], t, out=UT[j + 1], where=ok[:, None])
-                    missed += ~ok
+            for src, x in plan[j]:
+                if B > 1:
+                    np.copyto(rows_of, slots[src])
+                product(x, A_rows, TA)
+                np.add(T, c, UT[j + 1])
 
-        def check(n):
-            tt = np.vecdot(T[:n], T[:n])  # (n, steps, B)
-            flat = tt.ravel().tolist()
-            if min(flat) > 0.0 and sum(flat) >= 0.0:  # the sum is NaN if any is
-                return None
-            j = int(np.argmin((tt > 0.0).all(axis=(1, 2))))
-            np.copyto(S[j + 1], S[j])
-            missed = np.zeros(B, dtype=int)
-            resolve(j, missed)
-            return j, missed
-
-        return resolve, check
+        return resolve
 
     return bind
 
@@ -425,7 +381,7 @@ def dr_solve_batch(datas: list, cfg: SolverConfig = SolverConfig(),
 def drgd_solve_batch(datas: list, cfg: SolverConfig = SolverConfig(),
                      warms: Optional[list] = None) -> list:
     """drgd_solve for many instances, in the blocks of dr_solve_batch; a
-    shared block steps with its operator's gradient_operator(eta) itself, a
+    shared block steps with its operator's step_operator(eta) itself, a
     stacked block with a (B, 2N, N) stack of each row's own (16 N^2 bytes a
     row against _STACK_BYTES), and each row equals its drgd_solve bit for bit.
 
@@ -449,10 +405,11 @@ def drgd_solve(data: MonotoneData, cfg: SolverConfig = SolverConfig(),
     least-squares subproblem at the safeguard cap, or at cfg.fixed_eta when
     that is smaller, then applies the same projection and w updates as
     dr_solve. No factorization is performed. Up to model._DENSE_LIMIT a
-    step is one product of [u_tilde | w] with the operator's eta [K'K; -K]
-    plus eta qK, equal in exact arithmetic to eta (K u_tilde - (w - q))' K,
-    with a rounding floor near
-    eps sigma_max^2 ||u_tilde||; above it the two CSR products. An exact
+    step is one product of [u_tilde | w] with the operator's step operator
+    [I - eta K'K; eta K] plus c = -[0 | q] [I - eta K'K; eta K], equal in
+    exact arithmetic to u_tilde - eta (K u_tilde - (w - q))' K, with a
+    rounding floor near eps sigma_max^2 ||u_tilde||; above it the two CSR
+    products. An exact
     line search clipped at the cap would step at the cap too: its step
     ||t||^2/||Kt||^2 >= 1/sigma_max^2 is never below it.
     """

@@ -176,7 +176,8 @@ class Factorization:
     """Reusable LU factorization of a square nonsingular matrix: a dense LAPACK
     LU and the explicit inverse built from it, so solve() is one BLAS product,
     up to _DENSE_LIMIT and above a pivot ratio of 1e-10; SuperLU otherwise.
-    inverse is that C-ordered inverse, or None on the SuperLU path.
+    inverse is that C-ordered inverse, or None on the SuperLU path; only its
+    transpose, the operand of solve()'s product, is stored.
 
     solve() is re-entrant for distinct right-hand sides and satisfies
     ||Ax - b|| / max(1, ||b||) <= 1e-10 for well-conditioned A.
@@ -191,13 +192,13 @@ class Factorization:
             raise DimensionError("factorize: matrix must be square")
         if not np.all(np.isfinite(A.values)):
             raise SingularMatrixError("matrix has non-finite entries")
-        self.shape, self.inverse, self._lu = A.shape, None, None
+        self.shape, self._inverse_t, self._lu = A.shape, None, None
         if 0 < A.nrows <= self._DENSE_LIMIT:
             lu, piv, _ = lapack.dgetrf(A._csr.toarray(order="F"), overwrite_a=True)
             if _inverse_safe(np.diagonal(lu)):
                 # getrs against I, C-ordered: how np.linalg.inv builds its inverse
                 inv = lapack.dgetrs(lu, piv, np.eye(A.nrows, order="F"), overwrite_b=True)[0]
-                self.inverse = np.ascontiguousarray(inv)
+                self._inverse_t = np.ascontiguousarray(inv).T
                 return
         self._A = A
         try:
@@ -207,9 +208,13 @@ class Factorization:
         _inverse_safe(self._lu.U.diagonal())
 
     @property
+    def inverse(self) -> np.ndarray | None:
+        return None if self._inverse_t is None else self._inverse_t.T
+
+    @property
     def kind(self) -> str:
         """How solve() works: "dense-inverse" or "superlu"."""
-        return "dense-inverse" if self.inverse is not None else "superlu"
+        return "dense-inverse" if self._inverse_t is not None else "superlu"
 
     def __reduce__(self):  # SuperLU does not pickle: such a copy factorizes A again
         return (Factorization, (self._A,)) if self._lu is not None else super().__reduce__()
@@ -221,8 +226,8 @@ class Factorization:
         n = self.shape[0]
         if b.ndim not in (1, 2) or b.shape[-1] != n:
             raise DimensionError(f"solve: b has shape {b.shape}, expected ({n},) or (B, {n})")
-        if self.inverse is not None:
-            return np.matmul(b, self.inverse.T, out=out)
+        if self._inverse_t is not None:
+            return np.matmul(b, self._inverse_t, out=out)
         if out is None:
             return self._lu.solve(b.T).T
         out[...] = self._lu.solve(b.T).T

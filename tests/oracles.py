@@ -1,9 +1,9 @@
 """Independent references that tests check the solvers against: the exact
-line-search step, the Wolfe conditions, the DR-GD operator composition and
-an eager one-instance DR-GD loop.
+line-search step, the Wolfe conditions, the DR-GD operator composition, an
+eager one-instance DR-GD loop and the textbook DR and DR-GD loops.
 
 No solver calls them; each is written from its definition, with the
-operator's CSR product and its cached transpose, or, for the loop, with the
+operator's CSR product and its cached transpose, or, for drgd_loop, with the
 arithmetic drgd_solve must reproduce bit for bit.
 """
 
@@ -93,43 +93,94 @@ def dr_operator_apply(data: MonotoneData, eta: float, u_tilde_prev: np.ndarray,
     return 0.5 * (w + cayley)
 
 
+def _w_step(ut: np.ndarray, w: np.ndarray, data: MonotoneData) -> np.ndarray:
+    """dw = u - u_tilde for u = Pi(2 u_tilde - w), in the solvers' four
+    calls: u_tilde - w, and max(dw, -u_tilde) on the nonnegative dual
+    coordinates."""
+    dw = ut - w
+    dual = dw[..., data.size - data.cone.m_nonneg:]
+    np.maximum(dual, -ut[..., data.size - data.cone.m_nonneg:], out=dual)
+    return dw
+
+
+def _stop(resid: float, w: np.ndarray, tol: float):
+    """The status after an iteration with this residual and w, or None."""
+    if not math.isfinite(resid) or not (np.abs(w).max() <= 1e12):
+        return "error"
+    return "converged" if resid <= tol else None
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def drgd_loop(data: MonotoneData, cfg: SolverConfig, warm=None):
-    """DR-GD on one instance with a stop test after every iteration and a
-    gradient test before every step: (status, iterations, u_tilde, u, w,
-    residual history, step sizes).
+    """DR-GD on one instance with a stop test after every iteration:
+    (status, iterations, u_tilde, u, w, residual history).
 
-    A step is eta T = [u_tilde | w] (eta G) + eta qK with eta G the
-    operator's dense gradient_operator(eta) and eta qK = -[0 | q] (eta G),
-    taken only when np.dot(t, t) > 0. An iteration ends in "error" when its
+    A step is u_tilde' = [u_tilde | w] A + c with A the operator's dense
+    step_operator(eta) and c = -[0 | q] A; then dw = u - u_tilde as _w_step
+    forms it and w += dw. The last iteration's u = Pi(2 u_tilde - w) and
+    w + (u - u_tilde) are returned. An iteration ends in "error" when its
     residual is not finite or max|w| passes 1e12, in "converged" when the
     residual is at most tol.
     """
     cap = step_size_cap(data)
     eta = cap if cfg.fixed_eta is None else min(cfg.fixed_eta, cap)
-    G, N = data.operator.gradient_operator(eta), data.size
-    qk = -(np.concatenate([np.zeros(N), data.q])[None] @ G)
+    A, N = data.operator.step_operator(eta), data.size
+    c = -(np.concatenate([np.zeros(N), data.q])[None] @ A)
     state = np.zeros((2, 1, N))
     if warm is not None:
         state[:, 0] = warm.u_tilde, warm.w
     x, (ut, w) = state.reshape(1, 2 * N), state  # x = [u_tilde | w], a view
-    history, steps = [], []
+    history = []
     status, iters = "max_iter", cfg.max_iter
     for k in range(1, cfg.max_iter + 1):
         for _ in range(cfg.steps_per_iter):
-            t = x @ G + qk
-            if np.dot(t[0], t[0]) > 0.0:
-                ut -= t
-                steps.append(eta)
+            ut[...] = x @ A + c
         u = project_cone_dual((ut + ut - w)[0], data.cone)
-        dw = u - ut[0]
+        w_out = w[0] + (u - ut[0])
+        dw = _w_step(ut[0], w[0], data)
         w += dw
-        resid = math.sqrt(np.dot(dw, dw))
-        history.append(resid)
-        if not math.isfinite(resid) or not (np.abs(w).max() <= 1e12):
-            status, iters = "error", k
+        history.append(math.sqrt(np.dot(dw, dw)))
+        status = _stop(history[-1], w, cfg.tol_fixed_point)
+        if status is not None:
+            iters = k
             break
-        if resid <= cfg.tol_fixed_point:
-            status, iters = "converged", k
+    else:
+        status = "max_iter"
+    return status, iters, ut[0].copy(), u, w_out, history
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def textbook_loop(data: MonotoneData, cfg: SolverConfig, warm=None, gradient=False):
+    """DR, or DR-GD with gradient, on one instance as the textbook writes it,
+    with the stop test of drgd_loop after every iteration: (status,
+    iterations, u_tilde, u, w, residual history).
+
+    u_tilde solves (I+M) u_tilde = w - q, or takes cfg.steps_per_iter steps
+    u_tilde -= eta T, T = K'(K u_tilde - (w - q)), through the CSR products;
+    then u = Pi(2 u_tilde - w), dw = u - u_tilde and w += dw.
+    """
+    K = data.I_plus_M
+    cap = step_size_cap(data)
+    eta = cap if cfg.fixed_eta is None else min(cfg.fixed_eta, cap)
+    z = np.zeros(data.size)
+    ut, w = (z.copy(), z.copy()) if warm is None else (warm.u_tilde.copy(), warm.w.copy())
+    history = []
+    status, iters = "max_iter", cfg.max_iter
+    for k in range(1, cfg.max_iter + 1):
+        r = w - data.q
+        if gradient:
+            for _ in range(cfg.steps_per_iter):
+                ut = ut - eta * (K._csr_t @ (spmv(K, ut) - r))
+        else:
+            ut = data.operator.factorization.solve(r)
+        u = project_cone_dual(2.0 * ut - w, data.cone)
+        dw = u - ut
+        w = w + dw
+        history.append(math.sqrt(dw @ dw))
+        status = _stop(history[-1], w, cfg.tol_fixed_point)
+        if status is not None:
+            iters = k
             break
-    return status, iters, ut[0].copy(), u, w[0].copy(), history, steps
+    else:
+        status = "max_iter"
+    return status, iters, ut, u, w, history

@@ -417,6 +417,20 @@ class TestBundleFiles:
                     "expected 1 or 2")):
                 read_bundle(tmp_path / "b")
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("margin", True, "margin must be positive and finite"),
+        ("perturbation", False, r"perturbation must lie in \[0, 1\)"),
+    ], ids=["margin", "perturbation"])
+    def test_bool_spec_width_named(self, tmp_path, field, value, message):
+        write_bundle(gen_qp_rhs(small_spec(count=2)), tmp_path / "b")
+        path = tmp_path / "b" / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc["spec"][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: malformed manifest: ")
+                           + message):
+            read_bundle(tmp_path / "b")
+
     @pytest.mark.parametrize("family, distinct", [("qp_rhs", 1), ("qp_perturbed", 4)])
     def test_read_shares_matrices(self, tmp_path, monkeypatch, family, distinct):
         write_bundle(generate(small_spec(family=family)), tmp_path / "b")

@@ -108,7 +108,8 @@ def test_counts_are_integers(build, field, value):
     *[("perturbation", v, r"perturbation must lie in \[0, 1\)")
       for v in (math.nan, math.inf, 1.0, -0.1)],
     *[("margin", v, "margin must be positive and finite")
-      for v in (math.nan, math.inf, 0.0, -1.0)],
+      for v in (math.nan, math.inf, 0.0, -1.0, True)],
+    ("perturbation", False, r"perturbation must lie in \[0, 1\)"),
 ])
 def test_generator_widths_are_checked(field, value, message):
     # perturbation=nan raised numpy's OverflowError inside generation, and
@@ -116,6 +117,17 @@ def test_generator_widths_are_checked(field, value, message):
     with pytest.raises(ValueError, match=message):
         _gen_spec(family="qp_perturbed", **{field: value})
     _gen_spec(family="qp_perturbed", perturbation=0.0, margin=0.5)
+
+
+@pytest.mark.parametrize("field, message", [
+    ("learning_rate", "learning_rate must be positive and finite"),
+    ("escalated_lr", "escalated_lr must be positive and finite"),
+    ("escalation_min_delta", r"escalation_min_delta must lie in \[0, 1\)"),
+], ids=["learning_rate", "escalated_lr", "escalation_min_delta"])
+def test_train_rates_are_not_bools(field, message):
+    # 0 < True < inf, and 0 <= False < 1: a bool passed as a number
+    with pytest.raises(ValueError, match=message):
+        net.TrainConfig(**{field: field != "escalation_min_delta"})
 
 
 class TestForward:

@@ -17,7 +17,8 @@ from drqp.solvers import (CHUNK, IterateState, SolverConfig, dr_solve, dr_solve_
                           drgd_solve, drgd_solve_batch, step_size_cap,
                           warm_start_from_solution)
 from drqp.sparse import Factorization, spmv
-from oracles import dr_operator_apply, drgd_loop, exact_linesearch_step, wolfe_check
+from oracles import (dr_operator_apply, drgd_loop, exact_linesearch_step, textbook_loop,
+                     wolfe_check)
 
 
 def fixed_cfg(data, frac=0.5, **kw):
@@ -53,6 +54,12 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match=f"{field} must be >= 1 and an integer"):
             SolverConfig(**{field: value})
         assert getattr(SolverConfig(**{field: np.int64(2)}), field) == 2
+
+    @pytest.mark.parametrize("field", ["tol_fixed_point", "fixed_eta"])
+    def test_bool_is_not_positive(self, field):
+        # 0 < True < inf, yet a bool is no tolerance or step size
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            SolverConfig(**{field: True})
 
     @pytest.mark.parametrize("eta", [0.0, -0.1, float("nan"), float("inf")])
     def test_fixed_eta_positive_and_finite(self, eta):
@@ -118,10 +125,16 @@ class TestDrgdSolve:
         assert ten.iterations <= one.iterations * 1.02
 
     def test_step_sizes_respect_cap(self, tiny_data):
-        cfg = SolverConfig(record_history=True, max_iter=500)
-        rep = drgd_solve(tiny_data, cfg)
-        cap = step_size_cap(tiny_data)
-        assert all(0 < s <= cap + 1e-15 for s in rep.step_sizes)
+        # a solve steps through [I - eta K'K; eta K] with eta = min(fixed_eta,
+        # 0.99 / sigma_max^2), cached on the operator for that eta alone
+        op, cap = tiny_data.operator, step_size_cap(tiny_data)
+        assert cap == 0.99 / tiny_data.sigma_max ** 2
+        K = op.channel_operator[0]
+        for fixed, eta in ((None, cap), (0.5 * cap, 0.5 * cap), (4.0 * cap, cap)):
+            drgd_solve(tiny_data, SolverConfig(max_iter=5, fixed_eta=fixed))
+            assert list(op._step_operators) == [eta]
+            assert np.array_equal(op._step_operators[eta],
+                                  np.concatenate([np.eye(len(K)) - eta * (K.T @ K), eta * K]))
 
     def test_u_stays_in_cone(self, desk_datas):
         data = desk_datas[1]
@@ -348,24 +361,18 @@ def assert_same_report(batched, single, atol=1e-12):
     if single.residual_history is not None:
         np.testing.assert_allclose(batched.residual_history, single.residual_history,
                                    rtol=0, atol=atol)
-    assert (batched.step_sizes is None) == (single.step_sizes is None)
-    if single.step_sizes is not None:
-        assert len(batched.step_sizes) == len(single.step_sizes)
-        np.testing.assert_allclose(batched.step_sizes, single.step_sizes, rtol=0,
-                                   atol=atol)
 
 
 def assert_identical(batched, single):
-    """Byte for byte: status, iterations, iterates, residual history, steps."""
+    """Byte for byte: status, iterations, iterates, residual history."""
     assert (batched.status, batched.iterations, batched.message) == (
         single.status, single.iterations, single.message)
     for name in ("u_tilde", "u", "w"):
         assert getattr(batched.state, name).tobytes() == getattr(single.state, name).tobytes()
-    for name in ("residual_history", "step_sizes"):
-        got, ref = getattr(batched, name), getattr(single, name)
-        assert (got is None) == (ref is None)
-        if ref is not None:
-            assert np.array(got).tobytes() == np.array(ref).tobytes()
+    got, ref = batched.residual_history, single.residual_history
+    assert (got is None) == (ref is None)
+    if ref is not None:
+        assert np.array(got).tobytes() == np.array(ref).tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -389,29 +396,33 @@ def short_warms(datas):
 
 
 def vector_loop(data, cfg, warm=None, gradient=False):
-    """The one-instance DR loop the block driver replaced, as the reference:
-    (status, iterations, u_tilde, u, w, residual history, step sizes)."""
-    K = data.I_plus_M
-    cap = step_size_cap(data)
-    eta = cap if cfg.fixed_eta is None else min(cfg.fixed_eta, cap)
-    z = np.zeros(data.size)
+    """The one-instance DR loop the block driver replaced, in the solvers'
+    arithmetic, as the reference: (status, iterations, u_tilde, u, w,
+    residual history). A DR-GD step is [u_tilde | w] A + c with A the
+    operator's step_operator(eta) and c = -[0 | q] A; the w-step is
+    dw = u_tilde - w, max(dw, -u_tilde) on the nonnegative dual entries,
+    and the w returned is the last one's w + (u - u_tilde)."""
+    N, tail = data.size, data.size - data.cone.m_nonneg
+    if gradient:
+        cap = step_size_cap(data)
+        A = data.operator.step_operator(cap if cfg.fixed_eta is None
+                                        else min(cfg.fixed_eta, cap))
+        c = -(np.concatenate([np.zeros(N), data.q])[None] @ A)
+    z = np.zeros(N)
     ut, u, w = (z.copy(), z.copy(), z.copy()) if warm is None else (
         warm.u_tilde.copy(), warm.u.copy(), warm.w.copy())
-    history, steps = [], []
+    history = []
     status, iters = "max_iter", cfg.max_iter
     for k in range(1, cfg.max_iter + 1):
-        r = w - data.q
         if gradient:
             for _ in range(cfg.steps_per_iter):
-                t = K._csr_t @ (spmv(K, ut) - r)
-                if not float(t @ t) > 0.0:
-                    break
-                ut = ut - eta * t
-                steps.append(eta)
+                ut = (np.concatenate([ut, w])[None] @ A + c)[0]
         else:
-            ut = data.operator.factorization.solve(r)
+            ut = data.operator.factorization.solve(w - data.q)
         u = project_cone_dual(2.0 * ut - w, data.cone)
-        dw = u - ut
+        w_out = w + (u - ut)
+        dw = ut - w
+        dw[tail:] = np.maximum(dw[tail:], -ut[tail:])
         w = w + dw
         resid = float(np.sqrt(dw @ dw))
         history.append(resid)
@@ -421,7 +432,7 @@ def vector_loop(data, cfg, warm=None, gradient=False):
         if resid <= cfg.tol_fixed_point:
             status, iters = "converged", k
             break
-    return status, iters, ut, u, w, history, steps
+    return status, iters, ut, u, w_out, history
 
 
 class TestBatch:
@@ -434,7 +445,7 @@ class TestBatch:
             cfg = SolverConfig(record_history=record_history)
             for data, w in zip(rhs_datas, warms):
                 rep = dr_solve(data, cfg, warm=w)
-                status, iters, ut, u, wv, history, _ = vector_loop(data, cfg, w)
+                status, iters, ut, u, wv, history = vector_loop(data, cfg, w)
                 assert (rep.status, rep.iterations) == (status, iters)
                 for got, ref in zip((rep.state.u_tilde, rep.state.u, rep.state.w),
                                     (ut, u, wv)):
@@ -447,10 +458,8 @@ class TestBatch:
         cfg = SolverConfig(steps_per_iter=steps, record_history=True)
         for data in rhs_datas:
             rep = drgd_solve(data, cfg)
-            status, iters, ut, u, w, history, step_sizes = vector_loop(
-                data, cfg, gradient=True)
+            status, iters, ut, u, w, history = textbook_loop(data, cfg, gradient=True)
             assert (rep.status, rep.iterations) == (status, iters)
-            assert rep.step_sizes == step_sizes
             np.testing.assert_allclose(rep.state.w, w, rtol=0, atol=1e-12)
             np.testing.assert_allclose(rep.residual_history, history, rtol=0,
                                        atol=1e-12)
@@ -458,17 +467,16 @@ class TestBatch:
     @pytest.mark.parametrize("steps", [1, 3, 10])
     @pytest.mark.parametrize("mode", ["exact", "fixed", "capped"])
     def test_one_row_drgd_product_near_vector_loop(self, distinct_datas, steps, mode):
-        # one product [u_tilde | w] [K'K; -K] + qK per step, in place of
-        # (K u_tilde - r)' K, changes only the rounding
+        # one product [u_tilde | w] [I - eta K'K; eta K] + c per step, in
+        # place of u_tilde - eta (K u_tilde - r)' K, changes only the rounding
         for data in distinct_datas:
             cap = step_size_cap(data)
             fixed = {"exact": {}, "fixed": dict(fixed_eta=0.5 * cap),
                      "capped": dict(fixed_eta=4.0 * cap)}[mode]
             cfg = SolverConfig(steps_per_iter=steps, record_history=True, **fixed)
             rep = drgd_solve(data, cfg)
-            status, iters, ut, u, w, _, step_sizes = vector_loop(data, cfg, gradient=True)
+            status, iters, ut, u, w, _ = textbook_loop(data, cfg, gradient=True)
             assert (rep.status, rep.iterations) == (status, iters)
-            assert rep.step_sizes == step_sizes
             for got, ref in zip((rep.state.u_tilde, rep.state.u, rep.state.w),
                                 (ut, u, w)):
                 np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
@@ -516,26 +524,25 @@ class TestBatch:
         assert reports[2].status == "error"
         assert reports[2].iterations == 1
         assert reports[2].message == "divergent iterate"
-        # DR-GD takes no step along a non-finite gradient
-        _, _, ut, _, _, _, step_sizes = vector_loop(rhs_datas[2], cfg, warms[2],
-                                                    gradient=solver == "drgd")
+        _, _, ut, _, _, _ = vector_loop(rhs_datas[2], cfg, warms[2], gradient=solver == "drgd")
         np.testing.assert_array_equal(reports[2].state.u_tilde, ut)
-        if solver == "drgd":
-            assert reports[2].step_sizes == step_sizes == []
         for i, (data, rep) in enumerate(zip(rhs_datas, reports)):
             if i != 2:
                 assert_same_report(rep, single(data, cfg))
 
     @pytest.mark.parametrize("steps", [1, 3])
     def test_vanished_gradient_row_takes_no_step(self, rhs_datas, steps):
-        # u_tilde = 0 and w = q make the first subproblem solved exactly
+        # u_tilde = 0 and w = q make the first subproblem solved exactly: its
+        # steps land on u_tilde = 0 bit for bit, alone and in the shared block
         z = np.zeros(rhs_datas[0].size)
         warms = [None] * len(rhs_datas)
         warms[1] = IterateState(z, z.copy(), rhs_datas[1].q.copy())
+        first = SolverConfig(steps_per_iter=steps, max_iter=1)
+        for rep in (drgd_solve(rhs_datas[1], first, warm=warms[1]),
+                    drgd_solve_batch(rhs_datas, first, warms)[1]):
+            assert rep.state.u_tilde.tobytes() == z.tobytes()
         cfg = SolverConfig(steps_per_iter=steps, record_history=True)
         reports = drgd_solve_batch(rhs_datas, cfg, warms)
-        one = drgd_solve(rhs_datas[1], cfg, warm=warms[1])
-        assert len(one.step_sizes) == steps * (one.iterations - 1)
         for data, w, rep in zip(rhs_datas, warms, reports):
             assert_same_report(rep, drgd_solve(data, cfg, warm=w))
 
@@ -644,26 +651,25 @@ class TestBatch:
         for record_history in (True, False):
             cfg = SolverConfig(record_history=record_history)
             reports = batch(distinct_datas, cfg, warms)
-            assert (reports[2].status, reports[2].iterations) == ("error", 1)
-            if solver == "drgd":
-                assert reports[2].step_sizes == ([] if record_history else None)
-                assert reports[2].state.u_tilde.tobytes() == z.tobytes()
+            assert (reports[2].status, reports[2].iterations, reports[2].message) == (
+                "error", 1, "divergent iterate")
             for data, w, rep in zip(distinct_datas, warms, reports):
                 assert_identical(rep, single(data, cfg, warm=w))
 
     @pytest.mark.parametrize("record_history", [True, False], ids=["history", "no-history"])
     def test_one_row_drgd_from_nan_state(self, distinct_datas, record_history):
-        # a NaN in w makes every entry of the gradient NaN: no step is taken,
-        # so u_tilde stays the warm one, and the residual ends it in "error"
+        # a NaN in w makes the step's product NaN, and the residual ends the
+        # row in "error" at its first iteration, with the eager loop's u_tilde
         data = distinct_datas[2]
         z = np.zeros(data.size)
         w = z.copy()
         w[3] = np.nan
-        rep = drgd_solve(data, SolverConfig(record_history=record_history),
-                         warm=IterateState(z, z.copy(), w))
+        cfg = SolverConfig(record_history=record_history)
+        rep = drgd_solve(data, cfg, warm=IterateState(z, z.copy(), w))
         assert (rep.status, rep.iterations, rep.message) == ("error", 1, "divergent iterate")
-        assert rep.state.u_tilde.tobytes() == z.tobytes()
-        assert rep.step_sizes == ([] if record_history else None)
+        assert np.isnan(rep.state.u_tilde).any()
+        np.testing.assert_array_equal(rep.state.u_tilde,
+                                      drgd_loop(data, cfg, IterateState(z, z.copy(), w))[2])
         if record_history:
             assert len(rep.residual_history) == 1 and math.isnan(rep.residual_history[0])
 
@@ -672,9 +678,11 @@ class TestBatch:
         z = np.zeros(distinct_datas[0].size)
         warms = [None] * len(distinct_datas)
         warms[2] = IterateState(z, z.copy(), distinct_datas[2].q.copy())
+        first = SolverConfig(steps_per_iter=steps, max_iter=1)
+        assert drgd_solve_batch(distinct_datas, first, warms)[2].state.u_tilde.tobytes() \
+            == z.tobytes()
         cfg = SolverConfig(steps_per_iter=steps, record_history=True)
         reports = drgd_solve_batch(distinct_datas, cfg, warms)
-        assert len(reports[2].step_sizes) == steps * (reports[2].iterations - 1)
         for data, w, rep in zip(distinct_datas, warms, reports):
             assert_identical(rep, drgd_solve(data, cfg, warm=w))
 
@@ -746,10 +754,10 @@ class TestBatch:
 
 # -- chunked stop tests against loops that test after every iteration --------
 
-def assert_is_loop(rep, loop, record_history, gradient=True):
+def assert_is_loop(rep, loop, record_history):
     """rep equals an eager loop's (status, iterations, u_tilde, u, w,
-    history, steps) byte for byte."""
-    status, iters, ut, u, w, history, steps = loop
+    history) byte for byte."""
+    status, iters, ut, u, w, history = loop
     assert (rep.status, rep.iterations) == (status, iters)
     assert rep.message == ("divergent iterate" if status == "error" else "")
     for got, ref in zip((rep.state.u_tilde, rep.state.u, rep.state.w), (ut, u, w)):
@@ -757,7 +765,6 @@ def assert_is_loop(rep, loop, record_history, gradient=True):
     assert (rep.residual_history is None) == (not record_history)
     if record_history:  # bytes, so that a NaN residual compares too
         assert np.array(rep.residual_history).tobytes() == np.array(history).tobytes()
-    assert rep.step_sizes == (steps if record_history and gradient else None)
 
 
 def infeasible_data(gap=5e10):
@@ -778,8 +785,7 @@ class TestChunks:
                            record_history=record_history)
         for data in distinct_datas[:2] + rhs_datas[:1]:
             assert_is_loop(drgd_solve(data, cfg), drgd_loop(data, cfg), record_history)
-            assert_is_loop(dr_solve(data, cfg), vector_loop(data, cfg), record_history,
-                           gradient=False)
+            assert_is_loop(dr_solve(data, cfg), vector_loop(data, cfg), record_history)
 
     @pytest.mark.parametrize("solver", BATCH_SOLVERS)
     @pytest.mark.parametrize("at", [CHUNK - 1, CHUNK, CHUNK + 1])
@@ -795,7 +801,7 @@ class TestChunks:
         rep = single(data, cfg)
         assert (rep.status, rep.iterations) == ("converged", at)
         loop = drgd_loop(data, cfg) if solver == "drgd" else vector_loop(data, cfg)
-        assert_is_loop(rep, loop, True, gradient=solver == "drgd")
+        assert_is_loop(rep, loop, True)
 
     @pytest.mark.parametrize("warm", [0.0, 6e11], ids=["cold", "huge-warm"])
     @pytest.mark.parametrize("steps", [1, 3])
@@ -810,7 +816,7 @@ class TestChunks:
             dr, gd = dr_solve(data, cfg, warm=start), drgd_solve(data, cfg, warm=start)
             for rep in (dr, gd):
                 assert rep.status == "error" and rep.iterations % CHUNK not in (0, 1)
-            assert_is_loop(dr, vector_loop(data, cfg, start), record_history, gradient=False)
+            assert_is_loop(dr, vector_loop(data, cfg, start), record_history)
             assert_is_loop(gd, drgd_loop(data, cfg, start), record_history)
 
     @pytest.mark.parametrize("steps", [1, 3])
@@ -829,8 +835,28 @@ class TestChunks:
         assert reports[4].status == "error"
         for data, start, rep in zip(distinct_datas, warms, reports):
             assert_is_loop(rep, drgd_loop(data, cfg, start), record_history)
-        if record_history:
-            assert len(reports[2].step_sizes) < steps * reports[2].iterations
+
+
+@pytest.mark.parametrize("solver, steps", [("dr", 1), ("drgd", 1), ("drgd", 3)])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("block", ["one-row", "shared", "stacked"])
+def test_solves_near_textbook_loop(rhs_datas, distinct_datas, solver, steps, warm, block):
+    # the four-call w-step, the affine DR-GD step and the chunked stop test
+    # change only the rounding of u = Pi(2 u_tilde - w), dw = u - u_tilde,
+    # u_tilde -= eta K'(K u_tilde - (w - q)): one row, a block sharing its
+    # operator, a stacked block of operators of their own
+    single, batch = BATCH_SOLVERS[solver]
+    datas = distinct_datas if block == "stacked" else rhs_datas
+    warms = short_warms(datas) if warm else [None] * len(datas)
+    cfg = SolverConfig(steps_per_iter=steps, record_history=True)
+    reports = ([single(d, cfg, warm=w) for d, w in zip(datas, warms)] if block == "one-row"
+               else batch(datas, cfg, warms))
+    for data, w, rep in zip(datas, warms, reports):
+        status, iters, *ref = textbook_loop(data, cfg, w, gradient=solver == "drgd")
+        assert (rep.status, rep.iterations) == (status, iters) == ("converged", iters)
+        got = (rep.state.u_tilde, rep.state.u, rep.state.w, rep.residual_history)
+        for a, b in zip(got, ref):
+            assert np.max(np.abs(np.subtract(a, b))) <= 1e-12 * max(1.0, np.max(np.abs(b)))
 
 
 @pytest.mark.parametrize("dense_limit", [1024, 0], ids=["inverse", "superlu"])
@@ -869,14 +895,14 @@ def test_drgd_sparse_channel_pair_matches_dense(monkeypatch):
 
 
 def test_gradient_operator_one_scaled_copy(monkeypatch):
-    # a DR-GD solve leaves its operator one eta [K'K; -K], for the last eta
-    # it stepped at; DR-only stages (label, eval) never ask for it, nor does
-    # the CSR pair
+    # a DR-GD solve leaves its operator one step operator [I - eta K'K; eta K],
+    # for the last eta it stepped at; DR-only stages (label, eval) never ask
+    # for it, nor does the CSR pair
     asked = []
-    gradient_operator = model.Operator.gradient_operator
-    monkeypatch.setattr(model.Operator, "gradient_operator",
+    step_operator = model.Operator.step_operator
+    monkeypatch.setattr(model.Operator, "step_operator",
                         lambda op, eta, out=None: asked.append(op)
-                        or gradient_operator(op, eta, out))
+                        or step_operator(op, eta, out))
     bundle = generate(GenSpec(family="portfolio", count=2, seed=4, k=1))
     datas = prepare_data(bundle)
     label_bundle(bundle)
@@ -885,12 +911,12 @@ def test_gradient_operator_one_scaled_copy(monkeypatch):
     assert asked == []
     op, cfg = datas[0].operator, SolverConfig(max_iter=50, record_history=True)
 
-    def assert_holds(eta):  # one (2N, N) array, bit for bit eta [K'K; -K]
+    def assert_holds(eta):  # one (2N, N) array, [I - eta K'K; eta K] bit for bit
         K = op.channel_operator[0]
-        assert list(op._gradient_operators) == [eta]
-        G = op._gradient_operators[eta]
-        assert G.shape == (2 * len(K), len(K))
-        assert G.tobytes() == (eta * np.concatenate([K.T @ K, -K])).tobytes()
+        assert list(op._step_operators) == [eta]
+        A = op._step_operators[eta]
+        assert A.shape == (2 * len(K), len(K))
+        assert np.array_equal(A, np.concatenate([np.eye(len(K)) - eta * (K.T @ K), eta * K]))
 
     drgd_solve(datas[0], cfg)
     assert_holds(step_size_cap(datas[0]))
