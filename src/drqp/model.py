@@ -13,7 +13,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .sparse import DimensionError, Factorization, SparseMatrix
+from .sparse import DimensionError, Factorization, SparseMatrix, aligned_empty
 
 INF = float("inf")
 
@@ -246,26 +246,26 @@ class Operator:
         return self.I_plus_M._csr, self.I_plus_M._csr_t
 
     def step_operator(self, eta: float, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """A = [I - eta K'K; eta K], the (2N, N) dense operator of a DR-GD step:
-        [u_tilde | w] A - [0 | q] A = u_tilde - eta (K u_tilde - (w - q))' K,
-        one product per step.
+        """A' = [I - eta K'K | eta K'], the (N, 2N) row-major operator of a
+        DR-GD step: A' [u_tilde | w] - A' [0 | q] = u_tilde - eta K'(K u_tilde
+        - (w - q)), one GEMV per step on one row.
 
         Built without temporaries, on DR-GD solves of an operator with a
         dense channel pair; never for the CSR pair above _DENSE_LIMIT, where
         K'K of a sparse K fills in. Without out it is cached for the last eta
-        asked for only; with out, a (2N, N) array such as one slice of a
-        stack, it is written there and not cached.
+        asked for only; with out, a C-ordered (N, 2N) array such as one slice
+        of a stack, it is written there and not cached.
         """
         if out is None and eta in self._step_operators:
             return self._step_operators[eta]
         K, N = self.channel_operator[0], self.size
         if out is None:
             self._step_operators.clear()
-            out = self._step_operators[eta] = np.empty((2 * N, N))
-        np.matmul(K.T, K, out=out[:N])
-        out[:N] *= -eta
-        out[:N].reshape(-1)[::N + 1] += 1.0
-        np.multiply(K, eta, out=out[N:])
+            out = self._step_operators[eta] = aligned_empty((N, 2 * N))
+        np.matmul(K.T, K, out=out[:, :N])
+        out[:, :N] *= -eta
+        out.reshape(-1)[::2 * N + 1] += 1.0
+        np.multiply(K.T, eta, out=out[:, N:])
         return out
 
     @cached_property

@@ -10,7 +10,7 @@ import numpy as np
 
 from .model import (MonotoneData, QualityMetrics, check_counts, check_positive,
                     project_cone_dual, quality)
-from .sparse import spmv
+from .sparse import aligned_empty, spmv
 
 _DIVERGENCE_LIMIT = 1e12
 SAFEGUARD_RHO = 0.99  # the step-size cap's fraction of 1 / sigma_max^2
@@ -55,7 +55,7 @@ def step_size_cap(data: MonotoneData) -> float:
     sym(I+M) >= I because P is PSD, so the strong-monotonicity constant is
     at least 1 and the cap keeps the reflected gradient map nonexpansive.
     """
-    return SAFEGUARD_RHO / data.sigma_max ** 2
+    return SAFEGUARD_RHO / data.operator.sigma_max ** 2
 
 
 def warm_start_from_solution(data: MonotoneData, x: np.ndarray,
@@ -65,7 +65,7 @@ def warm_start_from_solution(data: MonotoneData, x: np.ndarray,
                             np.asarray(y, dtype=np.float64)])
     if u_hat.shape != (data.size,):
         raise ValueError("warm start dimension mismatch")
-    w0 = spmv(data.I_plus_M, u_hat) + data.q
+    w0 = spmv(data.operator.I_plus_M, u_hat) + data.q
     return IterateState(u_tilde=u_hat.copy(),
                         u=project_cone_dual(u_hat, data.cone),
                         w=w0)
@@ -105,8 +105,8 @@ def _iterate(datas: list, cfg: SolverConfig, warms: list, bind, per_row: list) -
     each cut, gives resolve: resolve(j) writes into UT[j + 1] per row an
     exact or approximate solution of (I+M) u_tilde = W[j] - q started from
     UT[j]. Q holds q of the rows still iterating, rows their positions in
-    datas, per_row the block's other per-row arrays (a stack of operators,
-    DR-GD's constant), read through the closure.
+    datas, per_row the block's other per-row arrays (a stack of operators),
+    read through the closure.
 
     The reflection, projection and w-step are four calls on
     dw = u - u_tilde, u = Pi(2 u_tilde - w): dw = u_tilde - w, which Pi
@@ -220,7 +220,7 @@ def _iterate(datas: list, cfg: SolverConfig, warms: list, bind, per_row: list) -
 
 
 # bytes of operators one stacked block may hold: a (B, N, N) stack of
-# inverses for DR, a (B, 2N, N) stack of step operators for DR-GD; a
+# inverses for DR, a (B, N, 2N) stack of step operators for DR-GD; a
 # larger group is split into several stacked blocks
 _STACK_BYTES = 64 << 20
 
@@ -269,13 +269,15 @@ def _by_operator(datas: list, cfg: SolverConfig, warms, gradient: bool) -> list:
 
 
 def _linear_solves(group: list, stacked: bool, per_row: list):
-    """DR's resolvent binder: w - q into a buffer R, then u_tilde from the
-    shared operator's Factorization.solve or, on a stacked block, row i times
-    its own inverse's transpose (as solve() multiplies it), one batched
-    product over the stack of inverses in per_row."""
+    """DR's resolvent binder: w - q into a buffer R, then u_tilde. One row
+    with a dense inverse takes the GEMV np.dot(inverse, r, u_tilde), bound
+    once per block; shared rows and SuperLU take Factorization.solve; a
+    stacked block takes one batched product over the stack of inverses in
+    per_row, the same GEMV per row."""
     if stacked:
         per_row.append(np.stack([d.operator.factorization.inverse for d in group]))
-    solve = group[0].operator.factorization.solve
+    factorization = group[0].operator.factorization
+    solve, inverse = factorization.solve, factorization.inverse
 
     def bind(S, UT, W, Q):
         R = np.empty_like(Q)
@@ -283,6 +285,9 @@ def _linear_solves(group: list, stacked: bool, per_row: list):
             UT3, inverses_t = list(S[:, 0, :, None]), per_row[0].transpose(0, 2, 1)
             return lambda j: np.matmul(np.subtract(W[j], Q, R)[:, None], inverses_t,
                                        UT3[j + 1])
+        if len(Q) == 1 and inverse is not None:
+            q, r, UT1, W1 = Q[0], R[0], list(S[:, 0, 0]), list(S[:, 1, 0])
+            return lambda j: np.dot(inverse, np.subtract(W1[j], q, r), UT1[j + 1])
         return lambda j: solve(np.subtract(W[j], Q, R), out=UT[j + 1])
 
     return bind
@@ -295,35 +300,27 @@ def _gradient_steps(group: list, cfg: SolverConfig, etas: list, stacked: bool,
     slot j's u_tilde into slot j + 1's with w held at slot j's.
 
     On a dense channel pair each step is one product and one add,
-    u_tilde' = [u_tilde | w] A + c, with A = [I - eta K'K; eta K] the
-    operator's step_operator(eta): the shared array itself on a 2-D block, a
-    (B, 2N, N) stack of each row's own on a stacked block. [u_tilde | w] is
-    a view of a slot on one row, a buffer refilled each step on several; a
-    step after the first reads slot j + 1, whose w is first set to slot
-    j's. c = -[0 | q] A is formed once per block by the product a step
-    forms, so a row at u_tilde = 0, w = q (its subproblem solved exactly)
-    steps to u_tilde' = 0 exactly. Per-row arrays go to per_row. The CSR
-    pair above model._DENSE_LIMIT takes the two sparse products
-    u_tilde - eta (u_tilde K' - r) K.
+    u_tilde' = A' x + c for x = [u_tilde | w], with A' = [I - eta K'K | eta K']
+    the operator's row-major (N, 2N) step_operator(eta). One row takes the
+    GEMV np.dot(A', x); the rows X of a shared block take X @ A'.T on the
+    shared array; a stacked block takes one GEMV per row, np.matmul over a
+    (B, N, 2N) stack of each row's own A' in per_row. x is a view of a slot
+    on one row, a buffer refilled each step on several; a step after the
+    first reads slot j + 1, whose w is first set to slot j's.
+    c = -A' [0 | q] is formed at each bind by the product a step forms, so
+    a row at u_tilde = 0, w = q (its subproblem solved exactly) steps to
+    u_tilde' = 0 exactly. The CSR pair above model._DENSE_LIMIT takes the
+    two sparse products u_tilde - eta (u_tilde K' - r) K.
     """
     N, steps = group[0].size, cfg.steps_per_iter
     K, Kt = group[0].operator.channel_operator
     dense = isinstance(K, np.ndarray)
-    if dense:
-        if stacked:  # each row's own, written straight into its slice
-            A = np.empty((len(group), 2 * N, N))
-            for d, eta, A_row in zip(group, etas, A):
-                d.operator.step_operator(eta, out=A_row)
-        else:
-            A = group[0].operator.step_operator(etas[0])
-        Z = np.concatenate([np.zeros((len(group), N)),
-                            np.stack([d.q for d in group])], axis=1)
-        per_row += [-np.matmul(Z[:, None], A)[:, 0], A] if stacked else [-np.dot(Z, A)]
-        shared = None if stacked else A  # a stack only in per_row, so cuts free it
-    # a 2-D block's product is np.dot, which dispatches faster than np.matmul
-    # and gives a row the bits a stacked block's batched np.matmul gives it
-    # (the tests pin one-row and stacked solves to each other byte for byte)
-    product = np.matmul if stacked else np.dot
+    if dense and stacked:  # each row's own, written straight into its slice
+        per_row.append(aligned_empty((len(group), N, 2 * N)))
+        for d, eta, At_row in zip(group, etas, per_row[0]):
+            d.operator.step_operator(eta, out=At_row)
+    # a shared block's A' is its operator's own; only a stack, cut as rows stop, is per-row
+    shared = group[0].operator.step_operator(etas[0]) if dense and not stacked else None
 
     def bind(S, UT, W, Q):
         B, C = len(Q), len(S) - 1
@@ -339,23 +336,31 @@ def _gradient_steps(group: list, cfg: SolverConfig, etas: list, stacked: bool,
                     np.subtract(UT[src], T, UT[j + 1])
 
             return resolve_csr
-        c, A_rows = per_row if stacked else (per_row[0], shared)
-        TA = T[:, None] if stacked else T  # the product's output
+        At = per_row[0] if stacked else shared
         if B == 1:  # each slot's [u_tilde | w] is a view of S
-            X = list(S.reshape((C + 1, 1) + (1,) * stacked + (2 * N,)))
+            X = list(S.reshape(C + 1, 1, 2 * N))
         else:  # one buffer, refilled from slot src as [u_tilde | w] rows
-            buffer = np.empty((B, 2 * N))
-            X = [buffer[:, None] if stacked else buffer] * (C + 1)
-            rows_of, slots = buffer.reshape(B, 2, N), list(S.transpose(0, 2, 1, 3))
-        plan = [[(src, X[src]) for src in srcs] for srcs in sources]
+            X = [np.empty((B, 2 * N))] * (C + 1)
+            rows_of, slots = X[0].reshape(B, 2, N), list(S.transpose(0, 2, 1, 3))
+        # product(*operands(x, out)): the step product of the rows x into out;
+        # one row's np.dot gives it the bits of a stacked block's GEMV (tests pin it)
+        if stacked:
+            product, operands = np.matmul, lambda x, out: (At, x[..., None], out[..., None])
+        elif B == 1:
+            product, operands = np.dot, lambda x, out: (At, x[0], out[0])
+        else:
+            product, operands = np.dot, lambda x, out: (x, At.T, out)
+        c = np.empty((B, N))  # -A' [0 | q] as A' [0 | -q], which rounds to its negative
+        product(*operands(np.concatenate([np.zeros_like(Q), -Q], axis=1), c))
+        plan = [[(src, operands(X[src], T)) for src in srcs] for srcs in sources]
 
         def resolve(j):
             if steps > 1:
                 np.copyto(W[j + 1], W[j])
-            for src, x in plan[j]:
+            for src, args in plan[j]:
                 if B > 1:
                     np.copyto(rows_of, slots[src])
-                product(x, A_rows, TA)
+                product(*args)
                 np.add(T, c, UT[j + 1])
 
         return resolve
@@ -382,7 +387,7 @@ def drgd_solve_batch(datas: list, cfg: SolverConfig = SolverConfig(),
                      warms: Optional[list] = None) -> list:
     """drgd_solve for many instances, in the blocks of dr_solve_batch; a
     shared block steps with its operator's step_operator(eta) itself, a
-    stacked block with a (B, 2N, N) stack of each row's own (16 N^2 bytes a
+    stacked block with a (B, N, 2N) stack of each row's own (16 N^2 bytes a
     row against _STACK_BYTES), and each row equals its drgd_solve bit for bit.
 
     No pipeline stage calls it yet: compare and eval solve one instance at a
@@ -405,10 +410,10 @@ def drgd_solve(data: MonotoneData, cfg: SolverConfig = SolverConfig(),
     least-squares subproblem at the safeguard cap, or at cfg.fixed_eta when
     that is smaller, then applies the same projection and w updates as
     dr_solve. No factorization is performed. Up to model._DENSE_LIMIT a
-    step is one product of [u_tilde | w] with the operator's step operator
-    [I - eta K'K; eta K] plus c = -[0 | q] [I - eta K'K; eta K], equal in
-    exact arithmetic to u_tilde - eta (K u_tilde - (w - q))' K, with a
-    rounding floor near eps sigma_max^2 ||u_tilde||; above it the two CSR
+    step is one GEMV of the operator's row-major step operator
+    A' = [I - eta K'K | eta K'] with [u_tilde | w], plus c = -A' [0 | q],
+    equal in exact arithmetic to u_tilde - eta K'(K u_tilde - (w - q)), with
+    a rounding floor near eps sigma_max^2 ||u_tilde||; above it the two CSR
     products. An exact
     line search clipped at the cap would step at the cap too: its step
     ||t||^2/||Kt||^2 >= 1/sigma_max^2 is never below it.

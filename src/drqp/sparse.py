@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -172,12 +173,19 @@ def spmv(A: SparseMatrix, x: np.ndarray) -> np.ndarray:
     return A._csr @ x
 
 
+def aligned_empty(shape: tuple) -> np.ndarray:
+    """np.empty(shape) from a 64-byte boundary, where OpenBLAS's GEMV reads rows fastest."""
+    raw = np.empty(math.prod(shape) + 8)
+    return raw[-raw.ctypes.data % 64 // 8:][:math.prod(shape)].reshape(shape)
+
+
 class Factorization:
     """Reusable LU factorization of a square nonsingular matrix: a dense LAPACK
     LU and the explicit inverse built from it, so solve() is one BLAS product,
     up to _DENSE_LIMIT and above a pivot ratio of 1e-10; SuperLU otherwise.
-    inverse is that C-ordered inverse, or None on the SuperLU path; only its
-    transpose, the operand of solve()'s product, is stored.
+    inverse is that C-ordered, 64-byte aligned inverse, or None on the
+    SuperLU path; only its transpose, the operand of solve()'s product, is
+    stored. A one-row DR solve binds np.dot(inverse, b, out) once per block.
 
     solve() is re-entrant for distinct right-hand sides and satisfies
     ||Ax - b|| / max(1, ||b||) <= 1e-10 for well-conditioned A.
@@ -198,7 +206,8 @@ class Factorization:
             if _inverse_safe(np.diagonal(lu)):
                 # getrs against I, C-ordered: how np.linalg.inv builds its inverse
                 inv = lapack.dgetrs(lu, piv, np.eye(A.nrows, order="F"), overwrite_b=True)[0]
-                self._inverse_t = np.ascontiguousarray(inv).T
+                self._inverse_t = aligned_empty(inv.shape).T
+                self._inverse_t[...] = inv.T
                 return
         self._A = A
         try:

@@ -115,26 +115,26 @@ def drgd_loop(data: MonotoneData, cfg: SolverConfig, warm=None):
     """DR-GD on one instance with a stop test after every iteration:
     (status, iterations, u_tilde, u, w, residual history).
 
-    A step is u_tilde' = [u_tilde | w] A + c with A the operator's dense
-    step_operator(eta) and c = -[0 | q] A; then dw = u - u_tilde as _w_step
-    forms it and w += dw. The last iteration's u = Pi(2 u_tilde - w) and
-    w + (u - u_tilde) are returned. An iteration ends in "error" when its
-    residual is not finite or max|w| passes 1e12, in "converged" when the
-    residual is at most tol.
+    A step is u_tilde' = A' [u_tilde | w] + c with A' the operator's dense
+    row-major step_operator(eta), one GEMV, and c = -A' [0 | q]; then
+    dw = u - u_tilde as _w_step forms it and w += dw. The last iteration's
+    u = Pi(2 u_tilde - w) and w + (u - u_tilde) are returned. An iteration
+    ends in "error" when its residual is not finite or max|w| passes 1e12,
+    in "converged" when the residual is at most tol.
     """
     cap = step_size_cap(data)
     eta = cap if cfg.fixed_eta is None else min(cfg.fixed_eta, cap)
-    A, N = data.operator.step_operator(eta), data.size
-    c = -(np.concatenate([np.zeros(N), data.q])[None] @ A)
+    At, N = data.operator.step_operator(eta), data.size
+    c = -np.dot(At, np.concatenate([np.zeros(N), data.q]))
     state = np.zeros((2, 1, N))
     if warm is not None:
         state[:, 0] = warm.u_tilde, warm.w
-    x, (ut, w) = state.reshape(1, 2 * N), state  # x = [u_tilde | w], a view
+    x, (ut, w) = state.reshape(2 * N), state  # x = [u_tilde | w], a view
     history = []
     status, iters = "max_iter", cfg.max_iter
     for k in range(1, cfg.max_iter + 1):
         for _ in range(cfg.steps_per_iter):
-            ut[...] = x @ A + c
+            ut[0] = np.dot(At, x) + c
         u = project_cone_dual((ut + ut - w)[0], data.cone)
         w_out = w[0] + (u - ut[0])
         dw = _w_step(ut[0], w[0], data)

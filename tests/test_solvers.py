@@ -125,7 +125,7 @@ class TestDrgdSolve:
         assert ten.iterations <= one.iterations * 1.02
 
     def test_step_sizes_respect_cap(self, tiny_data):
-        # a solve steps through [I - eta K'K; eta K] with eta = min(fixed_eta,
+        # a solve steps through [I - eta K'K | eta K'] with eta = min(fixed_eta,
         # 0.99 / sigma_max^2), cached on the operator for that eta alone
         op, cap = tiny_data.operator, step_size_cap(tiny_data)
         assert cap == 0.99 / tiny_data.sigma_max ** 2
@@ -133,8 +133,8 @@ class TestDrgdSolve:
         for fixed, eta in ((None, cap), (0.5 * cap, 0.5 * cap), (4.0 * cap, cap)):
             drgd_solve(tiny_data, SolverConfig(max_iter=5, fixed_eta=fixed))
             assert list(op._step_operators) == [eta]
-            assert np.array_equal(op._step_operators[eta],
-                                  np.concatenate([np.eye(len(K)) - eta * (K.T @ K), eta * K]))
+            assert np.array_equal(op._step_operators[eta], np.concatenate(
+                [np.eye(len(K)) - eta * (K.T @ K), eta * K.T], axis=1))
 
     def test_u_stays_in_cone(self, desk_datas):
         data = desk_datas[1]
@@ -398,16 +398,16 @@ def short_warms(datas):
 def vector_loop(data, cfg, warm=None, gradient=False):
     """The one-instance DR loop the block driver replaced, in the solvers'
     arithmetic, as the reference: (status, iterations, u_tilde, u, w,
-    residual history). A DR-GD step is [u_tilde | w] A + c with A the
-    operator's step_operator(eta) and c = -[0 | q] A; the w-step is
-    dw = u_tilde - w, max(dw, -u_tilde) on the nonnegative dual entries,
-    and the w returned is the last one's w + (u - u_tilde)."""
+    residual history). A DR-GD step is A' [u_tilde | w] + c, one GEMV, with
+    A' the operator's row-major step_operator(eta) and c = -A' [0 | q]; the
+    w-step is dw = u_tilde - w, max(dw, -u_tilde) on the nonnegative dual
+    entries, and the w returned is the last one's w + (u - u_tilde)."""
     N, tail = data.size, data.size - data.cone.m_nonneg
     if gradient:
         cap = step_size_cap(data)
-        A = data.operator.step_operator(cap if cfg.fixed_eta is None
-                                        else min(cfg.fixed_eta, cap))
-        c = -(np.concatenate([np.zeros(N), data.q])[None] @ A)
+        At = data.operator.step_operator(cap if cfg.fixed_eta is None
+                                         else min(cfg.fixed_eta, cap))
+        c = -np.dot(At, np.concatenate([np.zeros(N), data.q]))
     z = np.zeros(N)
     ut, u, w = (z.copy(), z.copy(), z.copy()) if warm is None else (
         warm.u_tilde.copy(), warm.u.copy(), warm.w.copy())
@@ -416,7 +416,7 @@ def vector_loop(data, cfg, warm=None, gradient=False):
     for k in range(1, cfg.max_iter + 1):
         if gradient:
             for _ in range(cfg.steps_per_iter):
-                ut = (np.concatenate([ut, w])[None] @ A + c)[0]
+                ut = np.dot(At, np.concatenate([ut, w])) + c
         else:
             ut = data.operator.factorization.solve(w - data.q)
         u = project_cone_dual(2.0 * ut - w, data.cone)
@@ -895,7 +895,7 @@ def test_drgd_sparse_channel_pair_matches_dense(monkeypatch):
 
 
 def test_gradient_operator_one_scaled_copy(monkeypatch):
-    # a DR-GD solve leaves its operator one step operator [I - eta K'K; eta K],
+    # a DR-GD solve leaves its operator one step operator [I - eta K'K | eta K'],
     # for the last eta it stepped at; DR-only stages (label, eval) never ask
     # for it, nor does the CSR pair
     asked = []
@@ -911,12 +911,13 @@ def test_gradient_operator_one_scaled_copy(monkeypatch):
     assert asked == []
     op, cfg = datas[0].operator, SolverConfig(max_iter=50, record_history=True)
 
-    def assert_holds(eta):  # one (2N, N) array, [I - eta K'K; eta K] bit for bit
+    def assert_holds(eta):  # one (N, 2N) array, [I - eta K'K | eta K'] bit for bit
         K = op.channel_operator[0]
         assert list(op._step_operators) == [eta]
-        A = op._step_operators[eta]
-        assert A.shape == (2 * len(K), len(K))
-        assert np.array_equal(A, np.concatenate([np.eye(len(K)) - eta * (K.T @ K), eta * K]))
+        At = op._step_operators[eta]
+        assert At.shape == (len(K), 2 * len(K))
+        assert np.array_equal(At, np.concatenate(
+            [np.eye(len(K)) - eta * (K.T @ K), eta * K.T], axis=1))
 
     drgd_solve(datas[0], cfg)
     assert_holds(step_size_cap(datas[0]))
@@ -930,6 +931,58 @@ def test_gradient_operator_one_scaled_copy(monkeypatch):
     monkeypatch.setattr(model, "_DENSE_LIMIT", 0)
     drgd_solve_batch(prepare_data(bundle), cfg)
     assert asked == []
+
+
+def test_step_operators_are_row_major(monkeypatch, rhs_datas, distinct_datas):
+    # the cached step operator of a shared block, and each slice a stacked
+    # block writes with out=, is the C-contiguous (N, 2N) [I - eta K'K | eta K'],
+    # bit for bit, the operand of one row-major GEMV per row; the cached one
+    # starts on a 64-byte boundary, as the GEMV reads it fastest
+    written = []
+    step_operator = model.Operator.step_operator
+    monkeypatch.setattr(model.Operator, "step_operator",
+                        lambda op, eta, out=None: written.append((op, eta, out))
+                        or step_operator(op, eta, out))
+    cfg = SolverConfig(max_iter=20)
+    drgd_solve_batch(rhs_datas, cfg)
+    drgd_solve_batch(distinct_datas, cfg)
+    outs = [(op, eta, out) for op, eta, out in written if out is not None]
+    assert [op for op, _, _ in outs] == [d.operator for d in distinct_datas[::2]
+                                         + distinct_datas[1::2]]
+    op = rhs_datas[0].operator
+    cached = [(op, eta, At) for eta, At in op._step_operators.items()]
+    assert [eta for _, eta, _ in cached] == [step_size_cap(rhs_datas[0])]
+    assert cached[0][2].ctypes.data % 64 == 0
+    for op, eta, At in cached + outs:
+        K, N = op.channel_operator[0], op.size
+        assert At.shape == (N, 2 * N) and At.flags.c_contiguous
+        assert np.array_equal(At, np.concatenate(
+            [np.eye(N) - eta * (K.T @ K), eta * K.T], axis=1))
+
+
+def test_one_row_dense_dr_binds_its_inverse(monkeypatch, rhs_datas, distinct_datas):
+    # one row with a dense inverse steps by np.dot on the C-ordered inverse
+    # (64-byte aligned), bound once per block, and so does each row of a
+    # stacked block: no Factorization.solve call per iteration; a shared
+    # block and SuperLU still solve through it
+    inverse = rhs_datas[0].operator.factorization.inverse
+    assert inverse.flags.c_contiguous and inverse.ctypes.data % 64 == 0
+    calls = []
+    solve = Factorization.solve
+    monkeypatch.setattr(Factorization, "solve",
+                        lambda fac, b, out=None: calls.append(len(b)) or solve(fac, b, out))
+    cfg = SolverConfig(max_iter=40)
+    for data in (rhs_datas[0], distinct_datas[0], distinct_datas[1]):
+        assert dr_solve(data, cfg).iterations > 1
+    dr_solve_batch(distinct_datas, cfg)
+    assert calls == []
+    dr_solve_batch(rhs_datas, cfg)
+    assert calls and calls[0] == len(rhs_datas)
+    calls.clear()
+    monkeypatch.setattr(Factorization, "_DENSE_LIMIT", 0)
+    data = prepare_data(generate(GenSpec(family="qp_rhs", count=1, seed=11, n=16)))[0]
+    assert data.operator.factorization.kind == "superlu"
+    assert 1 < dr_solve(data, cfg).iterations <= len(calls)
 
 
 def test_drgd_solve_peak_memory():
