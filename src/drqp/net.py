@@ -28,6 +28,7 @@ class NonFiniteActivationError(RuntimeError):
 
 
 LAYER_FIELDS = ("U_ut", "U_w", "U_eta", "b_eta", "V_ut", "V_w", "W_w", "W_u", "W_ut")
+_FLAT_FIELDS = ("U_w", "U_eta", "V_w", "W_w", "V_ut", "W_ut", "U_ut", "W_u", "b_eta")
 
 
 @functools.lru_cache(maxsize=None)
@@ -35,15 +36,24 @@ def layout(L: int, d: int) -> tuple:
     """(name, slice, shape) of every trainable parameter in the flat vector.
 
     The only place that knows the parameter order: layer by layer in
-    LAYER_FIELDS order, then p_out. Per layer, the names are the checkpoint keys.
+    _FLAT_FIELDS order, which makes the mixes of w (U_w, U_eta, V_w, W_w) one
+    (4, d, d) block and those of u-tilde out (V_ut, W_ut) one (2, d, d) block,
+    then p_out. The names are the checkpoint keys; LAYER_FIELDS stays the
+    order of a checkpoint and of init_params' draws.
     """
     shapes = [(f"layers.{i}.{f}", (d,) if f == "b_eta" else (d, d))
-              for i in range(L) for f in LAYER_FIELDS] + [("p_out", (d,))]
+              for i in range(L) for f in _FLAT_FIELDS] + [("p_out", (d,))]
     entries, start = [], 0
     for name, shape in shapes:
         entries.append((name, slice(start, start + math.prod(shape)), shape))
         start += math.prod(shape)
     return tuple(entries)
+
+
+def _blocks(vector: np.ndarray, L: int, d: int):
+    """(L, 8, d, d) matrices, (L, d) gate biases and p_out: views of a vector."""
+    per_layer = vector[:-d].reshape(L, -1)
+    return (per_layer[:, :-d].reshape(L, 8, d, d), per_layer[:, -d:], vector[-d:])
 
 
 @dataclass
@@ -57,15 +67,17 @@ class LayerParams:
     W_w: np.ndarray    # w-update mixes, d x d each
     W_u: np.ndarray
     W_ut: np.ndarray
+    mix_w: np.ndarray   # U_w, U_eta, V_w, W_w as one (4, d, d) block
+    mix_ut: np.ndarray  # V_ut, W_ut as one (2, d, d) block
 
 
 @dataclass
 class NetParams:
     """Learnable parameters in one flat vector plus fixed per-layer step priors eta.
 
-    The attributes layers (one LayerParams per layer) and p_out (the final
-    readout, (d,)) hold reshaped views into vector, laid out by layout(L, d):
-    writing through a view writes the vector.
+    The attributes layers (one LayerParams per layer, its blocks mix_w and
+    mix_ut included) and p_out (the final readout, (d,)) hold reshaped views
+    into vector, laid out by layout(L, d): writing through a view writes it.
     """
 
     L: int
@@ -84,11 +96,10 @@ class NetParams:
                        else np.asarray(self.vector, dtype=np.float64))
         if self.vector.shape != (size,):
             raise ValueError(f"parameter vector must have shape ({size},)")
-        views = {name: self.vector[s].reshape(shape)
-                 for name, s, shape in layout(self.L, self.d)}
-        self.layers = [LayerParams(**{f: views[f"layers.{i}.{f}"] for f in LAYER_FIELDS})
-                       for i in range(self.L)]
-        self.p_out = views["p_out"]
+        mats, b_eta, self.p_out = _blocks(self.vector, self.L, self.d)
+        self.layers = [LayerParams(**dict(zip(_FLAT_FIELDS[:8], m)), b_eta=b,
+                                   mix_w=m[:4], mix_ut=m[4:6])
+                       for m, b in zip(mats, b_eta)]
 
     def copy(self) -> "NetParams":
         return NetParams(self.L, self.d, self.eta.copy(), self.unroll_steps,
@@ -147,12 +158,13 @@ def emulation_params(data: MonotoneData, eta: float, L: int) -> NetParams:
     return params
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def _sigmoid(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, neither of which
     overflows, without masks: e = e^-|z| is the exponential of both branches.
-    NaN stays NaN."""
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    NaN stays NaN. out, which may be z itself, receives the result."""
+    nonneg = z >= 0
+    e = np.exp(np.negative(np.abs(z, out=out), out=out), out=out)
+    return np.divide(np.where(nonneg, 1.0, e), np.add(e, 1.0, out=e), out=e)
 
 
 @dataclass
@@ -178,36 +190,46 @@ def forward(data: MonotoneData, params: NetParams):
     the projection of -q across channels; each layer mixes channels, takes
     unroll_steps gated gradient steps on the least-squares target, projects,
     and updates w. An overflow raises NonFiniteActivationError, not warnings.
+    The products w mix_w and ut_out mix_ut give a layer's mixes as contiguous
+    slices, rounded as one product per matrix would be.
     """
-    K, Kt = data.operator.channel_operator
+    K, Kt = data.operator.channel_operator   # .dot: np.dot if dense, @ if CSR
     Q = np.repeat(data.q[:, None], params.d, axis=1)
-    ut = np.zeros_like(Q)
-    w = Q + project_cone_dual(-Q, data.cone)
+    ut = np.zeros(Q.shape)
+    w = np.repeat((data.q + project_cone_dual(-data.q, data.cone))[:, None], params.d, axis=1)
     caches = []
     with np.errstate(over="ignore", invalid="ignore"):
         for li, lp in enumerate(params.layers):
-            wprime = w @ lp.U_w - Q
-            gate = _sigmoid(w @ lp.U_eta + lp.b_eta)
+            wprime, z, w_V_w, w_W_w = np.matmul(w, lp.mix_w)
+            wprime -= Q
+            z += lp.b_eta
+            gate = _sigmoid(z, out=z)
             inner = []
             ut_out = ut
+            outs = np.empty((2,) + Q.shape)   # the layer's ut_out and w_out
             for step in range(params.unroll_steps):
                 if li == 0 and step == 0:
                     # u-tilde starts at 0, so vt = 0 U_ut and K vt are 0
-                    vt, g = ut_out, Kt @ -wprime
+                    vt, g = ut_out, Kt.dot(-wprime)
                 else:
-                    vt = ut_out @ lp.U_ut
-                    g = Kt @ (K @ vt - wprime)
+                    vt = np.dot(ut_out, lp.U_ut)
+                    g = Kt.dot(K.dot(vt) - wprime)
                 inner.append((ut_out, g))
-                ut_out = vt - params.eta[li] * gate * g
-            p_pre = 2.0 * (ut_out @ lp.V_ut) - w @ lp.V_w
+                delta = params.eta[li] * gate * g
+                last_step = step == params.unroll_steps - 1
+                ut_out = np.subtract(vt, delta, out=outs[0] if last_step else delta)
+            ut_V_ut, ut_W_ut = np.matmul(ut_out, lp.mix_ut)
+            p_pre = 2.0 * ut_V_ut - w_V_w
             u_out = project_cone_dual(p_pre, data.cone)
-            w_out = w @ lp.W_w + (u_out @ lp.W_u - ut_out @ lp.W_ut)
-            if not np.isfinite(w_out).all() or not np.isfinite(ut_out).all():
+            w_out = np.add(w_W_w, np.dot(u_out, lp.W_u) - ut_W_ut, out=outs[1])
+            # one BLAS dot; the exact scan only when its sum of squares is not finite
+            flat = outs.reshape(-1)
+            if not (math.isfinite(np.dot(flat, flat)) or np.isfinite(flat).all()):
                 raise NonFiniteActivationError(li)
             caches.append(LayerCache(w_in=w, gate=gate, inner=inner,
                                      p_pre=p_pre, u_out=u_out, ut_out=ut_out))
             ut, w = ut_out, w_out
-    out = caches[-1].u_out @ params.p_out
+    out = np.dot(caches[-1].u_out, params.p_out)
     return out[:data.n], out[data.n:], ForwardCache(layers=caches, out=out)
 
 
@@ -234,6 +256,12 @@ def backward(data: MonotoneData, params: NetParams, cache: ForwardCache,
     only w_out. Layer 0 starts from u-tilde = 0 and a w that no parameter
     moves, so nothing propagates out of it, and its first gradient step adds
     nothing to U_ut.
+
+    Gradients go straight into the returned vector. The bars [wprime_bar,
+    z_bar, -p_bar, w_bar] and [2 p_bar, -w_bar] follow mix_w and mix_ut, so
+    one product gives a block's gradients and one its terms for the layer
+    below, rounded as one product per matrix. Flipped signs (h = -g_bar) move
+    no bit but a zero's sign, and + 0.0 at the end turns -0.0 into 0.0.
     """
     xs, ys = label
     target = np.concatenate([np.asarray(xs, dtype=np.float64),
@@ -242,70 +270,67 @@ def backward(data: MonotoneData, params: NetParams, cache: ForwardCache,
         raise ValueError("label dimension mismatch")
     K, Kt = data.operator.channel_operator
     free = data.n + data.cone.m_zero
-    zero = np.zeros((params.d, params.d))
-    layer_grads = []    # per layer, from the last: field -> gradient
+    grad = np.zeros(params.vector.shape)
+    grad_mats, grad_b_eta, grad_p_out = _blocks(grad, params.L, params.d)
+    bars = np.empty((4,) + cache.layers[0].w_in.shape)
+    wprime_bar, z_bar, neg_p_bar, w_bar = bars
+    ut_bars = np.empty_like(bars[:2])
+    two_p_bar, neg_w_bar = ut_bars
 
     r = cache.out - target
-    p_out_grad = cache.layers[-1].u_out.T @ r
-    p_bar = np.outer(r, params.p_out)        # d(loss)/d(u_out of the last layer)
+    np.dot(cache.layers[-1].u_out.T, r, out=grad_p_out)
+    np.multiply(r[:, None], params.p_out, out=neg_p_bar)   # d(loss)/d(u_out), negated below
 
     for li in range(params.L - 1, -1, -1):
-        lp = params.layers[li]
-        lc = cache.layers[li]
-        gr = {"W_w": zero, "W_u": zero, "W_ut": zero, "U_ut": zero}
+        lp, lc, gm = params.layers[li], cache.layers[li], grad_mats[li]
         last = li == params.L - 1
+        n_w, n_ut = (3, 1) if last else (4, 2)   # the last layer has no w_bar
         if not last:
             # w_out = w_in W_w + u_out W_u - ut_out W_ut
-            gr["W_w"] = lc.w_in.T @ w_bar
-            gr["W_u"] = lc.u_out.T @ w_bar
-            gr["W_ut"] = -lc.ut_out.T @ w_bar
-            p_bar = w_bar @ lp.W_u.T
+            np.dot(lc.u_out.T, w_bar, out=gm[7])
+            np.dot(w_bar, lp.W_u.T, out=neg_p_bar)
+            np.negative(w_bar, out=neg_w_bar)
         # u_out = proj(p_pre); rows dual to the nonneg block mask at p_pre > 0
-        p_bar[free:] *= lc.p_pre[free:] > 0
-        # p_pre = 2 ut_out V_ut - w_in V_w
-        gr["V_ut"] = 2.0 * lc.ut_out.T @ p_bar
-        gr["V_w"] = -lc.w_in.T @ p_bar
-        cur = 2.0 * p_bar @ lp.V_ut.T         # d(loss)/d(ut_out)
-        if not last:
-            cur = ut_bar - w_bar @ lp.W_ut.T + cur
+        neg_p_bar[free:] *= lc.p_pre[free:] > 0.0
+        np.multiply(neg_p_bar, 2.0, out=two_p_bar)
+        np.negative(neg_p_bar, out=neg_p_bar)
+        # p_pre = 2 ut_out V_ut - w_in V_w; a contiguous transpose halves matmul's time
+        np.matmul(lc.ut_out.T, ut_bars[:n_ut], out=gm[4:4 + n_ut])
+        ut_terms = np.matmul(ut_bars[:n_ut], np.ascontiguousarray(lp.mix_ut[:n_ut].mT))
+        cur = ut_terms[0] if last else ut_bar + ut_terms[1] + ut_terms[0]  # d/d(ut_out)
         # inner gradient steps, reversed
         eta = params.eta[li]
         steps = len(lc.inner)
+        wprime_bar.fill(0.0)
         for k in range(steps - 1, -1, -1):
             ut_cur, g = lc.inner[k]
-            # ut_next = vt - eta * gate * g
-            g_bar = -eta * lc.gate * cur
-            step_gate_bar = -eta * g * cur
-            # g = K'(K vt - wprime)
-            Kg = K @ g_bar
-            if k == steps - 1:
-                gate_bar, wprime_bar = step_gate_bar, -Kg
-            else:
-                gate_bar += step_gate_bar
-                wprime_bar -= Kg
+            # ut_next = vt - eta * gate * g; h = -g_bar
+            h = eta * lc.gate * cur
+            step_bar = eta * g * cur   # -d(loss)/d(gate) through this step
+            neg_gate_bar = step_bar if k == steps - 1 else neg_gate_bar + step_bar
+            # g = K'(K vt - wprime); K h = -K g_bar
+            Kh = K.dot(h)
+            wprime_bar += Kh
             if li == 0 and k == 0:
                 break  # ut_cur = 0 and nothing lies upstream
-            vt_bar = cur + Kt @ Kg
+            vt_bar = cur - Kt.dot(Kh)
             # vt = ut_cur U_ut
-            U_ut_grad = ut_cur.T @ vt_bar
-            gr["U_ut"] = U_ut_grad if k == steps - 1 else gr["U_ut"] + U_ut_grad
-            cur = vt_bar @ lp.U_ut.T
+            gm[6] += np.dot(ut_cur.T, vt_bar)
+            cur = np.dot(vt_bar, lp.U_ut.T)
         # gate = sigmoid(z_gate); z_gate = w_in U_eta + b_eta
-        z_bar = gate_bar * lc.gate * (1.0 - lc.gate)
-        gr["U_eta"] = lc.w_in.T @ z_bar
-        gr["b_eta"] = z_bar.sum(axis=0)
-        # wprime = w_in U_w - Q
-        gr["U_w"] = lc.w_in.T @ wprime_bar
-        layer_grads.append(gr)
+        np.multiply(neg_gate_bar, lc.gate, out=z_bar)
+        z_bar *= lc.gate - 1.0
+        z_bar.sum(axis=0, out=grad_b_eta[li])
+        # wprime = w_in U_w - Q: the gradients of mix_w in one product
+        np.matmul(lc.w_in.T, bars[:n_w], out=gm[:n_w])
         if li > 0:
-            # hand states to the previous layer
-            pv = p_bar @ lp.V_w.T
-            w_in_bar = -pv if last else w_bar @ lp.W_w.T - pv
-            w_bar = w_in_bar + z_bar @ lp.U_eta.T + wprime_bar @ lp.U_w.T
+            # hand states to the previous layer: w_bar W_w' - p_bar V_w'
+            # + z_bar U_eta' + wprime_bar U_w', summed in that order
+            terms = np.matmul(bars[:n_w], np.ascontiguousarray(lp.mix_w[:n_w].mT))
+            np.add(terms[-1], terms[-2], out=w_bar)
+            for term in terms[-3::-1]:
+                w_bar += term
             ut_bar = cur
-    # in layout order; + 0.0 turns a -0.0 into 0.0, as a sum into zeros does
-    grad = np.concatenate([gr[f] for gr in reversed(layer_grads) for f in LAYER_FIELDS]
-                          + [p_out_grad], axis=None)
     grad += 0.0
     return grad
 
@@ -441,7 +466,7 @@ def train(datas: list, labels: list, train_idx, val_idx, cfg: TrainConfig,
                 xh, yh, cache = forward(datas[i], params)
                 preds.append((xh, yh))
                 grad = backward(datas[i], params, cache, labels[i])
-                grads = grad if grads is None else grads + grad
+                grads = grad if grads is None else np.add(grads, grad, out=grads)
             if batch.size > 1:
                 grads /= batch.size
             epoch_losses.append(loss(preds, [labels[i] for i in batch]))

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -9,7 +11,7 @@ import scipy.sparse as sp
 
 from conftest import build_standard, inclusion_of
 from drqp import model, net
-from drqp.datagen import GenSpec, generate
+from drqp.datagen import GenSpec, generate, label_bundle, split_bundle
 from drqp.model import project_cone_dual
 from drqp.report import prepare_data, training_log_csv
 from drqp.solvers import (IterateState, SolverConfig, drgd_solve,
@@ -155,6 +157,48 @@ class TestForward:
             net.forward(tiny_data, params)
         assert err.value.layer == 1
 
+    def test_nan_first_in_layer_zero_names_layer_zero(self, desk_datas):
+        params = net.init_params(3, 4, seed=2)
+        params.layers[0].U_w[0, 0] = np.nan
+        with pytest.raises(net.NonFiniteActivationError) as err:
+            net.forward(desk_datas[0], params)
+        assert err.value.layer == 0
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_w_out_raises(self, desk_datas, value):
+        # W_w feeds only w_out, so the check on w_out alone must catch it
+        params = net.init_params(2, 4, seed=2)
+        params.layers[0].W_w[1, 2] = value
+        with pytest.raises(net.NonFiniteActivationError) as err:
+            net.forward(desk_datas[0], params)
+        assert err.value.layer == 0
+
+    def test_finite_entries_whose_squares_overflow_pass(self, desk_datas):
+        # the sum of squares overflows, so the exact scan decides, and passes
+        params = net.init_params(2, 4, seed=2)
+        params.layers[0].W_w[...] *= 1e160
+        *_, cache = net.forward(desk_datas[0], params)
+        w_out = cache.layers[1].w_in.ravel()   # layer 0's w_out
+        with np.errstate(over="ignore"):
+            assert np.dot(w_out, w_out) == np.inf
+        assert np.isfinite(w_out).all() and np.isfinite(cache.out).all()
+        assert cache_bytes(cache) == cache_bytes(reference_forward(desk_datas[0], params)[2])
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "csr"])
+    @pytest.mark.parametrize("L,d,steps", [(1, 3, 1), (2, 4, 3), (4, 8, 1), (3, 5, 2)])
+    def test_matches_one_product_per_matrix_bit_for_bit(self, desk_datas, monkeypatch,
+                                                        L, d, steps, dense):
+        # the grouped products w mix_w and ut_out mix_ut round as the separate ones
+        params = net.init_params(L, d, seed=L + d, scheme="random", unroll_steps=steps)
+        if not dense:
+            monkeypatch.setattr(model, "_DENSE_LIMIT", 0)
+        for data in desk_datas[:3]:
+            if not dense:
+                data = model.assemble_inclusion(data.cqp)  # fresh operator cache
+                assert sp.issparse(data.operator.channel_operator[0])
+            got = net.forward(data, params)[2]
+            assert cache_bytes(got) == cache_bytes(reference_forward(data, params)[2])
+
 
 class TestEmulation:
     def test_single_layer_hand_iteration(self, one_var_data):
@@ -224,6 +268,52 @@ class TestLoss:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             net.loss([(np.zeros(1), np.zeros(1))], [])
+
+
+def reference_forward(data, params):
+    """The forward pass as written with one product per mixing matrix, its
+    sigmoid the masked form: forward must equal it bit for bit."""
+    K, Kt = data.operator.channel_operator
+    Q = np.repeat(data.q[:, None], params.d, axis=1)
+    ut = np.zeros_like(Q)
+    w = Q + project_cone_dual(-Q, data.cone)
+    caches = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for li, lp in enumerate(params.layers):
+            wprime = w @ lp.U_w - Q
+            gate = masked_sigmoid(w @ lp.U_eta + lp.b_eta)
+            inner = []
+            ut_out = ut
+            for step in range(params.unroll_steps):
+                if li == 0 and step == 0:
+                    # u-tilde starts at 0, so vt = 0 U_ut and K vt are 0
+                    vt, g = ut_out, Kt @ -wprime
+                else:
+                    vt = ut_out @ lp.U_ut
+                    g = Kt @ (K @ vt - wprime)
+                inner.append((ut_out, g))
+                ut_out = vt - params.eta[li] * gate * g
+            p_pre = 2.0 * (ut_out @ lp.V_ut) - w @ lp.V_w
+            u_out = project_cone_dual(p_pre, data.cone)
+            w_out = w @ lp.W_w + (u_out @ lp.W_u - ut_out @ lp.W_ut)
+            if not np.isfinite(w_out).all() or not np.isfinite(ut_out).all():
+                raise net.NonFiniteActivationError(li)
+            caches.append(net.LayerCache(w_in=w, gate=gate, inner=inner,
+                                         p_pre=p_pre, u_out=u_out, ut_out=ut_out))
+            ut, w = ut_out, w_out
+    out = caches[-1].u_out @ params.p_out
+    return out[:data.n], out[data.n:], net.ForwardCache(layers=caches, out=out)
+
+
+def cache_bytes(cache):
+    """The bytes of out and of every LayerCache field, layer by layer."""
+    parts = [cache.out.tobytes()]
+    for lc in cache.layers:
+        for field in dataclasses.fields(lc):
+            value = getattr(lc, field.name)
+            parts.append([a.tobytes() for pair in value for a in pair]
+                         if field.name == "inner" else value.tobytes())
+    return parts
 
 
 def reference_backward(data, params, cache, label):
@@ -556,6 +646,43 @@ class TestTrain:
         datas, labels = self._toy_problem()
         with pytest.raises(ValueError):
             net.train(datas, labels, [], [0], net.TrainConfig())
+
+
+# sha256 of training_digest, recorded from the network with one product per
+# mixing matrix (numpy 2.4.6, scipy-openblas 0.3.31, x86-64, one BLAS thread)
+TRAINING_DIGESTS = {
+    (4, 8, 1, 1): "4db6589c5ac9f91ed279f4118ef94024e40f65ac3740013248028d98662a4ba3",
+    (3, 5, 2, 2): "b7486cf40a8d469b1b8718f96e1592530da41eda54312b8e29a125460743b485",
+}
+
+
+def training_digest(L, d, steps, batch):
+    """sha256 over every trained parameter's bytes, keyed by name so that the
+    flat layout may change, the eta priors and every EpochLog field."""
+    bundle, _ = label_bundle(generate(GenSpec(family="qp_rhs", count=14, seed=3, n=20)))
+    bundle = split_bundle(bundle, (8, 3, 3), seed=0)
+    cfg = net.TrainConfig(learning_rate=1e-3, batch_size=batch, max_epochs=20, patience=20,
+                          layers=L, embed=d, unroll_steps=steps, seed=1, eta_prior=None)
+    result = net.train(prepare_data(bundle), bundle.labels, bundle.split["train"],
+                       bundle.split["val"], cfg)
+    h = hashlib.sha256()
+    for i, lp in enumerate(result.params.layers):
+        for f in net.LAYER_FIELDS:
+            h.update(f"layers.{i}.{f}".encode() + getattr(lp, f).tobytes())
+    h.update(b"p_out" + result.params.p_out.tobytes() + result.params.eta.tobytes())
+    h.update(repr([dataclasses.astuple(e) for e in result.log]
+                  + [result.best_epoch, result.best_val_loss]).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("L, d, steps, batch", list(TRAINING_DIGESTS))
+def test_training_is_pinned_bit_for_bit(monkeypatch, L, d, steps, batch):
+    # batch 1 at the criterion-8 shape, and two unroll steps at batch 2
+    got = training_digest(L, d, steps, batch)
+    monkeypatch.setattr(net, "forward", reference_forward)
+    monkeypatch.setattr(net, "backward", reference_backward)
+    assert training_digest(L, d, steps, batch) == got
+    assert got == TRAINING_DIGESTS[L, d, steps, batch]
 
 
 class TestCheckpoints:

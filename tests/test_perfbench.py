@@ -2,7 +2,8 @@
 (solvers, operators, the network) still runs and passes its correctness gate.
 
 perfbench/smoke.py checks the benchmark itself and times a sleep to 10 ms,
-too tight for a test suite; this runs only the two benchmark workloads.
+too tight for a test suite; this runs only the two benchmark workloads, and
+rhs-train once more traced, for the network's spans.
 """
 
 import json
@@ -36,3 +37,17 @@ def test_tiny_workload_passes_its_gate(checkout, workload):
     assert proc.returncode == 0, f"{proc.stdout}\n{proc.stderr}"
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, result
+
+
+def test_traced_run_reads_every_net_span(checkout):
+    # train calls forward, backward and adam_step through the module, where the
+    # tracer wraps them: a refactor that bypasses those names zeroes a span
+    proc = subprocess.run(
+        [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", "rhs-train",
+         "--size", "tiny", "--seconds", "1", "--trace", "1", "--seed", "0"],
+        cwd=checkout, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, f"{proc.stdout}\n{proc.stderr}"
+    metrics = json.loads(proc.stdout.splitlines()[-1])["metrics"]
+    for name in ("net.samples", "net.forward.train_ms", "net.backward.ms", "net.adam.us",
+                 "net.forward.infer_ms"):
+        assert metrics[name]["value"] > 0, name
