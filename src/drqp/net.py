@@ -371,7 +371,7 @@ class TrainConfig:
 
     def __post_init__(self):
         check_positive(self, "learning_rate")
-        check_positive(self, "escalated_lr", optional=True)
+        check_positive(self, "escalated_lr", "eta_prior", optional=True)
         check_counts(self, "batch_size", "max_epochs", "patience", "layers", "embed",
                      "unroll_steps")
         check_counts(self, "escalation_patience", least=0)

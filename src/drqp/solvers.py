@@ -91,7 +91,7 @@ def _chunk_length(low: float, decay: float, tol: float) -> int:
 # its chunk; the stop test turns that into status "error", so no warning is
 # raised for it
 @np.errstate(over="ignore", invalid="ignore")
-def _iterate(datas: list, cfg: SolverConfig, warms: list, bind, per_row: list) -> list:
+def _iterate(datas: list, cfg: SolverConfig, warms: list, bind, stack=None) -> list:
     """The DR iteration shared by both solvers, on a block of instances.
 
     Row i of the B x N blocks is instance datas[i]; all rows have one size
@@ -100,13 +100,13 @@ def _iterate(datas: list, cfg: SolverConfig, warms: list, bind, per_row: list) -
     many rows would pass _CHUNK_BYTES) over (C + 1, 2, B, N) slots S, S[j, 0]
     a u_tilde block and S[j, 1] a w block, so at B = 1 a slot's
     [u_tilde | w] is one vector. Iteration j of a chunk reads slot j and
-    writes slot j + 1 and its w-step into dW[j]. bind(S, UT, W, Q), with UT
-    and W the lists of S[:, 0] and S[:, 1], called at the start and after
-    each cut, gives resolve: resolve(j) writes into UT[j + 1] per row an
-    exact or approximate solution of (I+M) u_tilde = W[j] - q started from
-    UT[j]. Q holds q of the rows still iterating, rows their positions in
-    datas, per_row the block's other per-row arrays (a stack of operators),
-    read through the closure.
+    writes slot j + 1 and its w-step into dW[j]. bind(S, UT, W, Q, stack),
+    with UT and W the lists of S[:, 0] and S[:, 1], called at the start and
+    after each cut, gives resolve: resolve(j) writes into UT[j + 1] per row
+    an exact or approximate solution of (I+M) u_tilde = W[j] - q started
+    from UT[j]. Q holds q of the rows still iterating, rows their positions
+    in datas, stack the operands of a stacked block's rows, one per row
+    (None for any other block).
 
     The reflection, projection and w-step are four calls on
     dw = u - u_tilde, u = Pi(2 u_tilde - w): dw = u_tilde - w, which Pi
@@ -125,7 +125,7 @@ def _iterate(datas: list, cfg: SolverConfig, warms: list, bind, per_row: list) -
     or whose residual is at most tol ("converged"), as with a test after
     every iteration. The chunk ends at the first stop of any row, the
     stopped rows are frozen from its slot and cut from the block, Q and
-    per_row, and the others go on from that slot. So they compute the
+    stack, and the others go on from that slot. So they compute the
     iterations after the stop again, in the block without the stopped rows
     (a shared operator's product rounds by block size), and every report is
     bit for bit the one of a test after every iteration. The next chunk's
@@ -154,7 +154,7 @@ def _iterate(datas: list, cfg: SolverConfig, warms: list, bind, per_row: list) -
         S, dW = np.empty((C + 1, 2) + Q.shape), np.empty((C,) + Q.shape)
         S[0] = start
         UT, W = list(S[:, 0]), list(S[:, 1])
-        resolve, neg = bind(S, UT, W, Q), np.empty((len(Q), cone.m_nonneg))
+        resolve, neg = bind(S, UT, W, Q, stack), np.empty((len(Q), cone.m_nonneg))
         # iteration j's (u_tilde, w, dw, next w, dual columns of u_tilde and dw)
         views = list(zip(UT[1:], W, dW, W[1:], S[1:, 0, :, dual], dW[:, :, dual]))
         while True:
@@ -216,7 +216,7 @@ def _iterate(datas: list, cfg: SolverConfig, warms: list, bind, per_row: list) -
         low_before = float(resid[n - 1, keep].min())
         length = _chunk_length(low_before, decay, tol)
         rows, Q, start = rows[keep], Q[keep], S[n][:, keep]
-        per_row[:] = [a[keep] for a in per_row]
+        stack = None if stack is None else stack[keep]
 
 
 # bytes of operators one stacked block may hold: a (B, N, N) stack of
@@ -228,12 +228,12 @@ _STACK_BYTES = 64 << 20
 def _by_operator(datas: list, cfg: SolverConfig, warms, gradient: bool) -> list:
     """Solve datas in blocks of one size and cone; reports in input order.
 
-    Instances that share an operator iterate as one 2-D block (DR solves it
-    with Factorization.solve). Instances whose operator is theirs alone and
-    on the dense path (a dense inverse for DR, a dense channel pair for
-    DR-GD) are stacked by size and cone, one batched product per step, at most
-    _STACK_BYTES of operators to a block (8 N^2 bytes a row for DR, 16 N^2
-    for DR-GD); a SuperLU or sparse operator of one instance runs alone.
+    Instances that share an operator iterate as one 2-D block. Instances
+    whose operator is theirs alone and on the dense path (a dense inverse
+    for DR, a dense channel pair for DR-GD) are stacked by size and cone,
+    one batched product per step, at most _STACK_BYTES of operators to a
+    block (8 N^2 bytes a row for DR, 16 N^2 for DR-GD); a SuperLU or sparse
+    operator of one instance runs alone.
     """
     warms = [None] * len(datas) if warms is None else warms
     if len(warms) != len(datas):
@@ -253,76 +253,81 @@ def _by_operator(datas: list, cfg: SolverConfig, warms, gradient: bool) -> list:
         per = max(1, _STACK_BYTES // (row_bytes * datas[idx[0]].size ** 2))
         chunks = [idx[s:s + per] for s in range(0, len(idx), per)]
         blocks += [(chunk, len(chunk) > 1) for chunk in chunks]
+    binder = _gradient_steps if gradient else _linear_solves
     reports = [None] * len(datas)
     for idx, stacked in blocks:
-        group, per_row = [datas[i] for i in idx], []
-        if gradient:
-            etas = [cap if cfg.fixed_eta is None else min(cfg.fixed_eta, cap)
-                    for cap in (step_size_cap(d) for d in group)]
-            bind = _gradient_steps(group, cfg, etas, stacked, per_row)
-        else:
-            bind = _linear_solves(group, stacked, per_row)
-        for j, rep in enumerate(_iterate(group, cfg, [warms[i] for i in idx], bind,
-                                         per_row)):
+        group = [datas[i] for i in idx]
+        bind, stack = binder(group, cfg, stacked)
+        for j, rep in enumerate(_iterate(group, cfg, [warms[i] for i in idx], bind, stack)):
             reports[idx[j]] = rep
     return reports
 
 
-def _linear_solves(group: list, stacked: bool, per_row: list):
-    """DR's resolvent binder: w - q into a buffer R, then u_tilde. One row
-    with a dense inverse takes the GEMV np.dot(inverse, r, u_tilde), bound
-    once per block; shared rows and SuperLU take Factorization.solve; a
-    stacked block takes one batched product over the stack of inverses in
-    per_row, the same GEMV per row."""
-    if stacked:
-        per_row.append(np.stack([d.operator.factorization.inverse for d in group]))
+def _product(A: np.ndarray, B: int):
+    """(product, operands): product(*operands(x, out)) writes A x into out
+    for each row x of a dense block of B rows. One row takes the GEMV
+    np.dot(A, x[0], out[0]), a shared A np.dot(x, A.T, out), and a
+    (B, N, M) stack one GEMV per row, with one row's bits (tests pin it)."""
+    if A.ndim == 3:
+        return np.matmul, lambda x, out: (A, x[..., None], out[..., None])
+    if B == 1:
+        return np.dot, lambda x, out: (A, x[0], out[0])
+    return np.dot, lambda x, out: (x, A.T, out)
+
+
+def _linear_solves(group: list, cfg: SolverConfig, stacked: bool):
+    """DR's resolvent binder, (bind, stack): w - q into a buffer R, then
+    u_tilde = K^-1 R by _product on the dense inverse, or on a stacked
+    block's stack of the rows' own; SuperLU takes Factorization.solve."""
     factorization = group[0].operator.factorization
-    solve, inverse = factorization.solve, factorization.inverse
 
-    def bind(S, UT, W, Q):
+    def bind(S, UT, W, Q, stack):
         R = np.empty_like(Q)
-        if stacked:
-            UT3, inverses_t = list(S[:, 0, :, None]), per_row[0].transpose(0, 2, 1)
-            return lambda j: np.matmul(np.subtract(W[j], Q, R)[:, None], inverses_t,
-                                       UT3[j + 1])
-        if len(Q) == 1 and inverse is not None:
-            q, r, UT1, W1 = Q[0], R[0], list(S[:, 0, 0]), list(S[:, 1, 0])
-            return lambda j: np.dot(inverse, np.subtract(W1[j], q, r), UT1[j + 1])
-        return lambda j: solve(np.subtract(W[j], Q, R), out=UT[j + 1])
+        if factorization.inverse is None:
+            return lambda j: factorization.solve(np.subtract(W[j], Q, R), out=UT[j + 1])
+        product, operands = _product(factorization.inverse if stack is None else stack, len(Q))
+        plan = [operands(R, ut) for ut in UT[1:]]
 
-    return bind
+        def resolve(j):
+            np.subtract(W[j], Q, R)
+            product(*plan[j])
+
+        return resolve
+
+    return bind, (np.stack([d.operator.factorization.inverse for d in group])
+                  if stacked else None)
 
 
-def _gradient_steps(group: list, cfg: SolverConfig, etas: list, stacked: bool,
-                    per_row: list):
-    """DR-GD's resolvent binder: cfg.steps_per_iter gradient steps on
-    0.5||(I+M)v - (w - q)||^2 per row, at the row's step size in etas, from
-    slot j's u_tilde into slot j + 1's with w held at slot j's.
+def _gradient_steps(group: list, cfg: SolverConfig, stacked: bool):
+    """DR-GD's resolvent binder, (bind, stack): cfg.steps_per_iter gradient
+    steps on 0.5||(I+M)v - (w - q)||^2 per row, at the row's step size (the
+    cap, or cfg.fixed_eta when that is smaller), from slot j's u_tilde into
+    slot j + 1's with w held at slot j's.
 
     On a dense channel pair each step is one product and one add,
     u_tilde' = A' x + c for x = [u_tilde | w], with A' = [I - eta K'K | eta K']
-    the operator's row-major (N, 2N) step_operator(eta). One row takes the
-    GEMV np.dot(A', x); the rows X of a shared block take X @ A'.T on the
-    shared array; a stacked block takes one GEMV per row, np.matmul over a
-    (B, N, 2N) stack of each row's own A' in per_row. x is a view of a slot
-    on one row, a buffer refilled each step on several; a step after the
-    first reads slot j + 1, whose w is first set to slot j's.
+    the operator's row-major (N, 2N) step_operator(eta), multiplied by
+    _product; a stacked block's stack holds each row's own A'. x is a view
+    of a slot on one row, a buffer refilled each step on several; a step
+    after the first reads slot j + 1, whose w is first set to slot j's.
     c = -A' [0 | q] is formed at each bind by the product a step forms, so
     a row at u_tilde = 0, w = q (its subproblem solved exactly) steps to
     u_tilde' = 0 exactly. The CSR pair above model._DENSE_LIMIT takes the
     two sparse products u_tilde - eta (u_tilde K' - r) K.
     """
     N, steps = group[0].size, cfg.steps_per_iter
+    etas = [cap if cfg.fixed_eta is None else min(cfg.fixed_eta, cap)
+            for cap in map(step_size_cap, group)]
     K, Kt = group[0].operator.channel_operator
     dense = isinstance(K, np.ndarray)
-    if dense and stacked:  # each row's own, written straight into its slice
-        per_row.append(aligned_empty((len(group), N, 2 * N)))
-        for d, eta, At_row in zip(group, etas, per_row[0]):
-            d.operator.step_operator(eta, out=At_row)
-    # a shared block's A' is its operator's own; only a stack, cut as rows stop, is per-row
+    # a stacked block (only dense rows stack) holds each row's own A', written
+    # straight into its slice; a shared block's A' is its operator's own
+    stack = aligned_empty((len(group), N, 2 * N)) if stacked else None
+    for d, eta, At_row in zip(group, etas, stack if stacked else ()):
+        d.operator.step_operator(eta, out=At_row)
     shared = group[0].operator.step_operator(etas[0]) if dense and not stacked else None
 
-    def bind(S, UT, W, Q):
+    def bind(S, UT, W, Q, stack):
         B, C = len(Q), len(S) - 1
         T = np.empty((B, N))  # a step's product
         # step m of iteration j reads slot j (m = 0) or j + 1
@@ -336,20 +341,12 @@ def _gradient_steps(group: list, cfg: SolverConfig, etas: list, stacked: bool,
                     np.subtract(UT[src], T, UT[j + 1])
 
             return resolve_csr
-        At = per_row[0] if stacked else shared
         if B == 1:  # each slot's [u_tilde | w] is a view of S
             X = list(S.reshape(C + 1, 1, 2 * N))
         else:  # one buffer, refilled from slot src as [u_tilde | w] rows
             X = [np.empty((B, 2 * N))] * (C + 1)
             rows_of, slots = X[0].reshape(B, 2, N), list(S.transpose(0, 2, 1, 3))
-        # product(*operands(x, out)): the step product of the rows x into out;
-        # one row's np.dot gives it the bits of a stacked block's GEMV (tests pin it)
-        if stacked:
-            product, operands = np.matmul, lambda x, out: (At, x[..., None], out[..., None])
-        elif B == 1:
-            product, operands = np.dot, lambda x, out: (At, x[0], out[0])
-        else:
-            product, operands = np.dot, lambda x, out: (x, At.T, out)
+        product, operands = _product(shared if stack is None else stack, B)
         c = np.empty((B, N))  # -A' [0 | q] as A' [0 | -q], which rounds to its negative
         product(*operands(np.concatenate([np.zeros_like(Q), -Q], axis=1), c))
         plan = [[(src, operands(X[src], T)) for src in srcs] for srcs in sources]
@@ -365,7 +362,7 @@ def _gradient_steps(group: list, cfg: SolverConfig, etas: list, stacked: bool,
 
         return resolve
 
-    return bind
+    return bind, stack
 
 
 def dr_solve_batch(datas: list, cfg: SolverConfig = SolverConfig(),
@@ -374,7 +371,7 @@ def dr_solve_batch(datas: list, cfg: SolverConfig = SolverConfig(),
 
     Each block has one size and cone, and one operator or one distinct
     dense operator per row. Rows that share an operator make each iteration
-    one multi-right-hand-side solve, and their iterates equal dr_solve's up
+    one product with its inverse, and their iterates equal dr_solve's up
     to rounding; rows with a dense inverse of their own are stacked, one
     batched product per iteration, and equal dr_solve's bit for bit. Every
     row stops on its own, with the status and iteration count its dr_solve
@@ -385,10 +382,8 @@ def dr_solve_batch(datas: list, cfg: SolverConfig = SolverConfig(),
 
 def drgd_solve_batch(datas: list, cfg: SolverConfig = SolverConfig(),
                      warms: Optional[list] = None) -> list:
-    """drgd_solve for many instances, in the blocks of dr_solve_batch; a
-    shared block steps with its operator's step_operator(eta) itself, a
-    stacked block with a (B, N, 2N) stack of each row's own (16 N^2 bytes a
-    row against _STACK_BYTES), and each row equals its drgd_solve bit for bit.
+    """drgd_solve for many instances, in the blocks of dr_solve_batch; each
+    row equals its drgd_solve bit for bit.
 
     No pipeline stage calls it yet: compare and eval solve one instance at a
     time.
@@ -414,8 +409,7 @@ def drgd_solve(data: MonotoneData, cfg: SolverConfig = SolverConfig(),
     A' = [I - eta K'K | eta K'] with [u_tilde | w], plus c = -A' [0 | q],
     equal in exact arithmetic to u_tilde - eta K'(K u_tilde - (w - q)), with
     a rounding floor near eps sigma_max^2 ||u_tilde||; above it the two CSR
-    products. An exact
-    line search clipped at the cap would step at the cap too: its step
-    ||t||^2/||Kt||^2 >= 1/sigma_max^2 is never below it.
+    products. An exact line search clipped at the cap would step at the cap
+    too: its step ||t||^2/||Kt||^2 >= 1/sigma_max^2 is never below it.
     """
     return drgd_solve_batch([data], cfg, [warm])[0]

@@ -184,8 +184,8 @@ class Factorization:
     LU and the explicit inverse built from it, so solve() is one BLAS product,
     up to _DENSE_LIMIT and above a pivot ratio of 1e-10; SuperLU otherwise.
     inverse is that C-ordered, 64-byte aligned inverse, or None on the
-    SuperLU path; only its transpose, the operand of solve()'s product, is
-    stored. A one-row DR solve binds np.dot(inverse, b, out) once per block.
+    SuperLU path. DR multiplies by it directly, bound once per block, and
+    calls solve() only on the SuperLU path.
 
     solve() is re-entrant for distinct right-hand sides and satisfies
     ||Ax - b|| / max(1, ||b||) <= 1e-10 for well-conditioned A.
@@ -200,14 +200,14 @@ class Factorization:
             raise DimensionError("factorize: matrix must be square")
         if not np.all(np.isfinite(A.values)):
             raise SingularMatrixError("matrix has non-finite entries")
-        self.shape, self._inverse_t, self._lu = A.shape, None, None
+        self.shape, self.inverse, self._lu = A.shape, None, None
         if 0 < A.nrows <= self._DENSE_LIMIT:
             lu, piv, _ = lapack.dgetrf(A._csr.toarray(order="F"), overwrite_a=True)
             if _inverse_safe(np.diagonal(lu)):
                 # getrs against I, C-ordered: how np.linalg.inv builds its inverse
                 inv = lapack.dgetrs(lu, piv, np.eye(A.nrows, order="F"), overwrite_b=True)[0]
-                self._inverse_t = aligned_empty(inv.shape).T
-                self._inverse_t[...] = inv.T
+                self.inverse = aligned_empty(inv.shape)
+                self.inverse[...] = inv
                 return
         self._A = A
         try:
@@ -217,13 +217,9 @@ class Factorization:
         _inverse_safe(self._lu.U.diagonal())
 
     @property
-    def inverse(self) -> np.ndarray | None:
-        return None if self._inverse_t is None else self._inverse_t.T
-
-    @property
     def kind(self) -> str:
         """How solve() works: "dense-inverse" or "superlu"."""
-        return "dense-inverse" if self._inverse_t is not None else "superlu"
+        return "dense-inverse" if self.inverse is not None else "superlu"
 
     def __reduce__(self):  # SuperLU does not pickle: such a copy factorizes A again
         return (Factorization, (self._A,)) if self._lu is not None else super().__reduce__()
@@ -235,8 +231,8 @@ class Factorization:
         n = self.shape[0]
         if b.ndim not in (1, 2) or b.shape[-1] != n:
             raise DimensionError(f"solve: b has shape {b.shape}, expected ({n},) or (B, {n})")
-        if self._inverse_t is not None:
-            return np.matmul(b, self._inverse_t, out=out)
+        if self.inverse is not None:
+            return np.matmul(b, self.inverse.T, out=out)
         if out is None:
             return self._lu.solve(b.T).T
         out[...] = self._lu.solve(b.T).T

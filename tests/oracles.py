@@ -1,10 +1,10 @@
 """Independent references that tests check the solvers against: the exact
 line-search step, the Wolfe conditions, the DR-GD operator composition, an
-eager one-instance DR-GD loop and the textbook DR and DR-GD loops.
+eager one-instance DR and DR-GD loop and the textbook DR and DR-GD loops.
 
 No solver calls them; each is written from its definition, with the
-operator's CSR product and its cached transpose, or, for drgd_loop, with the
-arithmetic drgd_solve must reproduce bit for bit.
+operator's CSR product and its cached transpose, or, for eager_loop, with the
+arithmetic dr_solve and drgd_solve must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -111,48 +111,50 @@ def _stop(resid: float, w: np.ndarray, tol: float):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def drgd_loop(data: MonotoneData, cfg: SolverConfig, warm=None):
-    """DR-GD on one instance with a stop test after every iteration:
-    (status, iterations, u_tilde, u, w, residual history).
+def eager_loop(data: MonotoneData, cfg: SolverConfig, warm=None, gradient=False):
+    """DR, or DR-GD with gradient, on one instance in the arithmetic
+    dr_solve and drgd_solve must reproduce bit for bit, with a stop test
+    after every iteration: (status, iterations, u_tilde, u, w, residual
+    history).
 
-    A step is u_tilde' = A' [u_tilde | w] + c with A' the operator's dense
-    row-major step_operator(eta), one GEMV, and c = -A' [0 | q]; then
-    dw = u - u_tilde as _w_step forms it and w += dw. The last iteration's
-    u = Pi(2 u_tilde - w) and w + (u - u_tilde) are returned. An iteration
-    ends in "error" when its residual is not finite or max|w| passes 1e12,
-    in "converged" when the residual is at most tol.
+    DR's u_tilde is Factorization.solve(w - q). A DR-GD step is
+    u_tilde' = A' [u_tilde | w] + c with A' the operator's dense row-major
+    step_operator(eta), one GEMV, and c = -A' [0 | q]. Then dw = u - u_tilde
+    as _w_step forms it and w += dw. The last iteration's u = Pi(2 u_tilde - w)
+    and w + (u - u_tilde) are returned. An iteration ends in "error" when its
+    residual is not finite or max|w| passes 1e12, in "converged" when the
+    residual is at most tol.
     """
-    cap = step_size_cap(data)
-    eta = cap if cfg.fixed_eta is None else min(cfg.fixed_eta, cap)
-    At, N = data.operator.step_operator(eta), data.size
-    c = -np.dot(At, np.concatenate([np.zeros(N), data.q]))
-    state = np.zeros((2, 1, N))
-    if warm is not None:
-        state[:, 0] = warm.u_tilde, warm.w
-    x, (ut, w) = state.reshape(2 * N), state  # x = [u_tilde | w], a view
+    N = data.size
+    if gradient:
+        cap = step_size_cap(data)
+        At = data.operator.step_operator(cap if cfg.fixed_eta is None
+                                         else min(cfg.fixed_eta, cap))
+        c = -np.dot(At, np.concatenate([np.zeros(N), data.q]))
+    z = np.zeros(N)  # neither iterate is written in place
+    ut, w = (z, z) if warm is None else (warm.u_tilde.copy(), warm.w.copy())
     history = []
-    status, iters = "max_iter", cfg.max_iter
     for k in range(1, cfg.max_iter + 1):
-        for _ in range(cfg.steps_per_iter):
-            ut[0] = np.dot(At, x) + c
-        u = project_cone_dual((ut + ut - w)[0], data.cone)
-        w_out = w[0] + (u - ut[0])
-        dw = _w_step(ut[0], w[0], data)
-        w += dw
+        if gradient:
+            for _ in range(cfg.steps_per_iter):
+                ut = np.dot(At, np.concatenate([ut, w])) + c
+        else:
+            ut = data.operator.factorization.solve(w - data.q)
+        u = project_cone_dual(ut + ut - w, data.cone)
+        w_out = w + (u - ut)
+        dw = _w_step(ut, w, data)
+        w = w + dw
         history.append(math.sqrt(np.dot(dw, dw)))
         status = _stop(history[-1], w, cfg.tol_fixed_point)
         if status is not None:
-            iters = k
-            break
-    else:
-        status = "max_iter"
-    return status, iters, ut[0].copy(), u, w_out, history
+            return status, k, ut, u, w_out, history
+    return "max_iter", cfg.max_iter, ut, u, w_out, history
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def textbook_loop(data: MonotoneData, cfg: SolverConfig, warm=None, gradient=False):
     """DR, or DR-GD with gradient, on one instance as the textbook writes it,
-    with the stop test of drgd_loop after every iteration: (status,
+    with the stop test of eager_loop after every iteration: (status,
     iterations, u_tilde, u, w, residual history).
 
     u_tilde solves (I+M) u_tilde = w - q, or takes cfg.steps_per_iter steps

@@ -163,10 +163,12 @@ class TestTrainEval:
          "escalation_min_delta must lie in [0, 1)"),
         (["--escalate-lr", "1e-4", "--escalate-min-delta", "1"],
          "escalation_min_delta must lie in [0, 1)"),
-        (["--eta-prior", "nan"], "eta priors must be positive and finite"),
-        (["--eta-prior", "inf"], "eta priors must be positive and finite"),
+        (["--eta-prior", "nan"], "eta_prior must be positive and finite"),
+        (["--eta-prior", "inf"], "eta_prior must be positive and finite"),
+        (["--eta-prior", "-1"], "eta_prior must be positive and finite"),
     ], ids=["escalate-patience-negative", "escalate-min-delta-nan",
-            "escalate-min-delta-one", "eta-prior-nan", "eta-prior-inf"])
+            "escalate-min-delta-one", "eta-prior-nan", "eta-prior-inf",
+            "eta-prior-negative"])
     def test_escalation_and_eta_prior_checked(self, bundle_dir, tmp_path, capsys,
                                               flags, problem):
         # the escalation settings used to train and write a checkpoint; a

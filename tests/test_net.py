@@ -83,6 +83,10 @@ class TestInitParams:
     def test_eta_prior_positive_required(self):
         with pytest.raises(ValueError):
             net.init_params(2, 4, eta_prior=0.0)
+        # a negative prior used to build and fail only inside train
+        with pytest.raises(ValueError, match="eta_prior must be positive and finite"):
+            net.TrainConfig(eta_prior=-1.0)
+        assert net.TrainConfig(eta_prior=None).eta_prior is None
 
 
 def _gen_spec(**kw):
@@ -125,9 +129,11 @@ def test_generator_widths_are_checked(field, value, message):
     ("learning_rate", "learning_rate must be positive and finite"),
     ("escalated_lr", "escalated_lr must be positive and finite"),
     ("escalation_min_delta", r"escalation_min_delta must lie in \[0, 1\)"),
-], ids=["learning_rate", "escalated_lr", "escalation_min_delta"])
+    ("eta_prior", "eta_prior must be positive and finite"),
+], ids=["learning_rate", "escalated_lr", "escalation_min_delta", "eta_prior"])
 def test_train_rates_are_not_bools(field, message):
-    # 0 < True < inf, and 0 <= False < 1: a bool passed as a number
+    # 0 < True < inf, and 0 <= False < 1: a bool passed as a number (eta_prior=True
+    # used to train at a prior of 1.0)
     with pytest.raises(ValueError, match=message):
         net.TrainConfig(**{field: field != "escalation_min_delta"})
 

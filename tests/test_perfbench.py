@@ -3,7 +3,7 @@
 
 perfbench/smoke.py checks the benchmark itself and times a sleep to 10 ms,
 too tight for a test suite; this runs only the two benchmark workloads, and
-rhs-train once more traced, for the network's spans.
+rhs-train once more traced, for the network's and the solvers' spans.
 """
 
 import json
@@ -41,7 +41,11 @@ def test_tiny_workload_passes_its_gate(checkout, workload):
 
 def test_traced_run_reads_every_net_span(checkout):
     # train calls forward, backward and adam_step through the module, where the
-    # tracer wraps them: a refactor that bypasses those names zeroes a span
+    # tracer wraps them: a refactor that bypasses those names zeroes a span.
+    # So do the solver spans and counters: the tracer wraps report.dr_solve,
+    # report.drgd_solve, solvers.quality and solvers.project_cone_dual.
+    # sparse.solve.calls wraps Factorization.solve, which no dense DR block
+    # calls, and reads 0 by design
     proc = subprocess.run(
         [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", "rhs-train",
          "--size", "tiny", "--seconds", "1", "--trace", "1", "--seed", "0"],
@@ -49,5 +53,6 @@ def test_traced_run_reads_every_net_span(checkout):
     assert proc.returncode == 0, f"{proc.stdout}\n{proc.stderr}"
     metrics = json.loads(proc.stdout.splitlines()[-1])["metrics"]
     for name in ("net.samples", "net.forward.train_ms", "net.backward.ms", "net.adam.us",
-                 "net.forward.infer_ms"):
+                 "net.forward.infer_ms", "solvers.dr.iters", "solvers.drgd.iters",
+                 "solvers.warm.iters", "model.quality.calls", "model.project.calls"):
         assert metrics[name]["value"] > 0, name

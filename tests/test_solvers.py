@@ -1,4 +1,6 @@
 import copy
+import dataclasses
+import hashlib
 import math
 import pickle
 import tracemalloc
@@ -17,7 +19,7 @@ from drqp.solvers import (CHUNK, IterateState, SolverConfig, dr_solve, dr_solve_
                           drgd_solve, drgd_solve_batch, step_size_cap,
                           warm_start_from_solution)
 from drqp.sparse import Factorization, spmv
-from oracles import (dr_operator_apply, drgd_loop, exact_linesearch_step, textbook_loop,
+from oracles import (dr_operator_apply, eager_loop, exact_linesearch_step, textbook_loop,
                      wolfe_check)
 
 
@@ -395,46 +397,6 @@ def short_warms(datas):
             for i, d in enumerate(datas)]
 
 
-def vector_loop(data, cfg, warm=None, gradient=False):
-    """The one-instance DR loop the block driver replaced, in the solvers'
-    arithmetic, as the reference: (status, iterations, u_tilde, u, w,
-    residual history). A DR-GD step is A' [u_tilde | w] + c, one GEMV, with
-    A' the operator's row-major step_operator(eta) and c = -A' [0 | q]; the
-    w-step is dw = u_tilde - w, max(dw, -u_tilde) on the nonnegative dual
-    entries, and the w returned is the last one's w + (u - u_tilde)."""
-    N, tail = data.size, data.size - data.cone.m_nonneg
-    if gradient:
-        cap = step_size_cap(data)
-        At = data.operator.step_operator(cap if cfg.fixed_eta is None
-                                         else min(cfg.fixed_eta, cap))
-        c = -np.dot(At, np.concatenate([np.zeros(N), data.q]))
-    z = np.zeros(N)
-    ut, u, w = (z.copy(), z.copy(), z.copy()) if warm is None else (
-        warm.u_tilde.copy(), warm.u.copy(), warm.w.copy())
-    history = []
-    status, iters = "max_iter", cfg.max_iter
-    for k in range(1, cfg.max_iter + 1):
-        if gradient:
-            for _ in range(cfg.steps_per_iter):
-                ut = np.dot(At, np.concatenate([ut, w])) + c
-        else:
-            ut = data.operator.factorization.solve(w - data.q)
-        u = project_cone_dual(2.0 * ut - w, data.cone)
-        w_out = w + (u - ut)
-        dw = ut - w
-        dw[tail:] = np.maximum(dw[tail:], -ut[tail:])
-        w = w + dw
-        resid = float(np.sqrt(dw @ dw))
-        history.append(resid)
-        if not np.isfinite(resid) or not (np.abs(w).max() <= 1e12):
-            status, iters = "error", k
-            break
-        if resid <= cfg.tol_fixed_point:
-            status, iters = "converged", k
-            break
-    return status, iters, ut, u, w_out, history
-
-
 class TestBatch:
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     def test_one_row_dr_equals_vector_loop(self, rhs_datas, warm):
@@ -445,7 +407,7 @@ class TestBatch:
             cfg = SolverConfig(record_history=record_history)
             for data, w in zip(rhs_datas, warms):
                 rep = dr_solve(data, cfg, warm=w)
-                status, iters, ut, u, wv, history = vector_loop(data, cfg, w)
+                status, iters, ut, u, wv, history = eager_loop(data, cfg, w)
                 assert (rep.status, rep.iterations) == (status, iters)
                 for got, ref in zip((rep.state.u_tilde, rep.state.u, rep.state.w),
                                     (ut, u, wv)):
@@ -524,7 +486,7 @@ class TestBatch:
         assert reports[2].status == "error"
         assert reports[2].iterations == 1
         assert reports[2].message == "divergent iterate"
-        _, _, ut, _, _, _ = vector_loop(rhs_datas[2], cfg, warms[2], gradient=solver == "drgd")
+        ut = eager_loop(rhs_datas[2], cfg, warms[2], gradient=solver == "drgd")[2]
         np.testing.assert_array_equal(reports[2].state.u_tilde, ut)
         for i, (data, rep) in enumerate(zip(rhs_datas, reports)):
             if i != 2:
@@ -668,8 +630,8 @@ class TestBatch:
         rep = drgd_solve(data, cfg, warm=IterateState(z, z.copy(), w))
         assert (rep.status, rep.iterations, rep.message) == ("error", 1, "divergent iterate")
         assert np.isnan(rep.state.u_tilde).any()
-        np.testing.assert_array_equal(rep.state.u_tilde,
-                                      drgd_loop(data, cfg, IterateState(z, z.copy(), w))[2])
+        loop = eager_loop(data, cfg, IterateState(z, z.copy(), w), gradient=True)
+        np.testing.assert_array_equal(rep.state.u_tilde, loop[2])
         if record_history:
             assert len(rep.residual_history) == 1 and math.isnan(rep.residual_history[0])
 
@@ -784,8 +746,9 @@ class TestChunks:
         cfg = SolverConfig(max_iter=max_iter, steps_per_iter=steps,
                            record_history=record_history)
         for data in distinct_datas[:2] + rhs_datas[:1]:
-            assert_is_loop(drgd_solve(data, cfg), drgd_loop(data, cfg), record_history)
-            assert_is_loop(dr_solve(data, cfg), vector_loop(data, cfg), record_history)
+            assert_is_loop(drgd_solve(data, cfg), eager_loop(data, cfg, gradient=True),
+                           record_history)
+            assert_is_loop(dr_solve(data, cfg), eager_loop(data, cfg), record_history)
 
     @pytest.mark.parametrize("solver", BATCH_SOLVERS)
     @pytest.mark.parametrize("at", [CHUNK - 1, CHUNK, CHUNK + 1])
@@ -800,7 +763,7 @@ class TestChunks:
         cfg = SolverConfig(tol_fixed_point=history[at - 1], record_history=True)
         rep = single(data, cfg)
         assert (rep.status, rep.iterations) == ("converged", at)
-        loop = drgd_loop(data, cfg) if solver == "drgd" else vector_loop(data, cfg)
+        loop = eager_loop(data, cfg, gradient=solver == "drgd")
         assert_is_loop(rep, loop, True)
 
     @pytest.mark.parametrize("warm", [0.0, 6e11], ids=["cold", "huge-warm"])
@@ -816,8 +779,8 @@ class TestChunks:
             dr, gd = dr_solve(data, cfg, warm=start), drgd_solve(data, cfg, warm=start)
             for rep in (dr, gd):
                 assert rep.status == "error" and rep.iterations % CHUNK not in (0, 1)
-            assert_is_loop(dr, vector_loop(data, cfg, start), record_history)
-            assert_is_loop(gd, drgd_loop(data, cfg, start), record_history)
+            assert_is_loop(dr, eager_loop(data, cfg, start), record_history)
+            assert_is_loop(gd, eager_loop(data, cfg, start, gradient=True), record_history)
 
     @pytest.mark.parametrize("steps", [1, 3])
     @pytest.mark.parametrize("record_history", [True, False], ids=["history", "no-history"])
@@ -834,7 +797,7 @@ class TestChunks:
         reports = drgd_solve_batch(distinct_datas, cfg, warms)
         assert reports[4].status == "error"
         for data, start, rep in zip(distinct_datas, warms, reports):
-            assert_is_loop(rep, drgd_loop(data, cfg, start), record_history)
+            assert_is_loop(rep, eager_loop(data, cfg, start, gradient=True), record_history)
 
 
 @pytest.mark.parametrize("solver, steps", [("dr", 1), ("drgd", 1), ("drgd", 3)])
@@ -858,6 +821,74 @@ def test_solves_near_textbook_loop(rhs_datas, distinct_datas, solver, steps, war
         for a, b in zip(got, ref):
             assert np.max(np.abs(np.subtract(a, b))) <= 1e-12 * max(1.0, np.max(np.abs(b)))
 
+
+
+# -- every solve path pinned bit for bit ----------------------------------------
+
+def solve_digest(sparse=False):
+    """sha256 over the status, iterations, message, u_tilde, u, w, x, y,
+    metrics and history of every report of DR and DR-GD: one row, a shared
+    block, stacked blocks and a mixed batch (shared, stacked and another
+    size), cold and warm, steps 1 and 3, a fixed step capped on some rows,
+    history on and off; then label_bundle's labels.
+
+    sparse (both dense limits at 0) leaves the stacked blocks out and stops
+    at tol 1e-3 or 150 iterations: the CSR pair's DR-GD steps cost about
+    70 us each, and every row there runs alone or in its shared block."""
+    h = hashlib.sha256()
+
+    def update(rep):
+        history = b"none" if rep.residual_history is None else np.array(
+            rep.residual_history, dtype=float).tobytes()
+        h.update(repr((rep.status, rep.iterations, rep.message,
+                       dataclasses.astuple(rep.metrics))).encode() + history)
+        for a in (rep.state.u_tilde, rep.state.u, rep.state.w, rep.x, rep.y):
+            h.update(a.tobytes())
+
+    rhs = prepare_data(generate(GenSpec(family="qp_rhs", count=6, seed=11, n=16)))
+    pf = prepare_data(generate(GenSpec(family="portfolio", count=3, seed=3, k=1)))
+    pt = prepare_data(generate(GenSpec(family="qp_perturbed", count=3, seed=3, n=12)))
+    other = prepare_data(generate(GenSpec(family="qp_perturbed", count=1, seed=2, n=8)))
+    distinct = [pf[0], pt[0], pf[1], pt[1], pf[2], pt[2]]
+    mixed = [pf[0], rhs[0], other[0], pt[0], pf[1], rhs[1], pf[2]]
+    caps = sorted(step_size_cap(d) for d in distinct)
+    limits = dict(tol_fixed_point=1e-3, max_iter=150) if sparse else {}
+    for solver, runs in (("dr", [(1, None)]),
+                         ("drgd", [(1, None), (3, None), (1, caps[len(caps) // 2])])):
+        single, batch = BATCH_SOLVERS[solver]
+        for (steps, fixed_eta), record_history in zip(runs * 2, [True] * 3 + [False] * 3):
+            cfg = SolverConfig(steps_per_iter=steps, fixed_eta=fixed_eta,
+                               record_history=record_history, **limits)
+            for datas in (rhs, mixed) if sparse else (rhs, distinct, mixed):
+                for warms in ([None] * len(datas), short_warms(datas)):
+                    for rep in [single(d, cfg, warm=w) for d, w in zip(datas, warms)]:
+                        update(rep)
+                    for rep in batch(datas, cfg, warms):
+                        update(rep)
+    for family, kw in (("qp_rhs", dict(n=16)), ("portfolio", dict(k=1))):
+        bundle, excluded = label_bundle(generate(GenSpec(family=family, count=4, seed=5, **kw)))
+        assert excluded == []
+        for x, y in bundle.labels:
+            h.update(x.tobytes() + y.tobytes())
+    return h.hexdigest()
+
+
+# solve_digest at the one-product-per-row resolvents, with both dense limits
+# at their defaults and at 0 (numpy 2.4.6, scipy-openblas 0.3.31, x86-64, one
+# BLAS thread)
+SOLVE_DIGESTS = {
+    "dense": "932dc38c0c3fdea0ccfea8bd5ca9bb51c6c25eea0c71d20c948facf6ca247e0b",
+    "sparse": "7db5272226905d560a3d554ad4670672f86d69ae41bb0127dfdb739f8d78671e",
+}
+
+
+@pytest.mark.parametrize("limits", list(SOLVE_DIGESTS))
+def test_every_solve_path_is_pinned(monkeypatch, limits):
+    # "sparse" sets both dense limits to 0: SuperLU for DR, the CSR pair for DR-GD
+    if limits == "sparse":
+        monkeypatch.setattr(Factorization, "_DENSE_LIMIT", 0)
+        monkeypatch.setattr(model, "_DENSE_LIMIT", 0)
+    assert solve_digest(sparse=limits == "sparse") == SOLVE_DIGESTS[limits]
 
 @pytest.mark.parametrize("dense_limit", [1024, 0], ids=["inverse", "superlu"])
 def test_solved_instance_copies(monkeypatch, dense_limit):
@@ -961,10 +992,10 @@ def test_step_operators_are_row_major(monkeypatch, rhs_datas, distinct_datas):
 
 
 def test_one_row_dense_dr_binds_its_inverse(monkeypatch, rhs_datas, distinct_datas):
-    # one row with a dense inverse steps by np.dot on the C-ordered inverse
-    # (64-byte aligned), bound once per block, and so does each row of a
-    # stacked block: no Factorization.solve call per iteration; a shared
-    # block and SuperLU still solve through it
+    # every dense DR block multiplies by the C-ordered inverse (64-byte
+    # aligned), or a stack of the rows' own, bound once per block: one row, a
+    # shared block and a stacked block call no Factorization.solve; SuperLU
+    # calls it once per iteration, on the whole block
     inverse = rhs_datas[0].operator.factorization.inverse
     assert inverse.flags.c_contiguous and inverse.ctypes.data % 64 == 0
     calls = []
@@ -975,14 +1006,16 @@ def test_one_row_dense_dr_binds_its_inverse(monkeypatch, rhs_datas, distinct_dat
     for data in (rhs_datas[0], distinct_datas[0], distinct_datas[1]):
         assert dr_solve(data, cfg).iterations > 1
     dr_solve_batch(distinct_datas, cfg)
-    assert calls == []
     dr_solve_batch(rhs_datas, cfg)
-    assert calls and calls[0] == len(rhs_datas)
-    calls.clear()
+    assert calls == []
     monkeypatch.setattr(Factorization, "_DENSE_LIMIT", 0)
-    data = prepare_data(generate(GenSpec(family="qp_rhs", count=1, seed=11, n=16)))[0]
-    assert data.operator.factorization.kind == "superlu"
-    assert 1 < dr_solve(data, cfg).iterations <= len(calls)
+    datas = prepare_data(generate(GenSpec(family="qp_rhs", count=3, seed=11, n=16)))
+    assert datas[0].operator.factorization.kind == "superlu"
+    assert dr_solve(datas[0], cfg).status == "max_iter"
+    assert calls == [1] * cfg.max_iter
+    calls.clear()
+    assert {r.status for r in dr_solve_batch(datas, cfg)} == {"max_iter"}
+    assert calls == [3] * cfg.max_iter
 
 
 def test_drgd_solve_peak_memory():
