@@ -313,7 +313,9 @@ def _gradient_steps(group: list, cfg: SolverConfig, stacked: bool):
     c = -A' [0 | q] is formed at each bind by the product a step forms, so
     a row at u_tilde = 0, w = q (its subproblem solved exactly) steps to
     u_tilde' = 0 exactly. The CSR pair above model._DENSE_LIMIT takes the
-    two sparse products u_tilde - eta (u_tilde K' - r) K.
+    two sparse products u_tilde - eta K'(K u_tilde - r), each with the
+    sparse matrix on the left: a dense left operand makes scipy transpose
+    the sparse one at every call.
     """
     N, steps = group[0].size, cfg.steps_per_iter
     etas = [cap if cfg.fixed_eta is None else min(cfg.fixed_eta, cap)
@@ -337,7 +339,8 @@ def _gradient_steps(group: list, cfg: SolverConfig, stacked: bool):
                 if steps > 1:
                     np.copyto(W[j + 1], W[j])
                 for src in sources[j]:
-                    np.multiply((UT[src] @ Kt - (W[src] - Q)) @ K, etas[0], out=T)
+                    R = (K @ UT[src].T).T - (W[src] - Q)
+                    np.multiply((Kt @ R.T).T, etas[0], out=T)
                     np.subtract(UT[src], T, UT[j + 1])
 
             return resolve_csr
