@@ -50,7 +50,9 @@ class SolveReport:
 
 
 def step_size_cap(data: MonotoneData) -> float:
-    """Safeguard cap SAFEGUARD_RHO / sigma_max(I+M)^2.
+    """Safeguard cap SAFEGUARD_RHO / sigma_max(I+M)^2 of a step on I+M itself,
+    the bound on cfg.fixed_eta (DR-GD's default step takes the same fraction
+    of 1 / sigma_max(I + alpha M)^2 on the scaled inclusion, see drgd_solve).
 
     sym(I+M) >= I because P is PSD, so the strong-monotonicity constant is
     at least 1 and the cap keeps the reflected gradient map nonexpansive.
@@ -91,7 +93,8 @@ def _chunk_length(low: float, decay: float, tol: float) -> int:
 # its chunk; the stop test turns that into status "error", so no warning is
 # raised for it
 @np.errstate(over="ignore", invalid="ignore")
-def _iterate(datas: list, cfg: SolverConfig, warms: list, bind, stack=None) -> list:
+def _iterate(datas: list, cfg: SolverConfig, warms: list, bind, stack=None,
+             alphas=None) -> list:
     """The DR iteration shared by both solvers, on a block of instances.
 
     Row i of the B x N blocks is instance datas[i]; all rows have one size
@@ -107,6 +110,13 @@ def _iterate(datas: list, cfg: SolverConfig, warms: list, bind, stack=None) -> l
     from UT[j]. Q holds q of the rows still iterating, rows their positions
     in datas, stack the operands of a stacked block's rows, one per row
     (None for any other block).
+
+    alphas, one per row (None when all are 1), scales the inclusion a row
+    iterates on (see Operator.resolvent_scale): its Q holds alpha q, its
+    warm w enters as w_a = (1 - alpha) u_tilde + alpha w, it stops at a
+    residual of alpha tol, and its report's w leaves as u_tilde + (w_a -
+    u_tilde) / alpha, in I+M's convention again. A row at alpha = 1 runs
+    none of these maps; rows of one alpha keep one scalar tolerance.
 
     The reflection, projection and w-step are four calls on
     dw = u - u_tilde, u = Pi(2 u_tilde - w): dw = u_tilde - w, which Pi
@@ -133,7 +143,7 @@ def _iterate(datas: list, cfg: SolverConfig, warms: list, bind, stack=None) -> l
     the last chunk, reaches tol, so a block computes few iterations past a
     stop. Reports come back in the order of datas.
     """
-    cone, tol = datas[0].cone, cfg.tol_fixed_point
+    cone, tols = datas[0].cone, cfg.tol_fixed_point
     dual = slice(datas[0].size - cone.m_nonneg, None)  # the nonnegative dual columns
     rows = np.arange(len(datas))
     Q = np.stack([d.q for d in datas])
@@ -141,6 +151,15 @@ def _iterate(datas: list, cfg: SolverConfig, warms: list, bind, stack=None) -> l
     for j, warm in enumerate(warms):
         if warm is not None:
             start[:, j] = warm.u_tilde, warm.w
+    if alphas is not None:
+        alphas = np.array(alphas)
+        mapped = alphas != 1.0
+        a, (ut0, w0) = alphas[mapped, None], start[:, mapped]
+        Q[mapped] *= a
+        start[1, mapped] = (1.0 - a) * ut0 + a * w0
+        # each row's alpha tol, one float when the rows share alpha
+        tols = tols * (alphas if (alphas != alphas[0]).any() else float(alphas[0]))
+    tol = float(np.max(tols))  # the largest row tolerance, for the cheap tests
     histories = [[] for _ in datas] if cfg.record_history else None
     reports = [None] * len(datas)
     # an upper bound on max|W| over the rows (NaN if a w is, which forces
@@ -177,7 +196,7 @@ def _iterate(datas: list, cfg: SolverConfig, warms: list, bind, stack=None) -> l
             else:
                 w_max = np.abs(S[1:n + 1, 1]).max(axis=2)
                 error = ~np.isfinite(resid) | ~(w_max <= _DIVERGENCE_LIMIT)
-                done = error | (resid <= tol)
+                done = error | (resid <= tols)
                 # the chunk ends at its first stop, so every row computed
                 # after it is computed again in the block without the
                 # stopped rows, as without chunks
@@ -201,12 +220,15 @@ def _iterate(datas: list, cfg: SolverConfig, warms: list, bind, stack=None) -> l
         for j in np.flatnonzero(ends):
             i, ut, w = rows[j], S[n, 0, j].copy(), S[n - 1, 1, j]
             u = project_cone_dual(ut + ut - w, cone)
+            w = w + (u - ut)
+            if alphas is not None and alphas[j] != 1.0:
+                w = ut + (w - ut) / alphas[j]
             status = "max_iter" if stop is None or not stop[j] else (
                 "error" if error[j] else "converged")
             x, y = u[:datas[i].n], u[datas[i].n:]
             reports[i] = SolveReport(
                 status=status, iterations=k,
-                state=IterateState(ut, u, w + (u - ut)),
+                state=IterateState(ut, u, w),
                 x=x, y=y, metrics=quality(datas[i].cqp, x, y),
                 residual_history=None if histories is None else histories[i],
                 message="divergent iterate" if status == "error" else "")
@@ -217,6 +239,11 @@ def _iterate(datas: list, cfg: SolverConfig, warms: list, bind, stack=None) -> l
         length = _chunk_length(low_before, decay, tol)
         rows, Q, start = rows[keep], Q[keep], S[n][:, keep]
         stack = None if stack is None else stack[keep]
+        if alphas is not None:
+            alphas = alphas[keep]
+            if np.ndim(tols):
+                tols = tols[keep]
+                tol = float(tols.max())
 
 
 # bytes of operators one stacked block may hold: a (B, N, N) stack of
@@ -257,8 +284,8 @@ def _by_operator(datas: list, cfg: SolverConfig, warms, gradient: bool) -> list:
     reports = [None] * len(datas)
     for idx, stacked in blocks:
         group = [datas[i] for i in idx]
-        bind, stack = binder(group, cfg, stacked)
-        for j, rep in enumerate(_iterate(group, cfg, [warms[i] for i in idx], bind, stack)):
+        block = _iterate(group, cfg, [warms[i] for i in idx], *binder(group, cfg, stacked))
+        for j, rep in enumerate(block):
             reports[idx[j]] = rep
     return reports
 
@@ -276,7 +303,7 @@ def _product(A: np.ndarray, B: int):
 
 
 def _linear_solves(group: list, cfg: SolverConfig, stacked: bool):
-    """DR's resolvent binder, (bind, stack): w - q into a buffer R, then
+    """DR's resolvent binder, (bind, stack, None): w - q into a buffer R, then
     u_tilde = K^-1 R by _product on the dense inverse, or on a stacked
     block's stack of the rows' own; SuperLU takes Factorization.solve."""
     factorization = group[0].operator.factorization
@@ -295,52 +322,69 @@ def _linear_solves(group: list, cfg: SolverConfig, stacked: bool):
         return resolve
 
     return bind, (np.stack([d.operator.factorization.inverse for d in group])
-                  if stacked else None)
+                  if stacked else None), None
 
 
 def _gradient_steps(group: list, cfg: SolverConfig, stacked: bool):
-    """DR-GD's resolvent binder, (bind, stack): cfg.steps_per_iter gradient
-    steps on 0.5||(I+M)v - (w - q)||^2 per row, at the row's step size (the
-    cap, or cfg.fixed_eta when that is smaller), from slot j's u_tilde into
-    slot j + 1's with w held at slot j's.
+    """DR-GD's resolvent binder, (bind, stack, alphas): cfg.steps_per_iter
+    gradient steps on 0.5||K_a v - (w - alpha q)||^2 per row, K_a = I +
+    alpha M, at the row's step size, from slot j's u_tilde into slot j + 1's
+    with w held at slot j's.
+
+    At the default step (no cfg.fixed_eta) a row iterates on the inclusion
+    scaled by its operator's resolvent_scale alpha, at the cap SAFEGUARD_RHO
+    / sigma_max(K_a)^2; alphas holds the rows' alpha for _iterate's maps and
+    tolerances, or is None when every alpha is 1. A fixed step is min(
+    cfg.fixed_eta, step_size_cap) on I+M itself (alpha = 1).
 
     On a dense channel pair each step is one product and one add,
-    u_tilde' = A' x + c for x = [u_tilde | w], with A' = [I - eta K'K | eta K']
-    the operator's row-major (N, 2N) step_operator(eta), multiplied by
-    _product; a stacked block's stack holds each row's own A'. x is a view
-    of a slot on one row, a buffer refilled each step on several; a step
-    after the first reads slot j + 1, whose w is first set to slot j's.
-    c = -A' [0 | q] is formed at each bind by the product a step forms, so
-    a row at u_tilde = 0, w = q (its subproblem solved exactly) steps to
-    u_tilde' = 0 exactly. The CSR pair above model._DENSE_LIMIT takes the
-    two sparse products u_tilde - eta K'(K u_tilde - r), each with the
-    sparse matrix on the left: a dense left operand makes scipy transpose
-    the sparse one at every call.
+    u_tilde' = A' x + c for x = [u_tilde | w], with A' = [I - eta K_a'K_a |
+    eta K_a'] the operator's row-major (N, 2N) step_operator(eta, alpha),
+    multiplied by _product; a stacked block's stack holds each row's own
+    A'. x is a view of a slot on one row, a buffer refilled each step on
+    several; a step after the first reads slot j + 1, whose w is first set
+    to slot j's. c = -A' [0 | alpha q] is formed at each bind by the product
+    a step forms, so a row at u_tilde = 0, w = alpha q (its subproblem
+    solved exactly) steps to u_tilde' = 0 exactly. The CSR pair above
+    model._DENSE_LIMIT takes the two sparse products u_tilde - eta K_a'(K_a
+    u_tilde - r), K_a x as (1 - alpha) x + alpha K x, each with the sparse
+    matrix on the left: a dense left operand makes scipy transpose the
+    sparse one at every call.
     """
     N, steps = group[0].size, cfg.steps_per_iter
-    etas = [cap if cfg.fixed_eta is None else min(cfg.fixed_eta, cap)
-            for cap in map(step_size_cap, group)]
+    if cfg.fixed_eta is None:
+        alphas = [d.operator.resolvent_scale for d in group]
+        etas = [SAFEGUARD_RHO / d.operator.scaled_sigma_max ** 2 for d in group]
+    else:
+        alphas = [1.0] * len(group)
+        etas = [min(cfg.fixed_eta, cap) for cap in map(step_size_cap, group)]
     K, Kt = group[0].operator.channel_operator
     dense = isinstance(K, np.ndarray)
     # a stacked block (only dense rows stack) holds each row's own A', written
     # straight into its slice; a shared block's A' is its operator's own
     stack = aligned_empty((len(group), N, 2 * N)) if stacked else None
-    for d, eta, At_row in zip(group, etas, stack if stacked else ()):
-        d.operator.step_operator(eta, out=At_row)
-    shared = group[0].operator.step_operator(etas[0]) if dense and not stacked else None
+    for d, eta, alpha, At_row in zip(group, etas, alphas, stack if stacked else ()):
+        d.operator.step_operator(eta, alpha, out=At_row)
+    shared = (group[0].operator.step_operator(etas[0], alphas[0])
+              if dense and not stacked else None)
 
     def bind(S, UT, W, Q, stack):
         B, C = len(Q), len(S) - 1
         T = np.empty((B, N))  # a step's product
         # step m of iteration j reads slot j (m = 0) or j + 1
         sources = [[j + (m > 0) for m in range(steps)] for j in range(C)]
-        if not dense:
+        if not dense:  # one operator, so one alpha
+            alpha = alphas[0]
+
+            def scaled(A, X):  # the rows of X times (1 - alpha) I + alpha A'
+                P = (A @ X.T).T
+                return P if alpha == 1.0 else (1.0 - alpha) * X + alpha * P
+
             def resolve_csr(j):
                 if steps > 1:
                     np.copyto(W[j + 1], W[j])
                 for src in sources[j]:
-                    R = (K @ UT[src].T).T - (W[src] - Q)
-                    np.multiply((Kt @ R.T).T, etas[0], out=T)
+                    np.multiply(scaled(Kt, scaled(K, UT[src]) - (W[src] - Q)), etas[0], out=T)
                     np.subtract(UT[src], T, UT[j + 1])
 
             return resolve_csr
@@ -350,7 +394,7 @@ def _gradient_steps(group: list, cfg: SolverConfig, stacked: bool):
             X = [np.empty((B, 2 * N))] * (C + 1)
             rows_of, slots = X[0].reshape(B, 2, N), list(S.transpose(0, 2, 1, 3))
         product, operands = _product(shared if stack is None else stack, B)
-        c = np.empty((B, N))  # -A' [0 | q] as A' [0 | -q], which rounds to its negative
+        c = np.empty((B, N))  # -A' [0 | Q] as A' [0 | -Q], which rounds to its negative
         product(*operands(np.concatenate([np.zeros_like(Q), -Q], axis=1), c))
         plan = [[(src, operands(X[src], T)) for src in srcs] for srcs in sources]
 
@@ -365,7 +409,7 @@ def _gradient_steps(group: list, cfg: SolverConfig, stacked: bool):
 
         return resolve
 
-    return bind, stack
+    return bind, stack, None if all(alpha == 1.0 for alpha in alphas) else alphas
 
 
 def dr_solve_batch(datas: list, cfg: SolverConfig = SolverConfig(),
@@ -405,14 +449,27 @@ def drgd_solve(data: MonotoneData, cfg: SolverConfig = SolverConfig(),
     """DR splitting with the linear solve replaced by gradient steps.
 
     Each outer iteration takes cfg.steps_per_iter gradient steps on the
-    least-squares subproblem at the safeguard cap, or at cfg.fixed_eta when
-    that is smaller, then applies the same projection and w updates as
-    dr_solve. No factorization is performed. Up to model._DENSE_LIMIT a
-    step is one GEMV of the operator's row-major step operator
-    A' = [I - eta K'K | eta K'] with [u_tilde | w], plus c = -A' [0 | q],
-    equal in exact arithmetic to u_tilde - eta K'(K u_tilde - (w - q)), with
-    a rounding floor near eps sigma_max^2 ||u_tilde||; above it the two CSR
-    products. An exact line search clipped at the cap would step at the cap
-    too: its step ||t||^2/||Kt||^2 >= 1/sigma_max^2 is never below it.
+    least-squares subproblem, then applies the same projection and w
+    updates as dr_solve. No factorization is performed.
+
+    By default the iteration runs on 0 in alpha M u + alpha q + N(u), which
+    has the solutions of the unscaled inclusion, with alpha the operator's
+    resolvent_scale: 1 when sigma_max(I+M)^2 <= 2, else (sigma_max^2 -
+    1)^(-1/2), so that ||alpha M|| <= 1. Its steps are at the safeguard cap
+    SAFEGUARD_RHO / sigma_max(I + alpha M)^2 >= SAFEGUARD_RHO / 4, and it
+    stops at a residual of alpha tol, which bounds the KKT residual of an
+    exact resolvent by (1 + alpha ||M||) tol <= 2 tol. The warm w enters as
+    (1 - alpha) u_tilde + alpha w and the report's w leaves as u_tilde +
+    (w - u_tilde) / alpha, so both keep I+M's convention; the residual
+    history is the scaled one. With cfg.fixed_eta the step is min(
+    fixed_eta, step_size_cap) on I+M itself (alpha = 1).
+
+    Up to model._DENSE_LIMIT a step is one GEMV of the operator's row-major
+    step operator A' = [I - eta K_a'K_a | eta K_a'], K_a = I + alpha M, with
+    [u_tilde | w], plus c = -A' [0 | alpha q], equal in exact arithmetic to
+    u_tilde - eta K_a'(K_a u_tilde - (w - alpha q)), with a rounding floor
+    near eps sigma_max(K_a)^2 ||u_tilde||; above it the two CSR products.
+    An exact line search clipped at the cap would step at the cap too: its
+    step ||t||^2/||K_a t||^2 >= 1/sigma_max(K_a)^2 is never below it.
     """
     return drgd_solve_batch([data], cfg, [warm])[0]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from drqp.model import MonotoneData, project_cone_dual
-from drqp.solvers import SolverConfig, step_size_cap
+from drqp.solvers import SAFEGUARD_RHO, SolverConfig, step_size_cap
 from drqp.sparse import spmv
 
 
@@ -103,6 +103,17 @@ def _w_step(ut: np.ndarray, w: np.ndarray, data: MonotoneData) -> np.ndarray:
     return dw
 
 
+def step_and_scale(data: MonotoneData, cfg: SolverConfig) -> tuple:
+    """(eta, alpha) of a DR-GD solve: at the default step, the cap
+    SAFEGUARD_RHO / sigma_max(I + alpha M)^2 on the inclusion scaled by the
+    operator's resolvent_scale alpha; with cfg.fixed_eta, min(fixed_eta,
+    step_size_cap) on I+M itself, alpha = 1."""
+    if cfg.fixed_eta is None:
+        op = data.operator
+        return SAFEGUARD_RHO / op.scaled_sigma_max ** 2, op.resolvent_scale
+    return min(cfg.fixed_eta, step_size_cap(data)), 1.0
+
+
 def _stop(resid: float, w: np.ndarray, tol: float):
     """The status after an iteration with this residual and w, or None."""
     if not math.isfinite(resid) or not (np.abs(w).max() <= 1e12):
@@ -117,22 +128,27 @@ def eager_loop(data: MonotoneData, cfg: SolverConfig, warm=None, gradient=False)
     after every iteration: (status, iterations, u_tilde, u, w, residual
     history).
 
-    DR's u_tilde is Factorization.solve(w - q). A DR-GD step is
-    u_tilde' = A' [u_tilde | w] + c with A' the operator's dense row-major
-    step_operator(eta), one GEMV, and c = -A' [0 | q]. Then dw = u - u_tilde
-    as _w_step forms it and w += dw. The last iteration's u = Pi(2 u_tilde - w)
-    and w + (u - u_tilde) are returned. An iteration ends in "error" when its
-    residual is not finite or max|w| passes 1e12, in "converged" when the
-    residual is at most tol.
+    DR's u_tilde is Factorization.solve(w - q). DR-GD runs on the inclusion
+    scaled by alpha of step_and_scale: a warm w enters as (1 - alpha)
+    u_tilde + alpha w, and a step is u_tilde' = A' [u_tilde | w] + c with A'
+    the operator's dense row-major step_operator(eta, alpha), one GEMV, and
+    c = -A' [0 | alpha q]. Then dw = u - u_tilde as _w_step forms it and
+    w += dw. The last iteration's u = Pi(2 u_tilde - w) and w' = w + (u -
+    u_tilde) are returned, w' as u_tilde + (w' - u_tilde) / alpha. An
+    iteration ends in "error" when its residual is not finite or max|w|
+    passes 1e12, in "converged" when the residual is at most alpha tol. At
+    alpha = 1 no map runs.
     """
-    N = data.size
+    N, alpha = data.size, 1.0
     if gradient:
-        cap = step_size_cap(data)
-        At = data.operator.step_operator(cap if cfg.fixed_eta is None
-                                         else min(cfg.fixed_eta, cap))
-        c = -np.dot(At, np.concatenate([np.zeros(N), data.q]))
+        eta, alpha = step_and_scale(data, cfg)
+        At = data.operator.step_operator(eta, alpha)
+        c = -np.dot(At, np.concatenate([np.zeros(N), alpha * data.q]))
     z = np.zeros(N)  # neither iterate is written in place
     ut, w = (z, z) if warm is None else (warm.u_tilde.copy(), warm.w.copy())
+    tol = alpha * cfg.tol_fixed_point
+    if alpha != 1.0:
+        w = (1.0 - alpha) * ut + alpha * w
     history = []
     for k in range(1, cfg.max_iter + 1):
         if gradient:
@@ -142,10 +158,12 @@ def eager_loop(data: MonotoneData, cfg: SolverConfig, warm=None, gradient=False)
             ut = data.operator.factorization.solve(w - data.q)
         u = project_cone_dual(ut + ut - w, data.cone)
         w_out = w + (u - ut)
+        if alpha != 1.0:
+            w_out = ut + (w_out - ut) / alpha
         dw = _w_step(ut, w, data)
         w = w + dw
         history.append(math.sqrt(np.dot(dw, dw)))
-        status = _stop(history[-1], w, cfg.tol_fixed_point)
+        status = _stop(history[-1], w, tol)
         if status is not None:
             return status, k, ut, u, w_out, history
     return "max_iter", cfg.max_iter, ut, u, w_out, history
@@ -158,31 +176,37 @@ def textbook_loop(data: MonotoneData, cfg: SolverConfig, warm=None, gradient=Fal
     iterations, u_tilde, u, w, residual history).
 
     u_tilde solves (I+M) u_tilde = w - q, or takes cfg.steps_per_iter steps
-    u_tilde -= eta T, T = K'(K u_tilde - (w - q)), through the CSR products;
-    then u = Pi(2 u_tilde - w), dw = u - u_tilde and w += dw.
+    u_tilde -= eta T, T = K_a'(K_a u_tilde - (w - alpha q)), K_a = (1 - alpha)
+    I + alpha (I+M) with (eta, alpha) of step_and_scale, through the CSR
+    products; then u = Pi(2 u_tilde - w), dw = u - u_tilde and w += dw. A
+    warm w enters as (1 - alpha) u_tilde + alpha w, the stop test is at
+    alpha tol, and w leaves as u_tilde + (w - u_tilde) / alpha.
     """
     K = data.I_plus_M
-    cap = step_size_cap(data)
-    eta = cap if cfg.fixed_eta is None else min(cfg.fixed_eta, cap)
+    eta, alpha = step_and_scale(data, cfg) if gradient else (None, 1.0)
     z = np.zeros(data.size)
     ut, w = (z.copy(), z.copy()) if warm is None else (warm.u_tilde.copy(), warm.w.copy())
+    if alpha != 1.0:
+        w = (1.0 - alpha) * ut + alpha * w
     history = []
     status, iters = "max_iter", cfg.max_iter
     for k in range(1, cfg.max_iter + 1):
-        r = w - data.q
+        r = w - alpha * data.q
         if gradient:
             for _ in range(cfg.steps_per_iter):
-                ut = ut - eta * (K._csr_t @ (spmv(K, ut) - r))
+                Kut = (1.0 - alpha) * ut + alpha * spmv(K, ut)
+                T = (1.0 - alpha) * (Kut - r) + alpha * (K._csr_t @ (Kut - r))
+                ut = ut - eta * T
         else:
             ut = data.operator.factorization.solve(r)
         u = project_cone_dual(2.0 * ut - w, data.cone)
         dw = u - ut
         w = w + dw
         history.append(math.sqrt(dw @ dw))
-        status = _stop(history[-1], w, cfg.tol_fixed_point)
+        status = _stop(history[-1], w, alpha * cfg.tol_fixed_point)
         if status is not None:
             iters = k
             break
     else:
         status = "max_iter"
-    return status, iters, ut, u, w, history
+    return status, iters, ut, u, w if alpha == 1.0 else ut + (w - ut) / alpha, history

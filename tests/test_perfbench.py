@@ -35,8 +35,12 @@ def test_tiny_workload_passes_its_gate(checkout, workload):
          "--size", "tiny", "--seconds", "1", "--trace", "0", "--seed", "0"],
         cwd=checkout, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, f"{proc.stdout}\n{proc.stderr}"
-    result = json.loads(proc.stdout.splitlines()[-1])
+    lines = proc.stdout.splitlines()
+    result = json.loads(lines[-1])
     assert result["correct"] is True and result["failed"] == 0, result
+    # DR-GD's converged solves meet the KKT bound DR's tolerance certifies
+    record = json.loads(next(line for line in lines if line.startswith("record "))[7:])
+    assert record["shortfalls"] == {} and record["drgd_kkt_ratio"] <= 1.0, record
 
 
 def test_traced_run_reads_every_net_span(checkout):

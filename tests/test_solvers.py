@@ -19,8 +19,17 @@ from drqp.solvers import (CHUNK, IterateState, SolverConfig, dr_solve, dr_solve_
                           drgd_solve, drgd_solve_batch, step_size_cap,
                           warm_start_from_solution)
 from drqp.sparse import Factorization, spmv
-from oracles import (dr_operator_apply, eager_loop, exact_linesearch_step, textbook_loop,
-                     wolfe_check)
+from oracles import (dr_operator_apply, eager_loop, exact_linesearch_step, step_and_scale,
+                     textbook_loop, wolfe_check)
+
+
+def scaled_step_operator(K, eta, alpha):
+    """[I - eta K_a'K_a | eta K_a'] for K_a = (1 - alpha) I + alpha K, the DR-GD
+    step operator as its definition writes it."""
+    Kat = alpha * K.T
+    if alpha != 1.0:
+        Kat[np.diag_indices(len(K))] += 1.0 - alpha
+    return np.concatenate([np.eye(len(K)) - eta * (Kat @ Kat.T), eta * Kat], axis=1)
 
 
 def fixed_cfg(data, frac=0.5, **kw):
@@ -127,16 +136,23 @@ class TestDrgdSolve:
         assert ten.iterations <= one.iterations * 1.02
 
     def test_step_sizes_respect_cap(self, tiny_data):
-        # a solve steps through [I - eta K'K | eta K'] with eta = min(fixed_eta,
-        # 0.99 / sigma_max^2), cached on the operator for that eta alone
+        # a fixed step is min(fixed_eta, 0.99 / sigma_max^2) on I+M itself; the
+        # default one 0.99 / sigma_max(I + alpha M)^2 on the inclusion scaled
+        # by the operator's alpha. A solve steps through [I - eta K_a'K_a |
+        # eta K_a'], cached on the operator for that (alpha, eta) alone
         op, cap = tiny_data.operator, step_size_cap(tiny_data)
         assert cap == 0.99 / tiny_data.sigma_max ** 2
+        alpha = op.resolvent_scale
+        assert alpha < 1.0  # sigma_max^2 > 2 here
         K = op.channel_operator[0]
-        for fixed, eta in ((None, cap), (0.5 * cap, 0.5 * cap), (4.0 * cap, cap)):
-            drgd_solve(tiny_data, SolverConfig(max_iter=5, fixed_eta=fixed))
-            assert list(op._step_operators) == [eta]
-            assert np.array_equal(op._step_operators[eta], np.concatenate(
-                [np.eye(len(K)) - eta * (K.T @ K), eta * K.T], axis=1))
+        for fixed, key in ((None, (alpha, 0.99 / op.scaled_sigma_max ** 2)),
+                           (0.5 * cap, (1.0, 0.5 * cap)), (4.0 * cap, (1.0, cap))):
+            cfg = SolverConfig(max_iter=5, fixed_eta=fixed)
+            assert step_and_scale(tiny_data, cfg) == key[::-1]
+            drgd_solve(tiny_data, cfg)
+            assert list(op._step_operators) == [key]
+            assert np.array_equal(op._step_operators[key],
+                                  scaled_step_operator(K, key[1], key[0]))
 
     def test_u_stays_in_cone(self, desk_datas):
         data = desk_datas[1]
@@ -155,6 +171,80 @@ class TestDrgdSolve:
         rep = drgd_solve(tiny_data, cfg, warm=warm)
         np.testing.assert_array_equal(
             rep.state.w, w0 + (rep.state.u - rep.state.u_tilde))
+
+
+def kkt_error(data, rep):
+    return max(rep.metrics.max_viol, rep.metrics.dual_residual_inf)
+
+
+class TestResolventScale:
+    """DR-GD's default step on the inclusion scaled by alpha =
+    (sigma_max(I+M)^2 - 1)^(-1/2), where sigma_max^2 > 2."""
+
+    @pytest.mark.parametrize("spec", [
+        GenSpec(family="qp_rhs", count=3, seed=0, n=50),
+        GenSpec(family="qp_rhs", count=3, seed=4, n=12),
+        GenSpec(family="qp_perturbed", count=3, seed=0, n=30),
+        GenSpec(family="qp_perturbed", count=3, seed=4, n=12),
+    ], ids=lambda spec: f"{spec.family}-n{spec.n}")
+    def test_one_on_the_qp_families(self, spec):
+        # sigma_max(I+M) is about 1.21 there: these rows iterate on I+M itself
+        for data in prepare_data(generate(spec)):
+            assert data.sigma_max ** 2 <= 2.0
+            assert data.operator.resolvent_scale == 1.0
+            assert data.operator.scaled_sigma_max == data.sigma_max
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_portfolio_scale_and_kkt(self, k):
+        cfg = SolverConfig()
+        for data in prepare_data(generate(GenSpec(family="portfolio", count=3, seed=0, k=k))):
+            op = data.operator
+            alpha, M = op.resolvent_scale, op.M.to_dense()
+            assert 0.0 < alpha < 1.0
+            assert alpha * np.linalg.norm(M, 2) <= 1.0
+            K_a = np.eye(data.size) + alpha * M
+            assert op.scaled_sigma_max == pytest.approx(np.linalg.norm(K_a, 2), rel=1e-12)
+            assert op.scaled_sigma_max <= 2.0
+            rep = drgd_solve(data, cfg)
+            assert rep.status == "converged"
+            assert kkt_error(data, rep) <= (2.0 + data.sigma_max) * cfg.tol_fixed_point
+
+    def test_restart_continues_the_iteration(self):
+        # k iterations, then k more from the report's state, are 2k iterations:
+        # a report's w leaves in I+M's convention and a warm w enters the
+        # scaled one, and the two maps are inverse
+        data = prepare_data(generate(GenSpec(family="portfolio", count=1, seed=0, k=2)))[0]
+        assert data.operator.resolvent_scale < 1.0
+        for steps in (1, 3):
+            cfg = SolverConfig(max_iter=150, steps_per_iter=steps)
+            first = drgd_solve(data, cfg)
+            second = drgd_solve(data, cfg, warm=first.state)
+            whole = drgd_solve(data, replace(cfg, max_iter=300))
+            assert first.status == second.status == whole.status == "max_iter"
+            for name in ("u_tilde", "u", "w"):
+                a, b = getattr(second.state, name), getattr(whole.state, name)
+                assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
+
+    def test_warm_start_from_solution_keeps_its_point(self):
+        # the injected point is the scaled subproblem's exact solution too:
+        # the first step leaves u_tilde there, up to rounding
+        data = prepare_data(generate(GenSpec(family="portfolio", count=1, seed=0, k=2)))[0]
+        label = dr_solve(data, SolverConfig(tol_fixed_point=1e-9))
+        warm = warm_start_from_solution(data, label.x, label.y)
+        rep = drgd_solve(data, SolverConfig(max_iter=1), warm=warm)
+        np.testing.assert_allclose(rep.state.u_tilde, warm.u_tilde, rtol=0, atol=1e-12)
+        assert drgd_solve(data, SolverConfig(), warm=warm).iterations < drgd_solve(
+            data, SolverConfig()).iterations
+
+    @pytest.mark.slow
+    def test_portfolio_k20_converges(self):
+        # at alpha = 1 the step is 0.99 / 17.6^2 and 200,000 iterations end in
+        # max_iter; on the scaled inclusion it converges in about 70,000
+        data = prepare_data(generate(GenSpec(family="portfolio", count=1, seed=0, k=20)))[0]
+        cfg = SolverConfig()
+        rep = drgd_solve(data, cfg)
+        assert rep.status == "converged" and rep.iterations < cfg.max_iter
+        assert kkt_error(data, rep) <= (2.0 + data.sigma_max) * cfg.tol_fixed_point
 
 
 @pytest.mark.parametrize("solve", [dr_solve, drgd_solve])
@@ -766,7 +856,7 @@ class TestChunks:
         loop = eager_loop(data, cfg, gradient=solver == "drgd")
         assert_is_loop(rep, loop, True)
 
-    @pytest.mark.parametrize("warm", [0.0, 6e11], ids=["cold", "huge-warm"])
+    @pytest.mark.parametrize("warm", [0.0, 7e11], ids=["cold", "huge-warm"])
     @pytest.mark.parametrize("steps", [1, 3])
     def test_divergence_mid_chunk(self, warm, steps):
         # w grows past the limit at an iteration that is not a chunk's last:
@@ -832,18 +922,26 @@ def solve_digest(sparse=False):
     size), cold and warm, steps 1 and 3, a fixed step capped on some rows,
     history on and off; then label_bundle's labels.
 
+    Three digests, by name: "all" of every report and label; "dr" of the DR
+    reports and the labels alone; "unscaled" of the DR-GD reports of rows
+    that iterate on I+M itself, every fixed-step run and each default-step
+    row with sigma_max(I+M)^2 <= 2 (all but the portfolio rows).
+
     sparse (both dense limits at 0) leaves the stacked blocks out and stops
     at tol 1e-3 or 150 iterations: the CSR pair's DR-GD steps cost about
     70 us each, and every row there runs alone or in its shared block."""
-    h = hashlib.sha256()
+    hashes = {name: hashlib.sha256() for name in ("all", "dr", "unscaled")}
 
-    def update(rep):
+    def update(rep, *names):
         history = b"none" if rep.residual_history is None else np.array(
             rep.residual_history, dtype=float).tobytes()
-        h.update(repr((rep.status, rep.iterations, rep.message,
-                       dataclasses.astuple(rep.metrics))).encode() + history)
-        for a in (rep.state.u_tilde, rep.state.u, rep.state.w, rep.x, rep.y):
-            h.update(a.tobytes())
+        parts = [repr((rep.status, rep.iterations, rep.message,
+                       dataclasses.astuple(rep.metrics))).encode() + history]
+        parts += [a.tobytes() for a in (rep.state.u_tilde, rep.state.u, rep.state.w,
+                                        rep.x, rep.y)]
+        for name in ("all",) + names:
+            for part in parts:
+                hashes[name].update(part)
 
     rhs = prepare_data(generate(GenSpec(family="qp_rhs", count=6, seed=11, n=16)))
     pf = prepare_data(generate(GenSpec(family="portfolio", count=3, seed=3, k=1)))
@@ -860,25 +958,38 @@ def solve_digest(sparse=False):
             cfg = SolverConfig(steps_per_iter=steps, fixed_eta=fixed_eta,
                                record_history=record_history, **limits)
             for datas in (rhs, mixed) if sparse else (rhs, distinct, mixed):
+                names = [("dr",) if solver == "dr" else ("unscaled",) if (
+                    fixed_eta is not None or d.operator.sigma_max ** 2 <= 2.0) else ()
+                    for d in datas]
                 for warms in ([None] * len(datas), short_warms(datas)):
-                    for rep in [single(d, cfg, warm=w) for d, w in zip(datas, warms)]:
-                        update(rep)
-                    for rep in batch(datas, cfg, warms):
-                        update(rep)
+                    for d, w, part in zip(datas, warms, names):
+                        update(single(d, cfg, warm=w), *part)
+                    for rep, part in zip(batch(datas, cfg, warms), names):
+                        update(rep, *part)
     for family, kw in (("qp_rhs", dict(n=16)), ("portfolio", dict(k=1))):
         bundle, excluded = label_bundle(generate(GenSpec(family=family, count=4, seed=5, **kw)))
         assert excluded == []
         for x, y in bundle.labels:
-            h.update(x.tobytes() + y.tobytes())
-    return h.hexdigest()
+            for name in ("all", "dr"):
+                hashes[name].update(x.tobytes() + y.tobytes())
+    return {name: h.hexdigest() for name, h in hashes.items()}
 
 
-# solve_digest at the one-product-per-row resolvents, with both dense limits
-# at their defaults and at 0 (numpy 2.4.6, scipy-openblas 0.3.31, x86-64, one
-# BLAS thread)
+# solve_digest with both dense limits at their defaults and at 0 (numpy
+# 2.4.6, scipy-openblas 0.3.31, x86-64, one BLAS thread). "dr" and
+# "unscaled" are as at the one-product-per-row resolvents; "all" is re-pinned
+# at the resolvent scale, which changes the portfolio rows' default DR-GD
 SOLVE_DIGESTS = {
-    "dense": "932dc38c0c3fdea0ccfea8bd5ca9bb51c6c25eea0c71d20c948facf6ca247e0b",
-    "sparse": "7db5272226905d560a3d554ad4670672f86d69ae41bb0127dfdb739f8d78671e",
+    "dense": {
+        "all": "96f3d223ed81752cc225cacc6e43fb5bbc9ff45349202c4cc077105c2801b0cf",
+        "dr": "ba2a62a1697e00e90095b409ea6466c43266526cfd0a6a129145e843392a0762",
+        "unscaled": "9927b302b6dc06934765dbbe7d34905623201fe0366c0e690c62bfc32dada599",
+    },
+    "sparse": {
+        "all": "b2becd70ba628c7a2649ca24ac0986c795711c2d8b5dfbcdc0ec0236ea8d106b",
+        "dr": "9170385f4d26b7db78f40c1c20b2851459dc5ca472a15190de7f50ff6a286327",
+        "unscaled": "4d436aee763954547169598f561cac566cfac7be28f65be82a70a4bfd3919232",
+    },
 }
 
 
@@ -926,14 +1037,14 @@ def test_drgd_sparse_channel_pair_matches_dense(monkeypatch):
 
 
 def test_gradient_operator_one_scaled_copy(monkeypatch):
-    # a DR-GD solve leaves its operator one step operator [I - eta K'K | eta K'],
-    # for the last eta it stepped at; DR-only stages (label, eval) never ask
-    # for it, nor does the CSR pair
+    # a DR-GD solve leaves its operator one step operator [I - eta K_a'K_a |
+    # eta K_a'], for the last (alpha, eta) it stepped at; DR-only stages
+    # (label, eval) never ask for it, nor does the CSR pair
     asked = []
     step_operator = model.Operator.step_operator
     monkeypatch.setattr(model.Operator, "step_operator",
-                        lambda op, eta, out=None: asked.append(op)
-                        or step_operator(op, eta, out))
+                        lambda op, eta, alpha=1.0, out=None: asked.append(op)
+                        or step_operator(op, eta, alpha, out))
     bundle = generate(GenSpec(family="portfolio", count=2, seed=4, k=1))
     datas = prepare_data(bundle)
     label_bundle(bundle)
@@ -942,20 +1053,20 @@ def test_gradient_operator_one_scaled_copy(monkeypatch):
     assert asked == []
     op, cfg = datas[0].operator, SolverConfig(max_iter=50, record_history=True)
 
-    def assert_holds(eta):  # one (N, 2N) array, [I - eta K'K | eta K'] bit for bit
+    def assert_holds(alpha, eta):  # one (N, 2N) array, [I - eta K_a'K_a | eta K_a'] bit for bit
         K = op.channel_operator[0]
-        assert list(op._step_operators) == [eta]
-        At = op._step_operators[eta]
+        assert list(op._step_operators) == [(alpha, eta)]
+        At = op._step_operators[alpha, eta]
         assert At.shape == (len(K), 2 * len(K))
-        assert np.array_equal(At, np.concatenate(
-            [np.eye(len(K)) - eta * (K.T @ K), eta * K.T], axis=1))
+        assert np.array_equal(At, scaled_step_operator(K, eta, alpha))
 
     drgd_solve(datas[0], cfg)
-    assert_holds(step_size_cap(datas[0]))
+    assert op.resolvent_scale < 1.0
+    assert_holds(op.resolvent_scale, 0.99 / op.scaled_sigma_max ** 2)
     # another step size replaces the array; the solve equals a fresh operator's
     fixed = replace(cfg, fixed_eta=0.5 * step_size_cap(datas[0]))
     assert_identical(drgd_solve(datas[0], fixed), drgd_solve(prepare_data(bundle)[0], fixed))
-    assert_holds(fixed.fixed_eta)
+    assert_holds(1.0, fixed.fixed_eta)
     drgd_solve_batch(datas, cfg)
     assert asked[-2:] == [d.operator for d in datas]
     asked.clear()
@@ -966,29 +1077,32 @@ def test_gradient_operator_one_scaled_copy(monkeypatch):
 
 def test_step_operators_are_row_major(monkeypatch, rhs_datas, distinct_datas):
     # the cached step operator of a shared block, and each slice a stacked
-    # block writes with out=, is the C-contiguous (N, 2N) [I - eta K'K | eta K'],
-    # bit for bit, the operand of one row-major GEMV per row; the cached one
-    # starts on a 64-byte boundary, as the GEMV reads it fastest
+    # block writes with out=, is the C-contiguous (N, 2N) [I - eta K_a'K_a |
+    # eta K_a'], bit for bit, the operand of one row-major GEMV per row; the
+    # cached one starts on a 64-byte boundary, as the GEMV reads it fastest.
+    # Each stacked row has its own alpha: below 1 on the portfolio rows, 1 on
+    # the qp_perturbed ones
     written = []
     step_operator = model.Operator.step_operator
     monkeypatch.setattr(model.Operator, "step_operator",
-                        lambda op, eta, out=None: written.append((op, eta, out))
-                        or step_operator(op, eta, out))
+                        lambda op, eta, alpha=1.0, out=None: written.append(
+                            (op, alpha, eta, out)) or step_operator(op, eta, alpha, out))
     cfg = SolverConfig(max_iter=20)
     drgd_solve_batch(rhs_datas, cfg)
     drgd_solve_batch(distinct_datas, cfg)
-    outs = [(op, eta, out) for op, eta, out in written if out is not None]
-    assert [op for op, _, _ in outs] == [d.operator for d in distinct_datas[::2]
-                                         + distinct_datas[1::2]]
+    outs = [entry for entry in written if entry[3] is not None]
+    rows = distinct_datas[::2] + distinct_datas[1::2]
+    assert [op for op, *_ in outs] == [d.operator for d in rows]
+    assert [alpha for _, alpha, _, _ in outs] == [step_and_scale(d, cfg)[1] for d in rows]
+    assert [alpha < 1.0 for _, alpha, _, _ in outs] == [True] * 3 + [False] * 3
     op = rhs_datas[0].operator
-    cached = [(op, eta, At) for eta, At in op._step_operators.items()]
-    assert [eta for _, eta, _ in cached] == [step_size_cap(rhs_datas[0])]
-    assert cached[0][2].ctypes.data % 64 == 0
-    for op, eta, At in cached + outs:
+    cached = [(op, alpha, eta, At) for (alpha, eta), At in op._step_operators.items()]
+    assert [(alpha, eta) for _, alpha, eta, _ in cached] == [(1.0, step_size_cap(rhs_datas[0]))]
+    assert cached[0][3].ctypes.data % 64 == 0
+    for op, alpha, eta, At in cached + outs:
         K, N = op.channel_operator[0], op.size
         assert At.shape == (N, 2 * N) and At.flags.c_contiguous
-        assert np.array_equal(At, np.concatenate(
-            [np.eye(N) - eta * (K.T @ K), eta * K.T], axis=1))
+        assert np.array_equal(At, scaled_step_operator(K, eta, alpha))
 
 
 def test_one_row_dense_dr_binds_its_inverse(monkeypatch, rhs_datas, distinct_datas):
@@ -1019,11 +1133,12 @@ def test_one_row_dense_dr_binds_its_inverse(monkeypatch, rhs_datas, distinct_dat
 
 
 def test_drgd_solve_peak_memory():
-    # with K and sigma_max cached, a DR-GD solve holds one (2N, N) array:
-    # its operator's eta [K'K; -K], built without temporaries (16 N^2 bytes);
-    # 20 N^2 leaves room for the block's vectors but not for a second copy
+    # with K, sigma_max and the resolvent scale cached, a DR-GD solve holds
+    # one (N, 2N) array: its operator's [I - eta K_a'K_a | eta K_a'], built
+    # without temporaries (16 N^2 bytes); 20 N^2 leaves room for the block's
+    # vectors but not for a second copy
     data = prepare_data(generate(GenSpec(family="portfolio", count=1, seed=6, k=20)))[0]
-    data.operator.channel_operator, data.operator.sigma_max
+    data.operator.channel_operator, data.operator.scaled_sigma_max
     N = data.size
     tracemalloc.start()
     try:
@@ -1038,7 +1153,7 @@ def test_drgd_slots_do_not_grow_with_max_iter():
     # a solve keeps CHUNK + 1 slots of [u_tilde | w], CHUNK rows of dW and
     # of T and one U: 2,000 iterations peak where 20 do, up to those slots
     data = prepare_data(generate(GenSpec(family="portfolio", count=1, seed=6, k=20)))[0]
-    drgd_solve(data, SolverConfig(max_iter=1))  # builds K, sigma_max and eta [K'K; -K]
+    drgd_solve(data, SolverConfig(max_iter=1))  # builds K, sigma_max, alpha and A'
     peaks = {}
     for max_iter in (20, 2000):
         tracemalloc.start()
@@ -1056,7 +1171,7 @@ def test_stacked_drgd_holds_each_operator_once():
     # at the peak, and 16.4 N^2 a row still held by the operators afterwards
     datas = prepare_data(generate(GenSpec(family="portfolio", count=4, seed=6, k=10)))
     for data in datas:
-        data.operator.channel_operator, data.operator.sigma_max
+        data.operator.channel_operator, data.operator.scaled_sigma_max
     N, B = datas[0].size, len(datas)
     tracemalloc.start()
     try:
