@@ -331,11 +331,8 @@ def _gradient_steps(group: list, cfg: SolverConfig, stacked: bool):
     alpha M, at the row's step size, from slot j's u_tilde into slot j + 1's
     with w held at slot j's.
 
-    At the default step (no cfg.fixed_eta) a row iterates on the inclusion
-    scaled by its operator's resolvent_scale alpha, at the cap SAFEGUARD_RHO
-    / sigma_max(K_a)^2; alphas holds the rows' alpha for _iterate's maps and
-    tolerances, or is None when every alpha is 1. A fixed step is min(
-    cfg.fixed_eta, step_size_cap) on I+M itself (alpha = 1).
+    alpha and the step size are drgd_solve's; alphas holds the rows' alpha
+    for _iterate's maps and tolerances, or is None when every alpha is 1.
 
     On a dense channel pair each step is one product and one add,
     u_tilde' = A' x + c for x = [u_tilde | w], with A' = [I - eta K_a'K_a |
