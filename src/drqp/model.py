@@ -199,8 +199,9 @@ class Operator:
 
     Everything derived from K is computed on first use and cached, so
     problems that share an Operator share its factorization, channel
-    products, sigma_max, resolvent scale, equality-block pseudo-inverses
-    and DR-GD step operator (for one scale and step size at a time).
+    products, sigma_max, resolvent scale and scaled operator,
+    equality-block pseudo-inverses and DR-GD step operator (for one step
+    size at a time).
     """
 
     M: SparseMatrix
@@ -208,7 +209,7 @@ class Operator:
     n: int  # order of P: u = (x; y) has x = u[:n]
     # zero-cone size -> pseudo-inverse of the equality block, see equality_pinv
     _equality_pinvs: dict = field(default_factory=dict, init=False, repr=False)
-    # (scale, step size) -> its DR-GD step operator, for the last one asked for only
+    # step size -> its DR-GD step operator, for the last one asked for only
     _step_operators: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
@@ -245,32 +246,27 @@ class Operator:
             return K, K.T
         return self.I_plus_M._csr, self.I_plus_M._csr_t
 
-    def step_operator(self, eta: float, alpha: float = 1.0,
-                      out: Optional[np.ndarray] = None) -> np.ndarray:
-        """A' = [I - eta K_a'K_a | eta K_a'] for K_a = (1 - alpha) I + alpha K =
-        I + alpha M, the (N, 2N) row-major operator of a DR-GD step on the
-        inclusion scaled by alpha: A' [u_tilde | w] - A' [0 | alpha q] =
-        u_tilde - eta K_a'(K_a u_tilde - (w - alpha q)), one GEMV per step on
-        one row. alpha = 1 is the step on I+M itself.
+    def step_operator(self, eta: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """A' = [I - eta K'K | eta K'], the (N, 2N) row-major operator of a
+        DR-GD step: A' [u_tilde | w] - A' [0 | q] = u_tilde - eta K'(K u_tilde
+        - (w - q)), one GEMV per step on one row.
 
         Built without temporaries, on DR-GD solves of an operator with a
-        dense channel pair: K_a' goes into the right half and K_a'K_a, the
-        product of that half with its transpose, into the left. Never for
-        the CSR pair above _DENSE_LIMIT, where K'K of a sparse K fills in.
-        Without out it is cached for the last (alpha, eta) asked for only;
-        with out, a C-ordered (N, 2N) array such as one slice of a stack, it
-        is written there and not cached.
+        dense channel pair: K' goes into the right half and K'K, the product
+        of that half with its transpose, into the left. Never for the CSR
+        pair above _DENSE_LIMIT, where K'K of a sparse K fills in. Without
+        out it is cached for the last eta asked for only; with out, a
+        C-ordered (N, 2N) array such as one slice of a stack, it is written
+        there and not cached.
         """
-        if out is None and (alpha, eta) in self._step_operators:
-            return self._step_operators[alpha, eta]
+        if out is None and eta in self._step_operators:
+            return self._step_operators[eta]
         K, N = self.channel_operator[0], self.size
         if out is None:
             self._step_operators.clear()
-            out = self._step_operators[alpha, eta] = aligned_empty((N, 2 * N))
+            out = self._step_operators[eta] = aligned_empty((N, 2 * N))
         left, right = out[:, :N], out[:, N:]
-        np.multiply(K.T, alpha, out=right)
-        if alpha != 1.0:
-            out.reshape(-1)[N::2 * N + 1] += 1.0 - alpha  # the diagonal of the right half
+        np.copyto(right, K.T)
         np.matmul(right, right.T, out=left)
         left *= -eta
         out.reshape(-1)[::2 * N + 1] += 1.0
@@ -280,8 +276,21 @@ class Operator:
     @cached_property
     def sigma_max(self) -> float:
         """The largest singular value of I+M, for the step-size caps
-        rho / sigma_max^2, or an upper bound on it (see _norm)."""
-        return self._norm(1.0)
+        rho / sigma_max^2, or an upper bound on it.
+
+        The exact dense 2-norm up to _DENSE_LIMIT. Above it one ARPACK svds
+        call from a seeded start vector; should ARPACK not converge, the
+        bound sqrt(||K||_1 ||K||_inf), which is never below the true value.
+        """
+        if self.size <= _DENSE_LIMIT:
+            return float(np.linalg.norm(self.I_plus_M.to_dense(), 2))
+        K = self.I_plus_M._csr
+        v0 = np.random.default_rng(0).standard_normal(self.size)
+        try:
+            return float(spla.svds(K, k=1, v0=v0, return_singular_vectors=False)[0])
+        except spla.ArpackNoConvergence:
+            absK = abs(K)
+            return float(math.sqrt(absK.sum(axis=0).max() * absK.sum(axis=1).max()))
 
     @cached_property
     def resolvent_scale(self) -> float:
@@ -298,40 +307,16 @@ class Operator:
         return 1.0 if s2 <= 2.0 else (s2 - 1.0) ** -0.5
 
     @cached_property
-    def scaled_sigma_max(self) -> float:
-        """sigma_max(I + alpha M) at alpha = resolvent_scale (see _norm); at
-        alpha = 1, sigma_max itself."""
+    def scaled(self) -> "Operator":
+        """The operator of the inclusion scaled by alpha = resolvent_scale:
+        alpha M and I + alpha M, assembled as alpha K + (1 - alpha) I, with
+        everything derived from it cached on it; self at alpha = 1."""
         alpha = self.resolvent_scale
-        return self.sigma_max if alpha == 1.0 else self._norm(alpha)
-
-    def _norm(self, alpha: float) -> float:
-        """The largest singular value of K_a = (1 - alpha) I + alpha K, or an
-        upper bound on it.
-
-        The exact dense 2-norm up to _DENSE_LIMIT. Above it one ARPACK svds
-        call from a seeded start vector, with K_a applied through K's CSR
-        pair as (1 - alpha) x + alpha K x; should ARPACK not converge, the
-        bound sqrt(||K_a||_1 ||K_a||_inf), with |K_a| <= (1 - alpha) I +
-        alpha |K| entrywise, which is never below the true value.
-        """
-        N = self.size
-        if N <= _DENSE_LIMIT:
-            K = self.I_plus_M.to_dense()
-            if alpha != 1.0:
-                K *= alpha
-                K.reshape(-1)[::N + 1] += 1.0 - alpha
-            return float(np.linalg.norm(K, 2))
-        K, Kt = self.I_plus_M._csr, self.I_plus_M._csr_t
-        Ka = K if alpha == 1.0 else spla.LinearOperator(
-            K.shape, dtype=np.float64, matvec=lambda x: (1.0 - alpha) * x + alpha * (K @ x),
-            rmatvec=lambda x: (1.0 - alpha) * x + alpha * (Kt @ x))
-        v0 = np.random.default_rng(0).standard_normal(N)
-        try:
-            return float(spla.svds(Ka, k=1, v0=v0, return_singular_vectors=False)[0])
-        except spla.ArpackNoConvergence:
-            absK = abs(K)
-            return float(math.sqrt((1.0 - alpha + alpha * absK.sum(axis=0).max())
-                                   * (1.0 - alpha + alpha * absK.sum(axis=1).max())))
+        if alpha == 1.0:
+            return self
+        K_a = alpha * self.I_plus_M._csr + (1.0 - alpha) * sp.identity(self.size, format="csr")
+        return Operator(SparseMatrix.from_scipy(alpha * self.M._csr),
+                        SparseMatrix.from_scipy(K_a), self.n)
 
     def equality_pinv(self, m_zero: int) -> np.ndarray:
         """Pseudo-inverse of the equality block A_eq' of M (rows :n, columns
@@ -356,6 +341,7 @@ class MonotoneData:
 
     Everything else derived from K is read from the operator, which problems
     with the same (P, A) may share; I_plus_M and sigma_max are forwarded.
+    A row of scaled() iterates on its problem's inclusion scaled by scale.
     """
 
     operator: Operator
@@ -364,10 +350,21 @@ class MonotoneData:
     n: int
     m: int
     cqp: ConicQP
+    scale: float = 1.0
 
     @property
     def size(self) -> int:
         return self.n + self.m
+
+    def scaled(self) -> "MonotoneData":
+        """This row on 0 in alpha M u + alpha q + N(u), alpha the operator's
+        resolvent_scale: operator.scaled, alpha q and scale alpha, with the
+        original cqp, so quality() and reports describe the problem itself.
+        The row itself at alpha = 1, or when it is scaled already."""
+        if self.scale != 1.0 or self.operator.scaled is self.operator:
+            return self
+        alpha = self.operator.resolvent_scale
+        return replace(self, operator=self.operator.scaled, q=alpha * self.q, scale=alpha)
 
     @property
     def I_plus_M(self) -> SparseMatrix:

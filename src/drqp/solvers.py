@@ -50,9 +50,9 @@ class SolveReport:
 
 
 def step_size_cap(data: MonotoneData) -> float:
-    """Safeguard cap SAFEGUARD_RHO / sigma_max(I+M)^2 of a step on I+M itself,
-    the bound on cfg.fixed_eta (DR-GD's default step takes the same fraction
-    of 1 / sigma_max(I + alpha M)^2 on the scaled inclusion, see drgd_solve).
+    """Safeguard cap SAFEGUARD_RHO / sigma_max(K)^2 of a step on the row's
+    operator K: the bound on cfg.fixed_eta on I+M, and DR-GD's default step
+    on the operator of data.scaled().
 
     sym(I+M) >= I because P is PSD, so the strong-monotonicity constant is
     at least 1 and the cap keeps the reflected gradient map nonexpansive.
@@ -93,8 +93,7 @@ def _chunk_length(low: float, decay: float, tol: float) -> int:
 # its chunk; the stop test turns that into status "error", so no warning is
 # raised for it
 @np.errstate(over="ignore", invalid="ignore")
-def _iterate(datas: list, cfg: SolverConfig, warms: list, bind, stack=None,
-             alphas=None) -> list:
+def _iterate(datas: list, cfg: SolverConfig, warms: list, bind, stack=None) -> list:
     """The DR iteration shared by both solvers, on a block of instances.
 
     Row i of the B x N blocks is instance datas[i]; all rows have one size
@@ -111,12 +110,10 @@ def _iterate(datas: list, cfg: SolverConfig, warms: list, bind, stack=None,
     in datas, stack the operands of a stacked block's rows, one per row
     (None for any other block).
 
-    alphas, one per row (None when all are 1), scales the inclusion a row
-    iterates on (see Operator.resolvent_scale): its Q holds alpha q, its
-    warm w enters as w_a = (1 - alpha) u_tilde + alpha w, it stops at a
-    residual of alpha tol, and its report's w leaves as u_tilde + (w_a -
-    u_tilde) / alpha, in I+M's convention again. A row at alpha = 1 runs
-    none of these maps; rows of one alpha keep one scalar tolerance.
+    A row of MonotoneData.scaled() at scale alpha != 1, whose q is alpha
+    q already, takes its warm w as w_a = (1 - alpha) u_tilde + alpha w,
+    stops at a residual of alpha tol, and reports its w as u_tilde + (w_a -
+    u_tilde) / alpha, in I+M's convention again.
 
     The reflection, projection and w-step are four calls on
     dw = u - u_tilde, u = Pi(2 u_tilde - w): dw = u_tilde - w, which Pi
@@ -143,7 +140,7 @@ def _iterate(datas: list, cfg: SolverConfig, warms: list, bind, stack=None,
     the last chunk, reaches tol, so a block computes few iterations past a
     stop. Reports come back in the order of datas.
     """
-    cone, tols = datas[0].cone, cfg.tol_fixed_point
+    cone, scales = datas[0].cone, np.array([d.scale for d in datas])
     dual = slice(datas[0].size - cone.m_nonneg, None)  # the nonnegative dual columns
     rows = np.arange(len(datas))
     Q = np.stack([d.q for d in datas])
@@ -151,15 +148,11 @@ def _iterate(datas: list, cfg: SolverConfig, warms: list, bind, stack=None,
     for j, warm in enumerate(warms):
         if warm is not None:
             start[:, j] = warm.u_tilde, warm.w
-    if alphas is not None:
-        alphas = np.array(alphas)
-        mapped = alphas != 1.0
-        a, (ut0, w0) = alphas[mapped, None], start[:, mapped]
-        Q[mapped] *= a
-        start[1, mapped] = (1.0 - a) * ut0 + a * w0
-        # each row's alpha tol, one float when the rows share alpha
-        tols = tols * (alphas if (alphas != alphas[0]).any() else float(alphas[0]))
-    tol = float(np.max(tols))  # the largest row tolerance, for the cheap tests
+    mapped = scales != 1.0
+    a, (ut0, w0) = scales[mapped, None], start[:, mapped]
+    start[1, mapped] = (1.0 - a) * ut0 + a * w0
+    tols = cfg.tol_fixed_point * scales  # each row's alpha tol
+    tol = float(tols.max())  # the largest row tolerance, for the cheap tests
     histories = [[] for _ in datas] if cfg.record_history else None
     reports = [None] * len(datas)
     # an upper bound on max|W| over the rows (NaN if a w is, which forces
@@ -221,8 +214,8 @@ def _iterate(datas: list, cfg: SolverConfig, warms: list, bind, stack=None,
             i, ut, w = rows[j], S[n, 0, j].copy(), S[n - 1, 1, j]
             u = project_cone_dual(ut + ut - w, cone)
             w = w + (u - ut)
-            if alphas is not None and alphas[j] != 1.0:
-                w = ut + (w - ut) / alphas[j]
+            if datas[i].scale != 1.0:
+                w = ut + (w - ut) / datas[i].scale
             status = "max_iter" if stop is None or not stop[j] else (
                 "error" if error[j] else "converged")
             x, y = u[:datas[i].n], u[datas[i].n:]
@@ -237,13 +230,8 @@ def _iterate(datas: list, cfg: SolverConfig, warms: list, bind, stack=None,
             return reports
         low_before = float(resid[n - 1, keep].min())
         length = _chunk_length(low_before, decay, tol)
-        rows, Q, start = rows[keep], Q[keep], S[n][:, keep]
-        stack = None if stack is None else stack[keep]
-        if alphas is not None:
-            alphas = alphas[keep]
-            if np.ndim(tols):
-                tols = tols[keep]
-                tol = float(tols.max())
+        rows, Q, start, tols = rows[keep], Q[keep], S[n][:, keep], tols[keep]
+        stack, tol = None if stack is None else stack[keep], float(tols.max())
 
 
 # bytes of operators one stacked block may hold: a (B, N, N) stack of
@@ -303,7 +291,7 @@ def _product(A: np.ndarray, B: int):
 
 
 def _linear_solves(group: list, cfg: SolverConfig, stacked: bool):
-    """DR's resolvent binder, (bind, stack, None): w - q into a buffer R, then
+    """DR's resolvent binder, (bind, stack): w - q into a buffer R, then
     u_tilde = K^-1 R by _product on the dense inverse, or on a stacked
     block's stack of the rows' own; SuperLU takes Factorization.solve."""
     factorization = group[0].operator.factorization
@@ -322,66 +310,52 @@ def _linear_solves(group: list, cfg: SolverConfig, stacked: bool):
         return resolve
 
     return bind, (np.stack([d.operator.factorization.inverse for d in group])
-                  if stacked else None), None
+                  if stacked else None)
 
 
 def _gradient_steps(group: list, cfg: SolverConfig, stacked: bool):
-    """DR-GD's resolvent binder, (bind, stack, alphas): cfg.steps_per_iter
-    gradient steps on 0.5||K_a v - (w - alpha q)||^2 per row, K_a = I +
-    alpha M, at the row's step size, from slot j's u_tilde into slot j + 1's
-    with w held at slot j's.
-
-    alpha and the step size are drgd_solve's; alphas holds the rows' alpha
-    for _iterate's maps and tolerances, or is None when every alpha is 1.
+    """DR-GD's resolvent binder, (bind, stack): cfg.steps_per_iter gradient
+    steps on 0.5||K v - (w - q)||^2 per row, K the row's operator, at its
+    step_size_cap, or min(cfg.fixed_eta, cap), from slot j's u_tilde into
+    slot j + 1's with w held at slot j's.
 
     On a dense channel pair each step is one product and one add,
-    u_tilde' = A' x + c for x = [u_tilde | w], with A' = [I - eta K_a'K_a |
-    eta K_a'] the operator's row-major (N, 2N) step_operator(eta, alpha),
+    u_tilde' = A' x + c for x = [u_tilde | w], with A' = [I - eta K'K |
+    eta K'] the operator's row-major (N, 2N) step_operator(eta),
     multiplied by _product; a stacked block's stack holds each row's own
     A'. x is a view of a slot on one row, a buffer refilled each step on
     several; a step after the first reads slot j + 1, whose w is first set
-    to slot j's. c = -A' [0 | alpha q] is formed at each bind by the product
-    a step forms, so a row at u_tilde = 0, w = alpha q (its subproblem
-    solved exactly) steps to u_tilde' = 0 exactly. The CSR pair above
-    model._DENSE_LIMIT takes the two sparse products u_tilde - eta K_a'(K_a
-    u_tilde - r), K_a x as (1 - alpha) x + alpha K x, each with the sparse
-    matrix on the left: a dense left operand makes scipy transpose the
-    sparse one at every call.
+    to slot j's. c = -A' [0 | q] is formed at each bind by the product a
+    step forms, so a row at u_tilde = 0, w = q (its subproblem solved
+    exactly) steps to u_tilde' = 0 exactly. The CSR pair above
+    model._DENSE_LIMIT takes the two sparse products u_tilde - eta K'(K
+    u_tilde - r), each with the sparse matrix on the left: a dense left
+    operand makes scipy transpose the sparse one at every call.
     """
     N, steps = group[0].size, cfg.steps_per_iter
-    if cfg.fixed_eta is None:
-        alphas = [d.operator.resolvent_scale for d in group]
-        etas = [SAFEGUARD_RHO / d.operator.scaled_sigma_max ** 2 for d in group]
-    else:
-        alphas = [1.0] * len(group)
-        etas = [min(cfg.fixed_eta, cap) for cap in map(step_size_cap, group)]
+    etas = [cap if cfg.fixed_eta is None else min(cfg.fixed_eta, cap)
+            for cap in map(step_size_cap, group)]
     K, Kt = group[0].operator.channel_operator
     dense = isinstance(K, np.ndarray)
     # a stacked block (only dense rows stack) holds each row's own A', written
     # straight into its slice; a shared block's A' is its operator's own
     stack = aligned_empty((len(group), N, 2 * N)) if stacked else None
-    for d, eta, alpha, At_row in zip(group, etas, alphas, stack if stacked else ()):
-        d.operator.step_operator(eta, alpha, out=At_row)
-    shared = (group[0].operator.step_operator(etas[0], alphas[0])
-              if dense and not stacked else None)
+    for d, eta, At_row in zip(group, etas, stack if stacked else ()):
+        d.operator.step_operator(eta, out=At_row)
+    shared = group[0].operator.step_operator(etas[0]) if dense and not stacked else None
 
     def bind(S, UT, W, Q, stack):
         B, C = len(Q), len(S) - 1
         T = np.empty((B, N))  # a step's product
         # step m of iteration j reads slot j (m = 0) or j + 1
         sources = [[j + (m > 0) for m in range(steps)] for j in range(C)]
-        if not dense:  # one operator, so one alpha
-            alpha = alphas[0]
-
-            def scaled(A, X):  # the rows of X times (1 - alpha) I + alpha A'
-                P = (A @ X.T).T
-                return P if alpha == 1.0 else (1.0 - alpha) * X + alpha * P
-
+        if not dense:  # one operator; the rows of X times A' are (A @ X.T).T
             def resolve_csr(j):
                 if steps > 1:
                     np.copyto(W[j + 1], W[j])
                 for src in sources[j]:
-                    np.multiply(scaled(Kt, scaled(K, UT[src]) - (W[src] - Q)), etas[0], out=T)
+                    R = (K @ UT[src].T).T - (W[src] - Q)
+                    np.multiply((Kt @ R.T).T, etas[0], out=T)
                     np.subtract(UT[src], T, UT[j + 1])
 
             return resolve_csr
@@ -406,7 +380,7 @@ def _gradient_steps(group: list, cfg: SolverConfig, stacked: bool):
 
         return resolve
 
-    return bind, stack, None if all(alpha == 1.0 for alpha in alphas) else alphas
+    return bind, stack
 
 
 def dr_solve_batch(datas: list, cfg: SolverConfig = SolverConfig(),
@@ -432,6 +406,8 @@ def drgd_solve_batch(datas: list, cfg: SolverConfig = SolverConfig(),
     No pipeline stage calls it yet: compare and eval solve one instance at a
     time.
     """
+    if cfg.fixed_eta is None:
+        datas = [d.scaled() for d in datas]
     return _by_operator(datas, cfg, warms, gradient=True)
 
 
@@ -449,24 +425,22 @@ def drgd_solve(data: MonotoneData, cfg: SolverConfig = SolverConfig(),
     least-squares subproblem, then applies the same projection and w
     updates as dr_solve. No factorization is performed.
 
-    By default the iteration runs on 0 in alpha M u + alpha q + N(u), which
-    has the solutions of the unscaled inclusion, with alpha the operator's
-    resolvent_scale: 1 when sigma_max(I+M)^2 <= 2, else (sigma_max^2 -
-    1)^(-1/2), so that ||alpha M|| <= 1. Its steps are at the safeguard cap
-    SAFEGUARD_RHO / sigma_max(I + alpha M)^2 >= SAFEGUARD_RHO / 4, and it
-    stops at a residual of alpha tol, which bounds the KKT residual of an
-    exact resolvent by (1 + alpha ||M||) tol <= 2 tol. The warm w enters as
-    (1 - alpha) u_tilde + alpha w and the report's w leaves as u_tilde +
-    (w - u_tilde) / alpha, so both keep I+M's convention; the residual
-    history is the scaled one. With cfg.fixed_eta the step is min(
-    fixed_eta, step_size_cap) on I+M itself (alpha = 1).
+    By default the iteration runs on data.scaled(), the inclusion 0 in
+    alpha M u + alpha q + N(u) with alpha the operator's resolvent_scale,
+    which has the problem's solutions and ||alpha M|| <= 1. Its steps are
+    at the safeguard cap SAFEGUARD_RHO / sigma_max(I + alpha M)^2 >=
+    SAFEGUARD_RHO / 4, and it stops at a residual of alpha tol, which
+    bounds the KKT residual of an exact resolvent by (1 + alpha ||M||) tol
+    <= 2 tol. Warm and reported w keep I+M's convention (see _iterate); the
+    residual history is the scaled one. With cfg.fixed_eta the step is
+    min(fixed_eta, step_size_cap) on I+M itself.
 
     Up to model._DENSE_LIMIT a step is one GEMV of the operator's row-major
-    step operator A' = [I - eta K_a'K_a | eta K_a'], K_a = I + alpha M, with
-    [u_tilde | w], plus c = -A' [0 | alpha q], equal in exact arithmetic to
-    u_tilde - eta K_a'(K_a u_tilde - (w - alpha q)), with a rounding floor
-    near eps sigma_max(K_a)^2 ||u_tilde||; above it the two CSR products.
-    An exact line search clipped at the cap would step at the cap too: its
-    step ||t||^2/||K_a t||^2 >= 1/sigma_max(K_a)^2 is never below it.
+    step operator A' = [I - eta K'K | eta K'] with [u_tilde | w], plus c =
+    -A' [0 | q], equal in exact arithmetic to u_tilde - eta K'(K u_tilde -
+    (w - q)), with a rounding floor near eps sigma_max(K)^2 ||u_tilde||;
+    above it the two CSR products. An exact line search clipped at the cap
+    would step at the cap too: its step ||t||^2/||K t||^2 >= 1/sigma_max(K)^2
+    is never below it.
     """
     return drgd_solve_batch([data], cfg, [warm])[0]

@@ -105,12 +105,12 @@ def _w_step(ut: np.ndarray, w: np.ndarray, data: MonotoneData) -> np.ndarray:
 
 def step_and_scale(data: MonotoneData, cfg: SolverConfig) -> tuple:
     """(eta, alpha) of a DR-GD solve: at the default step, the cap
-    SAFEGUARD_RHO / sigma_max(I + alpha M)^2 on the inclusion scaled by the
-    operator's resolvent_scale alpha; with cfg.fixed_eta, min(fixed_eta,
-    step_size_cap) on I+M itself, alpha = 1."""
+    SAFEGUARD_RHO / sigma_max(I + alpha M)^2 of the operator's scaled
+    operator, on the inclusion scaled by its resolvent_scale alpha; with
+    cfg.fixed_eta, min(fixed_eta, step_size_cap) on I+M itself, alpha = 1."""
     if cfg.fixed_eta is None:
         op = data.operator
-        return SAFEGUARD_RHO / op.scaled_sigma_max ** 2, op.resolvent_scale
+        return SAFEGUARD_RHO / op.scaled.sigma_max ** 2, op.resolvent_scale
     return min(cfg.fixed_eta, step_size_cap(data)), 1.0
 
 
@@ -131,8 +131,8 @@ def eager_loop(data: MonotoneData, cfg: SolverConfig, warm=None, gradient=False)
     DR's u_tilde is Factorization.solve(w - q). DR-GD runs on the inclusion
     scaled by alpha of step_and_scale: a warm w enters as (1 - alpha)
     u_tilde + alpha w, and a step is u_tilde' = A' [u_tilde | w] + c with A'
-    the operator's dense row-major step_operator(eta, alpha), one GEMV, and
-    c = -A' [0 | alpha q]. Then dw = u - u_tilde as _w_step forms it and
+    the dense row-major step_operator(eta) of the scaled operator (of the
+    operator itself at alpha = 1), one GEMV, and c = -A' [0 | alpha q]. Then dw = u - u_tilde as _w_step forms it and
     w += dw. The last iteration's u = Pi(2 u_tilde - w) and w' = w + (u -
     u_tilde) are returned, w' as u_tilde + (w' - u_tilde) / alpha. An
     iteration ends in "error" when its residual is not finite or max|w|
@@ -142,7 +142,7 @@ def eager_loop(data: MonotoneData, cfg: SolverConfig, warm=None, gradient=False)
     N, alpha = data.size, 1.0
     if gradient:
         eta, alpha = step_and_scale(data, cfg)
-        At = data.operator.step_operator(eta, alpha)
+        At = (data.operator.scaled if alpha != 1.0 else data.operator).step_operator(eta)
         c = -np.dot(At, np.concatenate([np.zeros(N), alpha * data.q]))
     z = np.zeros(N)  # neither iterate is written in place
     ut, w = (z, z) if warm is None else (warm.u_tilde.copy(), warm.w.copy())

@@ -338,8 +338,9 @@ class TestOperator:
         # above the dense limit one svds call gives sigma_max to 1e-12 of the
         # SVD, the same bits on every fresh operator; should ARPACK not
         # converge, the bound sqrt(||K||_1 ||K||_inf) stands in. So for
-        # sigma_max(I + alpha M) at the resolvent scale, with K_a applied
-        # through K's CSR pair and its bound from (1 - alpha) I + alpha |K|
+        # sigma_max(I + alpha M) of the scaled operator at the resolvent
+        # scale, through its own CSR pair, and its bound from (1 - alpha) I
+        # + alpha |K|
         monkeypatch.setattr(model, "_DENSE_LIMIT", 0)
         if not converged:
             def no_convergence(*args, **kwargs):
@@ -357,15 +358,15 @@ class TestOperator:
             if converged:
                 assert data.sigma_max == pytest.approx(truth, rel=1e-12)
                 assert assemble_inclusion(cqp).sigma_max == data.sigma_max
-                assert data.operator.scaled_sigma_max == pytest.approx(scaled, rel=1e-12)
+                assert data.operator.scaled.sigma_max == pytest.approx(scaled, rel=1e-12)
             else:
                 bound = math.sqrt(np.linalg.norm(K, 1) * np.linalg.norm(K, np.inf))
                 assert data.sigma_max == pytest.approx(bound, rel=1e-15)
                 assert data.sigma_max >= truth
                 absK = (1.0 - alpha) * np.eye(len(K)) + alpha * np.abs(K)
                 bound = math.sqrt(np.linalg.norm(absK, 1) * np.linalg.norm(absK, np.inf))
-                assert data.operator.scaled_sigma_max == pytest.approx(bound, rel=1e-15)
-                assert data.operator.scaled_sigma_max >= scaled
+                assert data.operator.scaled.sigma_max == pytest.approx(bound, rel=1e-15)
+                assert data.operator.scaled.sigma_max >= scaled
 
 
 class TestProjectConeDual:

@@ -137,22 +137,24 @@ class TestDrgdSolve:
 
     def test_step_sizes_respect_cap(self, tiny_data):
         # a fixed step is min(fixed_eta, 0.99 / sigma_max^2) on I+M itself; the
-        # default one 0.99 / sigma_max(I + alpha M)^2 on the inclusion scaled
-        # by the operator's alpha. A solve steps through [I - eta K_a'K_a |
-        # eta K_a'], cached on the operator for that (alpha, eta) alone
+        # default one 0.99 / sigma_max(I + alpha M)^2 on the operator's scaled
+        # operator. A solve steps through [I - eta K_a'K_a | eta K_a'], cached
+        # for that eta alone on the operator it steps on
         op, cap = tiny_data.operator, step_size_cap(tiny_data)
         assert cap == 0.99 / tiny_data.sigma_max ** 2
         alpha = op.resolvent_scale
         assert alpha < 1.0  # sigma_max^2 > 2 here
+        scaled_cap = step_size_cap(tiny_data.scaled())
+        assert scaled_cap == 0.99 / op.scaled.sigma_max ** 2
         K = op.channel_operator[0]
-        for fixed, key in ((None, (alpha, 0.99 / op.scaled_sigma_max ** 2)),
-                           (0.5 * cap, (1.0, 0.5 * cap)), (4.0 * cap, (1.0, cap))):
+        for fixed, on, (a, eta) in ((None, op.scaled, (alpha, scaled_cap)),
+                                    (0.5 * cap, op, (1.0, 0.5 * cap)),
+                                    (4.0 * cap, op, (1.0, cap))):
             cfg = SolverConfig(max_iter=5, fixed_eta=fixed)
-            assert step_and_scale(tiny_data, cfg) == key[::-1]
+            assert step_and_scale(tiny_data, cfg) == (eta, a)
             drgd_solve(tiny_data, cfg)
-            assert list(op._step_operators) == [key]
-            assert np.array_equal(op._step_operators[key],
-                                  scaled_step_operator(K, key[1], key[0]))
+            assert list(on._step_operators) == [eta]
+            assert np.array_equal(on._step_operators[eta], scaled_step_operator(K, eta, a))
 
     def test_u_stays_in_cone(self, desk_datas):
         data = desk_datas[1]
@@ -192,22 +194,53 @@ class TestResolventScale:
         for data in prepare_data(generate(spec)):
             assert data.sigma_max ** 2 <= 2.0
             assert data.operator.resolvent_scale == 1.0
-            assert data.operator.scaled_sigma_max == data.sigma_max
+            assert data.operator.scaled is data.operator
+            assert data.scaled() is data
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_portfolio_scale_and_kkt(self, k):
         cfg = SolverConfig()
         for data in prepare_data(generate(GenSpec(family="portfolio", count=3, seed=0, k=k))):
-            op = data.operator
+            op, N = data.operator, data.size
             alpha, M = op.resolvent_scale, op.M.to_dense()
             assert 0.0 < alpha < 1.0
             assert alpha * np.linalg.norm(M, 2) <= 1.0
-            K_a = np.eye(data.size) + alpha * M
-            assert op.scaled_sigma_max == pytest.approx(np.linalg.norm(K_a, 2), rel=1e-12)
-            assert op.scaled_sigma_max <= 2.0
+            # the scaled operator's I + alpha M is (1 - alpha) I + alpha K bit
+            # for bit, its M is alpha M, and it is cached
+            scaled = op.scaled
+            assert scaled is op.scaled and scaled.n == op.n
+            K_a = (1.0 - alpha) * np.eye(N) + alpha * op.I_plus_M.to_dense()
+            assert np.array_equal(scaled.I_plus_M.to_dense(), K_a)
+            assert np.array_equal(scaled.M.to_dense(), alpha * M)
+            assert abs(scaled.sigma_max - np.linalg.norm(np.eye(N) + alpha * M, 2)) <= 1e-12
+            assert scaled.sigma_max <= 2.0
+            # the scaled row: alpha q on the scaled operator, the problem's cqp
+            row = data.scaled()
+            assert row.operator is scaled and row.scale == alpha and row.cqp is data.cqp
+            assert np.array_equal(row.q, alpha * data.q)
+            assert row.scaled() is row
             rep = drgd_solve(data, cfg)
             assert rep.status == "converged"
             assert kkt_error(rep) <= (2.0 + data.sigma_max) * cfg.tol_fixed_point
+
+    def test_rows_sharing_an_operator_share_its_scaled_one(self, monkeypatch):
+        # two right-hand sides on one portfolio operator: their scaled rows
+        # share one scaled operator, so they iterate as one shared block
+        cqp = prepare_data(generate(GenSpec(family="portfolio", count=1, seed=0, k=2)))[0].cqp
+        operators = {}
+        datas = [model.assemble_inclusion(c, operators) for c in (cqp, replace(cqp, c=-cqp.c))]
+        assert datas[0].operator is datas[1].operator
+        assert datas[0].scaled().operator is datas[1].scaled().operator is datas[0].operator.scaled
+        sizes = []
+        iterate = solvers._iterate
+        monkeypatch.setattr(solvers, "_iterate",
+                            lambda group, *a: sizes.append(len(group)) or iterate(group, *a))
+        cfg = SolverConfig(record_history=True)
+        reports = drgd_solve_batch(datas, cfg)
+        assert sizes == [2]
+        for data, rep in zip(datas, reports):
+            assert rep.status == "converged"
+            assert_same_report(rep, drgd_solve(data, cfg))
 
     def test_restart_continues_the_iteration(self):
         # k iterations, then k more from the report's state, are 2k iterations:
@@ -967,7 +1000,11 @@ def solve_digest(sparse=False):
 # solve_digest with both dense limits at their defaults and at 0 (numpy
 # 2.4.6, scipy-openblas 0.3.31, x86-64, one BLAS thread). "dr" and
 # "unscaled" are as at the one-product-per-row resolvents; "all" is re-pinned
-# at the resolvent scale, which changes the portfolio rows' default DR-GD
+# at the resolvent scale, which changes the portfolio rows' default DR-GD.
+# The sparse "all" is re-pinned again at the scaled operator: its CSR pair
+# holds alpha K + (1 - alpha) I as one matrix (and svds runs on it) where the
+# steps formed (1 - alpha) x + alpha K x, which rounds apart; statuses and
+# iteration counts hold (test_drgd_sparse_channel_pair_matches_dense)
 SOLVE_DIGESTS = {
     "dense": {
         "all": "96f3d223ed81752cc225cacc6e43fb5bbc9ff45349202c4cc077105c2801b0cf",
@@ -975,7 +1012,7 @@ SOLVE_DIGESTS = {
         "unscaled": "9927b302b6dc06934765dbbe7d34905623201fe0366c0e690c62bfc32dada599",
     },
     "sparse": {
-        "all": "b2becd70ba628c7a2649ca24ac0986c795711c2d8b5dfbcdc0ec0236ea8d106b",
+        "all": "1a6348fe374a30dcea322f5baae9ca57898ee266945e3deab2164e1849383836",
         "dr": "9170385f4d26b7db78f40c1c20b2851459dc5ca472a15190de7f50ff6a286327",
         "unscaled": "4d436aee763954547169598f561cac566cfac7be28f65be82a70a4bfd3919232",
     },
@@ -990,15 +1027,31 @@ def test_every_solve_path_is_pinned(monkeypatch, limits):
         monkeypatch.setattr(model, "_DENSE_LIMIT", 0)
     assert solve_digest(sparse=limits == "sparse") == SOLVE_DIGESTS[limits]
 
-@pytest.mark.parametrize("dense_limit", [1024, 0], ids=["inverse", "superlu"])
-def test_solved_instance_copies(monkeypatch, dense_limit):
-    # a solved instance holds its operator's factorization; a deep copy and a
-    # pickle round trip of it solve exactly as the original does
-    monkeypatch.setattr(Factorization, "_DENSE_LIMIT", dense_limit)
+
+@pytest.mark.parametrize("case", ["inverse", "superlu", "drgd"])
+def test_solved_instance_copies(monkeypatch, case):
+    # a solved instance holds its operator's factorization, or after a DR-GD
+    # solve at alpha < 1 its scaled operator with that one's sigma_max,
+    # channel pair and step operator; a deep copy and a pickle round trip of
+    # it carry those along and solve exactly as the original does
+    if case == "drgd":
+        data = prepare_data(generate(GenSpec(family="portfolio", count=1, seed=4, k=1)))[0]
+        cfg = SolverConfig(record_history=True)
+        ref = drgd_solve(data, cfg)
+        scaled = vars(data.operator)["scaled"]
+        assert scaled is not data.operator and scaled._step_operators
+        for other in (copy.deepcopy(data), pickle.loads(pickle.dumps(data))):
+            copied = vars(other.operator)["scaled"]
+            assert copied is not scaled and list(copied._step_operators) == list(
+                scaled._step_operators)
+            assert_identical(drgd_solve(other, cfg), ref)
+        return
+    monkeypatch.setattr(Factorization, "_DENSE_LIMIT", 1024 if case == "inverse" else 0)
     data = prepare_data(generate(GenSpec(family="qp_rhs", count=1, seed=4, n=10)))[0]
     cfg = SolverConfig(record_history=True)
     ref = dr_solve(data, cfg)
-    assert data.operator.factorization.kind == ("dense-inverse" if dense_limit else "superlu")
+    assert data.operator.factorization.kind == ("dense-inverse" if case == "inverse"
+                                                else "superlu")
     B = np.random.default_rng(0).standard_normal((3, data.size))
     for other in (copy.deepcopy(data), pickle.loads(pickle.dumps(data))):
         assert other.operator.factorization is not data.operator.factorization
@@ -1016,6 +1069,19 @@ def test_drgd_sparse_channel_pair_matches_dense(monkeypatch):
     assert isinstance(dense[0].operator.channel_operator[0], np.ndarray)
     cfg = SolverConfig(fixed_eta=0.5 * step_size_cap(dense[0]),
                        steps_per_iter=2, record_history=True)
+    # the default step on portfolio rows (alpha < 1) runs on the scaled
+    # operator, whose CSR pair and svds sigma_max round apart from its dense
+    # K and 2-norm: statuses and iteration counts stay, iterates within 1e-12
+    specs = [GenSpec(family="portfolio", count=2, seed=3, k=1),
+             GenSpec(family="portfolio", count=2, seed=0, k=2)]
+    defaults = [SolverConfig(steps_per_iter=steps) for steps in (1, 2)]
+
+    def default_solves(datas):  # one row and batched, at each default
+        for default in defaults:
+            yield from (drgd_solve(d, default) for d in datas)
+            yield from drgd_solve_batch(datas, default)
+
+    pf_dense = [r for pf in specs for r in default_solves(prepare_data(generate(pf)))]
     monkeypatch.setattr(model, "_DENSE_LIMIT", 0)
     sparse = prepare_data(generate(spec))
     assert not isinstance(sparse[0].operator.channel_operator[0], np.ndarray)
@@ -1023,17 +1089,30 @@ def test_drgd_sparse_channel_pair_matches_dense(monkeypatch):
         assert_same_report(drgd_solve(s, cfg), drgd_solve(d, cfg))
     for d, s in zip(drgd_solve_batch(dense, cfg), drgd_solve_batch(sparse, cfg)):
         assert_same_report(s, d)
+    pf_sparse = []
+    for pf in specs:
+        datas = prepare_data(generate(pf))
+        assert all(d.operator.resolvent_scale < 1.0 for d in datas)
+        assert not isinstance(datas[0].operator.scaled.channel_operator[0], np.ndarray)
+        pf_sparse += default_solves(datas)
+    assert len(pf_sparse) == len(pf_dense) == 16
+    for s, d in zip(pf_sparse, pf_dense):
+        assert (s.status, s.iterations) == (d.status, d.iterations)
+        assert s.status == "converged"
+        for a, b in zip((s.state.u_tilde, s.state.u, s.state.w),
+                        (d.state.u_tilde, d.state.u, d.state.w)):
+            assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
 
 
 def test_gradient_operator_one_scaled_copy(monkeypatch):
-    # a DR-GD solve leaves its operator one step operator [I - eta K_a'K_a |
-    # eta K_a'], for the last (alpha, eta) it stepped at; DR-only stages
+    # a DR-GD solve leaves the operator it steps on (the scaled one at the
+    # default step, I+M itself at a fixed one) one step operator [I - eta
+    # K_a'K_a | eta K_a'], for the last eta it stepped at; DR-only stages
     # (label, eval) never ask for it, nor does the CSR pair
     asked = []
     step_operator = model.Operator.step_operator
     monkeypatch.setattr(model.Operator, "step_operator",
-                        lambda op, eta, alpha=1.0, out=None: asked.append(op)
-                        or step_operator(op, eta, alpha, out))
+                        lambda op, eta, out=None: asked.append(op) or step_operator(op, eta, out))
     bundle = generate(GenSpec(family="portfolio", count=2, seed=4, k=1))
     datas = prepare_data(bundle)
     label_bundle(bundle)
@@ -1042,22 +1121,26 @@ def test_gradient_operator_one_scaled_copy(monkeypatch):
     assert asked == []
     op, cfg = datas[0].operator, SolverConfig(max_iter=50, record_history=True)
 
-    def assert_holds(alpha, eta):  # one (N, 2N) array, [I - eta K_a'K_a | eta K_a'] bit for bit
+    def assert_holds(on, alpha, eta):  # one (N, 2N) [I - eta K_a'K_a | eta K_a'], bit for bit
         K = op.channel_operator[0]
-        assert list(op._step_operators) == [(alpha, eta)]
-        At = op._step_operators[alpha, eta]
+        assert list(on._step_operators) == [eta]
+        At = on._step_operators[eta]
         assert At.shape == (len(K), 2 * len(K))
         assert np.array_equal(At, scaled_step_operator(K, eta, alpha))
 
     drgd_solve(datas[0], cfg)
     assert op.resolvent_scale < 1.0
-    assert_holds(op.resolvent_scale, 0.99 / op.scaled_sigma_max ** 2)
-    # another step size replaces the array; the solve equals a fresh operator's
+    assert_holds(op.scaled, op.resolvent_scale, 0.99 / op.scaled.sigma_max ** 2)
+    assert op._step_operators == {}
+    # a fixed step steps on I+M; the solve equals a fresh operator's
     fixed = replace(cfg, fixed_eta=0.5 * step_size_cap(datas[0]))
     assert_identical(drgd_solve(datas[0], fixed), drgd_solve(prepare_data(bundle)[0], fixed))
-    assert_holds(1.0, fixed.fixed_eta)
+    assert_holds(op, 1.0, fixed.fixed_eta)
+    # another step size replaces the array
+    drgd_solve(datas[0], replace(fixed, fixed_eta=0.25 * step_size_cap(datas[0])))
+    assert_holds(op, 1.0, 0.25 * step_size_cap(datas[0]))
     drgd_solve_batch(datas, cfg)
-    assert asked[-2:] == [d.operator for d in datas]
+    assert asked[-2:] == [d.operator.scaled for d in datas]
     asked.clear()
     monkeypatch.setattr(model, "_DENSE_LIMIT", 0)
     drgd_solve_batch(prepare_data(bundle), cfg)
@@ -1069,29 +1152,30 @@ def test_step_operators_are_row_major(monkeypatch, rhs_datas, distinct_datas):
     # block writes with out=, is the C-contiguous (N, 2N) [I - eta K_a'K_a |
     # eta K_a'], bit for bit, the operand of one row-major GEMV per row; the
     # cached one starts on a 64-byte boundary, as the GEMV reads it fastest.
-    # Each stacked row has its own alpha: below 1 on the portfolio rows, 1 on
-    # the qp_perturbed ones
+    # Each stacked row steps on its own scaled operator: alpha below 1 on the
+    # portfolio rows, 1 (the operator itself) on the qp_perturbed ones
     written = []
     step_operator = model.Operator.step_operator
     monkeypatch.setattr(model.Operator, "step_operator",
-                        lambda op, eta, alpha=1.0, out=None: written.append(
-                            (op, alpha, eta, out)) or step_operator(op, eta, alpha, out))
+                        lambda op, eta, out=None: written.append((op, eta, out))
+                        or step_operator(op, eta, out))
     cfg = SolverConfig(max_iter=20)
     drgd_solve_batch(rhs_datas, cfg)
     drgd_solve_batch(distinct_datas, cfg)
-    outs = [entry for entry in written if entry[3] is not None]
+    outs = [(eta, out) for _, eta, out in written if out is not None]
     rows = distinct_datas[::2] + distinct_datas[1::2]
-    assert [op for op, *_ in outs] == [d.operator for d in rows]
-    assert [alpha for _, alpha, _, _ in outs] == [step_and_scale(d, cfg)[1] for d in rows]
-    assert [alpha < 1.0 for _, alpha, _, _ in outs] == [True] * 3 + [False] * 3
-    op = rhs_datas[0].operator
-    cached = [(op, alpha, eta, At) for (alpha, eta), At in op._step_operators.items()]
-    assert [(alpha, eta) for _, alpha, eta, _ in cached] == [(1.0, step_size_cap(rhs_datas[0]))]
-    assert cached[0][3].ctypes.data % 64 == 0
-    for op, alpha, eta, At in cached + outs:
-        K, N = op.channel_operator[0], op.size
+    assert [op for op, _, out in written if out is not None] == [d.operator.scaled for d in rows]
+    assert [d.operator.resolvent_scale < 1.0 for d in rows] == [True] * 3 + [False] * 3
+    data = rhs_datas[0]
+    assert data.operator.scaled is data.operator
+    cached = list(data.operator._step_operators.items())
+    assert [eta for eta, _ in cached] == [step_size_cap(data)]
+    assert cached[0][1].ctypes.data % 64 == 0
+    for d, (eta, At) in zip([data] + rows, cached + outs):
+        K, N = d.operator.channel_operator[0], d.size
+        assert eta == step_and_scale(d, cfg)[0]
         assert At.shape == (N, 2 * N) and At.flags.c_contiguous
-        assert np.array_equal(At, scaled_step_operator(K, eta, alpha))
+        assert np.array_equal(At, scaled_step_operator(K, eta, d.operator.resolvent_scale))
 
 
 def test_one_row_dense_dr_binds_its_inverse(monkeypatch, rhs_datas, distinct_datas):
@@ -1122,12 +1206,12 @@ def test_one_row_dense_dr_binds_its_inverse(monkeypatch, rhs_datas, distinct_dat
 
 
 def test_drgd_solve_peak_memory():
-    # with K, sigma_max and the resolvent scale cached, a DR-GD solve holds
-    # one (N, 2N) array: its operator's [I - eta K_a'K_a | eta K_a'], built
-    # without temporaries (16 N^2 bytes); 20 N^2 leaves room for the block's
-    # vectors but not for a second copy
+    # with the scaled operator's K and sigma_max cached, a DR-GD solve holds
+    # one (N, 2N) array: its [I - eta K_a'K_a | eta K_a'], built without
+    # temporaries (16 N^2 bytes); 20 N^2 leaves room for the block's vectors
+    # but not for a second copy
     data = prepare_data(generate(GenSpec(family="portfolio", count=1, seed=6, k=20)))[0]
-    data.operator.channel_operator, data.operator.scaled_sigma_max
+    data.operator.scaled.channel_operator, data.operator.scaled.sigma_max
     N = data.size
     tracemalloc.start()
     try:
@@ -1142,7 +1226,7 @@ def test_drgd_slots_do_not_grow_with_max_iter():
     # a solve keeps CHUNK + 1 slots of [u_tilde | w], CHUNK rows of dW and
     # of T and one U: 2,000 iterations peak where 20 do, up to those slots
     data = prepare_data(generate(GenSpec(family="portfolio", count=1, seed=6, k=20)))[0]
-    drgd_solve(data, SolverConfig(max_iter=1))  # builds K, sigma_max, alpha and A'
+    drgd_solve(data, SolverConfig(max_iter=1))  # builds the scaled K, sigma_max and A'
     peaks = {}
     for max_iter in (20, 2000):
         tracemalloc.start()
@@ -1160,7 +1244,7 @@ def test_stacked_drgd_holds_each_operator_once():
     # at the peak, and 16.4 N^2 a row still held by the operators afterwards
     datas = prepare_data(generate(GenSpec(family="portfolio", count=4, seed=6, k=10)))
     for data in datas:
-        data.operator.channel_operator, data.operator.scaled_sigma_max
+        data.operator.scaled.channel_operator, data.operator.scaled.sigma_max
     N, B = datas[0].size, len(datas)
     tracemalloc.start()
     try:
