@@ -191,6 +191,9 @@ def to_conic(qp: StandardQP) -> ConicQP:
 # Largest operator order for which the network's channel products use a
 # dense copy of I+M and sigma_max is the exact dense 2-norm.
 _DENSE_LIMIT = 2048
+# passes of Operator.equilibration: 5, 10, 15 and 25 gave 2,604, 2,512, 2,514
+# and 2,513 mean DR-GD iterations on portfolio k=5 (data seed 0, 6 instances)
+_RUIZ_PASSES = 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,7 +202,7 @@ class Operator:
 
     Everything derived from K is computed on first use and cached, so
     problems that share an Operator share its factorization, channel
-    products, sigma_max, resolvent scale and scaled operator,
+    products, sigma_max, equilibration, resolvent scale and scaled operator,
     equality-block pseudo-inverses and DR-GD step operator (for one step
     size at a time).
     """
@@ -215,11 +218,17 @@ class Operator:
     @classmethod
     def assemble(cls, P: SparseMatrix, A: SparseMatrix) -> "Operator":
         n, N = P.nrows, P.nrows + A.nrows
-        # triplets of P, A' and -A; I+M adds the identity's, drops zeros as a sparse sum does
+        # triplets of P, A' and -A
         rows_A = np.repeat(np.arange(n, N), np.diff(A.indptr))
         rows = np.concatenate([np.repeat(np.arange(n), np.diff(P.indptr)), A.indices, rows_A])
         cols = np.concatenate([P.indices, rows_A, A.indices])
         vals = np.concatenate([P.values, A.values, -A.values])
+        return cls._of_triplets(N, n, rows, cols, vals)
+
+    @classmethod
+    def _of_triplets(cls, N: int, n: int, rows, cols, vals) -> "Operator":
+        """The operator of the order-N M with these triplets; I+M adds the
+        identity's and drops zeros as a sparse sum does."""
         eye = np.arange(N)
         K = SparseMatrix.from_triplets(N, N, np.r_[rows, eye], np.r_[cols, eye],
                                        np.r_[vals, np.ones(N)], drop_zeros=True)
@@ -293,30 +302,62 @@ class Operator:
             return float(math.sqrt(absK.sum(axis=0).max() * absK.sum(axis=1).max()))
 
     @cached_property
-    def resolvent_scale(self) -> float:
-        """alpha = (sigma_max^2 - 1)^(-1/2) when sigma_max(I+M)^2 > 2, else 1:
-        the scale of the inclusion DR-GD's default step iterates on.
+    def equilibration(self) -> Optional[np.ndarray]:
+        """s of _RUIZ_PASSES passes of modified Ruiz equilibration of |M|
+        (Ruiz 2001; OSQP scales [[P, A'], [A, 0]] so) where sigma_max(I+M)^2
+        > 2, else None: each pass divides s by the square roots of the column
+        maxima of |s_i M_ij s_j|, a zero column's by 1.
 
-        0 in Mu + q + N(u) and 0 in alpha M u + alpha q + N(u) have the same
-        solutions for every alpha > 0, as N(u) is a cone. For unit x,
-        ||(I+M)x||^2 = 1 + 2 x'Px + ||Mx||^2 >= 1 + ||Mx||^2 (the skew part
-        of M drops out of x'Mx), so ||alpha M|| <= 1 and sigma_max(I +
-        alpha M) <= 2; an upper bound in place of sigma_max keeps both.
+        |M| is symmetric, so column j's maximum is that of row j's entries
+        (s_k |M_jk|) s_j, in the CSR arrays: bit for bit the dense column
+        maximum of (s_i |M_ij|) s_j.
         """
-        s2 = self.sigma_max ** 2
+        if self.sigma_max ** 2 <= 2.0:
+            return None
+        M, N = self.M, self.size
+        lengths = np.diff(M.indptr)
+        rows, starts = np.repeat(np.arange(N), lengths), M.indptr[:-1][lengths > 0]
+        absM, peak, s = np.abs(M.values), np.ones(N), np.ones(N)
+        for _ in range(_RUIZ_PASSES):
+            peak[lengths > 0] = np.maximum.reduceat(s[M.indices] * absM * s[rows], starts)
+            s /= np.sqrt(np.where(peak > 0.0, peak, 1.0))
+        return s
+
+    def _equilibrated(self, alpha: float) -> "Operator":
+        """The operator of alpha SMS, S = diag(equilibration), on M's pattern."""
+        M, N, s = self.M, self.size, self.equilibration
+        rows = np.repeat(np.arange(N), np.diff(M.indptr))
+        values = alpha * (s[rows] * M.values * s[M.indices])
+        return Operator._of_triplets(N, self.n, rows, M.indices, values)
+
+    @cached_property
+    def resolvent_scale(self) -> float:
+        """alpha = (sigma^2 - 1)^(-1/2) for sigma = sigma_max(I + SMS) when
+        sigma^2 > 2, else 1: the scale of the inclusion DR-GD's default step
+        iterates on; 1 where the operator is not equilibrated.
+
+        0 in Mu + q + N(u) and 0 in alpha SMS v + alpha Sq + N(v), u = Sv,
+        have the same solutions for every alpha > 0 and positive diagonal S,
+        as N(u) is a product of cones of single coordinates. For unit x,
+        ||(I+SMS)x||^2 = 1 + 2 x'SPSx + ||SMSx||^2 >= 1 + ||SMSx||^2 (the
+        skew part drops out of x'SMSx), so ||alpha SMS|| <= 1 and
+        sigma_max(I + alpha SMS) <= 2; an upper bound in place of sigma keeps
+        both.
+        """
+        if self.equilibration is None:
+            return 1.0
+        s2 = self._equilibrated(1.0).sigma_max ** 2
         return 1.0 if s2 <= 2.0 else (s2 - 1.0) ** -0.5
 
     @cached_property
     def scaled(self) -> "Operator":
-        """The operator of the inclusion scaled by alpha = resolvent_scale:
-        alpha M and I + alpha M, assembled as alpha K + (1 - alpha) I, with
-        everything derived from it cached on it; self at alpha = 1."""
-        alpha = self.resolvent_scale
-        if alpha == 1.0:
+        """The operator of the inclusion DR-GD's default step iterates on:
+        alpha SMS and I + alpha SMS, S = diag(equilibration) and alpha =
+        resolvent_scale, with everything derived from it cached on it; self
+        where the operator is not equilibrated."""
+        if self.equilibration is None:
             return self
-        K_a = alpha * self.I_plus_M._csr + (1.0 - alpha) * sp.identity(self.size, format="csr")
-        return Operator(SparseMatrix.from_scipy(alpha * self.M._csr),
-                        SparseMatrix.from_scipy(K_a), self.n)
+        return self._equilibrated(self.resolvent_scale)
 
     def equality_pinv(self, m_zero: int) -> np.ndarray:
         """Pseudo-inverse of the equality block A_eq' of M (rows :n, columns
@@ -341,7 +382,8 @@ class MonotoneData:
 
     Everything else derived from K is read from the operator, which problems
     with the same (P, A) may share; I_plus_M and sigma_max are forwarded.
-    A row of scaled() iterates on its problem's inclusion scaled by scale.
+    A row of scaled() iterates on its problem's inclusion equilibrated by
+    diag and scaled by scale.
     """
 
     operator: Operator
@@ -351,20 +393,24 @@ class MonotoneData:
     m: int
     cqp: ConicQP
     scale: float = 1.0
+    diag: Optional[np.ndarray] = None  # s of a scaled() row: u = s * its own u
 
     @property
     def size(self) -> int:
         return self.n + self.m
 
     def scaled(self) -> "MonotoneData":
-        """This row on 0 in alpha M u + alpha q + N(u), alpha the operator's
-        resolvent_scale: operator.scaled, alpha q and scale alpha, with the
+        """This row on 0 in alpha SMS v + alpha Sq + N(v), u = Sv, with S =
+        diag(s) and alpha the operator's equilibration and resolvent_scale:
+        operator.scaled, (alpha s) q, scale alpha and diag s, with the
         original cqp, so quality() and reports describe the problem itself.
-        The row itself at alpha = 1, or when it is scaled already."""
-        if self.scale != 1.0 or self.operator.scaled is self.operator:
+        The row itself where the operator is not equilibrated, or when it is
+        scaled already."""
+        op = self.operator
+        if self.diag is not None or op.equilibration is None:
             return self
-        alpha = self.operator.resolvent_scale
-        return replace(self, operator=self.operator.scaled, q=alpha * self.q, scale=alpha)
+        alpha, s = op.resolvent_scale, op.equilibration
+        return replace(self, operator=op.scaled, q=alpha * s * self.q, scale=alpha, diag=s)
 
     @property
     def I_plus_M(self) -> SparseMatrix:

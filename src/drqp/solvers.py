@@ -110,10 +110,12 @@ def _iterate(datas: list, cfg: SolverConfig, warms: list, bind, stack=None) -> l
     in datas, stack the operands of a stacked block's rows, one per row
     (None for any other block).
 
-    A row of MonotoneData.scaled() at scale alpha != 1, whose q is alpha
-    q already, takes its warm w as w_a = (1 - alpha) u_tilde + alpha w,
-    stops at a residual of alpha tol, and reports its w as u_tilde + (w_a -
-    u_tilde) / alpha, in I+M's convention again.
+    A row of MonotoneData.scaled() at scale alpha and diag s, whose q is
+    (alpha s) q already, iterates on v = u / s: a warm (u_tilde, w) enters
+    as v_tilde = u_tilde / s and w_v = v_tilde + (alpha s)(w - u_tilde), it
+    stops at a residual of alpha min(s) tol, and it reports u_tilde = s
+    v_tilde, u = s v and w = u_tilde + (w_v - v_tilde) / (alpha s), in
+    I+M's convention again.
 
     The reflection, projection and w-step are four calls on
     dw = u - u_tilde, u = Pi(2 u_tilde - w): dw = u_tilde - w, which Pi
@@ -140,7 +142,7 @@ def _iterate(datas: list, cfg: SolverConfig, warms: list, bind, stack=None) -> l
     the last chunk, reaches tol, so a block computes few iterations past a
     stop. Reports come back in the order of datas.
     """
-    cone, scales = datas[0].cone, np.array([d.scale for d in datas])
+    cone = datas[0].cone
     dual = slice(datas[0].size - cone.m_nonneg, None)  # the nonnegative dual columns
     rows = np.arange(len(datas))
     Q = np.stack([d.q for d in datas])
@@ -148,10 +150,15 @@ def _iterate(datas: list, cfg: SolverConfig, warms: list, bind, stack=None) -> l
     for j, warm in enumerate(warms):
         if warm is not None:
             start[:, j] = warm.u_tilde, warm.w
-    mapped = scales != 1.0
-    a, (ut0, w0) = scales[mapped, None], start[:, mapped]
-    start[1, mapped] = (1.0 - a) * ut0 + a * w0
-    tols = cfg.tol_fixed_point * scales  # each row's alpha tol
+    # alpha s of each scaled row, None on the others
+    alpha_s = [None if d.diag is None else d.scale * d.diag for d in datas]
+    for j, a_s in enumerate(alpha_s):
+        if a_s is not None:
+            ut, w = start[:, j]
+            v_tilde = ut / datas[j].diag
+            start[:, j] = v_tilde, v_tilde + a_s * (w - ut)
+    # each row's tol, alpha min(s) tol on a scaled row
+    tols = cfg.tol_fixed_point * np.array([1.0 if a is None else a.min() for a in alpha_s])
     tol = float(tols.max())  # the largest row tolerance, for the cheap tests
     histories = [[] for _ in datas] if cfg.record_history else None
     reports = [None] * len(datas)
@@ -214,8 +221,9 @@ def _iterate(datas: list, cfg: SolverConfig, warms: list, bind, stack=None) -> l
             i, ut, w = rows[j], S[n, 0, j].copy(), S[n - 1, 1, j]
             u = project_cone_dual(ut + ut - w, cone)
             w = w + (u - ut)
-            if datas[i].scale != 1.0:
-                w = ut + (w - ut) / datas[i].scale
+            if alpha_s[i] is not None:
+                v_tilde, ut, u = ut, datas[i].diag * ut, datas[i].diag * u
+                w = ut + (w - v_tilde) / alpha_s[i]
             status = "max_iter" if stop is None or not stop[j] else (
                 "error" if error[j] else "converged")
             x, y = u[:datas[i].n], u[datas[i].n:]
@@ -425,15 +433,17 @@ def drgd_solve(data: MonotoneData, cfg: SolverConfig = SolverConfig(),
     least-squares subproblem, then applies the same projection and w
     updates as dr_solve. No factorization is performed.
 
-    By default the iteration runs on data.scaled(), the inclusion 0 in
-    alpha M u + alpha q + N(u) with alpha the operator's resolvent_scale,
-    which has the problem's solutions and ||alpha M|| <= 1. Its steps are
-    at the safeguard cap SAFEGUARD_RHO / sigma_max(I + alpha M)^2 >=
-    SAFEGUARD_RHO / 4, and it stops at a residual of alpha tol, which
-    bounds the KKT residual of an exact resolvent by (1 + alpha ||M||) tol
-    <= 2 tol. Warm and reported w keep I+M's convention (see _iterate); the
-    residual history is the scaled one. With cfg.fixed_eta the step is
-    min(fixed_eta, step_size_cap) on I+M itself.
+    By default the iteration runs on data.scaled(): where sigma_max(I+M)^2
+    > 2, the inclusion 0 in alpha SMS v + alpha Sq + N(v), u = Sv, with S =
+    diag(s) the operator's Ruiz equilibration and alpha its
+    resolvent_scale, which has the problem's solutions and ||alpha SMS|| <=
+    1. Its steps are at the safeguard cap SAFEGUARD_RHO / sigma_max(I +
+    alpha SMS)^2 >= SAFEGUARD_RHO / 4, and it stops at a residual of alpha
+    min(s) tol, which bounds the problem's own KKT residual of an exact
+    resolvent by (1 + ||alpha SMS||) tol <= 2 tol. Warm and reported states
+    keep I+M's convention (see _iterate); the residual history is the
+    scaled one. With cfg.fixed_eta the step is min(fixed_eta,
+    step_size_cap) on I+M itself.
 
     Up to model._DENSE_LIMIT a step is one GEMV of the operator's row-major
     step operator A' = [I - eta K'K | eta K'] with [u_tilde | w], plus c =

@@ -1,10 +1,12 @@
 """Independent references that tests check the solvers against: the exact
-line-search step, the Wolfe conditions, the DR-GD operator composition, an
-eager one-instance DR and DR-GD loop and the textbook DR and DR-GD loops.
+line-search step, the Wolfe conditions, the DR-GD operator composition, a
+dense Ruiz equilibration, DR-GD's step and scales, an eager one-instance DR
+and DR-GD loop and the textbook DR and DR-GD loops.
 
-No solver calls them; each is written from its definition, with the
-operator's CSR product and its cached transpose, or, for eager_loop, with the
-arithmetic dr_solve and drgd_solve must reproduce bit for bit.
+No solver calls them; each is written from its definition, with dense
+matrices or the operator's CSR product and its cached transpose, or, for
+eager_loop, with the arithmetic dr_solve and drgd_solve must reproduce bit
+for bit.
 """
 
 from __future__ import annotations
@@ -103,15 +105,46 @@ def _w_step(ut: np.ndarray, w: np.ndarray, data: MonotoneData) -> np.ndarray:
     return dw
 
 
+def ruiz(M: np.ndarray, passes: int = 10) -> np.ndarray:
+    """s of modified Ruiz equilibration of the dense M: each of the passes
+    sets s <- s / sqrt(column maxima of |s_i M_ij s_j|), a zero column's
+    maximum taken as 1."""
+    absM, s = np.abs(M), np.ones(len(M))
+    for _ in range(passes):
+        peak = (s[:, None] * absM * s[None, :]).max(axis=0)
+        s = s / np.sqrt(np.where(peak > 0.0, peak, 1.0))
+    return s
+
+
+def equilibrated(data: MonotoneData, alpha: float, s: np.ndarray) -> np.ndarray:
+    """The dense I + alpha SMS, S = diag(s)."""
+    SMS = s[:, None] * data.operator.M.to_dense() * s[None, :]
+    return np.eye(data.size) + alpha * SMS
+
+
+def step_operator_of(K: np.ndarray, eta: float) -> np.ndarray:
+    """[I - eta K'K | eta K'], the DR-GD step operator as its definition
+    writes it."""
+    Kt = K.T.copy()
+    return np.concatenate([np.eye(len(K)) - eta * (Kt @ Kt.T), eta * Kt], axis=1)
+
+
 def step_and_scale(data: MonotoneData, cfg: SolverConfig) -> tuple:
-    """(eta, alpha) of a DR-GD solve: at the default step, the cap
-    SAFEGUARD_RHO / sigma_max(I + alpha M)^2 of the operator's scaled
-    operator, on the inclusion scaled by its resolvent_scale alpha; with
-    cfg.fixed_eta, min(fixed_eta, step_size_cap) on I+M itself, alpha = 1."""
-    if cfg.fixed_eta is None:
-        op = data.operator
-        return SAFEGUARD_RHO / op.scaled.sigma_max ** 2, op.resolvent_scale
-    return min(cfg.fixed_eta, step_size_cap(data)), 1.0
+    """(eta, alpha, s) of a DR-GD solve. At the default step on an operator
+    with sigma_max(I+M)^2 > 2: s of ruiz(M), alpha = (sigma^2 - 1)^(-1/2)
+    for sigma = sigma_max(I + SMS) when sigma^2 > 2, else 1, and eta the cap
+    SAFEGUARD_RHO / sigma_max(I + alpha SMS)^2, the 2-norms dense. Otherwise
+    s is None, alpha 1, and eta the cap on I+M itself, or min(fixed_eta,
+    cap) with cfg.fixed_eta."""
+    cap = step_size_cap(data)
+    if cfg.fixed_eta is not None:
+        return min(cfg.fixed_eta, cap), 1.0, None
+    if np.linalg.norm(data.I_plus_M.to_dense(), 2) ** 2 <= 2.0:
+        return cap, 1.0, None
+    s = ruiz(data.operator.M.to_dense())
+    s2 = np.linalg.norm(equilibrated(data, 1.0, s), 2) ** 2
+    alpha = 1.0 if s2 <= 2.0 else (s2 - 1.0) ** -0.5
+    return SAFEGUARD_RHO / np.linalg.norm(equilibrated(data, alpha, s), 2) ** 2, alpha, s
 
 
 def _stop(resid: float, w: np.ndarray, tol: float):
@@ -128,45 +161,61 @@ def eager_loop(data: MonotoneData, cfg: SolverConfig, warm=None, gradient=False)
     after every iteration: (status, iterations, u_tilde, u, w, residual
     history).
 
-    DR's u_tilde is Factorization.solve(w - q). DR-GD runs on the inclusion
-    scaled by alpha of step_and_scale: a warm w enters as (1 - alpha)
-    u_tilde + alpha w, and a step is u_tilde' = A' [u_tilde | w] + c with A'
-    the dense row-major step_operator(eta) of the scaled operator (of the
-    operator itself at alpha = 1), one GEMV, and c = -A' [0 | alpha q]. Then dw = u - u_tilde as _w_step forms it and
-    w += dw. The last iteration's u = Pi(2 u_tilde - w) and w' = w + (u -
-    u_tilde) are returned, w' as u_tilde + (w' - u_tilde) / alpha. An
-    iteration ends in "error" when its residual is not finite or max|w|
-    passes 1e12, in "converged" when the residual is at most alpha tol. At
-    alpha = 1 no map runs.
+    DR's u_tilde is Factorization.solve(w - q). DR-GD runs on v = u / s, the
+    inclusion equilibrated by S = diag(s) and scaled by alpha, (eta, alpha,
+    s) of step_and_scale: a warm state enters as v_tilde = u_tilde / s and
+    w_v = v_tilde + (alpha s)(w - u_tilde), and a step is v_tilde' = A'
+    [v_tilde | w_v] + c, one GEMV, with A' = step_operator_of(I + alpha
+    SMS, eta) and c = -A' [0 | (alpha s) q]. Then dw = v - v_tilde as _w_step
+    forms it and w_v += dw. The last iteration's v = Pi(2 v_tilde - w_v) and
+    w' = w_v + (v - v_tilde) are returned as u_tilde = s v_tilde, u = s v and
+    w = u_tilde + (w' - v_tilde) / (alpha s). An iteration ends in "error"
+    when its residual is not finite or max|w_v| passes 1e12, in "converged"
+    when the residual is at most alpha min(s) tol. Without s the iteration
+    runs on I+M itself, its step operator I+M's, and no map runs.
     """
-    N, alpha = data.size, 1.0
+    N, alpha, s, q, tol = data.size, 1.0, None, data.q, cfg.tol_fixed_point
     if gradient:
-        eta, alpha = step_and_scale(data, cfg)
-        At = (data.operator.scaled if alpha != 1.0 else data.operator).step_operator(eta)
-        c = -np.dot(At, np.concatenate([np.zeros(N), alpha * data.q]))
+        eta, alpha, s = step_and_scale(data, cfg)
+        K = data.I_plus_M.to_dense() if s is None else equilibrated(data, alpha, s)
+        At = step_operator_of(K, eta)
+        if s is not None:
+            a_s = alpha * s
+            q, tol = a_s * q, tol * a_s.min()
+        c = -np.dot(At, np.concatenate([np.zeros(N), q]))
     z = np.zeros(N)  # neither iterate is written in place
     ut, w = (z, z) if warm is None else (warm.u_tilde.copy(), warm.w.copy())
-    tol = alpha * cfg.tol_fixed_point
-    if alpha != 1.0:
-        w = (1.0 - alpha) * ut + alpha * w
+    if s is not None:
+        ut, w = ut / s, ut / s + a_s * (w - ut)
     history = []
     for k in range(1, cfg.max_iter + 1):
         if gradient:
             for _ in range(cfg.steps_per_iter):
                 ut = np.dot(At, np.concatenate([ut, w])) + c
         else:
-            ut = data.operator.factorization.solve(w - data.q)
+            ut = data.operator.factorization.solve(w - q)
         u = project_cone_dual(ut + ut - w, data.cone)
-        w_out = w + (u - ut)
-        if alpha != 1.0:
-            w_out = ut + (w_out - ut) / alpha
+        out = ut, u, w + (u - ut)
         dw = _w_step(ut, w, data)
         w = w + dw
         history.append(math.sqrt(np.dot(dw, dw)))
         status = _stop(history[-1], w, tol)
         if status is not None:
-            return status, k, ut, u, w_out, history
-    return "max_iter", cfg.max_iter, ut, u, w_out, history
+            break
+    else:
+        status, k = "max_iter", cfg.max_iter
+    return (status, k) + _report_out(out, s, alpha) + (history,)
+
+
+def _report_out(state: tuple, s, alpha: float) -> tuple:
+    """(u_tilde, u, w) of the iterates (v_tilde, v, w_v) on v = u / s:
+    u_tilde = s v_tilde, u = s v and w = u_tilde + (w_v - v_tilde) / (alpha
+    s); the state itself without s."""
+    if s is None:
+        return state
+    v_tilde, v, w = state
+    ut = s * v_tilde
+    return ut, s * v, ut + (w - v_tilde) / (alpha * s)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -176,37 +225,40 @@ def textbook_loop(data: MonotoneData, cfg: SolverConfig, warm=None, gradient=Fal
     iterations, u_tilde, u, w, residual history).
 
     u_tilde solves (I+M) u_tilde = w - q, or takes cfg.steps_per_iter steps
-    u_tilde -= eta T, T = K_a'(K_a u_tilde - (w - alpha q)), K_a = (1 - alpha)
-    I + alpha (I+M) with (eta, alpha) of step_and_scale, through the CSR
-    products; then u = Pi(2 u_tilde - w), dw = u - u_tilde and w += dw. A
-    warm w enters as (1 - alpha) u_tilde + alpha w, the stop test is at
-    alpha tol, and w leaves as u_tilde + (w - u_tilde) / alpha.
+    u_tilde -= eta K'(K u_tilde - (w - q)). With s of step_and_scale the
+    iteration runs on v = u / s, as eager_loop's does, with K = I + alpha
+    SMS applied through I+M's CSR pair, Kv = v + alpha s ((I+M)(s v) - s v)
+    and K'v = v + alpha s ((I+M)'(s v) - s v), and q = (alpha s) q; then u =
+    Pi(2 u_tilde - w), dw = u - u_tilde and w += dw. The maps in and out and
+    the stop test are eager_loop's.
     """
     K = data.I_plus_M
-    eta, alpha = step_and_scale(data, cfg) if gradient else (None, 1.0)
+    eta, alpha, s = step_and_scale(data, cfg) if gradient else (None, 1.0, None)
+    q, tol = data.q, cfg.tol_fixed_point
+
+    def product(mat, v):
+        return mat @ v if s is None else v + alpha * (s * (mat @ (s * v) - s * v))
+
     z = np.zeros(data.size)
     ut, w = (z.copy(), z.copy()) if warm is None else (warm.u_tilde.copy(), warm.w.copy())
-    if alpha != 1.0:
-        w = (1.0 - alpha) * ut + alpha * w
+    if s is not None:
+        q, tol = alpha * s * q, tol * (alpha * s).min()
+        ut, w = ut / s, ut / s + alpha * s * (w - ut)
     history = []
-    status, iters = "max_iter", cfg.max_iter
     for k in range(1, cfg.max_iter + 1):
-        r = w - alpha * data.q
+        r = w - q
         if gradient:
             for _ in range(cfg.steps_per_iter):
-                Kut = (1.0 - alpha) * ut + alpha * spmv(K, ut)
-                T = (1.0 - alpha) * (Kut - r) + alpha * (K._csr_t @ (Kut - r))
-                ut = ut - eta * T
+                ut = ut - eta * product(K._csr_t, product(K._csr, ut) - r)
         else:
             ut = data.operator.factorization.solve(r)
         u = project_cone_dual(2.0 * ut - w, data.cone)
         dw = u - ut
         w = w + dw
         history.append(math.sqrt(dw @ dw))
-        status = _stop(history[-1], w, alpha * cfg.tol_fixed_point)
+        status = _stop(history[-1], w, tol)
         if status is not None:
-            iters = k
             break
     else:
-        status = "max_iter"
-    return status, iters, ut, u, w if alpha == 1.0 else ut + (w - ut) / alpha, history
+        status, k = "max_iter", cfg.max_iter
+    return (status, k) + _report_out((ut, u, w), s, alpha) + (history,)

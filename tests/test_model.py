@@ -338,9 +338,8 @@ class TestOperator:
         # above the dense limit one svds call gives sigma_max to 1e-12 of the
         # SVD, the same bits on every fresh operator; should ARPACK not
         # converge, the bound sqrt(||K||_1 ||K||_inf) stands in. So for
-        # sigma_max(I + alpha M) of the scaled operator at the resolvent
-        # scale, through its own CSR pair, and its bound from (1 - alpha) I
-        # + alpha |K|
+        # sigma_max(I + alpha SMS) of the scaled operator of an equilibrated
+        # one, through its own CSR pair, and its bound from |I + alpha SMS|
         monkeypatch.setattr(model, "_DENSE_LIMIT", 0)
         if not converged:
             def no_convergence(*args, **kwargs):
@@ -350,10 +349,11 @@ class TestOperator:
                                                   seed=3, k=2)))
         for cqp in [d.cqp for d in (tiny_data, *desk_datas[:3], *portfolio)]:
             data = assemble_inclusion(cqp)
-            K = data.I_plus_M.to_dense()
+            op, K = data.operator, data.I_plus_M.to_dense()
             truth = np.linalg.svd(K, compute_uv=False)[0]
-            alpha = data.operator.resolvent_scale
-            K_a = (1.0 - alpha) * np.eye(len(K)) + alpha * K
+            s, alpha = op.equilibration, op.resolvent_scale
+            K_a = K if s is None else np.eye(len(K)) + alpha * (
+                s[:, None] * op.M.to_dense() * s[None, :])
             scaled = np.linalg.svd(K_a, compute_uv=False)[0]
             if converged:
                 assert data.sigma_max == pytest.approx(truth, rel=1e-12)
@@ -363,8 +363,7 @@ class TestOperator:
                 bound = math.sqrt(np.linalg.norm(K, 1) * np.linalg.norm(K, np.inf))
                 assert data.sigma_max == pytest.approx(bound, rel=1e-15)
                 assert data.sigma_max >= truth
-                absK = (1.0 - alpha) * np.eye(len(K)) + alpha * np.abs(K)
-                bound = math.sqrt(np.linalg.norm(absK, 1) * np.linalg.norm(absK, np.inf))
+                bound = math.sqrt(np.linalg.norm(K_a, 1) * np.linalg.norm(K_a, np.inf))
                 assert data.operator.scaled.sigma_max == pytest.approx(bound, rel=1e-15)
                 assert data.operator.scaled.sigma_max >= scaled
 

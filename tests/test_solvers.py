@@ -18,18 +18,18 @@ from drqp import model, solvers
 from drqp.solvers import (CHUNK, IterateState, SolverConfig, dr_solve, dr_solve_batch,
                           drgd_solve, drgd_solve_batch, step_size_cap,
                           warm_start_from_solution)
-from drqp.sparse import Factorization, spmv
-from oracles import (dr_operator_apply, eager_loop, exact_linesearch_step, step_and_scale,
-                     textbook_loop, wolfe_check)
+from drqp.sparse import Factorization, SparseMatrix, spmv
+from oracles import (dr_operator_apply, eager_loop, equilibrated, exact_linesearch_step, ruiz,
+                     step_and_scale, step_operator_of, textbook_loop, wolfe_check)
 
 
-def scaled_step_operator(K, eta, alpha):
-    """[I - eta K_a'K_a | eta K_a'] for K_a = (1 - alpha) I + alpha K, the DR-GD
-    step operator as its definition writes it."""
-    Kat = alpha * K.T
-    if alpha != 1.0:
-        Kat[np.diag_indices(len(K))] += 1.0 - alpha
-    return np.concatenate([np.eye(len(K)) - eta * (Kat @ Kat.T), eta * Kat], axis=1)
+def defined_step_operator(data, cfg):
+    """(eta, [I - eta K'K | eta K']) of a DR-GD solve of data under cfg, by
+    the definitions: K = I + alpha SMS with (eta, alpha, s) of
+    step_and_scale, or I+M itself without s."""
+    eta, alpha, s = step_and_scale(data, cfg)
+    K = data.I_plus_M.to_dense() if s is None else equilibrated(data, alpha, s)
+    return eta, step_operator_of(K, eta)
 
 
 def fixed_cfg(data, frac=0.5, **kw):
@@ -137,24 +137,22 @@ class TestDrgdSolve:
 
     def test_step_sizes_respect_cap(self, tiny_data):
         # a fixed step is min(fixed_eta, 0.99 / sigma_max^2) on I+M itself; the
-        # default one 0.99 / sigma_max(I + alpha M)^2 on the operator's scaled
-        # operator. A solve steps through [I - eta K_a'K_a | eta K_a'], cached
-        # for that eta alone on the operator it steps on
+        # default one 0.99 / sigma_max(I + alpha SMS)^2 on the operator's scaled
+        # operator. A solve steps through [I - eta K'K | eta K'], cached for
+        # that eta alone on the operator K it steps on
         op, cap = tiny_data.operator, step_size_cap(tiny_data)
         assert cap == 0.99 / tiny_data.sigma_max ** 2
-        alpha = op.resolvent_scale
-        assert alpha < 1.0  # sigma_max^2 > 2 here
+        assert op.equilibration is not None  # sigma_max^2 > 2 here
         scaled_cap = step_size_cap(tiny_data.scaled())
         assert scaled_cap == 0.99 / op.scaled.sigma_max ** 2
-        K = op.channel_operator[0]
-        for fixed, on, (a, eta) in ((None, op.scaled, (alpha, scaled_cap)),
-                                    (0.5 * cap, op, (1.0, 0.5 * cap)),
-                                    (4.0 * cap, op, (1.0, cap))):
+        for fixed, on, eta in ((None, op.scaled, scaled_cap), (0.5 * cap, op, 0.5 * cap),
+                               (4.0 * cap, op, cap)):
             cfg = SolverConfig(max_iter=5, fixed_eta=fixed)
-            assert step_and_scale(tiny_data, cfg) == (eta, a)
+            defined_eta, At = defined_step_operator(tiny_data, cfg)
+            assert defined_eta == eta
             drgd_solve(tiny_data, cfg)
             assert list(on._step_operators) == [eta]
-            assert np.array_equal(on._step_operators[eta], scaled_step_operator(K, eta, a))
+            assert np.array_equal(on._step_operators[eta], At)
 
     def test_u_stays_in_cone(self, desk_datas):
         data = desk_datas[1]
@@ -180,8 +178,9 @@ def kkt_error(rep):
 
 
 class TestResolventScale:
-    """DR-GD's default step on the inclusion scaled by alpha =
-    (sigma_max(I+M)^2 - 1)^(-1/2), where sigma_max^2 > 2."""
+    """DR-GD's default step on the inclusion equilibrated by S = diag(s) and
+    scaled by alpha = (sigma_max(I + SMS)^2 - 1)^(-1/2), where
+    sigma_max(I+M)^2 > 2."""
 
     @pytest.mark.parametrize("spec", [
         GenSpec(family="qp_rhs", count=3, seed=0, n=50),
@@ -193,6 +192,7 @@ class TestResolventScale:
         # sigma_max(I+M) is about 1.21 there: these rows iterate on I+M itself
         for data in prepare_data(generate(spec)):
             assert data.sigma_max ** 2 <= 2.0
+            assert data.operator.equilibration is None
             assert data.operator.resolvent_scale == 1.0
             assert data.operator.scaled is data.operator
             assert data.scaled() is data
@@ -201,27 +201,57 @@ class TestResolventScale:
     def test_portfolio_scale_and_kkt(self, k):
         cfg = SolverConfig()
         for data in prepare_data(generate(GenSpec(family="portfolio", count=3, seed=0, k=k))):
-            op, N = data.operator, data.size
-            alpha, M = op.resolvent_scale, op.M.to_dense()
-            assert 0.0 < alpha < 1.0
-            assert alpha * np.linalg.norm(M, 2) <= 1.0
-            # the scaled operator's I + alpha M is (1 - alpha) I + alpha K bit
-            # for bit, its M is alpha M, and it is cached
+            op, N, M = data.operator, data.size, data.operator.M.to_dense()
+            # s is Ruiz on |M| from the CSR arrays, bit for bit the dense one;
+            # alpha the resolvent scale of I + SMS
+            s, alpha = op.equilibration, op.resolvent_scale
+            assert np.array_equal(s, ruiz(M))
+            eta, a, _ = step_and_scale(data, cfg)
+            assert a == alpha and 0.0 < alpha <= 1.0
+            SMS = s[:, None] * M * s[None, :]
+            assert np.linalg.norm(alpha * SMS, 2) <= 1.0
+            # the scaled operator's I + alpha SMS and alpha SMS are their
+            # definitions bit for bit, and it is cached
             scaled = op.scaled
             assert scaled is op.scaled and scaled.n == op.n
-            K_a = (1.0 - alpha) * np.eye(N) + alpha * op.I_plus_M.to_dense()
-            assert np.array_equal(scaled.I_plus_M.to_dense(), K_a)
-            assert np.array_equal(scaled.M.to_dense(), alpha * M)
-            assert abs(scaled.sigma_max - np.linalg.norm(np.eye(N) + alpha * M, 2)) <= 1e-12
+            assert np.array_equal(scaled.I_plus_M.to_dense(), equilibrated(data, alpha, s))
+            assert np.array_equal(scaled.M.to_dense(), alpha * SMS)
             assert scaled.sigma_max <= 2.0
-            # the scaled row: alpha q on the scaled operator, the problem's cqp
+            assert step_size_cap(data.scaled()) == eta
+            # the scaled row: (alpha s) q on the scaled operator, with s and
+            # the problem's cqp
             row = data.scaled()
-            assert row.operator is scaled and row.scale == alpha and row.cqp is data.cqp
-            assert np.array_equal(row.q, alpha * data.q)
+            assert row.operator is scaled and row.scale == alpha and row.diag is s
+            assert row.cqp is data.cqp
+            assert np.array_equal(row.q, alpha * s * data.q)
             assert row.scaled() is row
             rep = drgd_solve(data, cfg)
             assert rep.status == "converged"
             assert kkt_error(rep) <= (2.0 + data.sigma_max) * cfg.tol_fixed_point
+            assert kkt_error(rep) <= 2.0 * cfg.tol_fixed_point
+
+    def test_ruiz_keeps_one_on_a_zero_column(self):
+        # a column holding only an explicit zero, and one with no entry, keep s = 1
+        M = SparseMatrix.from_triplets(4, 4, np.array([0, 1, 2]), np.array([1, 0, 2]),
+                                       np.array([4.0, -4.0, 0.0]))
+        op = model.Operator(M, SparseMatrix.from_dense(np.eye(4) + M.to_dense()), 2)
+        assert op.sigma_max ** 2 > 2.0
+        assert np.array_equal(op.equilibration, ruiz(M.to_dense()))
+        assert op.equilibration.tolist() == [0.5, 0.5, 1.0, 1.0]
+
+    def test_huge_hessian_probe_converges(self):
+        # qp_rhs with P scaled by 1e6 (sigma_max(I+M) about 190,262): on I+M
+        # scaled by alpha alone DR-GD ended in max_iter at 200,000 iterations
+        # with a max violation of 0.033; equilibrated it converges
+        qp = generate(GenSpec(family="qp_rhs", count=1, seed=0, n=20)).instances[0]
+        P = qp.P
+        qp = replace(qp, P=SparseMatrix(P.nrows, P.ncols, P.indptr, P.indices, P.values * 1e6))
+        data = model.assemble_inclusion(model.to_conic(qp))
+        assert data.sigma_max > 1e5
+        cfg = SolverConfig()
+        rep = drgd_solve(data, cfg)
+        assert rep.status == "converged" and rep.iterations <= 1000
+        assert kkt_error(rep) <= 2.0 * cfg.tol_fixed_point
 
     def test_rows_sharing_an_operator_share_its_scaled_one(self, monkeypatch):
         # two right-hand sides on one portfolio operator: their scaled rows
@@ -244,10 +274,10 @@ class TestResolventScale:
 
     def test_restart_continues_the_iteration(self):
         # k iterations, then k more from the report's state, are 2k iterations:
-        # a report's w leaves in I+M's convention and a warm w enters the
-        # scaled one, and the two maps are inverse
+        # a report's state leaves in I+M's convention and a warm state enters
+        # the equilibrated one, and the two maps are inverse
         data = prepare_data(generate(GenSpec(family="portfolio", count=1, seed=0, k=2)))[0]
-        assert data.operator.resolvent_scale < 1.0
+        assert data.operator.equilibration is not None
         for steps in (1, 3):
             cfg = SolverConfig(max_iter=150, steps_per_iter=steps)
             first = drgd_solve(data, cfg)
@@ -258,14 +288,14 @@ class TestResolventScale:
                 a, b = getattr(second.state, name), getattr(whole.state, name)
                 assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
 
-    @pytest.mark.slow
     def test_portfolio_k20_converges(self):
         # a step on I+M itself (0.99 / 17.6^2) ends in max_iter at 200,000
-        # iterations; on the scaled inclusion it converges in about 70,000
+        # iterations, on I+M scaled by alpha alone it converged in about
+        # 70,000; on the equilibrated inclusion it takes about 12,000
         data = prepare_data(generate(GenSpec(family="portfolio", count=1, seed=0, k=20)))[0]
         cfg = SolverConfig()
         rep = drgd_solve(data, cfg)
-        assert rep.status == "converged" and rep.iterations < cfg.max_iter
+        assert rep.status == "converged" and rep.iterations <= 20_000
         assert kkt_error(rep) <= (2.0 + data.sigma_max) * cfg.tol_fixed_point
 
 
@@ -1000,19 +1030,17 @@ def solve_digest(sparse=False):
 # solve_digest with both dense limits at their defaults and at 0 (numpy
 # 2.4.6, scipy-openblas 0.3.31, x86-64, one BLAS thread). "dr" and
 # "unscaled" are as at the one-product-per-row resolvents; "all" is re-pinned
-# at the resolvent scale, which changes the portfolio rows' default DR-GD.
-# The sparse "all" is re-pinned again at the scaled operator: its CSR pair
-# holds alpha K + (1 - alpha) I as one matrix (and svds runs on it) where the
-# steps formed (1 - alpha) x + alpha K x, which rounds apart; statuses and
-# iteration counts hold (test_drgd_sparse_channel_pair_matches_dense)
+# whenever the portfolio rows' default DR-GD changes, last at the
+# equilibrated inclusion. The eager and textbook loops and
+# test_drgd_sparse_channel_pair_matches_dense check those reports apart from it
 SOLVE_DIGESTS = {
     "dense": {
-        "all": "96f3d223ed81752cc225cacc6e43fb5bbc9ff45349202c4cc077105c2801b0cf",
+        "all": "db0282bf4a5ccedf2609c9ed570f0b9a0e09dc068f0234566a76851a14f3e130",
         "dr": "ba2a62a1697e00e90095b409ea6466c43266526cfd0a6a129145e843392a0762",
         "unscaled": "9927b302b6dc06934765dbbe7d34905623201fe0366c0e690c62bfc32dada599",
     },
     "sparse": {
-        "all": "1a6348fe374a30dcea322f5baae9ca57898ee266945e3deab2164e1849383836",
+        "all": "d1cc6189ef1f84d66fcf81affaf710763f01c07be6bcb2c147b2ab35c9d4bbe7",
         "dr": "9170385f4d26b7db78f40c1c20b2851459dc5ca472a15190de7f50ff6a286327",
         "unscaled": "4d436aee763954547169598f561cac566cfac7be28f65be82a70a4bfd3919232",
     },
@@ -1031,9 +1059,10 @@ def test_every_solve_path_is_pinned(monkeypatch, limits):
 @pytest.mark.parametrize("case", ["inverse", "superlu", "drgd"])
 def test_solved_instance_copies(monkeypatch, case):
     # a solved instance holds its operator's factorization, or after a DR-GD
-    # solve at alpha < 1 its scaled operator with that one's sigma_max,
-    # channel pair and step operator; a deep copy and a pickle round trip of
-    # it carry those along and solve exactly as the original does
+    # solve of an equilibrated operator its s and scaled operator with that
+    # one's sigma_max, channel pair and step operator; a deep copy and a
+    # pickle round trip of it carry those along and solve exactly as the
+    # original does
     if case == "drgd":
         data = prepare_data(generate(GenSpec(family="portfolio", count=1, seed=4, k=1)))[0]
         cfg = SolverConfig(record_history=True)
@@ -1041,6 +1070,9 @@ def test_solved_instance_copies(monkeypatch, case):
         scaled = vars(data.operator)["scaled"]
         assert scaled is not data.operator and scaled._step_operators
         for other in (copy.deepcopy(data), pickle.loads(pickle.dumps(data))):
+            s = vars(other.operator)["equilibration"]
+            assert s is not data.operator.equilibration
+            assert np.array_equal(s, data.operator.equilibration)
             copied = vars(other.operator)["scaled"]
             assert copied is not scaled and list(copied._step_operators) == list(
                 scaled._step_operators)
@@ -1069,9 +1101,10 @@ def test_drgd_sparse_channel_pair_matches_dense(monkeypatch):
     assert isinstance(dense[0].operator.channel_operator[0], np.ndarray)
     cfg = SolverConfig(fixed_eta=0.5 * step_size_cap(dense[0]),
                        steps_per_iter=2, record_history=True)
-    # the default step on portfolio rows (alpha < 1) runs on the scaled
-    # operator, whose CSR pair and svds sigma_max round apart from its dense
-    # K and 2-norm: statuses and iteration counts stay, iterates within 1e-12
+    # the default step on portfolio rows (equilibrated) runs on the scaled
+    # operator, whose CSR pair and svds sigma_max (and alpha) round apart from
+    # its dense K and 2-norm: statuses and iteration counts stay, iterates
+    # within 1e-12
     specs = [GenSpec(family="portfolio", count=2, seed=3, k=1),
              GenSpec(family="portfolio", count=2, seed=0, k=2)]
     defaults = [SolverConfig(steps_per_iter=steps) for steps in (1, 2)]
@@ -1092,7 +1125,7 @@ def test_drgd_sparse_channel_pair_matches_dense(monkeypatch):
     pf_sparse = []
     for pf in specs:
         datas = prepare_data(generate(pf))
-        assert all(d.operator.resolvent_scale < 1.0 for d in datas)
+        assert all(d.operator.equilibration is not None for d in datas)
         assert not isinstance(datas[0].operator.scaled.channel_operator[0], np.ndarray)
         pf_sparse += default_solves(datas)
     assert len(pf_sparse) == len(pf_dense) == 16
@@ -1107,7 +1140,7 @@ def test_drgd_sparse_channel_pair_matches_dense(monkeypatch):
 def test_gradient_operator_one_scaled_copy(monkeypatch):
     # a DR-GD solve leaves the operator it steps on (the scaled one at the
     # default step, I+M itself at a fixed one) one step operator [I - eta
-    # K_a'K_a | eta K_a'], for the last eta it stepped at; DR-only stages
+    # K'K | eta K'], for the last eta it stepped at; DR-only stages
     # (label, eval) never ask for it, nor does the CSR pair
     asked = []
     step_operator = model.Operator.step_operator
@@ -1121,24 +1154,23 @@ def test_gradient_operator_one_scaled_copy(monkeypatch):
     assert asked == []
     op, cfg = datas[0].operator, SolverConfig(max_iter=50, record_history=True)
 
-    def assert_holds(on, alpha, eta):  # one (N, 2N) [I - eta K_a'K_a | eta K_a'], bit for bit
-        K = op.channel_operator[0]
+    def assert_holds(on, cfg):  # one (N, 2N) [I - eta K'K | eta K'], bit for bit
+        eta, At = defined_step_operator(datas[0], cfg)
         assert list(on._step_operators) == [eta]
-        At = on._step_operators[eta]
-        assert At.shape == (len(K), 2 * len(K))
-        assert np.array_equal(At, scaled_step_operator(K, eta, alpha))
+        assert np.array_equal(on._step_operators[eta], At)
 
     drgd_solve(datas[0], cfg)
-    assert op.resolvent_scale < 1.0
-    assert_holds(op.scaled, op.resolvent_scale, 0.99 / op.scaled.sigma_max ** 2)
+    assert op.equilibration is not None
+    assert_holds(op.scaled, cfg)
     assert op._step_operators == {}
     # a fixed step steps on I+M; the solve equals a fresh operator's
     fixed = replace(cfg, fixed_eta=0.5 * step_size_cap(datas[0]))
     assert_identical(drgd_solve(datas[0], fixed), drgd_solve(prepare_data(bundle)[0], fixed))
-    assert_holds(op, 1.0, fixed.fixed_eta)
+    assert_holds(op, fixed)
     # another step size replaces the array
-    drgd_solve(datas[0], replace(fixed, fixed_eta=0.25 * step_size_cap(datas[0])))
-    assert_holds(op, 1.0, 0.25 * step_size_cap(datas[0]))
+    quarter = replace(fixed, fixed_eta=0.25 * step_size_cap(datas[0]))
+    drgd_solve(datas[0], quarter)
+    assert_holds(op, quarter)
     drgd_solve_batch(datas, cfg)
     assert asked[-2:] == [d.operator.scaled for d in datas]
     asked.clear()
@@ -1149,11 +1181,11 @@ def test_gradient_operator_one_scaled_copy(monkeypatch):
 
 def test_step_operators_are_row_major(monkeypatch, rhs_datas, distinct_datas):
     # the cached step operator of a shared block, and each slice a stacked
-    # block writes with out=, is the C-contiguous (N, 2N) [I - eta K_a'K_a |
-    # eta K_a'], bit for bit, the operand of one row-major GEMV per row; the
+    # block writes with out=, is the C-contiguous (N, 2N) [I - eta K'K |
+    # eta K'], bit for bit, the operand of one row-major GEMV per row; the
     # cached one starts on a 64-byte boundary, as the GEMV reads it fastest.
-    # Each stacked row steps on its own scaled operator: alpha below 1 on the
-    # portfolio rows, 1 (the operator itself) on the qp_perturbed ones
+    # Each stacked row steps on its own scaled operator: equilibrated on the
+    # portfolio rows, the operator itself on the qp_perturbed ones
     written = []
     step_operator = model.Operator.step_operator
     monkeypatch.setattr(model.Operator, "step_operator",
@@ -1165,17 +1197,17 @@ def test_step_operators_are_row_major(monkeypatch, rhs_datas, distinct_datas):
     outs = [(eta, out) for _, eta, out in written if out is not None]
     rows = distinct_datas[::2] + distinct_datas[1::2]
     assert [op for op, _, out in written if out is not None] == [d.operator.scaled for d in rows]
-    assert [d.operator.resolvent_scale < 1.0 for d in rows] == [True] * 3 + [False] * 3
+    assert [d.operator.equilibration is not None for d in rows] == [True] * 3 + [False] * 3
     data = rhs_datas[0]
     assert data.operator.scaled is data.operator
     cached = list(data.operator._step_operators.items())
     assert [eta for eta, _ in cached] == [step_size_cap(data)]
     assert cached[0][1].ctypes.data % 64 == 0
     for d, (eta, At) in zip([data] + rows, cached + outs):
-        K, N = d.operator.channel_operator[0], d.size
-        assert eta == step_and_scale(d, cfg)[0]
+        N = d.size
         assert At.shape == (N, 2 * N) and At.flags.c_contiguous
-        assert np.array_equal(At, scaled_step_operator(K, eta, d.operator.resolvent_scale))
+        ref_eta, ref = defined_step_operator(d, cfg)
+        assert eta == ref_eta and np.array_equal(At, ref)
 
 
 def test_one_row_dense_dr_binds_its_inverse(monkeypatch, rhs_datas, distinct_datas):
@@ -1207,7 +1239,7 @@ def test_one_row_dense_dr_binds_its_inverse(monkeypatch, rhs_datas, distinct_dat
 
 def test_drgd_solve_peak_memory():
     # with the scaled operator's K and sigma_max cached, a DR-GD solve holds
-    # one (N, 2N) array: its [I - eta K_a'K_a | eta K_a'], built without
+    # one (N, 2N) array: its [I - eta K'K | eta K'], built without
     # temporaries (16 N^2 bytes); 20 N^2 leaves room for the block's vectors
     # but not for a second copy
     data = prepare_data(generate(GenSpec(family="portfolio", count=1, seed=6, k=20)))[0]
