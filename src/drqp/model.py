@@ -196,15 +196,23 @@ _DENSE_LIMIT = 2048
 _RUIZ_PASSES = 10
 
 
+def _identity_plus(N: int, rows, cols, vals) -> SparseMatrix:
+    """I plus the order-N matrix of these triplets, zeros dropped as a sparse
+    sum drops them."""
+    eye = np.arange(N)
+    return SparseMatrix.from_triplets(N, N, np.r_[rows, eye], np.r_[cols, eye],
+                                      np.r_[vals, np.ones(N)], drop_zeros=True)
+
+
 @dataclass(frozen=True, eq=False)
 class Operator:
     """K = I+M for one (P, A), with M = [[P, A'], [-A, 0]].
 
     Everything derived from K is computed on first use and cached, so
     problems that share an Operator share its factorization, channel
-    products, sigma_max, equilibration, resolvent scale and scaled operator,
-    equality-block pseudo-inverses and DR-GD step operator (for one step
-    size at a time).
+    products, sigma_max, equilibration, DR-GD's resolvent scale and scaled
+    operator, DR's scaled resolvent, equality-block pseudo-inverses and DR-GD
+    step operator (for one step size at a time).
     """
 
     M: SparseMatrix
@@ -227,12 +235,9 @@ class Operator:
 
     @classmethod
     def _of_triplets(cls, N: int, n: int, rows, cols, vals) -> "Operator":
-        """The operator of the order-N M with these triplets; I+M adds the
-        identity's and drops zeros as a sparse sum does."""
-        eye = np.arange(N)
-        K = SparseMatrix.from_triplets(N, N, np.r_[rows, eye], np.r_[cols, eye],
-                                       np.r_[vals, np.ones(N)], drop_zeros=True)
-        return cls(SparseMatrix.from_triplets(N, N, rows, cols, vals), K, n)
+        """The operator of the order-N M with these triplets."""
+        return cls(SparseMatrix.from_triplets(N, N, rows, cols, vals),
+                   _identity_plus(N, rows, cols, vals), n)
 
     @property
     def size(self) -> int:
@@ -251,7 +256,7 @@ class Operator:
         desk-scale problems; the cached CSR pair above it.
         """
         if self.size <= _DENSE_LIMIT:
-            K = self.I_plus_M.to_dense()
+            K = self.I_plus_M.dense
             return K, K.T
         return self.I_plus_M._csr, self.I_plus_M._csr_t
 
@@ -292,7 +297,7 @@ class Operator:
         bound sqrt(||K||_1 ||K||_inf), which is never below the true value.
         """
         if self.size <= _DENSE_LIMIT:
-            return float(np.linalg.norm(self.I_plus_M.to_dense(), 2))
+            return float(np.linalg.norm(self.I_plus_M.dense, 2))
         K = self.I_plus_M._csr
         v0 = np.random.default_rng(0).standard_normal(self.size)
         try:
@@ -304,17 +309,17 @@ class Operator:
     @cached_property
     def equilibration(self) -> Optional[np.ndarray]:
         """s of _RUIZ_PASSES passes of modified Ruiz equilibration of |M|
-        (Ruiz 2001; OSQP scales [[P, A'], [A, 0]] so) where sigma_max(I+M)^2
-        > 2, else None: each pass divides s by the square roots of the column
-        maxima of |s_i M_ij s_j|, a zero column's by 1.
+        (Ruiz 2001; OSQP scales [[P, A'], [A, 0]] so) where some column of
+        I+M has 2-norm^2 > 2, else None: each pass divides s by the square
+        roots of the column maxima of |s_i M_ij s_j|, a zero column's by 1.
 
-        |M| is symmetric, so column j's maximum is that of row j's entries
-        (s_k |M_jk|) s_j, in the CSR arrays: bit for bit the dense column
-        maximum of (s_i |M_ij|) s_j.
+        The gate implies sigma_max(I+M)^2 > 2 with no SVD, and decides as it
+        on every generated family. |M| is symmetric, so column j's maximum is
+        row j's (s_k |M_jk|) s_j, bit for bit the dense (s_i |M_ij|) s_j.
         """
-        if self.sigma_max ** 2 <= 2.0:
+        K, M, N = self.I_plus_M, self.M, self.size
+        if np.bincount(K.indices, K.values ** 2, N).max(initial=0.0) <= 2.0:
             return None
-        M, N = self.M, self.size
         lengths = np.diff(M.indptr)
         rows, starts = np.repeat(np.arange(N), lengths), M.indptr[:-1][lengths > 0]
         absM, peak, s = np.abs(M.values), np.ones(N), np.ones(N)
@@ -323,18 +328,22 @@ class Operator:
             s /= np.sqrt(np.where(peak > 0.0, peak, 1.0))
         return s
 
+    def _sms(self) -> tuple:
+        """(rows, values) of SMS, S = diag(equilibration), on M's CSR pattern."""
+        M, s = self.M, self.equilibration
+        rows = np.repeat(np.arange(self.size), np.diff(M.indptr))
+        return rows, s[rows] * M.values * s[M.indices]
+
     def _equilibrated(self, alpha: float) -> "Operator":
-        """The operator of alpha SMS, S = diag(equilibration), on M's pattern."""
-        M, N, s = self.M, self.size, self.equilibration
-        rows = np.repeat(np.arange(N), np.diff(M.indptr))
-        values = alpha * (s[rows] * M.values * s[M.indices])
-        return Operator._of_triplets(N, self.n, rows, M.indices, values)
+        """The operator of alpha SMS."""
+        rows, values = self._sms()
+        return Operator._of_triplets(self.size, self.n, rows, self.M.indices, alpha * values)
 
     @cached_property
     def resolvent_scale(self) -> float:
         """alpha = (sigma^2 - 1)^(-1/2) for sigma = sigma_max(I + SMS) when
-        sigma^2 > 2, else 1: the scale of the inclusion DR-GD's default step
-        iterates on; 1 where the operator is not equilibrated.
+        sigma^2 > 2, else 1: DR-GD's scale, whose rows carry the bound
+        ||alpha SMS|| <= 1 shown below; 1 where not equilibrated.
 
         0 in Mu + q + N(u) and 0 in alpha SMS v + alpha Sq + N(v), u = Sv,
         have the same solutions for every alpha > 0 and positive diagonal S,
@@ -354,10 +363,24 @@ class Operator:
         """The operator of the inclusion DR-GD's default step iterates on:
         alpha SMS and I + alpha SMS, S = diag(equilibration) and alpha =
         resolvent_scale, with everything derived from it cached on it; self
-        where the operator is not equilibrated."""
+        where the operator is not equilibrated. DR's is scaled_resolvent."""
         if self.equilibration is None:
             return self
         return self._equilibrated(self.resolvent_scale)
+
+    @cached_property
+    def scaled_resolvent(self) -> Optional["Resolvent"]:
+        """DR's inclusion 0 in alpha SMS v + alpha Sq + N(v), S =
+        diag(equilibration), kept as the factorization of I + alpha SMS,
+        alpha and bound alone (None where not equilibrated): alpha the largest
+        column 2-norm of SMS, a lower bound on ||SMS||, and bound = alpha
+        min(max row abs-sum, Frobenius norm) of SMS >= ||alpha SMS||."""
+        if self.equilibration is None:
+            return None
+        (rows, sms), N, cols = self._sms(), self.size, self.M.indices
+        alpha = math.sqrt(np.bincount(cols, sms ** 2, N).max())
+        bound = alpha * min(np.bincount(rows, np.abs(sms), N).max(), math.sqrt(sms @ sms))
+        return Resolvent(Factorization(_identity_plus(N, rows, cols, alpha * sms)), alpha, bound)
 
     def equality_pinv(self, m_zero: int) -> np.ndarray:
         """Pseudo-inverse of the equality block A_eq' of M (rows :n, columns
@@ -376,6 +399,16 @@ class Operator:
 
 
 @dataclass(frozen=True, eq=False)
+class Resolvent:
+    """The factorization of I + scale SMS, with bound >= ||scale SMS||: the
+    operator of a row of MonotoneData.scaled(resolvent=True)."""
+
+    factorization: Factorization
+    scale: float
+    bound: float
+
+
+@dataclass(frozen=True, eq=False)
 class MonotoneData:
     """Assembled monotone-inclusion data for a conic QP: the operator
     K = I+M, q = (c; b) and the cone.
@@ -383,7 +416,7 @@ class MonotoneData:
     Everything else derived from K is read from the operator, which problems
     with the same (P, A) may share; I_plus_M and sigma_max are forwarded.
     A row of scaled() iterates on its problem's inclusion equilibrated by
-    diag and scaled by scale.
+    diag and scaled by scale, and bound >= ||scale SMS|| sets its stop.
     """
 
     operator: Operator
@@ -394,23 +427,27 @@ class MonotoneData:
     cqp: ConicQP
     scale: float = 1.0
     diag: Optional[np.ndarray] = None  # s of a scaled() row: u = s * its own u
+    bound: float = 1.0
 
     @property
     def size(self) -> int:
         return self.n + self.m
 
-    def scaled(self) -> "MonotoneData":
+    def scaled(self, resolvent: bool = False) -> "MonotoneData":
         """This row on 0 in alpha SMS v + alpha Sq + N(v), u = Sv, with S =
-        diag(s) and alpha the operator's equilibration and resolvent_scale:
-        operator.scaled, (alpha s) q, scale alpha and diag s, with the
-        original cqp, so quality() and reports describe the problem itself.
-        The row itself where the operator is not equilibrated, or when it is
-        scaled already."""
+        diag(s) the operator's equilibration: (alpha s) q, scale alpha and
+        diag s, with the original cqp, so quality() and reports describe the
+        problem itself: DR-GD's on operator.scaled at resolvent_scale and
+        bound 1, or DR's (resolvent) on operator.scaled_resolvent at its
+        scale and bound. The row itself where the operator is not
+        equilibrated, or when it is scaled already."""
         op = self.operator
         if self.diag is not None or op.equilibration is None:
             return self
-        alpha, s = op.resolvent_scale, op.equilibration
-        return replace(self, operator=op.scaled, q=alpha * s * self.q, scale=alpha, diag=s)
+        s, r = op.equilibration, op.scaled_resolvent if resolvent else None
+        target, alpha, bound = (r, r.scale, r.bound) if r else (op.scaled, op.resolvent_scale, 1.0)
+        return replace(self, operator=target, q=alpha * s * self.q, scale=alpha, diag=s,
+                       bound=bound)
 
     @property
     def I_plus_M(self) -> SparseMatrix:

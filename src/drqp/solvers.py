@@ -110,12 +110,14 @@ def _iterate(datas: list, cfg: SolverConfig, warms: list, bind, stack=None) -> l
     in datas, stack the operands of a stacked block's rows, one per row
     (None for any other block).
 
-    A row of MonotoneData.scaled() at scale alpha and diag s, whose q is
-    (alpha s) q already, iterates on v = u / s: a warm (u_tilde, w) enters
-    as v_tilde = u_tilde / s and w_v = v_tilde + (alpha s)(w - u_tilde), it
-    stops at a residual of alpha min(s) tol, and it reports u_tilde = s
-    v_tilde, u = s v and w = u_tilde + (w_v - v_tilde) / (alpha s), in
-    I+M's convention again.
+    A row of MonotoneData.scaled() at scale alpha, diag s and bound b, whose
+    q is (alpha s) q already, iterates on v = u / s: a warm (u_tilde, w)
+    enters as v_tilde = u_tilde / s and w_v = v_tilde + (alpha s)(w -
+    u_tilde), it stops at a residual of alpha min(s) tol min(1, 2 / (1 +
+    b)), and it reports u_tilde = s v_tilde, u = s v and w = u_tilde + (w_v
+    - v_tilde) / (alpha s), in I+M's convention again. As b >= ||alpha
+    SMS||, a converged row of an exact resolvent has a KKT residual of at
+    most (1 + b) tol min(1, 2 / (1 + b)) <= 2 tol; on DR-GD's rows b = 1.
 
     The reflection, projection and w-step are four calls on
     dw = u - u_tilde, u = Pi(2 u_tilde - w): dw = u_tilde - w, which Pi
@@ -157,8 +159,10 @@ def _iterate(datas: list, cfg: SolverConfig, warms: list, bind, stack=None) -> l
             ut, w = start[:, j]
             v_tilde = ut / datas[j].diag
             start[:, j] = v_tilde, v_tilde + a_s * (w - ut)
-    # each row's tol, alpha min(s) tol on a scaled row
-    tols = cfg.tol_fixed_point * np.array([1.0 if a is None else a.min() for a in alpha_s])
+    # each row's tol, alpha min(s) tol min(1, 2 / (1 + b)) on a scaled row
+    tols = cfg.tol_fixed_point * np.array([
+        1.0 if a is None else a.min() * min(1.0, 2.0 / (1.0 + d.bound))
+        for a, d in zip(alpha_s, datas)])
     tol = float(tols.max())  # the largest row tolerance, for the cheap tests
     histories = [[] for _ in datas] if cfg.record_history else None
     reports = [None] * len(datas)
@@ -403,7 +407,7 @@ def dr_solve_batch(datas: list, cfg: SolverConfig = SolverConfig(),
     row stops on its own, with the status and iteration count its dr_solve
     gives.
     """
-    return _by_operator(datas, cfg, warms, gradient=False)
+    return _by_operator([d.scaled(resolvent=True) for d in datas], cfg, warms, gradient=False)
 
 
 def drgd_solve_batch(datas: list, cfg: SolverConfig = SolverConfig(),
@@ -421,7 +425,16 @@ def drgd_solve_batch(datas: list, cfg: SolverConfig = SolverConfig(),
 
 def dr_solve(data: MonotoneData, cfg: SolverConfig = SolverConfig(),
              warm: Optional[IterateState] = None) -> SolveReport:
-    """Douglas-Rachford splitting with a single reusable factorization of I+M."""
+    """Douglas-Rachford splitting with one reusable factorization.
+
+    Where the operator is equilibrated (a column of I+M has 2-norm^2 > 2),
+    it factorizes I + alpha SMS and runs on data.scaled(resolvent=True), 0
+    in alpha SMS v + alpha Sq + N(v), u = Sv, with S = diag(s) the Ruiz
+    equilibration and alpha the largest column 2-norm of SMS; its stop (see
+    _iterate) bounds a converged report's KKT residual by 2 tol. Warm and
+    reported states keep I+M's convention; the residual history is the
+    scaled one. Elsewhere it factorizes I+M itself.
+    """
     return dr_solve_batch([data], cfg, [warm])[0]
 
 

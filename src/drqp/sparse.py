@@ -125,6 +125,14 @@ class SparseMatrix:
     def _csr_t(self) -> sp.csr_matrix:
         return self._csr.T.tocsr()
 
+    @cached_property
+    def dense(self) -> np.ndarray:
+        """The dense matrix, read-only and cached, so deep copies share it as
+        they share _csr; to_dense() gives a writable copy."""
+        arr = self._csr.toarray()
+        arr.setflags(write=False)
+        return arr
+
     # -- problem checks ----------------------------------------------------
 
     @cached_property

@@ -1,7 +1,7 @@
 """Independent references that tests check the solvers against: the exact
 line-search step, the Wolfe conditions, the DR-GD operator composition, a
-dense Ruiz equilibration, DR-GD's step and scales, an eager one-instance DR
-and DR-GD loop and the textbook DR and DR-GD loops.
+dense Ruiz equilibration, DR's and DR-GD's steps and scales, an eager
+one-instance DR and DR-GD loop and the textbook DR and DR-GD loops.
 
 No solver calls them; each is written from its definition, with dense
 matrices or the operator's CSR product and its cached transpose, or, for
@@ -18,7 +18,7 @@ import numpy as np
 
 from drqp.model import MonotoneData, project_cone_dual
 from drqp.solvers import SAFEGUARD_RHO, SolverConfig, step_size_cap
-from drqp.sparse import spmv
+from drqp.sparse import Factorization, SparseMatrix, spmv
 
 
 def exact_linesearch_step(t: np.ndarray, data: MonotoneData) -> float:
@@ -116,10 +116,40 @@ def ruiz(M: np.ndarray, passes: int = 10) -> np.ndarray:
     return s
 
 
+def equilibrates(data: MonotoneData) -> bool:
+    """Whether some column of the dense I+M has 2-norm^2 > 2, the gate of
+    both solvers' equilibration."""
+    K = data.I_plus_M.to_dense()
+    return bool((K * K).sum(axis=0).max() > 2.0)
+
+
+def sms(data: MonotoneData, s: np.ndarray) -> np.ndarray:
+    """The dense SMS, S = diag(s)."""
+    return s[:, None] * data.operator.M.to_dense() * s[None, :]
+
+
 def equilibrated(data: MonotoneData, alpha: float, s: np.ndarray) -> np.ndarray:
     """The dense I + alpha SMS, S = diag(s)."""
-    SMS = s[:, None] * data.operator.M.to_dense() * s[None, :]
-    return np.eye(data.size) + alpha * SMS
+    return np.eye(data.size) + alpha * sms(data, s)
+
+
+def dr_scale(data: MonotoneData) -> tuple:
+    """(alpha, s, b) of a DR solve, from the dense matrices: where the
+    operator equilibrates, s of ruiz(M), alpha the largest column 2-norm of
+    SMS and b = alpha min(largest row abs-sum, Frobenius norm) of SMS, a
+    bound on ||alpha SMS||; else (1, None, 1)."""
+    if not equilibrates(data):
+        return 1.0, None, 1.0
+    s = ruiz(data.operator.M.to_dense())
+    SMS = sms(data, s)
+    alpha = math.sqrt((SMS * SMS).sum(axis=0).max())
+    return alpha, s, alpha * min(np.abs(SMS).sum(axis=1).max(), np.linalg.norm(SMS, "fro"))
+
+
+def stop_factor(b: float) -> float:
+    """min(1, 2 / (1 + b)): with b >= ||alpha SMS||, a residual of alpha
+    min(s) tol times it bounds an exact resolvent's KKT residual by 2 tol."""
+    return min(1.0, 2.0 / (1.0 + b))
 
 
 def step_operator_of(K: np.ndarray, eta: float) -> np.ndarray:
@@ -131,15 +161,16 @@ def step_operator_of(K: np.ndarray, eta: float) -> np.ndarray:
 
 def step_and_scale(data: MonotoneData, cfg: SolverConfig) -> tuple:
     """(eta, alpha, s) of a DR-GD solve. At the default step on an operator
-    with sigma_max(I+M)^2 > 2: s of ruiz(M), alpha = (sigma^2 - 1)^(-1/2)
+    that equilibrates: s of ruiz(M), alpha = (sigma^2 - 1)^(-1/2)
     for sigma = sigma_max(I + SMS) when sigma^2 > 2, else 1, and eta the cap
     SAFEGUARD_RHO / sigma_max(I + alpha SMS)^2, the 2-norms dense. Otherwise
     s is None, alpha 1, and eta the cap on I+M itself, or min(fixed_eta,
-    cap) with cfg.fixed_eta."""
+    cap) with cfg.fixed_eta. The operator equilibrates as equilibrates()
+    says."""
     cap = step_size_cap(data)
     if cfg.fixed_eta is not None:
         return min(cfg.fixed_eta, cap), 1.0, None
-    if np.linalg.norm(data.I_plus_M.to_dense(), 2) ** 2 <= 2.0:
+    if not equilibrates(data):
         return cap, 1.0, None
     s = ruiz(data.operator.M.to_dense())
     s2 = np.linalg.norm(equilibrated(data, 1.0, s), 2) ** 2
@@ -161,27 +192,35 @@ def eager_loop(data: MonotoneData, cfg: SolverConfig, warm=None, gradient=False)
     after every iteration: (status, iterations, u_tilde, u, w, residual
     history).
 
-    DR's u_tilde is Factorization.solve(w - q). DR-GD runs on v = u / s, the
-    inclusion equilibrated by S = diag(s) and scaled by alpha, (eta, alpha,
-    s) of step_and_scale: a warm state enters as v_tilde = u_tilde / s and
-    w_v = v_tilde + (alpha s)(w - u_tilde), and a step is v_tilde' = A'
-    [v_tilde | w_v] + c, one GEMV, with A' = step_operator_of(I + alpha
-    SMS, eta) and c = -A' [0 | (alpha s) q]. Then dw = v - v_tilde as _w_step
-    forms it and w_v += dw. The last iteration's v = Pi(2 v_tilde - w_v) and
-    w' = w_v + (v - v_tilde) are returned as u_tilde = s v_tilde, u = s v and
-    w = u_tilde + (w' - v_tilde) / (alpha s). An iteration ends in "error"
-    when its residual is not finite or max|w_v| passes 1e12, in "converged"
-    when the residual is at most alpha min(s) tol. Without s the iteration
-    runs on I+M itself, its step operator I+M's, and no map runs.
+    Both run on v = u / s, the inclusion equilibrated by S = diag(s) and
+    scaled by alpha: (eta, alpha, s) of step_and_scale for DR-GD, (alpha,
+    s, b) of dr_scale for DR, b = 1 for DR-GD. A warm state enters as
+    v_tilde = u_tilde / s and w_v = v_tilde + (alpha s)(w - u_tilde). DR's
+    v_tilde is the Factorization of the dense I + alpha SMS solving w_v -
+    (alpha s) q; a DR-GD step is v_tilde' = A' [v_tilde | w_v] + c, one
+    GEMV, with A' = step_operator_of(I + alpha SMS, eta) and c = -A' [0 |
+    (alpha s) q]. Then dw = v - v_tilde as _w_step forms it and w_v += dw.
+    The last iteration's v = Pi(2 v_tilde - w_v) and w' = w_v + (v -
+    v_tilde) are returned as u_tilde = s v_tilde, u = s v and w = u_tilde +
+    (w' - v_tilde) / (alpha s). An iteration ends in "error" when its
+    residual is not finite or max|w_v| passes 1e12, in "converged" when the
+    residual is at most tol alpha min(s) stop_factor(b). Without s the
+    iteration runs on I+M itself, DR with its operator's Factorization,
+    DR-GD with I+M's step operator, and no map runs.
     """
-    N, alpha, s, q, tol = data.size, 1.0, None, data.q, cfg.tol_fixed_point
+    N, q, tol = data.size, data.q, cfg.tol_fixed_point
     if gradient:
-        eta, alpha, s = step_and_scale(data, cfg)
+        (eta, alpha, s), b = step_and_scale(data, cfg), 1.0
         K = data.I_plus_M.to_dense() if s is None else equilibrated(data, alpha, s)
         At = step_operator_of(K, eta)
-        if s is not None:
-            a_s = alpha * s
-            q, tol = a_s * q, tol * a_s.min()
+    else:
+        alpha, s, b = dr_scale(data)
+        F = data.operator.factorization if s is None else Factorization(
+            SparseMatrix.from_dense(equilibrated(data, alpha, s)))
+    if s is not None:
+        a_s = alpha * s
+        q, tol = a_s * q, tol * (a_s.min() * stop_factor(b))
+    if gradient:
         c = -np.dot(At, np.concatenate([np.zeros(N), q]))
     z = np.zeros(N)  # neither iterate is written in place
     ut, w = (z, z) if warm is None else (warm.u_tilde.copy(), warm.w.copy())
@@ -193,7 +232,7 @@ def eager_loop(data: MonotoneData, cfg: SolverConfig, warm=None, gradient=False)
             for _ in range(cfg.steps_per_iter):
                 ut = np.dot(At, np.concatenate([ut, w])) + c
         else:
-            ut = data.operator.factorization.solve(w - q)
+            ut = F.solve(w - q)
         u = project_cone_dual(ut + ut - w, data.cone)
         out = ut, u, w + (u - ut)
         dw = _w_step(ut, w, data)
@@ -224,16 +263,21 @@ def textbook_loop(data: MonotoneData, cfg: SolverConfig, warm=None, gradient=Fal
     with the stop test of eager_loop after every iteration: (status,
     iterations, u_tilde, u, w, residual history).
 
-    u_tilde solves (I+M) u_tilde = w - q, or takes cfg.steps_per_iter steps
-    u_tilde -= eta K'(K u_tilde - (w - q)). With s of step_and_scale the
-    iteration runs on v = u / s, as eager_loop's does, with K = I + alpha
-    SMS applied through I+M's CSR pair, Kv = v + alpha s ((I+M)(s v) - s v)
-    and K'v = v + alpha s ((I+M)'(s v) - s v), and q = (alpha s) q; then u =
-    Pi(2 u_tilde - w), dw = u - u_tilde and w += dw. The maps in and out and
-    the stop test are eager_loop's.
+    u_tilde solves K u_tilde = w - q, or takes cfg.steps_per_iter steps
+    u_tilde -= eta K'(K u_tilde - (w - q)). With s of step_and_scale, or of
+    dr_scale for DR, the iteration runs on v = u / s, as eager_loop's does,
+    with K = I + alpha SMS and q = (alpha s) q: DR solves with the dense
+    K by np.linalg.solve, DR-GD applies it through I+M's CSR pair, Kv = v +
+    alpha s ((I+M)(s v) - s v) and K'v = v + alpha s ((I+M)'(s v) - s v).
+    Then u = Pi(2 u_tilde - w), dw = u - u_tilde and w += dw. The maps in
+    and out and the stop test are eager_loop's. Without s, K = I+M and DR
+    solves with its operator's Factorization.
     """
     K = data.I_plus_M
-    eta, alpha, s = step_and_scale(data, cfg) if gradient else (None, 1.0, None)
+    if gradient:
+        (eta, alpha, s), b = step_and_scale(data, cfg), 1.0
+    else:
+        alpha, s, b = dr_scale(data)
     q, tol = data.q, cfg.tol_fixed_point
 
     def product(mat, v):
@@ -242,7 +286,7 @@ def textbook_loop(data: MonotoneData, cfg: SolverConfig, warm=None, gradient=Fal
     z = np.zeros(data.size)
     ut, w = (z.copy(), z.copy()) if warm is None else (warm.u_tilde.copy(), warm.w.copy())
     if s is not None:
-        q, tol = alpha * s * q, tol * (alpha * s).min()
+        q, tol = alpha * s * q, tol * ((alpha * s).min() * stop_factor(b))
         ut, w = ut / s, ut / s + alpha * s * (w - ut)
     history = []
     for k in range(1, cfg.max_iter + 1):
@@ -250,8 +294,10 @@ def textbook_loop(data: MonotoneData, cfg: SolverConfig, warm=None, gradient=Fal
         if gradient:
             for _ in range(cfg.steps_per_iter):
                 ut = ut - eta * product(K._csr_t, product(K._csr, ut) - r)
-        else:
+        elif s is None:
             ut = data.operator.factorization.solve(r)
+        else:
+            ut = np.linalg.solve(equilibrated(data, alpha, s), r)
         u = project_cone_dual(2.0 * ut - w, data.cone)
         dw = u - ut
         w = w + dw

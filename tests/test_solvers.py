@@ -19,8 +19,9 @@ from drqp.solvers import (CHUNK, IterateState, SolverConfig, dr_solve, dr_solve_
                           drgd_solve, drgd_solve_batch, step_size_cap,
                           warm_start_from_solution)
 from drqp.sparse import Factorization, SparseMatrix, spmv
-from oracles import (dr_operator_apply, eager_loop, equilibrated, exact_linesearch_step, ruiz,
-                     step_and_scale, step_operator_of, textbook_loop, wolfe_check)
+from oracles import (dr_operator_apply, dr_scale, eager_loop, equilibrated, equilibrates,
+                     exact_linesearch_step, ruiz, sms, step_and_scale, step_operator_of,
+                     textbook_loop, wolfe_check)
 
 
 def defined_step_operator(data, cfg):
@@ -196,6 +197,8 @@ class TestResolventScale:
             assert data.operator.resolvent_scale == 1.0
             assert data.operator.scaled is data.operator
             assert data.scaled() is data
+            assert data.operator.scaled_resolvent is None
+            assert data.scaled(resolvent=True) is data
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_portfolio_scale_and_kkt(self, k):
@@ -239,17 +242,19 @@ class TestResolventScale:
         assert np.array_equal(op.equilibration, ruiz(M.to_dense()))
         assert op.equilibration.tolist() == [0.5, 0.5, 1.0, 1.0]
 
-    def test_huge_hessian_probe_converges(self):
+    @pytest.mark.parametrize("solve", [dr_solve, drgd_solve])
+    def test_huge_hessian_probe_converges(self, solve):
         # qp_rhs with P scaled by 1e6 (sigma_max(I+M) about 190,262): on I+M
-        # scaled by alpha alone DR-GD ended in max_iter at 200,000 iterations
-        # with a max violation of 0.033; equilibrated it converges
+        # scaled by alpha alone DR-GD, and on I+M itself DR, ended in max_iter
+        # at 200,000 iterations with a max violation of 0.033; equilibrated
+        # both converge (DR-GD in about 260 iterations, DR in about 340)
         qp = generate(GenSpec(family="qp_rhs", count=1, seed=0, n=20)).instances[0]
         P = qp.P
         qp = replace(qp, P=SparseMatrix(P.nrows, P.ncols, P.indptr, P.indices, P.values * 1e6))
         data = model.assemble_inclusion(model.to_conic(qp))
         assert data.sigma_max > 1e5
         cfg = SolverConfig()
-        rep = drgd_solve(data, cfg)
+        rep = solve(data, cfg)
         assert rep.status == "converged" and rep.iterations <= 1000
         assert kkt_error(rep) <= 2.0 * cfg.tol_fixed_point
 
@@ -297,6 +302,80 @@ class TestResolventScale:
         rep = drgd_solve(data, cfg)
         assert rep.status == "converged" and rep.iterations <= 20_000
         assert kkt_error(rep) <= (2.0 + data.sigma_max) * cfg.tol_fixed_point
+
+
+class TestEquilibratedDr:
+    """DR on the inclusion equilibrated by S = diag(s), the operator's Ruiz
+    equilibration, and scaled by alpha, the largest column 2-norm of SMS,
+    where some column of I+M has 2-norm^2 > 2."""
+
+    @pytest.mark.parametrize("k, count", [(1, 3), (2, 3), (5, 3), (20, 2)])
+    def test_portfolio_reports_meet_the_kkt_bound(self, k, count):
+        # one row, a stacked block and a label at 1e-9: each converges with a
+        # KKT residual of at most 2 tol; the scale and bound are their
+        # definitions, from the dense matrices
+        bundle = generate(GenSpec(family="portfolio", count=count, seed=0, k=k))
+        datas = prepare_data(bundle)
+        for data in datas:
+            r = data.operator.scaled_resolvent
+            alpha, s, b = dr_scale(data)
+            assert np.array_equal(s, data.operator.equilibration)
+            assert r.scale == alpha and r.bound == pytest.approx(b, rel=1e-12)
+            assert np.linalg.norm(alpha * sms(data, s), 2) <= r.bound
+            row = data.scaled(resolvent=True)
+            assert row.operator is r and row.scale == alpha and row.bound == r.bound
+            assert row.diag is data.operator.equilibration and row.scaled() is row
+            assert np.array_equal(row.q, alpha * s * data.q)
+        cfg = SolverConfig()
+        for rep in [dr_solve(d, cfg) for d in datas] + dr_solve_batch(datas, cfg):
+            assert rep.status == "converged"
+            assert kkt_error(rep) <= 2.0 * cfg.tol_fixed_point
+        labeled, excluded = label_bundle(bundle)
+        assert excluded == []
+        for data, (x, y) in zip(datas, labeled.labels):
+            metrics = model.quality(data.cqp, x, y)
+            assert max(metrics.max_viol, metrics.dual_residual_inf) <= 2e-9
+
+    @pytest.mark.parametrize("spec", [
+        GenSpec(family="qp_rhs", count=1, seed=0, n=16),
+        GenSpec(family="qp_rhs", count=1, seed=0, n=50),
+        GenSpec(family="qp_rhs", count=1, seed=0, n=200),
+        GenSpec(family="qp_perturbed", count=2, seed=0, n=12),
+        GenSpec(family="qp_perturbed", count=2, seed=0, n=50),
+        GenSpec(family="qp_perturbed", count=1, seed=0, n=520),
+        GenSpec(family="portfolio", count=2, seed=0, k=1),
+        GenSpec(family="portfolio", count=2, seed=0, k=2),
+        GenSpec(family="portfolio", count=2, seed=0, k=5),
+        GenSpec(family="portfolio", count=1, seed=0, k=20),
+    ], ids=lambda spec: f"{spec.family}-{spec.k if spec.family == 'portfolio' else spec.n}")
+    def test_gate_decides_as_sigma_max(self, spec):
+        # the column 2-norm test decides as the dense 2-norm test would
+        for data in prepare_data(generate(spec)):
+            sigma2 = np.linalg.norm(data.I_plus_M.to_dense(), 2) ** 2
+            assert equilibrates(data) == (sigma2 > 2.0)
+            assert (data.operator.equilibration is not None) == (sigma2 > 2.0)
+            assert (spec.family == "portfolio") == (sigma2 > 2.0)
+
+    def test_columns_below_the_gate_stay_unequilibrated(self):
+        # P = 0.3 [[1, 1], [1, 1]] + 0.05 I and one inequality with a small
+        # row: every column of I+M has 2-norm^2 <= 1.93, but sigma_max(I+M)^2
+        # >= 1.65^2; neither solver equilibrates, both run on I+M as the eager
+        # loop does
+        data = inclusion_of(build_standard(P=0.3 * np.ones((2, 2)) + 0.05 * np.eye(2),
+                                           c=[1.0, -2.0], A=np.zeros((0, 2)), b=[],
+                                           G=[[0.1, 0.0]], h=[-5.0],
+                                           l=[-np.inf] * 2, u=[np.inf] * 2))
+        K = data.I_plus_M.to_dense()
+        assert (K * K).sum(axis=0).max() <= 2.0 < np.linalg.norm(K, 2) ** 2
+        op = data.operator
+        assert op.equilibration is None and op.scaled_resolvent is None
+        assert op.scaled is op and data.scaled() is data
+        assert data.scaled(resolvent=True) is data
+        cfg = SolverConfig(record_history=True)
+        for solve, gradient in ((dr_solve, False), (drgd_solve, True)):
+            rep = solve(data, cfg)
+            assert rep.status == "converged"
+            assert_is_loop(rep, eager_loop(data, cfg, gradient=gradient), True)
 
 
 @pytest.mark.parametrize("solve", [dr_solve, drgd_solve])
@@ -816,8 +895,11 @@ class TestBatch:
         with monkeypatch.context() as m:
             m.setattr(Factorization, "_DENSE_LIMIT", 0)
             m.setattr(model, "_DENSE_LIMIT", 0)
-            assert pf[3].operator.factorization.kind == "superlu"
-            assert not isinstance(pf[3].operator.channel_operator[0], np.ndarray)
+            # on the equilibrated operator that each solver iterates pf[3] on
+            if solver == "dr":
+                assert pf[3].scaled(resolvent=True).operator.factorization.kind == "superlu"
+            else:
+                assert not isinstance(pf[3].scaled().operator.channel_operator[0], np.ndarray)
         datas = [pf[0], rhs[0], pf[3], other[0], pf[1], rhs[1], pf[2], rhs[2]]
         cfg = SolverConfig(record_history=True)
         reports = batch(datas, cfg)
@@ -908,11 +990,15 @@ class TestChunks:
         loop = eager_loop(data, cfg, gradient=solver == "drgd")
         assert_is_loop(rep, loop, True)
 
-    @pytest.mark.parametrize("warm", [0.0, 7e11], ids=["cold", "huge-warm"])
+    @pytest.mark.parametrize("warm", [0.0, 4e11], ids=["cold", "huge-warm"])
     @pytest.mark.parametrize("steps", [1, 3])
     def test_divergence_mid_chunk(self, warm, steps):
         # w grows past the limit at an iteration that is not a chunk's last:
-        # the row ends in "error" there, byte for byte the eager loop's
+        # the row ends in "error" there, byte for byte the eager loop's. Both
+        # solvers iterate on the equilibrated inclusion, where a warm w enters
+        # as (alpha s)(w - u_tilde): at DR's alpha = sqrt(3) the huge warm
+        # start is above half the limit from the start, and 7e11 would pass
+        # it at the first iteration
         data = infeasible_data()
         z = np.zeros(data.size)
         start = IterateState(z, z.copy(), np.full(data.size, warm))
@@ -974,15 +1060,17 @@ def solve_digest(sparse=False):
     size), cold and warm, steps 1 and 3, a fixed step capped on some rows,
     history on and off; then label_bundle's labels.
 
-    Three digests, by name: "all" of every report and label; "dr" of the DR
-    reports and the labels alone; "unscaled" of the DR-GD reports of rows
-    that iterate on I+M itself, every fixed-step run and each default-step
-    row with sigma_max(I+M)^2 <= 2 (all but the portfolio rows).
+    Four digests, by name: "all" of every report and label; "dr" of the DR
+    reports and labels of the rows that are not equilibrated (all but the
+    portfolio rows), which DR iterates on I+M itself; "drgd" of every DR-GD
+    report; "unscaled" of the DR-GD reports of rows that iterate on I+M
+    itself, every fixed-step run and each default-step row that is not
+    equilibrated.
 
     sparse (both dense limits at 0) leaves the stacked blocks out and stops
     at tol 1e-3 or 150 iterations: the CSR pair's DR-GD steps cost about
     70 us each, and every row there runs alone or in its shared block."""
-    hashes = {name: hashlib.sha256() for name in ("all", "dr", "unscaled")}
+    hashes = {name: hashlib.sha256() for name in ("all", "dr", "drgd", "unscaled")}
 
     def update(rep, *names):
         history = b"none" if rep.residual_history is None else np.array(
@@ -1010,9 +1098,9 @@ def solve_digest(sparse=False):
             cfg = SolverConfig(steps_per_iter=steps, fixed_eta=fixed_eta,
                                record_history=record_history, **limits)
             for datas in (rhs, mixed) if sparse else (rhs, distinct, mixed):
-                names = [("dr",) if solver == "dr" else ("unscaled",) if (
-                    fixed_eta is not None or d.operator.sigma_max ** 2 <= 2.0) else ()
-                    for d in datas]
+                plain = [d.operator.equilibration is None for d in datas]
+                names = [(("dr",) if p else ()) if solver == "dr" else ("drgd", "unscaled") if (
+                    fixed_eta is not None or p) else ("drgd",) for p in plain]
                 for warms in ([None] * len(datas), short_warms(datas)):
                     for d, w, part in zip(datas, warms, names):
                         update(single(d, cfg, warm=w), *part)
@@ -1022,26 +1110,30 @@ def solve_digest(sparse=False):
         bundle, excluded = label_bundle(generate(GenSpec(family=family, count=4, seed=5, **kw)))
         assert excluded == []
         for x, y in bundle.labels:
-            for name in ("all", "dr"):
+            for name in ("all", "dr") if family == "qp_rhs" else ("all",):
                 hashes[name].update(x.tobytes() + y.tobytes())
     return {name: h.hexdigest() for name, h in hashes.items()}
 
 
 # solve_digest with both dense limits at their defaults and at 0 (numpy
-# 2.4.6, scipy-openblas 0.3.31, x86-64, one BLAS thread). "dr" and
-# "unscaled" are as at the one-product-per-row resolvents; "all" is re-pinned
-# whenever the portfolio rows' default DR-GD changes, last at the
-# equilibrated inclusion. The eager and textbook loops and
-# test_drgd_sparse_channel_pair_matches_dense check those reports apart from it
+# 2.4.6, scipy-openblas 0.3.31, x86-64, one BLAS thread). "unscaled" is as at
+# the one-product-per-row resolvents; "dr" and "drgd" were recorded when DR
+# still iterated on I+M for every row and are unchanged by DR's equilibrated
+# inclusion. "all" is re-pinned whenever the portfolio rows' DR or default
+# DR-GD changes, last when DR moved to the equilibrated inclusion. The eager
+# and textbook loops and test_drgd_sparse_channel_pair_matches_dense check
+# those reports apart from it
 SOLVE_DIGESTS = {
     "dense": {
-        "all": "db0282bf4a5ccedf2609c9ed570f0b9a0e09dc068f0234566a76851a14f3e130",
-        "dr": "ba2a62a1697e00e90095b409ea6466c43266526cfd0a6a129145e843392a0762",
+        "all": "500dd939b4ce4571c331dc5f9dc21d4b0e6219c3e2f174049c5a447d90debba2",
+        "dr": "3bd001dcbb74a1786157816ee52eda8498866eb83400a185ff157fba2ba92995",
+        "drgd": "9172e8f8649827cc2866f068a1600d54ca6b94d2b7ff61a2c1bbad3447ddd007",
         "unscaled": "9927b302b6dc06934765dbbe7d34905623201fe0366c0e690c62bfc32dada599",
     },
     "sparse": {
-        "all": "d1cc6189ef1f84d66fcf81affaf710763f01c07be6bcb2c147b2ab35c9d4bbe7",
-        "dr": "9170385f4d26b7db78f40c1c20b2851459dc5ca472a15190de7f50ff6a286327",
+        "all": "63d9af026eb5f7cb8c0eeb863d635b15c0b007e52611edc561ea1fd211e97713",
+        "dr": "62ade528ef36ac28b0835bbe60688c353901b551f1044115402afa52a6f486f6",
+        "drgd": "8ef3432abaeca9209fddb73c3e5c5600b122d950c64df07457ca32c50d9df702",
         "unscaled": "4d436aee763954547169598f561cac566cfac7be28f65be82a70a4bfd3919232",
     },
 }
