@@ -188,12 +188,13 @@ def aligned_empty(shape: tuple) -> np.ndarray:
 
 
 class Factorization:
-    """Reusable LU factorization of a square nonsingular matrix: a dense LAPACK
-    LU and the explicit inverse built from it, so solve() is one BLAS product,
-    up to _DENSE_LIMIT and above a pivot ratio of 1e-10; SuperLU otherwise.
-    inverse is that C-ordered, 64-byte aligned inverse, or None on the
-    SuperLU path. DR multiplies by it directly, bound once per block, and
-    calls solve() only on the SuperLU path.
+    """Reusable LU factorization of a square nonsingular matrix A, a
+    SparseMatrix or a dense float64 array: a dense LAPACK LU and the explicit
+    inverse built from it, so solve() is one BLAS product, up to _DENSE_LIMIT
+    and above a pivot ratio of 1e-10; SuperLU otherwise, which alone turns a
+    dense A (left as it is) into a SparseMatrix. inverse is that C-ordered,
+    64-byte aligned inverse, or None on the SuperLU path. DR multiplies by it
+    directly, bound once per block, and calls solve() only on SuperLU's.
 
     solve() is re-entrant for distinct right-hand sides and satisfies
     ||Ax - b|| / max(1, ||b||) <= 1e-10 for well-conditioned A.
@@ -203,21 +204,23 @@ class Factorization:
     # desk-scale systems
     _DENSE_LIMIT = 1024
 
-    def __init__(self, A: SparseMatrix):
-        if A.nrows != A.ncols:
+    def __init__(self, A: SparseMatrix | np.ndarray):
+        dense = isinstance(A, np.ndarray)
+        if len(A.shape) != 2 or A.shape[0] != A.shape[1]:
             raise DimensionError("factorize: matrix must be square")
-        if not np.all(np.isfinite(A.values)):
+        if not np.all(np.isfinite(A if dense else A.values)):
             raise SingularMatrixError("matrix has non-finite entries")
         self.shape, self.inverse, self._lu = A.shape, None, None
-        if 0 < A.nrows <= self._DENSE_LIMIT:
-            lu, piv, _ = lapack.dgetrf(A._csr.toarray(order="F"), overwrite_a=True)
+        if 0 < A.shape[0] <= self._DENSE_LIMIT:
+            lu, piv, _ = lapack.dgetrf(A if dense else A._csr.toarray(order="F"),
+                                       overwrite_a=not dense)
             if _inverse_safe(np.diagonal(lu)):
                 # getrs against I, C-ordered: how np.linalg.inv builds its inverse
-                inv = lapack.dgetrs(lu, piv, np.eye(A.nrows, order="F"), overwrite_b=True)[0]
+                inv = lapack.dgetrs(lu, piv, np.eye(A.shape[0], order="F"), overwrite_b=True)[0]
                 self.inverse = aligned_empty(inv.shape)
                 self.inverse[...] = inv
                 return
-        self._A = A
+        self._A = A = SparseMatrix.from_dense(A) if dense else A
         try:
             self._lu = spla.splu(A._csr.tocsc())
         except RuntimeError as exc:  # SuperLU signals exact singularity this way

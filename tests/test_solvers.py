@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from conftest import build_standard, inclusion_of
 from drqp.datagen import GenSpec, generate, label_bundle
@@ -31,6 +32,23 @@ def defined_step_operator(data, cfg):
     eta, alpha, s = step_and_scale(data, cfg)
     K = data.I_plus_M.to_dense() if s is None else equilibrated(data, alpha, s)
     return eta, step_operator_of(K, eta)
+
+
+def forbid_sparse_matrices(m):
+    """Make building a SparseMatrix or any scipy sparse matrix raise, through
+    the monkeypatch m."""
+    def built(*args, **kwargs):
+        raise AssertionError("a sparse matrix was built")
+    m.setattr(SparseMatrix, "__init__", built)
+    m.setattr(scipy.sparse._base._spbase, "__init__", built)
+
+
+def huge_hessian_probe():
+    """qp_rhs (n = 20, seed 0) with P scaled by 1e6: sigma_max(I+M) about 190,262."""
+    qp = generate(GenSpec(family="qp_rhs", count=1, seed=0, n=20)).instances[0]
+    P = qp.P
+    qp = replace(qp, P=SparseMatrix(P.nrows, P.ncols, P.indptr, P.indices, P.values * 1e6))
+    return model.assemble_inclusion(model.to_conic(qp))
 
 
 def fixed_cfg(data, frac=0.5, **kw):
@@ -233,6 +251,24 @@ class TestResolventScale:
             assert kkt_error(rep) <= (2.0 + data.sigma_max) * cfg.tol_fixed_point
             assert kkt_error(rep) <= 2.0 * cfg.tol_fixed_point
 
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_scale_builds_no_operator(self, monkeypatch, k):
+        # sigma_max(I + SMS) is the 2-norm of the dense scatter, with no
+        # SparseMatrix or scipy matrix built, and alpha is bit for bit the one
+        # of SMS's operator; above model._DENSE_LIMIT that operator's svds gives it
+        for data in prepare_data(generate(GenSpec(family="portfolio", count=3, seed=0, k=k))):
+            op = data.operator
+            with monkeypatch.context() as m:
+                forbid_sparse_matrices(m)
+                alpha = op.resolvent_scale
+            s2 = op._equilibrated(1.0).sigma_max ** 2
+            assert alpha == (1.0 if s2 <= 2.0 else (s2 - 1.0) ** -0.5)
+            fresh = model.assemble_inclusion(data.cqp).operator
+            with monkeypatch.context() as m:
+                m.setattr(model, "_DENSE_LIMIT", 0)
+                m.setattr(model, "_dense_identity_plus", None)
+                assert fresh.resolvent_scale == pytest.approx(alpha, rel=1e-12)
+
     def test_ruiz_keeps_one_on_a_zero_column(self):
         # a column holding only an explicit zero, and one with no entry, keep s = 1
         M = SparseMatrix.from_triplets(4, 4, np.array([0, 1, 2]), np.array([1, 0, 2]),
@@ -248,10 +284,7 @@ class TestResolventScale:
         # scaled by alpha alone DR-GD, and on I+M itself DR, ended in max_iter
         # at 200,000 iterations with a max violation of 0.033; equilibrated
         # both converge (DR-GD in about 260 iterations, DR in about 340)
-        qp = generate(GenSpec(family="qp_rhs", count=1, seed=0, n=20)).instances[0]
-        P = qp.P
-        qp = replace(qp, P=SparseMatrix(P.nrows, P.ncols, P.indptr, P.indices, P.values * 1e6))
-        data = model.assemble_inclusion(model.to_conic(qp))
+        data = huge_hessian_probe()
         assert data.sigma_max > 1e5
         cfg = SolverConfig()
         rep = solve(data, cfg)
@@ -335,6 +368,54 @@ class TestEquilibratedDr:
         for data, (x, y) in zip(datas, labeled.labels):
             metrics = model.quality(data.cqp, x, y)
             assert max(metrics.max_viol, metrics.dual_residual_inf) <= 2e-9
+
+    @staticmethod
+    def fresh(case):
+        """Data on a fresh operator: portfolio k = case (seed 0), or the P x
+        1e6 probe."""
+        if case == "probe":
+            return huge_hessian_probe()
+        return prepare_data(generate(GenSpec(family="portfolio", count=1, seed=0, k=case)))[0]
+
+    @staticmethod
+    def assembled(op, alpha):
+        """The sparse I + alpha SMS of op, as the SuperLU route builds it."""
+        (rows, values), N = op._sms(), op.size
+        return model._identity_plus(N, rows, op.M.indices, alpha * values)
+
+    @pytest.mark.parametrize("case", [1, 2, 5, 20, "probe"])
+    def test_dense_resolvent_builds_no_sparse_matrix(self, monkeypatch, case):
+        # up to Factorization._DENSE_LIMIT, I + alpha SMS is scattered into
+        # the array getrf reads, with no SparseMatrix or scipy matrix built:
+        # that array and the inverse are the assembled matrix's bit for bit
+        op = self.fresh(case).operator
+        with monkeypatch.context() as m:
+            forbid_sparse_matrices(m)
+            r = op.scaled_resolvent
+        K = self.assembled(op, r.scale)
+        (rows, values), N = op._sms(), op.size
+        dense = model._dense_identity_plus(N, rows, op.M.indices, r.scale * values)
+        assert dense.flags.f_contiguous
+        assert dense.tobytes("F") == K._csr.toarray(order="F").tobytes("F")
+        assert r.factorization.kind == "dense-inverse"
+        assert r.factorization.inverse.tobytes() == Factorization(K).inverse.tobytes()
+
+    def test_superlu_route_assembles_the_sparse_matrix(self, monkeypatch):
+        # above Factorization._DENSE_LIMIT no dense array is scattered: SuperLU
+        # factorizes the assembled I + alpha SMS, and DR converges on it
+        monkeypatch.setattr(Factorization, "_DENSE_LIMIT", 0)
+        monkeypatch.setattr(model, "_dense_identity_plus", None)
+        data = self.fresh(5)
+        r = data.operator.scaled_resolvent
+        assert r.factorization.kind == "superlu"
+        K = self.assembled(data.operator, r.scale)
+        assert model.matrix_key(r.factorization._A) == model.matrix_key(K)
+        b = np.random.default_rng(0).standard_normal((2, data.size))
+        assert r.factorization.solve(b).tobytes() == Factorization(K).solve(b).tobytes()
+        cfg = SolverConfig()
+        rep = dr_solve(data, cfg)
+        assert rep.status == "converged"
+        assert kkt_error(rep) <= 2.0 * cfg.tol_fixed_point
 
     @pytest.mark.parametrize("spec", [
         GenSpec(family="qp_rhs", count=1, seed=0, n=16),

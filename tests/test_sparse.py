@@ -214,6 +214,9 @@ class TestFactorize:
     def test_non_square_raises(self):
         with pytest.raises(DimensionError):
             Factorization(SparseMatrix.from_dense(np.ones((2, 3))))
+        for shape in [(2, 3), (3,), (2, 2, 2)]:  # dense inputs
+            with pytest.raises(DimensionError):
+                Factorization(np.ones(shape))
 
     @pytest.mark.parametrize("dense", [
         [[0.0, 0.0], [0.0, 0.0]],
@@ -233,8 +236,9 @@ class TestFactorize:
         monkeypatch.setattr(Factorization, "_DENSE_LIMIT", dense_limit)
         dense = np.eye(3) + 0.1
         dense[1, 2] = bad
-        with pytest.raises(SingularMatrixError, match="non-finite"):
-            Factorization(SparseMatrix.from_dense(dense))
+        for A in (SparseMatrix.from_dense(dense), np.asfortranarray(dense)):
+            with pytest.raises(SingularMatrixError, match="non-finite"):
+                Factorization(A)
 
     def test_ill_conditioned_band_takes_superlu(self):
         # a pivot ratio in (1e-14, 1e-10] is not singular, but too small for an
@@ -254,6 +258,41 @@ class TestFactorize:
             assert np.linalg.norm(dense @ x - b) / max(1.0, np.linalg.norm(b)) <= 1e-10
         X = fac.solve(rng.standard_normal((3, 9)))
         assert X.shape == (3, 9)
+
+    @pytest.mark.parametrize("dense_limit", [1024, 0], ids=["inverse", "superlu"])
+    def test_dense_input_factorizes_as_its_sparse_matrix(self, monkeypatch, dense_limit):
+        # a Fortran-ordered array, as the scaled resolvent passes, and a
+        # C-ordered one give the sparse matrix's inverse or SuperLU solves bit
+        # for bit, and are left as they were
+        monkeypatch.setattr(Factorization, "_DENSE_LIMIT", dense_limit)
+        rng = np.random.default_rng(13)
+        dense = random_sparse(rng, 30, 30)[1] + 10 * np.eye(30)
+        ref = Factorization(SparseMatrix.from_dense(dense))
+        b = rng.standard_normal((3, 30))
+        for arr in (np.asfortranarray(dense), dense.copy()):
+            fac = Factorization(arr)
+            assert np.array_equal(arr, dense)
+            assert fac.kind == ref.kind and fac.shape == (30, 30)
+            if dense_limit:
+                assert fac.inverse.tobytes() == ref.inverse.tobytes()
+            assert fac.solve(b).tobytes() == ref.solve(b).tobytes()
+
+    def test_dense_input_in_the_ill_conditioned_band(self):
+        # a pivot ratio in (1e-14, 1e-10] sends a dense input to SuperLU
+        # through the sparse matrix it builds of it, which a pickle or deep
+        # copy factorizes again
+        rng = np.random.default_rng(6)
+        dense = np.zeros((9, 9))
+        dense[:8, :8] = rng.standard_normal((8, 8)) + 8 * np.eye(8)
+        dense[8, 8] = 1e-12
+        ref = Factorization(SparseMatrix.from_dense(dense))
+        fac = Factorization(np.asfortranarray(dense))
+        assert fac.kind == ref.kind == "superlu"
+        B = rng.standard_normal((3, 9))
+        for f in (fac, copy.deepcopy(fac), pickle.loads(pickle.dumps(fac))):
+            assert f.kind == "superlu"
+            assert f.solve(B).tobytes() == ref.solve(B).tobytes()
+            assert f.solve(B[0]).tobytes() == ref.solve(B[0]).tobytes()
 
     @pytest.mark.parametrize("dense_limit", [1024, 0], ids=["inverse", "superlu"])
     def test_kind(self, monkeypatch, dense_limit):
